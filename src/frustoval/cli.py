@@ -115,9 +115,17 @@ def _add_frustum_flags(sp):
                     help="score both directions and keep the minimum")
 
 
+def _default_threads() -> int:
+    """CPUs this process may run on, where the platform reports them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_threads(sp):
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker threads (output is identical for any value)")
+    sp.add_argument("--threads", type=int, default=_default_threads(),
+                    help="worker threads; defaults to the CPUs this process may use "
+                         "(output is identical for any value)")
 
 
 def build_parser() -> _Parser:

@@ -178,11 +178,33 @@ def contains_points(f: PlaneFrustum, points) -> np.ndarray:
     return np.all(signed_distances(f, points) >= -f.epsilon, axis=-1)
 
 
+def camera_sphere(spec: FrustumSpec):
+    """Camera-frame (center, radius) of a sphere covering the viewing volume
+    inflated by boundary_epsilon, i.e. every point the containment test accepts.
+
+    Moving each plane outward by eps keeps the truncated pyramid's shape: the
+    depth range grows to [near - eps, far + eps] and each side plane shifts by
+    eps / cos(half-angle), so the eight inflated vertices span it.
+    """
+    ta, tb = spec.half_tangents
+    eps = spec.boundary_epsilon
+    ex = eps / math.cos(math.atan(ta))
+    ey = eps / math.cos(math.atan(tb))
+    corners = np.array(
+        [
+            [sx * (z * ta + ex), sy * (z * tb + ey), z]
+            for z in (spec.near - eps, spec.far + eps)
+            for sy in (-1.0, 1.0)
+            for sx in (-1.0, 1.0)
+        ]
+    )
+    c_cam = camera_corners(spec).mean(axis=0)
+    return c_cam, float(np.linalg.norm(corners - c_cam, axis=1).max())
+
+
 def bounding_sphere(pose: Pose, spec: FrustumSpec):
-    """A sphere covering the whole viewing volume (center, radius)."""
-    corners = camera_corners(spec)
-    c_cam = corners.mean(axis=0)
-    radius = float(np.linalg.norm(corners - c_cam, axis=1).max())
+    """A sphere covering the epsilon-inflated viewing volume (center, radius)."""
+    c_cam, radius = camera_sphere(spec)
     center = pose.rotation.rotate(c_cam) + pose.translation.as_array()
     return center, radius
 
@@ -191,7 +213,8 @@ def _directional_score(anchor: Pose, other: Pose, spec: FrustumSpec, early_rejec
     if early_reject:
         ca, r = bounding_sphere(anchor, spec)
         cb, _ = bounding_sphere(other, spec)
-        # same spec on both sides -> equal radii; slack absorbs the epsilon inflation
+        # other's probes lie within r of cb, accepted points within r of ca;
+        # the slack absorbs rounding
         if np.linalg.norm(ca - cb) > 2.0 * r + 1e-6:
             return 0.0
     planes = build_plane_frustum(anchor, spec)
@@ -205,7 +228,10 @@ def overlap_score(anchor: Pose, other: Pose, cfg: OverlapConfig, *, early_reject
     Returns 0 outright when the relative rotation exceeds the gate. With
     cfg.symmetric the minimum of the two directional scores is returned.
     The early bounding-sphere reject never changes the result, only skips
-    point tests that would count zero.
+    point tests that would count zero: the sphere covers the frustum
+    inflated by boundary_epsilon, so it holds every point the test accepts.
+    This is the scalar reference; `generate_pairs` scores many pairs at once
+    with the same plane distances and further rejects of its own.
     """
     if rotation_error(anchor.rotation, other.rotation) > cfg.max_relative_rotation_deg:
         return 0.0

@@ -263,12 +263,26 @@ class TestOverlapScore:
             assert overlap_score(a, b, cfg) == 0.0
 
     def test_sphere_covers_lattice(self, rng):
-        spec = FrustumSpec()
-        for _ in range(25):
-            pose = random_pose(rng)
-            center, radius = bounding_sphere(pose, spec)
-            pts = build_point_frustum(pose, spec).points
-            assert np.linalg.norm(pts - center, axis=1).max() <= radius + 1e-9
+        # the sphere must hold every point the containment test accepts: the
+        # lattice, and the far vertices of the epsilon-inflated frustum
+        for eps in (1e-9, 0.03, 0.1):
+            spec = FrustumSpec(boundary_epsilon=eps)
+            ta, tb = spec.half_tangents
+            ex = eps / math.cos(math.atan(ta))
+            ey = eps / math.cos(math.atan(tb))
+            z = spec.far + eps
+            far_cam = np.array([[sx * (z * ta + ex), sy * (z * tb + ey), z]
+                                for sx in (-1, 1) for sy in (-1, 1)])
+            # pulled 1 um toward the axis so rounding cannot push them outside
+            far_cam -= 1e-6 * np.sign(far_cam)
+            for _ in range(25):
+                pose = random_pose(rng)
+                center, radius = bounding_sphere(pose, spec)
+                pts = build_point_frustum(pose, spec).points
+                assert np.linalg.norm(pts - center, axis=1).max() <= radius + 1e-9
+                far_world = far_cam @ pose.rotation.to_matrix().T + pose.translation.as_array()
+                assert oracle_contains(pose, spec, far_world).all()
+                assert np.linalg.norm(far_world - center, axis=1).max() <= radius + 1e-9
 
 
 class TestCameraGrid:

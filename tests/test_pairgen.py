@@ -1,6 +1,8 @@
 """The all-pairs pipeline against a scalar double-loop oracle, plus binning
 and subspace statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from frustoval import (
 )
 from frustoval import dataset, pairgen
 from frustoval.dataset import PairRecord
+from frustoval.frustum import camera_corners
 from frustoval.geometry import Pose, RelativePose
 from frustoval.synth import SynthConfig, generate_trajectory
 
@@ -95,18 +98,92 @@ class TestGeneratePairs:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_early_reject_changes_nothing(self):
-        # spread poses so the bounding-sphere reject actually fires
-        cfg = OverlapConfig(frustum=SMALL_SPEC)
-        base = small_poses(n=12)
+    def test_early_reject_changes_nothing(self, monkeypatch):
+        # spread poses so the bounding-sphere reject and the plane-separation
+        # reject both fire, and count how many candidates each one drops
+        dropped = {"spheres_meet": 0, "separated": 0}
+
+        def counting(name, keeps):
+            orig = getattr(pairgen._FrustumBatch, name)
+
+            def wrapper(batch, i, idx):
+                mask = orig(batch, i, idx)
+                dropped[name] += int(np.count_nonzero(mask != keeps))
+                return mask
+
+            monkeypatch.setattr(pairgen._FrustumBatch, name, wrapper)
+
+        counting("spheres_meet", keeps=True)
+        counting("separated", keeps=False)
+        # every third camera turned 150 degrees, so the two gates differ
+        turn = Quaternion.from_axis_angle([0, 1, 0], 150.0)
+        base = small_poses(n=24)
         spread = [
-            Pose(p.rotation, Translation(p.translation.x + 9.0 * (i % 4), p.translation.y, p.translation.z), p.frame_id)
+            Pose(p.rotation * turn if i % 3 == 0 else p.rotation,
+                 Translation(p.translation.x + 6.0 * (i % 4), p.translation.y, p.translation.z), p.frame_id)
             for i, p in enumerate(base.poses)
         ]
         ps = PoseSet("spread", "train", spread, "synthetic")
-        with_reject = generate_pairs(ps, cfg, early_reject=True)
-        without = generate_pairs(ps, cfg, early_reject=False)
-        assert with_reject == without
+        for eps in (1e-9, 0.03, 0.1):
+            for gate in (110.0, 180.0):
+                for symmetric in (False, True):
+                    spec = FrustumSpec(grid_nx=4, grid_ny=4, grid_nz=4, boundary_epsilon=eps)
+                    cfg = OverlapConfig(frustum=spec, max_relative_rotation_deg=gate, symmetric=symmetric)
+                    dropped.update(spheres_meet=0, separated=0)
+                    with_reject = generate_pairs(ps, cfg, early_reject=True)
+                    assert dropped["spheres_meet"] > 0 and dropped["separated"] > 0, (eps, gate, symmetric)
+                    without = generate_pairs(ps, cfg, early_reject=False)
+                    assert with_reject == without, (eps, gate, symmetric)
+                    assert with_reject
+
+    def test_inflated_frustum_reject_regression(self):
+        # an eps-inflated far corner meets the other camera's far corner tip
+        # to tip while the sphere centres sit more than 2r + 1e-6 apart, r
+        # the radius of the uninflated frustum: neither reject may drop it
+        eps = 0.03
+        spec = FrustumSpec(boundary_epsilon=eps)
+        cfg = OverlapConfig(frustum=spec, max_relative_rotation_deg=180.0)
+        corners = camera_corners(spec)
+        c_cam = corners.mean(axis=0)
+        r_plain = np.linalg.norm(corners - c_cam, axis=1).max()
+        ta, tb = spec.half_tangents
+        tip = np.array([2 * spec.far * ta, 2 * spec.far * tb, 2 * spec.far])
+        anchor = Pose(Quaternion.identity(), Translation(0, 0, 0), "anchor")
+        rng = np.random.default_rng(7)
+        poses, scored = [], 0
+        for _ in range(300):
+            # turned about 180 degrees about y: the far faces look at each other
+            q = Quaternion.from_axis_angle([0, 1, 0] + rng.normal(0, 0.01, 3), 180.0 - abs(rng.normal(0, 0.2)))
+            t = tip + rng.uniform(-2 * eps, 2 * eps, 3)
+            if np.linalg.norm(q.rotate(c_cam) + t - c_cam) <= 2 * r_plain + 1e-6:
+                continue
+            other = Pose(q, Translation(*t), "other")
+            score = overlap_score(anchor, other, cfg, early_reject=False)
+            assert overlap_score(anchor, other, cfg) == score
+            scored += score > 0
+            # the same placement, 1 km from the previous one
+            shift = np.array([1000.0 * len(poses), 0.0, 0.0])
+            poses.append(Pose(anchor.rotation, Translation(*shift), f"p{len(poses):04d}"))
+            poses.append(Pose(q, Translation(*(t + shift)), f"p{len(poses):04d}"))
+        assert scored > 0
+        ps = PoseSet("tips", "train", poses, "synthetic")
+        with_reject = generate_pairs(ps, cfg)
+        assert len(with_reject) == 2 * scored
+        assert with_reject == generate_pairs(ps, cfg, early_reject=False)
+
+    def test_memory_stays_below_a_dense_matrix(self):
+        # a dense (2000, 2000) float64 score matrix alone would take 32 MB
+        n = 2000
+        ps = generate_trajectory(SynthConfig(extents=(400, 400, 2), n_poses=n, max_tilt_deg=20.0, seed=5))
+        cfg = OverlapConfig(frustum=FrustumSpec(grid_nx=2, grid_ny=2, grid_nz=2))
+        tracemalloc.start()
+        try:
+            pairs = generate_pairs(ps, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pairs
+        assert peak < n * n * 8
 
     def test_unordered_requires_symmetric(self):
         ps = small_poses(n=6)
