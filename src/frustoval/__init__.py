@@ -4,7 +4,7 @@ The package is organized by pipeline stage:
 
 * :mod:`frustoval.geometry` - quaternion/pose math and per-pair error primitives
 * :mod:`frustoval.frustum`  - viewing-volume models and the overlap score
-* :mod:`frustoval.dataset`  - pose-format parsers and the canonical file formats
+* :mod:`frustoval.dataset`  - the PairTable, pose-format parsers and the canonical file formats
 * :mod:`frustoval.pairgen`  - all-pairs scoring, histograms, subspace statistics
 * :mod:`frustoval.metrics`  - standard and volume-aware evaluation criteria
 * :mod:`frustoval.synth`    - seeded synthetic trajectories and predictors
@@ -41,8 +41,10 @@ from .frustum import (  # noqa: E402
 )
 from .dataset import (  # noqa: E402
     PairRecord,
+    PairTable,
     PoseSet,
     Prediction,
+    as_table,
     config_digest,
     parse_cambridge,
     parse_sevenscenes,
@@ -79,7 +81,7 @@ __all__ = [
     "to_euler", "translation_error",
     "FrustumSpec", "OverlapConfig", "PlaneFrustum", "PointFrustum",
     "build_plane_frustum", "build_point_frustum", "contains", "overlap_score",
-    "PairRecord", "PoseSet", "Prediction", "config_digest",
+    "PairRecord", "PairTable", "PoseSet", "Prediction", "as_table", "config_digest",
     "parse_cambridge", "parse_sevenscenes",
     "OverlapBinning", "SubspaceStats", "bin_histogram", "generate_pairs",
     "subspace_stats",

@@ -36,14 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_grid(text: str):
-    try:
-        nx, ny, nz = (int(v) for v in text.split("x"))
-    except ValueError:
-        raise UsageError(f"bad --grid {text!r}, expected NXxNYxNZ") from None
-    return nx, ny, nz
-
-
 def _parse_extents(text: str):
     try:
         ex, ey, ez = (float(v) for v in text.split("x"))
@@ -83,7 +75,10 @@ def _parse_constant(text: str) -> RelativePose:
 
 
 def _overlap_config(args) -> OverlapConfig:
-    nx, ny, nz = _parse_grid(args.grid)
+    try:
+        nx, ny, nz = dataset.parse_grid(args.grid)
+    except dataset.FormatError:
+        raise UsageError(f"bad --grid {args.grid!r}, expected NXxNYxNZ") from None
     try:
         spec = FrustumSpec(
             hfov_deg=args.hfov, vfov_deg=args.vfov, near=args.near, far=args.far,
@@ -392,8 +387,7 @@ def cmd_eval(args) -> int:
     pf = dataset.read_pairs(args.pairs)
     pd = dataset.read_predictions(args.pred)
     dataset.check_digest_match(pf.digest, pd.digest)
-    pair_keys = {p.key for p in pf.pairs}
-    orphans = [p.key for p in pd.predictions if p.key not in pair_keys]
+    orphans = metrics.unmatched_predictions(pf.pairs, pd.predictions)
     if orphans:
         raise EvaluationError(
             f"predictions reference pair keys absent from the pair file: {orphans[:10]}"

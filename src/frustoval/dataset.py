@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 import re
 import tempfile
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, geometry
 from .frustum import FrustumSpec, OverlapConfig
 from .geometry import Pose, Quaternion, RelativePose, Translation
 
@@ -97,7 +98,8 @@ class PoseSet:
 
 @dataclass(frozen=True)
 class PairRecord:
-    """One ordered frame pair: overlap score plus the ground-truth relative pose."""
+    """One row of a pair table: an ordered frame pair, its overlap score and
+    the ground-truth relative pose."""
 
     anchor_id: str
     query_id: str
@@ -118,7 +120,7 @@ class PairRecord:
 
 @dataclass(frozen=True)
 class Prediction:
-    """A predictor's relative-pose estimate for one pair."""
+    """One row of a prediction table: a predictor's relative-pose estimate for one pair."""
 
     anchor_id: str
     query_id: str
@@ -127,6 +129,140 @@ class Prediction:
     @property
     def key(self):
         return (self.anchor_id, self.query_id)
+
+
+def _key_order(anchor_ids, query_ids):
+    """Row order sorting the keys (stable), or None when they are sorted already."""
+    keys = list(zip(anchor_ids, query_ids))
+    if all(map(operator.le, keys, keys[1:])):
+        return None
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+class PairTable:
+    """A pair set or a prediction set as columns, rows sorted by (anchor_id, query_id).
+
+    `anchor_ids` and `query_ids` are lists of frame ids, `rotations` an (M, 4)
+    wxyz array and `translations` an (M, 3) array. A pair set also has an
+    (M,) `overlaps` array and the `config_digest` it was scored under; a
+    prediction set has `overlaps` None and carries the digest of the pairs it
+    was made for ('' when unknown). Rows given out of order are sorted on
+    construction. Tables are not modified in place.
+
+    Iterating yields PairRecord (or Prediction) rows, an integer index one
+    row, and a slice a table. Tables compare equal to tables with the same
+    columns and to lists of the same rows.
+    """
+
+    __slots__ = ("anchor_ids", "query_ids", "overlaps", "rotations", "translations",
+                 "config_digest")
+
+    def __init__(self, anchor_ids, query_ids, rotations, translations, overlaps=None,
+                 config_digest: str = ""):
+        self.anchor_ids = list(anchor_ids)
+        self.query_ids = list(query_ids)
+        self.rotations = np.ascontiguousarray(rotations, dtype=float).reshape(-1, 4)
+        self.translations = np.ascontiguousarray(translations, dtype=float).reshape(-1, 3)
+        self.overlaps = None if overlaps is None else np.ascontiguousarray(overlaps, dtype=float).reshape(-1)
+        self.config_digest = config_digest
+        m = len(self.anchor_ids)
+        sizes = {len(self.query_ids), len(self.rotations), len(self.translations)}
+        if self.overlaps is not None:
+            sizes.add(len(self.overlaps))
+        if sizes != {m}:
+            raise ValueError("pair table columns differ in length")
+        order = _key_order(self.anchor_ids, self.query_ids)
+        if order is not None:
+            self._take(order)
+
+    def _take(self, rows):
+        self.anchor_ids = [self.anchor_ids[k] for k in rows]
+        self.query_ids = [self.query_ids[k] for k in rows]
+        self.rotations = self.rotations[rows]
+        self.translations = self.translations[rows]
+        if self.overlaps is not None:
+            self.overlaps = self.overlaps[rows]
+
+    @property
+    def is_pairs(self) -> bool:
+        return self.overlaps is not None
+
+    def keys(self) -> list:
+        return list(zip(self.anchor_ids, self.query_ids))
+
+    def duplicate_keys(self) -> list:
+        """Keys held by more than one row, in order."""
+        keys = self.keys()
+        return sorted({a for a, b in zip(keys, keys[1:]) if a == b})
+
+    def __len__(self):
+        return len(self.anchor_ids)
+
+    def _row(self, a, q, overlap, r, t):
+        rel = RelativePose(Quaternion(*r), Translation(*t))
+        if overlap is None:
+            return Prediction(a, q, rel)
+        return PairRecord(a, q, overlap, rel, self.config_digest)
+
+    def __iter__(self):
+        overlaps = [None] * len(self) if self.overlaps is None else self.overlaps.tolist()
+        return map(self._row, self.anchor_ids, self.query_ids, overlaps,
+                   self.rotations.tolist(), self.translations.tolist())
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return PairTable(self.anchor_ids[k], self.query_ids[k], self.rotations[k],
+                             self.translations[k],
+                             None if self.overlaps is None else self.overlaps[k],
+                             self.config_digest)
+        k = range(len(self))[k]
+        return self._row(self.anchor_ids[k], self.query_ids[k],
+                         None if self.overlaps is None else float(self.overlaps[k]),
+                         self.rotations[k].tolist(), self.translations[k].tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, PairTable):
+            if self.is_pairs != other.is_pairs:
+                return False
+            return (self.anchor_ids == other.anchor_ids and self.query_ids == other.query_ids
+                    and np.array_equal(self.rotations, other.rotations)
+                    and np.array_equal(self.translations, other.translations)
+                    and (not self.is_pairs or (self.config_digest == other.config_digest
+                                               and np.array_equal(self.overlaps, other.overlaps))))
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        kind = "pairs" if self.is_pairs else "predictions"
+        return f"PairTable({len(self)} {kind}, config_digest={self.config_digest!r})"
+
+
+def as_table(items) -> PairTable:
+    """A PairTable unchanged, or the table of an iterable of PairRecord or
+    Prediction rows. Pair rows must share one config digest."""
+    if isinstance(items, PairTable):
+        return items
+    rows = list(items)
+    kinds = {type(r) for r in rows}
+    if kinds - {PairRecord, Prediction} or len(kinds) > 1:
+        raise TypeError("expected PairRecord rows or Prediction rows, not a mix or other objects")
+    rels = [r.rel_hat if Prediction in kinds else r.rel for r in rows]
+    cols = dict(
+        anchor_ids=[r.anchor_id for r in rows],
+        query_ids=[r.query_id for r in rows],
+        rotations=[(p.rotation.w, p.rotation.x, p.rotation.y, p.rotation.z) for p in rels],
+        translations=[(p.translation.x, p.translation.y, p.translation.z) for p in rels],
+    )
+    if Prediction in kinds:
+        return PairTable(**cols)
+    digests = {r.config_digest for r in rows}
+    if len(digests) > 1:
+        raise ValueError(f"pairs mix {len(digests)} different config digests")
+    return PairTable(**cols, overlaps=[r.overlap for r in rows],
+                     config_digest=digests.pop() if digests else "")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +303,8 @@ def config_digest(cfg: OverlapConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _parse_grid(text: str):
+def parse_grid(text: str):
+    """(nx, ny, nz) of an 'NXxNYxNZ' probe lattice."""
     m = re.fullmatch(r"(\d+)x(\d+)x(\d+)", text)
     if not m:
         raise FormatError(f"bad grid specification {text!r}, expected NXxNYxNZ")
@@ -176,7 +313,7 @@ def _parse_grid(text: str):
 
 def config_from_header(header: dict) -> OverlapConfig:
     try:
-        nx, ny, nz = _parse_grid(header["grid"])
+        nx, ny, nz = parse_grid(header["grid"])
         spec = FrustumSpec(
             hfov_deg=float(header["hfov_deg"]),
             vfov_deg=float(header["vfov_deg"]),
@@ -272,28 +409,102 @@ def _expect_count(path, header, body):
         raise FormatError(f"{path}: header declares {declared} records, found {len(body)}")
 
 
-def _float(tok, path, what):
-    try:
-        v = float(tok)
-    except ValueError:
-        raise FormatError(f"{path}: bad {what} value {tok!r}") from None
-    if not math.isfinite(v):
-        raise FormatError(f"{path}: non-finite {what} value {tok!r}")
-    return v
+def _record_lineno(path, k: int) -> int:
+    """File line number of the k-th record line. Only error paths call this,
+    so readers never track line numbers while parsing."""
+    seen = -1
+    lines = _read_lines(path)
+    for lineno, ln in enumerate(lines[1:], start=2):
+        if not ln.startswith("# ") and ln.strip():
+            seen += 1
+            if seen == k:
+                return lineno
+    return len(lines)
 
 
-def _quat_from_tokens(tokens, path):
-    w, x, y, z = (_float(t, path, "quaternion") for t in tokens)
-    nsq = w * w + x * x + y * y + z * z
-    if abs(nsq - 1.0) <= _PARSE_NORM_SLACK and w >= 0.0:
-        return Quaternion(w, x, y, z)
-    return Quaternion(w, x, y, z).normalized()
+def _record_error(path, k: int, message: str) -> FormatError:
+    return FormatError(f"{path}:{_record_lineno(path, k)}: {message}")
+
+
+def _parse_records(path, body, columns: str, kind: str):
+    """Split record lines into their id columns (the leading `*_id` fields)
+    and one (M, fields) float64 array of the numeric fields, parsed by one
+    np.loadtxt call. A wrong field count or a bad or non-finite number is
+    refused with the file and line."""
+    names = columns.split()
+    n_ids = sum(name.endswith("_id") for name in names)
+    parts = [ln.split(None, n_ids) for ln in body]
+    if body and all(len(p) == n_ids + 1 for p in parts):
+        try:
+            values = np.loadtxt([p[-1] for p in parts], dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            values = None
+        if values is not None and values.shape[1] == len(names) - n_ids and np.isfinite(values).all():
+            return [list(c) for c in list(zip(*parts))[:n_ids]], values
+    return _parse_tokens(path, body, names, n_ids, kind)
+
+
+def _parse_tokens(path, body, names, n_ids, kind):
+    """_parse_records token by token, with Python's float() as the parser:
+    finds the offending line, and reads what float() accepts but loadtxt
+    does not (digit separators, non-ASCII digits)."""
+    rows = [ln.split() for ln in body]
+    bad = next((k for k, r in enumerate(rows) if len(r) != len(names)), None)
+    if bad is not None:
+        raise _record_error(path, bad, f"{kind} record needs {len(names)} fields, "
+                                       f"got {len(rows[bad])}: {body[bad]!r}")
+    values = np.empty((len(rows), len(names) - n_ids))
+    for k, r in enumerate(rows):
+        for c, (name, tok) in enumerate(zip(names[n_ids:], r[n_ids:])):
+            try:
+                values[k, c] = v = float(tok)
+            except ValueError:
+                raise _record_error(path, k, f"bad {name} value {tok!r}") from None
+            if not math.isfinite(v):
+                raise _record_error(path, k, f"non-finite {name} value {tok!r}")
+    return [[r[c] for r in rows] for c in range(n_ids)], values
+
+
+def _parsed_quats(path, q: np.ndarray) -> np.ndarray:
+    """(M, 4) parsed wxyz rows, each kept verbatim when within
+    _PARSE_NORM_SLACK of unit norm with w >= 0, otherwise normalized to the
+    canonical hemisphere with Quaternion.normalized()'s arithmetic, so
+    canonical files survive read/write cycles byte-exactly."""
+    w, x, y, z = q.T
+    with np.errstate(over="ignore"):
+        nsq = w * w + x * x + y * y + z * z
+    q = np.array(q)
+    redo = ~((np.abs(nsq - 1.0) <= _PARSE_NORM_SLACK) & (w >= 0.0))
+    if redo.any():
+        rows = np.flatnonzero(redo)
+        n = np.sqrt(nsq[rows])
+        if not n.all():
+            raise _record_error(path, int(rows[np.argmin(n)]), "zero quaternion cannot be normalized")
+        q[rows] = geometry.canonical_sign_rows(q[rows] / n[:, None])
+    return q
+
+
+def _check_keys(path, anchor_ids, query_ids, kind: str):
+    """Refuse, with the file and line, keys that repeat or are out of order."""
+    keys = list(zip(anchor_ids, query_ids))
+    ascending = list(map(operator.lt, keys, keys[1:]))
+    if False in ascending:
+        k = ascending.index(False) + 1
+        problem = "duplicate" if keys[k] == keys[k - 1] else "unsorted"
+        raise _record_error(path, k, f"{problem} {kind} key {keys[k]}: records must be sorted "
+                                     "by (anchor_id, query_id) without repeats")
 
 
 def _check_frame_id(frame_id: str):
     if not frame_id or any(c.isspace() for c in frame_id):
         raise ValueError(f"frame id {frame_id!r} must be non-empty and whitespace-free")
     return frame_id
+
+
+def _write_records(fh, ids, numbers):
+    """One line per row: the id columns, then each numeric column through fnum."""
+    fields = [*ids, *(map(fnum, c.tolist()) for c in numbers)]
+    fh.writelines(" ".join(row) + "\n" for row in zip(*fields))
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +540,16 @@ def read_poses(path) -> PoseSet:
     kind, header, body = read_header(path)
     _expect_kind(path, kind, "poses")
     _expect_count(path, header, body)
-    poses = []
-    for ln in body:
-        toks = ln.split()
-        if len(toks) != 8:
-            raise FormatError(f"{path}: pose record needs 8 fields, got {len(toks)}: {ln!r}")
-        q = _quat_from_tokens(toks[1:5], path)
-        t = Translation(*(_float(v, path, "translation") for v in toks[5:8]))
-        poses.append(Pose(rotation=q, translation=t, frame_id=toks[0]))
+    (ids,), values = _parse_records(path, body, _POSE_COLUMNS, "pose")
+    if len(set(ids)) != len(ids):
+        seen = set()
+        k = next(k for k, f in enumerate(ids) if f in seen or seen.add(f))
+        raise _record_error(path, k, f"duplicate frame id {ids[k]!r}")
+    quats = _parsed_quats(path, values[:, 0:4]).tolist()
+    poses = [
+        Pose(rotation=Quaternion(*q), translation=Translation(*t), frame_id=f)
+        for f, q, t in zip(ids, quats, values[:, 4:7].tolist())
+    ]
     return PoseSet(
         scene_name=header.get("scene", ""),
         split=header.get("split", "train"),
@@ -355,7 +568,7 @@ _PAIR_COLUMNS = "anchor_id query_id overlap qw qx qy qz tx ty tz"
 
 @dataclass
 class PairFileData:
-    pairs: list[PairRecord]
+    pairs: PairTable
     cfg: OverlapConfig
     digest: str
     min_overlap: float
@@ -366,15 +579,24 @@ class PairFileData:
 
 def write_pairs(path, pairs, cfg: OverlapConfig, *, min_overlap: float, max_overlap: float,
                 ordered: bool = True, extra: dict | None = None):
+    pairs = as_table(pairs)
     digest = config_digest(cfg)
-    for p in pairs:
-        if p.config_digest != digest:
-            raise ValueError(
-                f"pair {p.key} carries digest {p.config_digest}, file is being "
-                f"written under {digest}"
-            )
-        if not (min_overlap < p.overlap <= max_overlap):
-            raise ValueError(f"pair {p.key} overlap {p.overlap} outside ({min_overlap}, {max_overlap}]")
+    if not pairs.is_pairs:
+        raise ValueError("write_pairs needs a pair table, got predictions")
+    if len(pairs) and pairs.config_digest != digest:
+        raise ValueError(
+            f"pairs carry digest {pairs.config_digest}, file is being written under {digest}"
+        )
+    outside = ~((pairs.overlaps > min_overlap) & (pairs.overlaps <= max_overlap))
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"pair {pairs.keys()[k]} overlap {pairs.overlaps[k]} outside "
+                         f"({min_overlap}, {max_overlap}]")
+    if any(map(operator.eq, pairs.anchor_ids, pairs.query_ids)):
+        raise ValueError("pair must join two distinct frames")
+    dupes = pairs.duplicate_keys()
+    if dupes:
+        raise ValueError(f"duplicate pair keys: {dupes[:5]}")
     entries = {
         "config_digest": digest,
         **config_header_entries(cfg),
@@ -388,13 +610,8 @@ def write_pairs(path, pairs, cfg: OverlapConfig, *, min_overlap: float, max_over
     }
     with atomic_write(path) as fh:
         _write_header(fh, "pairs", entries)
-        for p in sorted(pairs, key=lambda p: p.key):
-            q, t = p.rel.rotation, p.rel.translation
-            fh.write(
-                f"{p.anchor_id} {p.query_id} {fnum(p.overlap)}"
-                f" {fnum(q.w)} {fnum(q.x)} {fnum(q.y)} {fnum(q.z)}"
-                f" {fnum(t.x)} {fnum(t.y)} {fnum(t.z)}\n"
-            )
+        _write_records(fh, (pairs.anchor_ids, pairs.query_ids),
+                       (pairs.overlaps, *pairs.rotations.T, *pairs.translations.T))
 
 
 def read_pairs(path) -> PairFileData:
@@ -407,30 +624,28 @@ def read_pairs(path) -> PairFileData:
         raise FormatError(
             f"{path}: stored config_digest {digest} does not match the header configuration"
         )
-    pairs = []
-    for ln in body:
-        toks = ln.split()
-        if len(toks) != 10:
-            raise FormatError(f"{path}: pair record needs 10 fields, got {len(toks)}: {ln!r}")
-        rel = RelativePose(
-            rotation=_quat_from_tokens(toks[3:7], path),
-            translation=Translation(*(_float(v, path, "translation") for v in toks[7:10])),
-        )
-        pairs.append(
-            PairRecord(
-                anchor_id=toks[0],
-                query_id=toks[1],
-                overlap=_float(toks[2], path, "overlap"),
-                rel=rel,
-                config_digest=digest,
-            )
-        )
+    lo = float(header.get("min_overlap", "0"))
+    hi = float(header.get("max_overlap", "1"))
+    (anchor_ids, query_ids), values = _parse_records(path, body, _PAIR_COLUMNS, "pair")
+    same = list(map(operator.eq, anchor_ids, query_ids))
+    if True in same:
+        k = same.index(True)
+        raise _record_error(path, k, f"pair must join two distinct frames, got {anchor_ids[k]!r} twice")
+    overlaps = values[:, 0]
+    inside = (overlaps > lo) & (overlaps <= hi) & (overlaps >= 0.0) & (overlaps <= 1.0)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise _record_error(path, k, f"overlap {body[k].split()[2]} outside the header's "
+                                     f"({header.get('min_overlap', '0')}, {header.get('max_overlap', '1')}]")
+    _check_keys(path, anchor_ids, query_ids, "pair")
+    pairs = PairTable(anchor_ids, query_ids, _parsed_quats(path, values[:, 1:5]), values[:, 5:8],
+                      overlaps=overlaps, config_digest=digest)
     return PairFileData(
         pairs=pairs,
         cfg=cfg,
         digest=digest,
-        min_overlap=float(header.get("min_overlap", "0")),
-        max_overlap=float(header.get("max_overlap", "1")),
+        min_overlap=lo,
+        max_overlap=hi,
         ordered=header.get("ordered", "true") == "true",
         header=header,
     )
@@ -445,16 +660,16 @@ _PRED_COLUMNS = "anchor_id query_id qw qx qy qz tx ty tz"
 
 @dataclass
 class PredictionFileData:
-    predictions: list[Prediction]
+    predictions: PairTable
     digest: str
     header: dict
 
 
 def write_predictions(path, predictions, *, config_digest: str, predictor: str = "external",
                       extra: dict | None = None):
-    keys = [p.key for p in predictions]
-    if len(set(keys)) != len(keys):
-        dupes = sorted({k for k in keys if keys.count(k) > 1})
+    predictions = as_table(predictions)
+    dupes = predictions.duplicate_keys()
+    if dupes:
         raise ValueError(f"duplicate prediction keys: {dupes[:5]}")
     entries = {
         "config_digest": config_digest,
@@ -466,32 +681,20 @@ def write_predictions(path, predictions, *, config_digest: str, predictor: str =
     }
     with atomic_write(path) as fh:
         _write_header(fh, "predictions", entries)
-        for p in sorted(predictions, key=lambda p: p.key):
-            q, t = p.rel_hat.rotation, p.rel_hat.translation
-            fh.write(
-                f"{p.anchor_id} {p.query_id}"
-                f" {fnum(q.w)} {fnum(q.x)} {fnum(q.y)} {fnum(q.z)}"
-                f" {fnum(t.x)} {fnum(t.y)} {fnum(t.z)}\n"
-            )
+        _write_records(fh, (predictions.anchor_ids, predictions.query_ids),
+                       (*predictions.rotations.T, *predictions.translations.T))
 
 
 def read_predictions(path) -> PredictionFileData:
     kind, header, body = read_header(path)
     _expect_kind(path, kind, "predictions")
     _expect_count(path, header, body)
-    preds = []
-    for ln in body:
-        toks = ln.split()
-        if len(toks) != 9:
-            raise FormatError(f"{path}: prediction record needs 9 fields, got {len(toks)}: {ln!r}")
-        rel = RelativePose(
-            rotation=_quat_from_tokens(toks[2:6], path),
-            translation=Translation(*(_float(v, path, "translation") for v in toks[6:9])),
-        )
-        preds.append(Prediction(anchor_id=toks[0], query_id=toks[1], rel_hat=rel))
-    return PredictionFileData(
-        predictions=preds, digest=header.get("config_digest", ""), header=header
-    )
+    digest = header.get("config_digest", "")
+    (anchor_ids, query_ids), values = _parse_records(path, body, _PRED_COLUMNS, "prediction")
+    _check_keys(path, anchor_ids, query_ids, "prediction")
+    predictions = PairTable(anchor_ids, query_ids, _parsed_quats(path, values[:, 0:4]),
+                            values[:, 4:7], config_digest=digest)
+    return PredictionFileData(predictions=predictions, digest=digest, header=header)
 
 
 def check_digest_match(pairs_digest: str, predictions_digest: str):

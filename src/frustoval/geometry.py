@@ -271,11 +271,16 @@ def normalize_quat_rows(rows: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(rows, axis=1, keepdims=True)
     if np.any(n == 0.0):
         raise ValueError("cannot normalize a zero quaternion")
-    out = rows / n
-    w, x, y, z = out.T
+    return canonical_sign_rows(rows / n)
+
+
+def canonical_sign_rows(rows: np.ndarray) -> np.ndarray:
+    """Flip rows in place to the w >= 0 hemisphere with normalized()'s
+    lexicographic tie-break at w == 0; returns them."""
+    w, x, y, z = rows.T
     flip = (w < 0) | ((w == 0) & ((x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0))))))
-    out[flip] *= -1.0
-    return out
+    rows[flip] *= -1.0
+    return rows
 
 
 def quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
-from .dataset import PairRecord, Prediction
+from . import dataset, geometry
+from .dataset import PairRecord, PairTable, Prediction
 from .geometry import Quaternion, RelativePose, Translation
 from .pairgen import OverlapBinning, SubspaceStats, subspace_stats
 
@@ -75,32 +75,54 @@ def _vector_norms(rows: np.ndarray, norm: str) -> np.ndarray:
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def match_predictions(pairs, predictions):
-    """Predictions aligned to the pair order; refuses on missing or duplicate keys.
+def _table(items) -> PairTable:
+    try:
+        return dataset.as_table(items)
+    except ValueError as e:
+        raise EvaluationError(str(e)) from None
+
+
+def _align(pairs: PairTable, predictions: PairTable) -> np.ndarray:
+    """Row of `predictions` holding each pair's key, or -1 where none does."""
+    dupes = predictions.duplicate_keys()
+    if dupes:
+        raise EvaluationError(f"duplicate prediction keys: {dupes[:10]}")
+    if pairs.anchor_ids == predictions.anchor_ids and pairs.query_ids == predictions.query_ids:
+        return np.arange(len(pairs))
+    row = {k: i for i, k in enumerate(predictions.keys())}
+    return np.array([row.get(k, -1) for k in pairs.keys()], dtype=np.intp)
+
+
+def match_predictions(pairs, predictions) -> np.ndarray:
+    """Row of `predictions` for each pair, in pair order; refuses on missing or
+    duplicate keys.
 
     Extra predictions (covering pairs not under evaluation) are ignored.
     """
-    by_key = {}
-    duplicates = []
-    for p in predictions:
-        if p.key in by_key:
-            duplicates.append(p.key)
-        by_key[p.key] = p
-    if duplicates:
-        raise EvaluationError(f"duplicate prediction keys: {sorted(set(duplicates))[:10]}")
-    missing = [p.key for p in pairs if p.key not in by_key]
-    if missing:
-        raise EvaluationError(f"predictions missing for pair keys: {missing[:10]}")
-    return [by_key[p.key] for p in pairs]
+    pairs, predictions = _table(pairs), _table(predictions)
+    idx = _align(pairs, predictions)
+    if (idx < 0).any():
+        missing = [pairs.keys()[k] for k in np.flatnonzero(idx < 0)[:10]]
+        raise EvaluationError(f"predictions missing for pair keys: {missing}")
+    return idx
+
+
+def unmatched_predictions(pairs, predictions) -> list:
+    """Keys of predictions that no pair holds."""
+    pairs, predictions = _table(pairs), _table(predictions)
+    hit = np.zeros(len(predictions), dtype=bool)
+    idx = _align(pairs, predictions)
+    hit[idx[idx >= 0]] = True
+    keys = predictions.keys()
+    return [keys[k] for k in np.flatnonzero(~hit)]
 
 
 def _paired_arrays(pairs, predictions):
-    matched = match_predictions(pairs, predictions)
-    t = geometry.translation_rows(p.rel.translation for p in pairs)
-    t_hat = geometry.translation_rows(m.rel_hat.translation for m in matched)
-    q = geometry.quat_rows(p.rel.rotation for p in pairs)
-    q_hat = geometry.quat_rows(m.rel_hat.rotation for m in matched)
-    return t, t_hat, q, q_hat
+    """(t, t_hat, q, q_hat) columns, predictions aligned to the pair rows."""
+    pairs, predictions = _table(pairs), _table(predictions)
+    idx = match_predictions(pairs, predictions)
+    return (pairs.translations, predictions.translations[idx], pairs.rotations,
+            predictions.rotations[idx])
 
 
 @dataclass(frozen=True)
@@ -111,11 +133,7 @@ class StandardErrors:
     q_median: float | None
 
 
-def standard_errors(pairs, predictions, cfg: MetricConfig = MetricConfig()) -> StandardErrors:
-    """Mean/median of the per-pair translation and rotation errors."""
-    if not pairs:
-        raise EvaluationError("cannot evaluate an empty pair set")
-    t, t_hat, q, q_hat = _paired_arrays(pairs, predictions)
+def _standard_errors(t, t_hat, q, q_hat, cfg: MetricConfig) -> StandardErrors:
     t_err = _vector_norms(t - t_hat, cfg.norm)
     q_err = geometry.quat_angle_deg_rows(q, q_hat)
     want_mean = "mean" in cfg.statistics
@@ -128,12 +146,15 @@ def standard_errors(pairs, predictions, cfg: MetricConfig = MetricConfig()) -> S
     )
 
 
-def mape_translation(pairs, predictions, norm: str = "l1") -> float | None:
-    """Mean of ||t - t_hat|| / ||t||; pairs with exactly zero ||t|| are excluded.
+def standard_errors(pairs, predictions, cfg: MetricConfig = MetricConfig()) -> StandardErrors:
+    """Mean/median of the per-pair translation and rotation errors."""
+    pairs = _table(pairs)
+    if not len(pairs):
+        raise EvaluationError("cannot evaluate an empty pair set")
+    return _standard_errors(*_paired_arrays(pairs, predictions), cfg)
 
-    Returns None when every pair is excluded.
-    """
-    t, t_hat, _, _ = _paired_arrays(pairs, predictions)
+
+def _mape(t, t_hat, norm: str) -> float | None:
     gt = _vector_norms(t, norm)
     keep = gt > 0.0
     if not np.any(keep):
@@ -142,18 +163,34 @@ def mape_translation(pairs, predictions, norm: str = "l1") -> float | None:
     return float(ratios.mean())
 
 
+def mape_translation(pairs, predictions, norm: str = "l1") -> float | None:
+    """Mean of ||t - t_hat|| / ||t||; pairs with exactly zero ||t|| are excluded.
+
+    Returns None when every pair is excluded.
+    """
+    t, t_hat, _, _ = _paired_arrays(pairs, predictions)
+    return _mape(t, t_hat, norm)
+
+
 def mape_zero_excluded(pairs, norm: str = "l1") -> int:
     """How many pairs a percentage metric drops for zero ground-truth norm."""
-    t = geometry.translation_rows(p.rel.translation for p in pairs)
-    return int(np.sum(_vector_norms(t, norm) == 0.0))
+    return int(np.sum(_vector_norms(_table(pairs).translations, norm) == 0.0))
 
 
-def naive_mean_translation(source_pairs, ) -> Translation:
+def naive_mean_translation(source_pairs) -> Translation:
     """Componentwise mean of the ground-truth relative translations."""
-    if not source_pairs:
+    source_pairs = _table(source_pairs)
+    if not len(source_pairs):
         raise EvaluationError("naive mean needs a non-empty source pair set")
-    t = geometry.translation_rows(p.rel.translation for p in source_pairs)
-    return Translation.from_array(t.mean(axis=0))
+    return Translation.from_array(source_pairs.translations.mean(axis=0))
+
+
+def _mase(t, t_hat, naive_mean: Translation, norm: str) -> float | None:
+    num = float(_vector_norms(t - t_hat, norm).sum())
+    den = float(_vector_norms(t - naive_mean.as_array(), norm).sum())
+    if den == 0.0:
+        return None
+    return num / den
 
 
 def mase_translation(pairs, predictions, naive_mean: Translation, norm: str = "l1") -> float | None:
@@ -164,11 +201,20 @@ def mase_translation(pairs, predictions, naive_mean: Translation, norm: str = "l
     undefined.
     """
     t, t_hat, _, _ = _paired_arrays(pairs, predictions)
-    num = float(_vector_norms(t - t_hat, norm).sum())
-    den = float(_vector_norms(t - naive_mean.as_array(), norm).sum())
-    if den == 0.0:
+    return _mase(t, t_hat, naive_mean, norm)
+
+
+def _mapse(t, t_hat, naive_mean: Translation, norm: str) -> float | None:
+    gt = _vector_norms(t, norm)
+    keep = gt > 0.0
+    if not np.any(keep):
         return None
-    return num / den
+    mape = float((_vector_norms((t - t_hat)[keep], norm) / gt[keep]).mean())
+    naive_dev = float(_vector_norms(t[keep] - naive_mean.as_array(), norm).sum())
+    if naive_dev == 0.0:
+        return None
+    naive_relative = naive_dev / float(gt[keep].sum())
+    return mape / naive_relative
 
 
 def mapse_translation(pairs, predictions, naive_mean: Translation, norm: str = "l1") -> float | None:
@@ -182,27 +228,10 @@ def mapse_translation(pairs, predictions, naive_mean: Translation, norm: str = "
     ground truths are dropped throughout, as in MAPE.
     """
     t, t_hat, _, _ = _paired_arrays(pairs, predictions)
-    gt = _vector_norms(t, norm)
-    keep = gt > 0.0
-    if not np.any(keep):
-        return None
-    mape = float((_vector_norms((t - t_hat)[keep], norm) / gt[keep]).mean())
-    naive_dev = float(_vector_norms(t[keep] - naive_mean.as_array(), norm).sum())
-    if naive_dev == 0.0:
-        return None
-    naive_relative = naive_dev / float(gt[keep].sum())
-    return mape / naive_relative
+    return _mapse(t, t_hat, naive_mean, norm)
 
 
-def mape_rotation(pairs, predictions, gimbal_policy: str = "exclude"):
-    """Rotation MAPE over Euler triples: mean of |r - r_hat|_1 / |r|_1.
-
-    Gimbal-locked pairs (ground truth or prediction) follow the policy:
-    'exclude' drops and counts them, 'error' raises. Identity ground truths
-    (|r|_1 == 0) are always dropped and counted. Returns (value, n_excluded);
-    value is None when nothing remains.
-    """
-    _, _, q, q_hat = _paired_arrays(pairs, predictions)
+def _mape_rotation(q, q_hat, gimbal_policy: str):
     r, locked = geometry.euler_zyx_deg_rows(q)
     r_hat, locked_hat = geometry.euler_zyx_deg_rows(q_hat)
     bad = locked | locked_hat
@@ -220,17 +249,33 @@ def mape_rotation(pairs, predictions, gimbal_policy: str = "exclude"):
     return float(ratios.mean()), n_excluded
 
 
+def mape_rotation(pairs, predictions, gimbal_policy: str = "exclude"):
+    """Rotation MAPE over Euler triples: mean of |r - r_hat|_1 / |r|_1.
+
+    Gimbal-locked pairs (ground truth or prediction) follow the policy:
+    'exclude' drops and counts them, 'error' raises. Identity ground truths
+    (|r|_1 == 0) are always dropped and counted. Returns (value, n_excluded);
+    value is None when nothing remains.
+    """
+    _, _, q, q_hat = _paired_arrays(pairs, predictions)
+    return _mape_rotation(q, q_hat, gimbal_policy)
+
+
 @dataclass(frozen=True)
 class NaivePredictor:
     """Baseline that answers every query with the source set's mean relative pose."""
 
     mean_rel: RelativePose
 
-    def predict(self, pairs) -> list[Prediction]:
-        return [
-            Prediction(anchor_id=p.anchor_id, query_id=p.query_id, rel_hat=self.mean_rel)
-            for p in pairs
-        ]
+    def predict(self, pairs) -> PairTable:
+        pairs = _table(pairs)
+        m = len(pairs)
+        return PairTable(
+            pairs.anchor_ids, pairs.query_ids,
+            np.broadcast_to(self.mean_rel.rotation.as_array(), (m, 4)),
+            np.broadcast_to(self.mean_rel.translation.as_array(), (m, 3)),
+            config_digest=pairs.config_digest,
+        )
 
 
 def naive_predictor(source_pairs) -> NaivePredictor:
@@ -240,9 +285,10 @@ def naive_predictor(source_pairs) -> NaivePredictor:
     componentwise quaternion mean after aligning every sample to the first
     one's hemisphere.
     """
-    if not source_pairs:
+    source_pairs = _table(source_pairs)
+    if not len(source_pairs):
         raise EvaluationError("naive predictor needs a non-empty source pair set")
-    q = geometry.quat_rows(p.rel.rotation for p in source_pairs)
+    q = source_pairs.rotations
     sign = np.where(q @ q[0] < 0.0, -1.0, 1.0)
     q_mean = (q * sign[:, None]).mean(axis=0)
     if np.linalg.norm(q_mean) < 1e-12:
@@ -307,12 +353,13 @@ def error_curve(pairs, predictions, binning: OverlapBinning = OverlapBinning(),
     """
     if stat not in ("mean", "median"):
         raise ValueError(f"unknown statistic {stat!r}")
-    if not pairs:
+    pairs = _table(pairs)
+    if not len(pairs):
         raise EvaluationError("cannot build an error curve from an empty pair set")
     t, t_hat, q, q_hat = _paired_arrays(pairs, predictions)
     t_err = _vector_norms(t - t_hat, norm)
     q_err = geometry.quat_angle_deg_rows(q, q_hat)
-    idx = binning.indices([p.overlap for p in pairs])
+    idx = binning.indices(pairs.overlaps)
     reduce = np.mean if stat == "mean" else np.median
     edges = binning.edges
     bins = []
@@ -451,15 +498,14 @@ def evaluate(pairs, predictions, cfg: MetricConfig = MetricConfig(), *,
     `naive_source_pairs`. The subspace statistics default to the evaluated
     set at its own minimum overlap.
     """
-    if not pairs:
+    pairs = _table(pairs)
+    if not len(pairs):
         raise EvaluationError("cannot evaluate an empty pair set")
     unknown = set(include) - set(_METRIC_NAMES)
     if unknown:
         raise ValueError(f"unknown metrics requested: {sorted(unknown)}")
-    digests = {p.config_digest for p in pairs}
-    if len(digests) > 1:
-        raise EvaluationError(f"pairs mix {len(digests)} different config digests")
-    std = standard_errors(pairs, predictions, cfg)
+    t, t_hat, q, q_hat = _paired_arrays(pairs, predictions)
+    std = _standard_errors(t, t_hat, q, q_hat, cfg)
     if cfg.naive_source == "train_pairs":
         if naive_source_pairs is None:
             raise EvaluationError("naive_source='train_pairs' requires naive_source_pairs")
@@ -469,14 +515,14 @@ def evaluate(pairs, predictions, cfg: MetricConfig = MetricConfig(), *,
     naive_mean = naive_mean_translation(source)
     threshold = subspace_threshold
     if threshold is None:
-        threshold = min(p.overlap for p in pairs)
+        threshold = float(pairs.overlaps.min())
     report = MetricReport(
         n_pairs=len(pairs),
         norm=cfg.norm,
         statistics=tuple(cfg.statistics),
         euler_gimbal_policy=cfg.euler_gimbal_policy,
         naive_source=cfg.naive_source,
-        config_digest=next(iter(digests)),
+        config_digest=pairs.config_digest,
         subspace=subspace_stats(pairs, threshold),
         t_mean=std.t_mean,
         t_median=std.t_median,
@@ -484,14 +530,12 @@ def evaluate(pairs, predictions, cfg: MetricConfig = MetricConfig(), *,
         q_median=std.q_median,
     )
     if "mape" in include:
-        report.t_mape = mape_translation(pairs, predictions, cfg.norm)
+        report.t_mape = _mape(t, t_hat, cfg.norm)
         report.mape_excluded_zero_norm = mape_zero_excluded(pairs, cfg.norm)
     if "mase" in include:
-        report.t_mase = mase_translation(pairs, predictions, naive_mean, cfg.norm)
+        report.t_mase = _mase(t, t_hat, naive_mean, cfg.norm)
     if "mapse" in include:
-        report.t_mapse = mapse_translation(pairs, predictions, naive_mean, cfg.norm)
+        report.t_mapse = _mapse(t, t_hat, naive_mean, cfg.norm)
     if "rmape" in include:
-        report.r_mape, report.rmape_excluded = mape_rotation(
-            pairs, predictions, cfg.euler_gimbal_policy
-        )
+        report.r_mape, report.rmape_excluded = _mape_rotation(q, q_hat, cfg.euler_gimbal_policy)
     return report

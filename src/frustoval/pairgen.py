@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataset, geometry
-from .dataset import PairRecord, PoseSet
+from .dataset import PairTable, PoseSet
 from .frustum import OverlapConfig, camera_corners, camera_grid, camera_planes, camera_sphere
-from .geometry import Quaternion, RelativePose, Translation
 
 DEFAULT_BIN_EDGES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -211,22 +210,22 @@ def _relative_rows(batch: _FrustumBatch, i: int, js: np.ndarray):
 
 def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
                    max_overlap: float = 1.0, *, unordered: bool = False,
-                   threads: int = 1, early_reject: bool = True) -> list[PairRecord]:
+                   threads: int = 1, early_reject: bool = True) -> PairTable:
     """All frame pairs with min_overlap < score <= max_overlap.
 
     Ordered pairs (both directions, directional score) by default; `unordered`
-    keeps only anchor_id < query_id using the symmetric score. Each record
-    carries the ground-truth relative pose and the configuration digest.
-    Output is sorted by (anchor_id, query_id) and independent of `threads`.
+    keeps only anchor_id < query_id using the symmetric score. The table
+    holds each pair's ground-truth relative pose and the configuration digest.
+    Rows are sorted by (anchor_id, query_id) and independent of `threads`.
     """
     if not (0.0 <= min_overlap < max_overlap <= 1.0):
         raise ValueError("require 0 <= min_overlap < max_overlap <= 1")
     if unordered and not cfg.symmetric:
         raise ValueError("unordered pair generation uses the symmetric score; set cfg.symmetric=True")
+    digest = dataset.config_digest(cfg)
     if len(poses) < 2:
         warnings.warn("fewer than 2 poses; no pairs can be generated", stacklevel=2)
-        return []
-    digest = dataset.config_digest(cfg)
+        return PairTable([], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), digest)
     batch = _FrustumBatch(poses.poses, cfg)
     anchors, queries, counts = _score_pairs(batch, threads, early_reject)
     if cfg.symmetric:
@@ -236,51 +235,30 @@ def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
     if unordered:
         keep &= queries > anchors
     anchors, queries, scores = anchors[keep], queries[keep], scores[keep]
+    rotations = np.empty((scores.size, 4))
+    translations = np.empty((scores.size, 3))
     bounds = np.searchsorted(anchors, np.arange(batch.n + 1))
-    ids = poses.ids()
-    records = []
-    for i in range(batch.n):
+    for i in np.flatnonzero(np.diff(bounds)):
         lo, hi = bounds[i], bounds[i + 1]
-        if lo == hi:
-            continue
-        js = queries[lo:hi]
-        q_rel, t_rel = _relative_rows(batch, i, js)
-        for k, j in enumerate(js):
-            records.append(
-                PairRecord(
-                    anchor_id=ids[i],
-                    query_id=ids[j],
-                    overlap=float(scores[lo + k]),
-                    rel=RelativePose(
-                        rotation=Quaternion(*q_rel[k]),
-                        translation=Translation(*t_rel[k]),
-                    ),
-                    config_digest=digest,
-                )
-            )
-    records.sort(key=lambda r: r.key)
-    return records
+        rotations[lo:hi], translations[lo:hi] = _relative_rows(batch, i, queries[lo:hi])
+    ids = np.array(poses.ids(), dtype=object)
+    return PairTable(ids[anchors].tolist(), ids[queries].tolist(), rotations, translations,
+                     scores, digest)
 
 
 def bin_histogram(pairs, binning: OverlapBinning = OverlapBinning()) -> np.ndarray:
-    """Pair counts per overlap bin; the counts partition the pair list."""
-    counts = np.zeros(binning.n_bins, dtype=int)
-    if not pairs:
-        return counts
-    idx = binning.indices([p.overlap for p in pairs])
-    np.add.at(counts, idx, 1)
-    return counts
+    """Pair counts per overlap bin; the counts partition the pair set."""
+    pairs = dataset.as_table(pairs)
+    return np.bincount(binning.indices(pairs.overlaps), minlength=binning.n_bins)
 
 
 def subspace_stats(pairs, threshold: float) -> SubspaceStats:
     """Relative-translation norm statistics over pairs with overlap >= threshold."""
-    norms = np.array(
-        [
-            np.linalg.norm(p.rel.translation.as_array())
-            for p in pairs
-            if p.overlap >= threshold
-        ]
-    )
+    pairs = dataset.as_table(pairs)
+    t = pairs.translations[pairs.overlaps >= threshold]
+    # one dot product per row, the arithmetic of np.linalg.norm on a single
+    # vector; norm(t, axis=1) rounds differently in the last bit
+    norms = np.sqrt((t[:, None, :] @ t[:, :, None]).reshape(-1))
     if norms.size == 0:
         return SubspaceStats(threshold=threshold, count=0, mean_norm=None, std_norm=None, diameter=None)
     mean = float(norms.mean())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .dataset import PoseSet, Prediction, round9
+from .dataset import PairTable, PoseSet, as_table, round9
 from .geometry import (
     Pose,
     Quaternion,
@@ -22,7 +22,6 @@ from .geometry import (
     Translation,
     normalize_quat_rows,
     quat_mul_rows,
-    quat_rows,
 )
 
 RNG_KIND = "pcg64"
@@ -220,35 +219,28 @@ class SynthPredictor:
         return self.kind
 
 
-def synth_predict(pairs, predictor: SynthPredictor, seed: int = 0) -> list[Prediction]:
+def synth_predict(pairs, predictor: SynthPredictor, seed: int = 0) -> PairTable:
     """Predictions for every pair, in pair order; deterministic for a seed."""
-    if predictor.kind == "perfect":
-        return [Prediction(p.anchor_id, p.query_id, p.rel) for p in pairs]
+    pairs = as_table(pairs)
     if predictor.kind == "naive":
         return metrics.naive_predictor(pairs).predict(pairs)
-    if predictor.kind == "constant":
-        return [Prediction(p.anchor_id, p.query_id, predictor.constant) for p in pairs]
-
-    rng = np.random.default_rng(seed)
     n = len(pairs)
-    t = np.array([[p.rel.translation.x, p.rel.translation.y, p.rel.translation.z] for p in pairs])
-    q = quat_rows(p.rel.rotation for p in pairs)
-    dt = rng.normal(size=(n, 3)) * predictor.sigma_t
-    if predictor.relative_noise:
-        dt *= np.linalg.norm(t, axis=1, keepdims=True)
-    t_hat = t + dt
-    axes = _random_axes(rng, n)
-    angles = rng.normal(0.0, predictor.sigma_q_deg, size=n) if predictor.sigma_q_deg > 0 else np.zeros(n)
-    q_noise = _axis_angle_rows(axes, angles)
-    q_hat = normalize_quat_rows(quat_mul_rows(q_noise, q))
-    return [
-        Prediction(
-            anchor_id=pairs[i].anchor_id,
-            query_id=pairs[i].query_id,
-            rel_hat=RelativePose(
-                rotation=Quaternion(*q_hat[i]),
-                translation=Translation(*t_hat[i]),
-            ),
-        )
-        for i in range(n)
-    ]
+    if predictor.kind == "perfect":
+        q_hat, t_hat = pairs.rotations, pairs.translations
+    elif predictor.kind == "constant":
+        rel = predictor.constant
+        q_hat = np.broadcast_to(rel.rotation.as_array(), (n, 4))
+        t_hat = np.broadcast_to(rel.translation.as_array(), (n, 3))
+    else:
+        rng = np.random.default_rng(seed)
+        t, q = pairs.translations, pairs.rotations
+        dt = rng.normal(size=(n, 3)) * predictor.sigma_t
+        if predictor.relative_noise:
+            dt *= np.linalg.norm(t, axis=1, keepdims=True)
+        t_hat = t + dt
+        axes = _random_axes(rng, n)
+        angles = rng.normal(0.0, predictor.sigma_q_deg, size=n) if predictor.sigma_q_deg > 0 else np.zeros(n)
+        q_noise = _axis_angle_rows(axes, angles)
+        q_hat = normalize_quat_rows(quat_mul_rows(q_noise, q))
+    return PairTable(pairs.anchor_ids, pairs.query_ids, q_hat, t_hat,
+                     config_digest=pairs.config_digest)

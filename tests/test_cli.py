@@ -191,7 +191,7 @@ class TestPredictAndEval:
         pd = dataset.read_predictions(pred_file)
         stray = dataset.Prediction("no-such", "pair", pd.predictions[0].rel_hat)
         padded = tmp_path / "padded.pred"
-        dataset.write_predictions(padded, pd.predictions + [stray], config_digest=pd.digest)
+        dataset.write_predictions(padded, list(pd.predictions) + [stray], config_digest=pd.digest)
         rc = main(["eval", "--pairs", str(pairs_file), "--pred", str(padded),
                    "--out", str(tmp_path / "r.report")])
         assert rc == 2
@@ -266,3 +266,88 @@ class TestCurve:
         rc = main(["curve", "--poses", str(poses_file), "--pred", str(pred_file),
                    "--hfov", "70", "--grid", GRID, "--out", str(tmp_path / "c.csv")])
         assert rc == 2
+
+
+def _record_lines(path):
+    """(lines, 0-based indices of the record lines) of a toolkit file."""
+    lines = path.read_text().splitlines()
+    return lines, [k for k, ln in enumerate(lines) if not ln.startswith("#")]
+
+
+def _edit_record(path, k, edit):
+    """Apply edit(fields, previous fields) to the k-th record; return its file line number."""
+    lines, recs = _record_lines(path)
+    i = recs[k]
+    fields = lines[i].split()
+    lines[i] = " ".join(edit(fields, lines[recs[k - 1]].split() if k else None))
+    path.write_text("\n".join(lines) + "\n")
+    return i + 1
+
+
+class TestRecordValidation:
+    """Malformed records exit 2 with a message naming the file and line."""
+
+    @staticmethod
+    def refused(capsys, argv, path, lineno, needle):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{lineno}: " in err, err
+        assert needle in err, err
+
+    def histogram(self, pairs_file, tmp_path):
+        return ["histogram", "--pairs", str(pairs_file), "--out", str(tmp_path / "h.csv")]
+
+    def test_duplicate_pair_key(self, tmp_path, pairs_file, capsys):
+        lineno = _edit_record(pairs_file, 5, lambda f, prev: prev)
+        self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, lineno, "duplicate pair key")
+
+    def test_unsorted_pair_keys(self, tmp_path, pairs_file, capsys):
+        lines, recs = _record_lines(pairs_file)
+        lines[recs[3]], lines[recs[4]] = lines[recs[4]], lines[recs[3]]
+        pairs_file.write_text("\n".join(lines) + "\n")
+        self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, recs[4] + 1, "unsorted pair key")
+
+    def test_self_pair(self, tmp_path, pairs_file, capsys):
+        lineno = _edit_record(pairs_file, 7, lambda f, prev: [f[0], f[0], *f[2:]])
+        self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, lineno, "two distinct frames")
+
+    def test_overlap_outside_header_window(self, tmp_path, poses_file, capsys):
+        narrow = tmp_path / "narrow.pairs"
+        assert main(["pairs", "--poses", str(poses_file), "--min-overlap", "0.3", *FRUSTUM_FLAGS,
+                     "--out", str(narrow)]) == 0
+        # inside [0, 1] but not inside the header's (0.3, 1]
+        lineno = _edit_record(narrow, 2, lambda f, prev: [f[0], f[1], "0.25", *f[3:]])
+        self.refused(capsys, self.histogram(narrow, tmp_path), narrow, lineno, "outside")
+
+    def test_bad_number(self, tmp_path, pairs_file, capsys):
+        lineno = _edit_record(pairs_file, 9, lambda f, prev: [*f[:8], "1.2.3", f[9]])
+        self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, lineno, "bad ty value")
+
+    def test_non_finite_number(self, tmp_path, pairs_file, capsys):
+        lineno = _edit_record(pairs_file, 11, lambda f, prev: [*f[:3], "nan", *f[4:]])
+        self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, lineno, "non-finite qw value")
+
+    def test_duplicate_prediction_key(self, tmp_path, pairs_file, pred_file, capsys):
+        lineno = _edit_record(pred_file, 4, lambda f, prev: prev)
+        self.refused(capsys, ["eval", "--pairs", str(pairs_file), "--pred", str(pred_file),
+                              "--out", str(tmp_path / "r.report")],
+                     pred_file, lineno, "duplicate prediction key")
+
+    def test_unsorted_prediction_keys(self, tmp_path, pairs_file, pred_file, capsys):
+        lines, recs = _record_lines(pred_file)
+        lines[recs[0]], lines[recs[-1]] = lines[recs[-1]], lines[recs[0]]
+        pred_file.write_text("\n".join(lines) + "\n")
+        self.refused(capsys, ["eval", "--pairs", str(pairs_file), "--pred", str(pred_file),
+                              "--out", str(tmp_path / "r.report")],
+                     pred_file, recs[1] + 1, "unsorted prediction key")
+
+    def test_duplicate_frame_id(self, tmp_path, poses_file, capsys):
+        lineno = _edit_record(poses_file, 6, lambda f, prev: [prev[0], *f[1:]])
+        self.refused(capsys, ["pairs", "--poses", str(poses_file), *FRUSTUM_FLAGS,
+                              "--out", str(tmp_path / "x.pairs")],
+                     poses_file, lineno, "duplicate frame id")
+
+    def test_bad_grid_is_usage_error(self, tmp_path, poses_file, capsys):
+        rc = main(["pairs", "--poses", str(poses_file), "--grid", "8x8", "--out", str(tmp_path / "x.pairs")])
+        assert rc == 1
+        assert "bad --grid '8x8'" in capsys.readouterr().err

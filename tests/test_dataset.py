@@ -332,3 +332,41 @@ class TestReportSerialization:
         back = dataset.read_report(f)
         for k, v in items.items():
             assert back[k] == v or (v is None and back[k] is None)
+
+
+class TestRecordParsing:
+    def test_float_syntax_beyond_loadtxt_still_read(self, tmp_path, rng):
+        # digit separators parse with Python's float() exactly as before
+        cfg = OverlapConfig()
+        f = tmp_path / "a.pairs"
+        dataset.write_pairs(f, random_pairs(rng, 4, config_digest(cfg)), cfg,
+                            min_overlap=0.0, max_overlap=1.0)
+        plain = dataset.read_pairs(f).pairs
+        lines = f.read_text().splitlines()
+        fields = lines[-1].split()
+        fields[7] = "1_000.25"
+        lines[-1] = " ".join(fields)
+        f.write_text("\n".join(lines) + "\n")
+        again = dataset.read_pairs(f).pairs
+        assert again.keys() == plain.keys()
+        assert again.translations[-1, 0] == 1000.25
+        np.testing.assert_array_equal(again.rotations, plain.rotations)
+
+    def test_non_unit_quaternion_normalized_like_scalar_path(self, tmp_path):
+        f = tmp_path / "p.pred"
+        f.write_text("# frustoval-format v1\n# kind=predictions\n# count=3\n"
+                     "a b 2 0 0 0 1 2 3\n"
+                     "a c -0.5 0.5 -0.5 0.5 0 0 0\n"
+                     "b a 0 -3 4 0 0 0 0\n")
+        got = dataset.read_predictions(f).predictions
+        want = [Quaternion(2, 0, 0, 0).normalized(), Quaternion(-0.5, 0.5, -0.5, 0.5).normalized(),
+                Quaternion(0, -3, 4, 0).normalized()]
+        assert [p.rel_hat.rotation for p in got] == want
+
+    def test_zero_quaternion_names_line(self, tmp_path):
+        f = tmp_path / "p.pred"
+        f.write_text("# frustoval-format v1\n# kind=predictions\n# count=2\n"
+                     "a b 1 0 0 0 1 2 3\n"
+                     "a c 0 0 0 0 1 2 3\n")
+        with pytest.raises(FormatError, match=r"p\.pred:5: zero quaternion"):
+            dataset.read_predictions(f)

@@ -289,6 +289,14 @@ class TestSubspaceStats:
         pairs = [self.rec(1, 0, 0, overlap=0.5)]
         assert subspace_stats(pairs, threshold=0.5).count == 1
 
+    def test_matches_per_row_norm(self):
+        # reference: np.linalg.norm of each translation alone, the arithmetic
+        # pair files were produced with; the column version agrees to the bit
+        # (np.linalg.norm(t, axis=1) differs in the last bit on some rows)
+        rng = np.random.default_rng(5)
+        for t in rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-3, 4, size=(500, 1)):
+            assert subspace_stats([self.rec(*t)], 0.0).mean_norm == np.linalg.norm(t)
+
     def test_diameter_identity(self):
         pairs = [self.rec(*t) for t in np.random.default_rng(0).normal(size=(50, 3))]
         s = subspace_stats(pairs, threshold=0.0)
