@@ -16,11 +16,9 @@ from frustoval import (
     Pose,
     Quaternion,
     Translation,
-    build_plane_frustum,
-    build_point_frustum,
-    contains,
     overlap_score,
 )
+from frustoval.frustum import camera_grid, camera_planes
 
 spec = FrustumSpec()  # Kinect-like: 58 x 45 deg, 0.1-4 m, 8x8x8 probe lattice
 cfg = OverlapConfig(frustum=spec)
@@ -54,10 +52,13 @@ sym = overlap_score(ident, ahead, OverlapConfig(frustum=spec, symmetric=True))
 print(f"  forward {fwd:.4f}, reverse {rev:.4f}, symmetric(min) {sym:.4f}")
 
 print("\nUnder the hood: plane containment of individual world points")
-planes = build_plane_frustum(ident, spec)
+# the reference camera sits at the origin, so its camera frame is the world
+normals, offsets = camera_planes(spec)  # inward unit normals: n.p + d >= 0 inside
 for point in ([0, 0, 2.0], [0, 0, 0.0], [0, 0, 5.0], [1.0, 0, 2.0]):
-    print(f"  {str(point):16s} inside={contains(planes, point)}")
-probe = build_point_frustum(ahead, spec)
-depths = probe.points[:, 2]
+    inside = bool(np.all(normals @ point + offsets >= -spec.boundary_epsilon))
+    print(f"  {str(point):16s} inside={inside}")
+# a pose carries the camera-frame lattice into the world
+probe = camera_grid(spec) @ ahead.rotation.to_matrix().T + ahead.translation.as_array()
+depths = probe[:, 2]
 print(f"\nthe probe lattice of the 'ahead' camera spans z = "
-      f"[{depths.min():.2f}, {depths.max():.2f}] m at {len(probe.points)} points")
+      f"[{depths.min():.2f}, {depths.max():.2f}] m at {len(probe)} points")

@@ -3,9 +3,9 @@
 The package is organized by pipeline stage:
 
 * :mod:`frustoval.geometry` - quaternion/pose math and per-pair error primitives
-* :mod:`frustoval.frustum`  - viewing-volume models and the overlap score
+* :mod:`frustoval.frustum`  - viewing-volume models and the overlap-scoring kernel
 * :mod:`frustoval.dataset`  - the PairTable, pose-format parsers and the canonical file formats
-* :mod:`frustoval.pairgen`  - all-pairs scoring, histograms, subspace statistics
+* :mod:`frustoval.pairgen`  - all-pairs pair tables, histograms, subspace statistics
 * :mod:`frustoval.metrics`  - standard and volume-aware evaluation criteria
 * :mod:`frustoval.synth`    - seeded synthetic trajectories and predictors
 * :mod:`frustoval.cli`      - the `frustoval` command-line pipeline
@@ -32,11 +32,6 @@ from .geometry import (  # noqa: E402
 from .frustum import (  # noqa: E402
     FrustumSpec,
     OverlapConfig,
-    PlaneFrustum,
-    PointFrustum,
-    build_plane_frustum,
-    build_point_frustum,
-    contains,
     overlap_score,
 )
 from .dataset import (  # noqa: E402
@@ -79,8 +74,7 @@ __all__ = [
     "EulerAngles", "Pose", "Quaternion", "RelativePose", "Translation",
     "compose", "from_euler", "inverse", "relative", "rotation_error",
     "to_euler", "translation_error",
-    "FrustumSpec", "OverlapConfig", "PlaneFrustum", "PointFrustum",
-    "build_plane_frustum", "build_point_frustum", "contains", "overlap_score",
+    "FrustumSpec", "OverlapConfig", "overlap_score",
     "PairRecord", "PairTable", "PoseSet", "Prediction", "as_table", "config_digest",
     "parse_cambridge", "parse_sevenscenes",
     "OverlapBinning", "SubspaceStats", "bin_histogram", "generate_pairs",

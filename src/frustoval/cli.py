@@ -21,7 +21,7 @@ from .synth import RNG_KIND, SynthConfig, SynthPredictor
 _COMMANDS = ("ingest", "pairs", "histogram", "diameter", "naive", "synth", "eval", "curve")
 
 # options taking true/false in a --config file (they map to --x / --no-x)
-_BOOL_OPTIONS = {"symmetric", "unordered", "early-reject", "relative-noise"}
+_BOOL_OPTIONS = {"symmetric", "unordered", "relative-noise"}
 
 
 class UsageError(Exception):
@@ -163,8 +163,6 @@ def build_parser() -> _Parser:
     _add_frustum_flags(sp)
     sp.add_argument("--unordered", action=argparse.BooleanOptionalAction, default=False,
                     help="keep anchor<query only, with the symmetric score")
-    sp.add_argument("--early-reject", action=argparse.BooleanOptionalAction, default=True,
-                    help="bounding-sphere pre-filter (never changes scores)")
     _add_threads(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_pairs)
@@ -207,7 +205,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--stat", choices=("mean", "median"), default="median")
     sp.add_argument("--norm", choices=("l1", "l2"), default="l1")
     _add_frustum_flags(sp)
-    sp.add_argument("--early-reject", action=argparse.BooleanOptionalAction, default=True)
     _add_threads(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_curve)
@@ -321,7 +318,7 @@ def cmd_pairs(args) -> int:
         raise UsageError("require 0 <= --min-overlap < --max-overlap <= 1")
     records = pairgen.generate_pairs(
         ps, cfg, args.min_overlap, args.max_overlap,
-        unordered=args.unordered, threads=args.threads, early_reject=args.early_reject,
+        unordered=args.unordered, threads=args.threads,
     )
     dataset.write_pairs(
         args.out, records, cfg,
@@ -438,7 +435,7 @@ def cmd_curve(args) -> int:
     binning = _parse_bins(args.bins)
     pairs = pairgen.generate_pairs(
         ps, cfg, min_overlap=binning.edges[0], max_overlap=binning.edges[-1],
-        threads=args.threads, early_reject=args.early_reject,
+        threads=args.threads,
     )
     curve = metrics.error_curve(pairs, pd.predictions, binning, stat=args.stat, norm=args.norm)
     dataset.write_curve(

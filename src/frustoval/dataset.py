@@ -496,9 +496,15 @@ def _check_keys(path, anchor_ids, query_ids, kind: str):
 
 
 def _check_frame_id(frame_id: str):
-    if not frame_id or any(c.isspace() for c in frame_id):
-        raise ValueError(f"frame id {frame_id!r} must be non-empty and whitespace-free")
+    # a record line starting with "# " would read back as a header line
+    if not frame_id or frame_id == "#" or any(c.isspace() for c in frame_id):
+        raise ValueError(f"frame id {frame_id!r} must be non-empty, whitespace-free and not '#'")
     return frame_id
+
+
+def _check_table_ids(table: PairTable):
+    for frame_id in dict.fromkeys(table.anchor_ids + table.query_ids):
+        _check_frame_id(frame_id)
 
 
 def _write_records(fh, ids, numbers):
@@ -594,6 +600,7 @@ def write_pairs(path, pairs, cfg: OverlapConfig, *, min_overlap: float, max_over
                          f"({min_overlap}, {max_overlap}]")
     if any(map(operator.eq, pairs.anchor_ids, pairs.query_ids)):
         raise ValueError("pair must join two distinct frames")
+    _check_table_ids(pairs)
     dupes = pairs.duplicate_keys()
     if dupes:
         raise ValueError(f"duplicate pair keys: {dupes[:5]}")
@@ -668,6 +675,7 @@ class PredictionFileData:
 def write_predictions(path, predictions, *, config_digest: str, predictor: str = "external",
                       extra: dict | None = None):
     predictions = as_table(predictions)
+    _check_table_ids(predictions)
     dupes = predictions.duplicate_keys()
     if dupes:
         raise ValueError(f"duplicate prediction keys: {dupes[:5]}")

@@ -1,9 +1,11 @@
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from frustoval import Pose, Quaternion, Translation
+from frustoval.frustum import _FrustumBatch
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -32,3 +34,19 @@ def assert_transform_close(a, b, tol=1e-9):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@contextmanager
+def _no_rejects():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_FrustumBatch, "spheres_meet", lambda self, i, idx: np.ones(idx.size, dtype=bool))
+        mp.setattr(_FrustumBatch, "separated", lambda self, i, idx: np.zeros(idx.size, dtype=bool))
+        yield
+
+
+@pytest.fixture
+def no_rejects():
+    """`with no_rejects(): ...` scores with the sphere and separation rejects
+    turned off, so every candidate past the rotation gate is point-tested:
+    the reference that reject-equivalence tests compare the kernel against."""
+    return _no_rejects

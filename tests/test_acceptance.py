@@ -151,7 +151,7 @@ def test_criterion_05_pair_generation_determinism(tmp_path):
     blobs, timings = [], []
     for threads in (1, 4, 16):
         start = time.perf_counter()
-        pairs = generate_pairs(ps, cfg, threads=threads, early_reject=True)
+        pairs = generate_pairs(ps, cfg, threads=threads)
         elapsed = time.perf_counter() - start
         out = tmp_path / f"t{threads}.pairs"
         dataset.write_pairs(out, pairs, cfg, min_overlap=0.0, max_overlap=1.0)

@@ -3,10 +3,11 @@ and byte-equality with direct library calls."""
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from frustoval import FrustumSpec, MetricConfig, OverlapConfig, config_digest
+from frustoval import FrustumSpec, MetricConfig, OverlapConfig, PairTable, config_digest
 from frustoval import dataset, metrics, pairgen
 from frustoval.cli import main
 from frustoval.pairgen import OverlapBinning
@@ -285,7 +286,8 @@ def _edit_record(path, k, edit):
 
 
 class TestRecordValidation:
-    """Malformed records exit 2 with a message naming the file and line."""
+    """Malformed records exit 2 with a message naming the file and line, and
+    writers refuse frame ids that their own files could not read back."""
 
     @staticmethod
     def refused(capsys, argv, path, lineno, needle):
@@ -346,6 +348,37 @@ class TestRecordValidation:
         self.refused(capsys, ["pairs", "--poses", str(poses_file), *FRUSTUM_FLAGS,
                               "--out", str(tmp_path / "x.pairs")],
                      poses_file, lineno, "duplicate frame id")
+
+    def test_pose_writer_refuses_hash_id(self, tmp_path, poses_file):
+        # the record line of id "#" starts with "# ", a header line
+        ps = dataset.read_poses(poses_file)
+        renamed = [replace(p, frame_id="#") if k == 0 else p for k, p in enumerate(ps.poses)]
+        out = tmp_path / "hash.poses"
+        with pytest.raises(ValueError, match="not '#'"):
+            dataset.write_poses(out, replace(ps, poses=renamed))
+        assert not out.exists()
+
+    def test_pair_writer_refuses_bad_ids(self, tmp_path, pairs_file):
+        pf = dataset.read_pairs(pairs_file)
+        t = pf.pairs
+        for bad in ("a b", "#"):
+            table = PairTable([bad, *t.anchor_ids[1:]], t.query_ids, t.rotations, t.translations,
+                              t.overlaps, t.config_digest)
+            out = tmp_path / "bad.pairs"
+            with pytest.raises(ValueError, match="frame id"):
+                dataset.write_pairs(out, table, pf.cfg, min_overlap=0.0, max_overlap=1.0)
+            assert not out.exists()
+
+    def test_prediction_writer_refuses_bad_ids(self, tmp_path, pred_file):
+        pd = dataset.read_predictions(pred_file)
+        t = pd.predictions
+        for bad in ("a\tb", "#"):
+            table = PairTable(t.anchor_ids, [bad, *t.query_ids[1:]], t.rotations, t.translations,
+                              config_digest=t.config_digest)
+            out = tmp_path / "bad.pred"
+            with pytest.raises(ValueError, match="frame id"):
+                dataset.write_predictions(out, table, config_digest=pd.digest)
+            assert not out.exists()
 
     def test_bad_grid_is_usage_error(self, tmp_path, poses_file, capsys):
         rc = main(["pairs", "--poses", str(poses_file), "--grid", "8x8", "--out", str(tmp_path / "x.pairs")])

@@ -11,17 +11,29 @@ from frustoval import (
     Pose,
     Quaternion,
     Translation,
-    build_plane_frustum,
-    build_point_frustum,
     compose,
-    contains,
     overlap_score,
 )
-from frustoval.frustum import bounding_sphere, camera_grid, contains_points, signed_distances
+from frustoval.frustum import _FrustumBatch, camera_grid
 
 from conftest import random_pose
 
 IDENT = Pose(Quaternion.identity(), Translation(0, 0, 0), "ident")
+
+
+def batch_of(*poses, spec=FrustumSpec()):
+    """The scoring kernel's world-space frustum data for the given poses."""
+    return _FrustumBatch(poses, OverlapConfig(frustum=spec))
+
+
+def plane_distances(batch, k, points):
+    """Signed distance of each point to each of pose k's planes, shape (..., 6)."""
+    return np.asarray(points, dtype=float) @ batch.normals[k].T + batch.offsets[k]
+
+
+def kernel_contains(batch, k, points):
+    """Pose k's containment verdicts in the kernel's form, n.p >= threshold."""
+    return np.all(np.atleast_2d(points) @ batch.normals[k].T >= batch.thresholds[k], axis=-1)
 
 
 # -----------------------------------------------------------------------
@@ -101,37 +113,37 @@ class TestPlaneFrustum:
     def test_far_corners_on_side_planes(self):
         # 90 deg FOVs: half-angle 45 deg, so corners sit at x=|z|, y=|z|
         spec = FrustumSpec(hfov_deg=90, vfov_deg=90, near=1, far=2, grid_nx=2, grid_ny=2, grid_nz=2)
-        f = build_plane_frustum(IDENT, spec)
+        f = batch_of(IDENT, spec=spec)
         for sx in (-2, 2):
             for sy in (-2, 2):
-                d = signed_distances(f, [sx, sy, 2.0])
+                d = plane_distances(f, 0, [sx, sy, 2.0])
                 # far plane and the two touching side planes are at 0
                 assert abs(d[1]) < 1e-9
                 assert np.sort(np.abs(d))[:3].max() < 1e-9
                 assert np.all(d >= -1e-9)
 
     def test_camera_center_outside(self):
-        f = build_plane_frustum(IDENT, FrustumSpec())
-        assert not contains(f, [0.0, 0.0, 0.0])
+        f = batch_of(IDENT)
+        assert not kernel_contains(f, 0, [0.0, 0.0, 0.0]).any()
 
     def test_axis_midpoint_inside(self, rng):
         spec = FrustumSpec()
         mid_cam = np.array([0.0, 0.0, (spec.near + spec.far) / 2.0])
         for _ in range(50):
             pose = random_pose(rng)
-            f = build_plane_frustum(pose, spec)
+            f = batch_of(pose, spec=spec)
             mid_world = pose.rotation.rotate(mid_cam) + pose.translation.as_array()
-            assert np.all(signed_distances(f, mid_world) > 0)
+            assert np.all(plane_distances(f, 0, mid_world) > 0)
 
     def test_contains_matches_oracle(self, rng):
         spec = FrustumSpec()
         pose = random_pose(rng)
-        f = build_plane_frustum(pose, spec)
+        f = batch_of(pose, spec=spec)
         pts = rng.uniform(-6, 6, size=(10_000, 3))
-        got = contains_points(f, pts)
+        got = kernel_contains(f, 0, pts)
         want = oracle_contains(pose, spec, pts)
         # verdicts may only differ within epsilon of a face
-        margin = np.abs(signed_distances(f, pts) + spec.boundary_epsilon).min(axis=1)
+        margin = np.abs(plane_distances(f, 0, pts) + spec.boundary_epsilon).min(axis=1)
         decisive = margin > 1e-12
         assert np.array_equal(got[decisive], want[decisive])
         assert decisive.sum() > 9_990
@@ -140,7 +152,7 @@ class TestPlaneFrustum:
 class TestPointFrustum:
     def test_grid_corners_2x2x2(self):
         spec = FrustumSpec(hfov_deg=90, vfov_deg=90, near=1, far=2, grid_nx=2, grid_ny=2, grid_nz=2)
-        pts = build_point_frustum(IDENT, spec).points
+        pts = batch_of(IDENT, spec=spec).points[0]
         expected = {
             (-1, -1, 1), (1, -1, 1), (-1, 1, 1), (1, 1, 1),
             (-2, -2, 2), (2, -2, 2), (-2, 2, 2), (2, 2, 2),
@@ -151,7 +163,7 @@ class TestPointFrustum:
     def test_depth_and_fov_bounds(self, rng):
         spec = FrustumSpec()
         pose = random_pose(rng)
-        pts = build_point_frustum(pose, spec).points
+        pts = batch_of(pose, spec=spec).points[0]
         r = pose.rotation.to_matrix()
         cam = (pts - pose.translation.as_array()) @ r
         z = cam[:, 2]
@@ -162,15 +174,14 @@ class TestPointFrustum:
 
     def test_translation_shifts_points(self):
         spec = FrustumSpec()
-        base = build_point_frustum(IDENT, spec).points
-        moved = build_point_frustum(
-            Pose(Quaternion.identity(), Translation(2.5, 0, 0), "m"), spec
+        base, moved = batch_of(
+            IDENT, Pose(Quaternion.identity(), Translation(2.5, 0, 0), "m"), spec=spec
         ).points
         np.testing.assert_allclose(moved - base, [[2.5, 0, 0]] * len(base), atol=1e-12)
 
     def test_point_count(self):
         spec = FrustumSpec(grid_nx=3, grid_ny=4, grid_nz=5)
-        assert len(build_point_frustum(IDENT, spec).points) == 60 == spec.n_points
+        assert len(batch_of(IDENT, spec=spec).points[0]) == 60 == spec.n_points
 
 
 class TestOverlapScore:
@@ -200,21 +211,35 @@ class TestOverlapScore:
         far_out = Pose(Quaternion.identity(), Translation(0, 0, cfg.frustum.far * 1.5), "f")
         assert overlap_score(IDENT, far_out, cfg) == oracle_overlap(IDENT, far_out, cfg)
 
-    def test_matches_bruteforce_oracle(self, rng):
-        cfg = OverlapConfig()
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            OverlapConfig(),
+            OverlapConfig(frustum=FrustumSpec(hfov_deg=20.0, vfov_deg=15.0)),
+            OverlapConfig(frustum=FrustumSpec(hfov_deg=150.0, vfov_deg=120.0)),
+            OverlapConfig(frustum=FrustumSpec(grid_nx=3, grid_ny=4, grid_nz=5)),
+            OverlapConfig(frustum=FrustumSpec(boundary_epsilon=0.03)),
+            OverlapConfig(frustum=FrustumSpec(boundary_epsilon=0.1)),
+            OverlapConfig(symmetric=True),
+            OverlapConfig(max_relative_rotation_deg=180.0),
+        ],
+        ids=["default", "narrow-fov", "wide-fov", "grid-3x4x5", "eps-0.03", "eps-0.1",
+             "symmetric", "gate-180"],
+    )
+    def test_matches_bruteforce_oracle(self, rng, cfg):
         for _ in range(100):
             a = random_pose(rng, box=1.5)
             b = random_pose(rng, box=1.5)
             assert overlap_score(a, b, cfg) == oracle_overlap(a, b, cfg)
 
-    def test_early_reject_never_changes_score(self, rng):
+    def test_early_reject_never_changes_score(self, rng, no_rejects):
         cfg = OverlapConfig()
         for _ in range(50):
             a = random_pose(rng, box=6.0)
             b = random_pose(rng, box=6.0)
-            assert overlap_score(a, b, cfg, early_reject=True) == overlap_score(
-                a, b, cfg, early_reject=False
-            )
+            score = overlap_score(a, b, cfg)
+            with no_rejects():
+                assert score == overlap_score(a, b, cfg)
 
     def test_range_property(self, rng):
         cfg = OverlapConfig(frustum=FrustumSpec(grid_nx=4, grid_ny=4, grid_nz=4))
@@ -277,8 +302,9 @@ class TestOverlapScore:
             far_cam -= 1e-6 * np.sign(far_cam)
             for _ in range(25):
                 pose = random_pose(rng)
-                center, radius = bounding_sphere(pose, spec)
-                pts = build_point_frustum(pose, spec).points
+                batch = batch_of(pose, spec=spec)
+                center, radius = batch.centers[0], batch.sphere_radius
+                pts = batch.points[0]
                 assert np.linalg.norm(pts - center, axis=1).max() <= radius + 1e-9
                 far_world = far_cam @ pose.rotation.to_matrix().T + pose.translation.as_array()
                 assert oracle_contains(pose, spec, far_world).all()

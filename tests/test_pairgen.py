@@ -1,5 +1,5 @@
-"""The all-pairs pipeline against a scalar double-loop oracle, plus binning
-and subspace statistics."""
+"""The all-pairs pipeline against a brute-force double-loop oracle, plus
+binning and subspace statistics."""
 
 import tracemalloc
 
@@ -20,13 +20,15 @@ from frustoval import (
     relative,
     subspace_stats,
 )
-from frustoval import dataset, pairgen
+from frustoval import dataset, frustum
 from frustoval.dataset import PairRecord
 from frustoval.frustum import camera_corners
 from frustoval.geometry import Pose, RelativePose
 from frustoval.synth import SynthConfig, generate_trajectory
 
 from conftest import assert_transform_close
+
+from test_frustum import oracle_overlap
 
 SMALL_SPEC = FrustumSpec(grid_nx=4, grid_ny=4, grid_nz=4)
 
@@ -52,7 +54,7 @@ class TestGeneratePairs:
         assert all(r.overlap == 1.0 for r in pairs)
 
     def test_matches_sequential_double_loop(self):
-        # oracle: scalar overlap_score + scalar relative() over every ordered pair
+        # oracle: brute-force oracle_overlap + scalar relative() over every ordered pair
         cfg = OverlapConfig(frustum=SMALL_SPEC)
         ps = small_poses(n=20)
         got = generate_pairs(ps, cfg, min_overlap=0.0, max_overlap=1.0)
@@ -62,7 +64,7 @@ class TestGeneratePairs:
             for b in ps.poses:
                 if a.frame_id == b.frame_id:
                     continue
-                s = overlap_score(a, b, cfg)
+                s = oracle_overlap(a, b, cfg)
                 if s > 0.0:
                     expected.append((a.frame_id, b.frame_id, s, relative(a, b)))
         expected.sort(key=lambda r: (r[0], r[1]))
@@ -71,6 +73,33 @@ class TestGeneratePairs:
             assert rec.overlap == exp[2]
             assert rec.config_digest == digest
             assert_transform_close(rec.rel, exp[3], tol=1e-12)
+
+    def test_rows_equal_overlap_score(self):
+        # the single-pair score and the all-pairs kernel agree on every
+        # ordered pair. At eps=0 a twin (one pose under two frame ids) has
+        # its lattice corners exactly on the other's planes, where any
+        # difference in the arithmetic of the two entry points would show;
+        # the twins sit 1 km apart so only twins overlap
+        twins = PoseSet("twins", "train", [
+            Pose(p.rotation, Translation(p.translation.x + 1000.0 * k, p.translation.y, p.translation.z),
+                 f"{p.frame_id}{tag}")
+            for k, p in enumerate(small_poses(n=30).poses) for tag in "ab"
+        ], "synthetic")
+        twin_cfg = OverlapConfig(frustum=FrustumSpec(boundary_epsilon=0.0))
+        twin_pairs = generate_pairs(twins, twin_cfg)
+        assert len(twin_pairs) == 60
+        by_id = {p.frame_id: p for p in twins.poses}
+        for r in twin_pairs:
+            assert overlap_score(by_id[r.anchor_id], by_id[r.query_id], twin_cfg) == r.overlap, r.key
+        ps = small_poses(n=15)
+        for symmetric in (False, True):
+            cfg = OverlapConfig(frustum=SMALL_SPEC, symmetric=symmetric)
+            got = {r.key: r.overlap for r in generate_pairs(ps, cfg)}
+            assert got
+            for a in ps.poses:
+                for b in ps.poses:
+                    if a is not b:
+                        assert overlap_score(a, b, cfg) == got.get((a.frame_id, b.frame_id), 0.0)
 
     def test_overlap_window_filters(self):
         cfg = OverlapConfig(frustum=SMALL_SPEC)
@@ -98,20 +127,20 @@ class TestGeneratePairs:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_early_reject_changes_nothing(self, monkeypatch):
+    def test_early_reject_changes_nothing(self, monkeypatch, no_rejects):
         # spread poses so the bounding-sphere reject and the plane-separation
         # reject both fire, and count how many candidates each one drops
         dropped = {"spheres_meet": 0, "separated": 0}
 
         def counting(name, keeps):
-            orig = getattr(pairgen._FrustumBatch, name)
+            orig = getattr(frustum._FrustumBatch, name)
 
             def wrapper(batch, i, idx):
                 mask = orig(batch, i, idx)
                 dropped[name] += int(np.count_nonzero(mask != keeps))
                 return mask
 
-            monkeypatch.setattr(pairgen._FrustumBatch, name, wrapper)
+            monkeypatch.setattr(frustum._FrustumBatch, name, wrapper)
 
         counting("spheres_meet", keeps=True)
         counting("separated", keeps=False)
@@ -130,13 +159,14 @@ class TestGeneratePairs:
                     spec = FrustumSpec(grid_nx=4, grid_ny=4, grid_nz=4, boundary_epsilon=eps)
                     cfg = OverlapConfig(frustum=spec, max_relative_rotation_deg=gate, symmetric=symmetric)
                     dropped.update(spheres_meet=0, separated=0)
-                    with_reject = generate_pairs(ps, cfg, early_reject=True)
+                    with_reject = generate_pairs(ps, cfg)
                     assert dropped["spheres_meet"] > 0 and dropped["separated"] > 0, (eps, gate, symmetric)
-                    without = generate_pairs(ps, cfg, early_reject=False)
+                    with no_rejects():
+                        without = generate_pairs(ps, cfg)
                     assert with_reject == without, (eps, gate, symmetric)
                     assert with_reject
 
-    def test_inflated_frustum_reject_regression(self):
+    def test_inflated_frustum_reject_regression(self, no_rejects):
         # an eps-inflated far corner meets the other camera's far corner tip
         # to tip while the sphere centres sit more than 2r + 1e-6 apart, r
         # the radius of the uninflated frustum: neither reject may drop it
@@ -158,7 +188,8 @@ class TestGeneratePairs:
             if np.linalg.norm(q.rotate(c_cam) + t - c_cam) <= 2 * r_plain + 1e-6:
                 continue
             other = Pose(q, Translation(*t), "other")
-            score = overlap_score(anchor, other, cfg, early_reject=False)
+            with no_rejects():
+                score = overlap_score(anchor, other, cfg)
             assert overlap_score(anchor, other, cfg) == score
             scored += score > 0
             # the same placement, 1 km from the previous one
@@ -169,7 +200,8 @@ class TestGeneratePairs:
         ps = PoseSet("tips", "train", poses, "synthetic")
         with_reject = generate_pairs(ps, cfg)
         assert len(with_reject) == 2 * scored
-        assert with_reject == generate_pairs(ps, cfg, early_reject=False)
+        with no_rejects():
+            assert with_reject == generate_pairs(ps, cfg)
 
     def test_memory_stays_below_a_dense_matrix(self):
         # a dense (2000, 2000) float64 score matrix alone would take 32 MB
