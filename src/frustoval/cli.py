@@ -103,7 +103,9 @@ def _add_frustum_flags(sp):
     sp.add_argument("--near", type=float, default=0.1, help="near plane, meters")
     sp.add_argument("--far", type=float, default=4.0, help="far plane, meters")
     sp.add_argument("--grid", default="8x8x8", help="probe lattice NXxNYxNZ")
-    sp.add_argument("--epsilon", type=float, default=1e-9, help="containment slack, meters")
+    sp.add_argument("--epsilon", type=float, default=1e-9,
+                    help="containment slack, meters; above 0 a frustum holds all of its own "
+                         "probe points (at 0 rounding decides the boundary ones)")
     sp.add_argument("--max-rot", type=float, default=110.0,
                     help="relative-rotation gate, degrees")
     sp.add_argument("--symmetric", action=argparse.BooleanOptionalAction, default=False,
@@ -198,7 +200,11 @@ def build_parser() -> _Parser:
     _add_common(sp)
     sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("curve", help="error per overlap bin, with AUC")
+    sp = sub.add_parser(
+        "curve", help="error per overlap bin, with AUC",
+        description="Re-score the ordered pairs of --poses and bin the errors of --pred by "
+                    "overlap. Ordered pairs only: predictions made for a 'pairs --unordered' "
+                    "file are refused, since they lack the reverse direction of each pair.")
     sp.add_argument("--poses", required=True)
     sp.add_argument("--pred", required=True)
     sp.add_argument("--bins", default="0.1:0.9:0.1")
@@ -262,6 +268,15 @@ def _inject_config(argv: list[str]) -> list[str]:
 
 def _info(msg):
     print(msg, file=sys.stderr)
+
+
+def _source_pairs(path, pf) -> dataset.PairTable:
+    """The --source-pairs table; warns when its digest differs from the
+    evaluated pair file's."""
+    sf = dataset.read_pairs(path)
+    if sf.digest != pf.digest:
+        _info(f"warning: source pairs digest {sf.digest} differs from eval pairs digest {pf.digest}")
+    return sf.pairs
 
 
 def cmd_ingest(args) -> int:
@@ -362,13 +377,7 @@ def cmd_diameter(args) -> int:
 def cmd_naive(args) -> int:
     pf = dataset.read_pairs(args.pairs)
     if args.source_pairs:
-        sf = dataset.read_pairs(args.source_pairs)
-        if sf.digest != pf.digest:
-            _info(
-                f"warning: source pairs digest {sf.digest} differs from eval pairs "
-                f"digest {pf.digest}"
-            )
-        source, source_kind = sf.pairs, "train_pairs"
+        source, source_kind = _source_pairs(args.source_pairs, pf), "train_pairs"
     else:
         source, source_kind = pf.pairs, "eval_pairs"
     preds = metrics.naive_predictor(source).predict(pf.pairs)
@@ -398,13 +407,7 @@ def cmd_eval(args) -> int:
     naive_source_pairs = None
     naive_source = "eval_pairs"
     if args.source_pairs:
-        sf = dataset.read_pairs(args.source_pairs)
-        if sf.digest != pf.digest:
-            _info(
-                f"warning: source pairs digest {sf.digest} differs from eval pairs "
-                f"digest {pf.digest}"
-            )
-        naive_source_pairs = sf.pairs
+        naive_source_pairs = _source_pairs(args.source_pairs, pf)
         naive_source = "train_pairs"
     cfg = MetricConfig(
         norm=args.norm, statistics=statistics,

@@ -21,7 +21,7 @@ import re
 import tempfile
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -468,8 +468,8 @@ def _parse_tokens(path, body, names, n_ids, kind):
 def _parsed_quats(path, q: np.ndarray) -> np.ndarray:
     """(M, 4) parsed wxyz rows, each kept verbatim when within
     _PARSE_NORM_SLACK of unit norm with w >= 0, otherwise normalized to the
-    canonical hemisphere with Quaternion.normalized()'s arithmetic, so
-    canonical files survive read/write cycles byte-exactly."""
+    canonical hemisphere, so canonical files survive read/write cycles
+    byte-exactly."""
     w, x, y, z = q.T
     with np.errstate(over="ignore"):
         nsq = w * w + x * x + y * y + z * z
@@ -477,10 +477,10 @@ def _parsed_quats(path, q: np.ndarray) -> np.ndarray:
     redo = ~((np.abs(nsq - 1.0) <= _PARSE_NORM_SLACK) & (w >= 0.0))
     if redo.any():
         rows = np.flatnonzero(redo)
-        n = np.sqrt(nsq[rows])
-        if not n.all():
-            raise _record_error(path, int(rows[np.argmin(n)]), "zero quaternion cannot be normalized")
-        q[rows] = geometry.canonical_sign_rows(q[rows] / n[:, None])
+        if not nsq[rows].all():
+            raise _record_error(path, int(rows[np.argmin(nsq[rows])]), "zero quaternion cannot be normalized")
+        with np.errstate(over="ignore"):
+            q[rows] = geometry.normalize_quat_rows(q[rows])
     return q
 
 
@@ -820,13 +820,11 @@ def write_curve(path, curve, extra: dict | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _rounded_pose(q: Quaternion, t, frame_id: str) -> Pose:
-    # quantize to the serialized precision so parse -> write -> parse is exact
-    return Pose(
-        rotation=Quaternion(round9(q.w), round9(q.x), round9(q.y), round9(q.z)),
-        translation=Translation(round9(t[0]), round9(t[1]), round9(t[2])),
-        frame_id=frame_id,
-    )
+def rounded_poses(quats: np.ndarray, translations: np.ndarray, frame_ids) -> list[Pose]:
+    """Poses from (N, 4) wxyz and (N, 3) rows, every component rounded to the
+    serialized precision so that writing and reading them back is exact."""
+    return [Pose(Quaternion(*map(round9, q)), Translation(*map(round9, t)), f)
+            for q, t, f in zip(quats.tolist(), translations.tolist(), frame_ids)]
 
 
 def _nearest_rotation(m3: np.ndarray):
@@ -840,7 +838,8 @@ def _nearest_rotation(m3: np.ndarray):
     return r
 
 
-def _parse_pose_matrix(path: Path) -> Pose:
+def _parse_pose_matrix(path: Path):
+    """(wxyz rotation, translation) of a 4x4 camera-to-world matrix file."""
     try:
         values = [float(tok) for tok in path.read_text().split()]
     except ValueError as e:
@@ -858,7 +857,7 @@ def _parse_pose_matrix(path: Path) -> Pose:
         raise ParseError(
             f"{path}: rotation block deviates from orthogonal by {deviation:.3g} (Frobenius)"
         )
-    return _rounded_pose(Quaternion.from_matrix(r), m[:3, 3], frame_id="")
+    return Quaternion.from_matrix(r).as_array(), m[:3, 3]
 
 
 _SEQ_LINE = re.compile(r"sequence\s*(\d+)", re.IGNORECASE)
@@ -902,17 +901,19 @@ def parse_sevenscenes(scene_dir, split: str = "train", scene_name: str | None = 
     pose_files = []
     for root in roots:
         pose_files.extend(sorted(root.glob("frame-*.pose.txt")))
-    poses = []
+    ids, quats, trans = [], [], []
     for pf in pose_files:
-        rel_id = pf.relative_to(scene_dir).as_posix()[: -len(".pose.txt")]
         try:
-            pose = _parse_pose_matrix(pf)
+            q, t = _parse_pose_matrix(pf)
         except ParseError as e:
             if collect_errors is None:
                 raise
             collect_errors.append(str(e))
             continue
-        poses.append(replace(pose, frame_id=rel_id))
+        ids.append(pf.relative_to(scene_dir).as_posix()[: -len(".pose.txt")])
+        quats.append(q)
+        trans.append(t)
+    poses = rounded_poses(np.reshape(quats, (-1, 4)), np.reshape(trans, (-1, 3)), ids)
     poses.sort(key=lambda p: p.frame_id)
     return PoseSet(
         scene_name=scene_name or scene_dir.name,
@@ -946,41 +947,39 @@ def parse_cambridge(dataset_file, scene_name: str | None = None, split: str | No
         lines = dataset_file.read_text().splitlines()
     except FileNotFoundError:
         raise ParseError(f"missing input file: {dataset_file}") from None
-    poses = []
-    bad_norms = 0
+    errors, linenos, ids, values = [], [], [], []
     for lineno, ln in enumerate(lines[3:], start=4):
         if not ln.strip():
             continue
         toks = ln.split()
+        if len(toks) != 8:
+            errors.append((lineno, f"expected 'path x y z w p q r', got {len(toks)} fields"))
+            continue
         try:
-            if len(toks) != 8:
-                raise ParseError(
-                    f"{dataset_file}:{lineno}: expected 'path x y z w p q r', got {len(toks)} fields"
-                )
-            try:
-                x, y, z, qw, qx, qy, qz = (float(v) for v in toks[1:])
-            except ValueError:
-                raise ParseError(f"{dataset_file}:{lineno}: non-numeric pose entry") from None
-            if not all(math.isfinite(v) for v in (x, y, z, qw, qx, qy, qz)):
-                raise ParseError(f"{dataset_file}:{lineno}: non-finite pose entry")
-        except ParseError as e:
-            if collect_errors is None:
-                raise
-            collect_errors.append(str(e))
+            row = [float(v) for v in toks[1:]]
+        except ValueError:
+            errors.append((lineno, "non-numeric pose entry"))
             continue
-        norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-        if norm == 0.0:
-            msg = f"{dataset_file}:{lineno}: zero quaternion"
-            if collect_errors is None:
-                raise ParseError(msg)
-            collect_errors.append(msg)
+        if not all(math.isfinite(v) for v in row):
+            errors.append((lineno, "non-finite pose entry"))
             continue
-        if abs(norm - 1.0) > 1e-3:
-            bad_norms += 1
-        # file stores world-to-camera rotation; camera-to-world is its conjugate
-        q_c2w = Quaternion(qw, qx, qy, qz).normalized().conjugate().normalized()
-        frame_id = toks[0].rsplit(".", 1)[0]
-        poses.append(_rounded_pose(q_c2w, (x, y, z), frame_id))
+        linenos.append(lineno)
+        ids.append(toks[0].rsplit(".", 1)[0])
+        values.append(row)
+    values = np.reshape(values, (-1, 7))
+    norms = geometry.vector_norms(values[:, 3:], "l2")
+    keep = norms != 0.0
+    errors += [(lineno, "zero quaternion") for lineno, k in zip(linenos, keep) if not k]
+    if errors:
+        messages = [f"{dataset_file}:{lineno}: {msg}" for lineno, msg in sorted(errors)]
+        if collect_errors is None:
+            raise ParseError(messages[0])
+        collect_errors.extend(messages)
+    bad_norms = int(np.sum(np.abs(norms[keep] - 1.0) > 1e-3))
+    # file stores world-to-camera rotation; camera-to-world is its conjugate
+    q_c2w = geometry.normalize_quat_rows(
+        geometry.quat_conj_rows(geometry.normalize_quat_rows(values[keep, 3:])))
+    poses = rounded_poses(q_c2w, values[keep, :3], [f for f, k in zip(ids, keep) if k])
     if bad_norms:
         warnings.warn(
             f"{dataset_file}: {bad_norms} quaternions deviated from unit norm by more "

@@ -38,8 +38,11 @@ class FrustumSpec:
     """Viewing-volume parameters shared by both frustum representations.
 
     Defaults approximate a Kinect-style indoor sensor. The lattice includes
-    the cross-section corners at every depth, which makes a frustum contain
-    its own probe points exactly (self-overlap is exactly 1).
+    the cross-section corners at every depth, so the outer probe points lie
+    on the frustum's own planes. With boundary_epsilon > 0 a frustum
+    contains all of its probe points and self-overlap is exactly 1; at
+    boundary_epsilon = 0 rounding decides each boundary point, and a pose
+    can score well below 1 against itself.
     """
 
     hfov_deg: float = 58.0
@@ -160,7 +163,7 @@ def camera_sphere(spec: FrustumSpec):
         ]
     )
     c_cam = camera_corners(spec).mean(axis=0)
-    return c_cam, float(np.linalg.norm(corners - c_cam, axis=1).max())
+    return c_cam, float(geometry.vector_norms(corners - c_cam, "l2").max())
 
 
 # Probe points per point-test block. A block's work arrays (about 1.3 MB)
@@ -187,7 +190,6 @@ class _FrustumBatch:
         self.quats = geometry.quat_rows(p.rotation for p in poses)
         self.trans = geometry.translation_rows(p.translation for p in poses)
         rot = geometry.quats_to_matrices(self.quats)
-        self.rot = rot
         rot_t = np.transpose(rot, (0, 2, 1))
         self.points = np.matmul(camera_grid(spec), rot_t)  # (N, n_points, 3)
         self.points += self.trans[:, None, :]

@@ -1,6 +1,9 @@
 """Rigid-body math: quaternions, camera poses, relative transforms, and the
 per-pair error primitives the evaluation metrics are built on.
 
+Each operation is implemented once, as a row function over (N, 4) quaternion
+and (N, 3) translation arrays; the scalar types call it with a single row.
+
 Conventions (echoed into every output file header):
 
 * quaternions are stored ``(w, x, y, z)``, unit norm, with ``w >= 0`` so the
@@ -27,19 +30,6 @@ UNIT_NORM_TOL = 1e-9
 GIMBAL_TOL_DEG = 1e-6
 
 
-def _canonical_sign(w, x, y, z):
-    """Flip to the w >= 0 hemisphere, with a lexicographic tie-break at w == 0."""
-    if w < 0.0:
-        return -w, -x, -y, -z
-    if w == 0.0:
-        for c in (x, y, z):
-            if c > 0.0:
-                break
-            if c < 0.0:
-                return -w, -x, -y, -z
-    return w, x, y, z
-
-
 @dataclass(frozen=True)
 class Quaternion:
     """Rotation as a unit quaternion, component order (w, x, y, z)."""
@@ -61,12 +51,10 @@ class Quaternion:
     @classmethod
     def from_axis_angle(cls, axis, angle_deg: float) -> "Quaternion":
         ax = np.asarray(axis, dtype=float)
-        n = float(np.linalg.norm(ax))
+        n = vector_norms(ax, "l2")
         if n == 0.0:
             raise ValueError("rotation axis must be non-zero")
-        half = math.radians(angle_deg) / 2.0
-        s = math.sin(half) / n
-        return cls.unit(math.cos(half), ax[0] * s, ax[1] * s, ax[2] * s)
+        return cls(*axis_angle_rows((ax / n)[None, :], np.array([angle_deg]))[0].tolist())
 
     @classmethod
     def from_matrix(cls, m) -> "Quaternion":
@@ -100,14 +88,11 @@ class Quaternion:
         return cls.unit(w, x, y, z)
 
     def norm(self) -> float:
-        return math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
+        return float(vector_norms(self.as_array(), "l2"))
 
     def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero quaternion")
-        w, x, y, z = _canonical_sign(self.w / n, self.x / n, self.y / n, self.z / n)
-        return Quaternion(w, x, y, z)
+        """Unit norm, with the sign resolved to the w >= 0 hemisphere."""
+        return Quaternion(*normalize_quat_rows(self.as_array()[None, :])[0].tolist())
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
@@ -117,19 +102,11 @@ class Quaternion:
 
     def __mul__(self, o: "Quaternion") -> "Quaternion":
         # Hamilton product; callers renormalize where unit output is promised.
-        return Quaternion(
-            self.w * o.w - self.x * o.x - self.y * o.y - self.z * o.z,
-            self.w * o.x + self.x * o.w + self.y * o.z - self.z * o.y,
-            self.w * o.y - self.x * o.z + self.y * o.w + self.z * o.x,
-            self.w * o.z + self.x * o.y - self.y * o.x + self.z * o.w,
-        )
+        return Quaternion(*quat_mul_rows(self.as_array()[None, :], o.as_array()[None, :])[0].tolist())
 
     def rotate(self, v) -> np.ndarray:
         """Rotate a 3-vector."""
-        v = np.asarray(v, dtype=float)
-        u = np.array([self.x, self.y, self.z])
-        t = 2.0 * np.cross(u, v)
-        return v + self.w * t + np.cross(u, t)
+        return self.to_matrix() @ np.asarray(v, dtype=float)
 
     def to_matrix(self) -> np.ndarray:
         return quats_to_matrices(self.as_array()[None, :])[0]
@@ -197,29 +174,23 @@ def inverse(t) -> RelativePose:
 
 
 def relative(anchor: Pose, query: Pose) -> RelativePose:
-    """Query pose expressed in the anchor camera frame: inverse(anchor) * query."""
-    return compose(inverse(anchor), query)
+    """Query pose expressed in the anchor camera frame: inverse(anchor) * query.
+
+    The one-row case of `relative_rows`, so it equals the pair file's row.
+    """
+    q, t = relative_rows(anchor.rotation.as_array(), anchor.translation.as_array(),
+                         query.rotation.as_array()[None, :], query.translation.as_array()[None, :])
+    return RelativePose(Quaternion(*q[0].tolist()), Translation.from_array(t[0]))
 
 
 def translation_error(t: Translation, t_hat: Translation, norm: str = "l2") -> float:
     """Distance between a translation and its estimate, in meters."""
-    d = t.as_array() - t_hat.as_array()
-    norm = norm.lower()
-    if norm == "l2":
-        return float(np.linalg.norm(d))
-    if norm == "l1":
-        return float(np.abs(d).sum())
-    raise ValueError(f"unknown norm {norm!r}; expected 'l1' or 'l2'")
+    return float(vector_norms(t.as_array() - t_hat.as_array(), norm))
 
 
 def rotation_error(q: Quaternion, q_hat: Quaternion) -> float:
-    """Geodesic angle between two rotations in degrees, in [0, 180].
-
-    The dot product is taken in absolute value so q and -q compare equal,
-    then clamped before acos to stay inside its domain.
-    """
-    d = min(abs(q.dot(q_hat)), 1.0)
-    return math.degrees(2.0 * math.acos(d))
+    """Geodesic angle between two rotations in degrees, in [0, 180]."""
+    return float(quat_angle_deg_rows(q.as_array()[None, :], q_hat.as_array()[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -250,9 +221,10 @@ def from_euler(yaw_deg: float, pitch_deg: float, roll_deg: float) -> Quaternion:
 
 
 # ---------------------------------------------------------------------------
-# Row-vectorized twins of the scalar operations. The pair pipeline and metric
-# reductions work on (N, 4) quaternion and (N, 3) translation arrays built
-# once from the domain objects.
+# Row functions: the one implementation of each operation above. They work on
+# (N, 4) quaternion and (N, 3) translation arrays, which is how the pair
+# pipeline and the metric reductions hold poses; the scalar types call them
+# with one row, so a scalar result equals its row in a pair set bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -265,18 +237,31 @@ def translation_rows(translations) -> np.ndarray:
     return np.array([[t.x, t.y, t.z] for t in translations], dtype=float).reshape(-1, 3)
 
 
+def vector_norms(rows: np.ndarray, norm: str) -> np.ndarray:
+    """L1 or L2 norm along the last axis: of each row, or of one vector."""
+    if norm.lower() == "l2":
+        return np.linalg.norm(rows, axis=-1)
+    if norm.lower() == "l1":
+        return np.abs(rows).sum(axis=-1)
+    raise ValueError(f"unknown norm {norm!r}; expected 'l1' or 'l2'")
+
+
+def dot_norms(rows: np.ndarray) -> np.ndarray:
+    """L2 norm of each row from one dot product per row, the rounding of
+    np.linalg.norm on a single vector. It differs from vector_norms' "l2"
+    (a reduction over the squares) in the last bit on about one row in nine;
+    the subspace statistics are defined with this one."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1))
+
+
 def normalize_quat_rows(rows: np.ndarray) -> np.ndarray:
-    """Unit-normalize rows and resolve the sign the same way normalized() does."""
+    """Unit-normalize rows and flip them to the w >= 0 hemisphere, with a
+    lexicographic tie-break at w == 0."""
     rows = np.asarray(rows, dtype=float)
-    n = np.linalg.norm(rows, axis=1, keepdims=True)
+    n = vector_norms(rows, "l2")[:, None]
     if np.any(n == 0.0):
         raise ValueError("cannot normalize a zero quaternion")
-    return canonical_sign_rows(rows / n)
-
-
-def canonical_sign_rows(rows: np.ndarray) -> np.ndarray:
-    """Flip rows in place to the w >= 0 hemisphere with normalized()'s
-    lexicographic tie-break at w == 0; returns them."""
+    rows = rows / n
     w, x, y, z = rows.T
     flip = (w < 0) | ((w == 0) & ((x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0))))))
     rows[flip] *= -1.0
@@ -321,9 +306,27 @@ def quats_to_matrices(rows: np.ndarray) -> np.ndarray:
 
 
 def quat_angle_deg_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise rotation_error in degrees between (N, 4) arrays."""
+    """Row-wise geodesic angle in degrees between (N, 4) arrays.
+
+    The dot product is taken in absolute value so q and -q compare equal,
+    then clamped before acos to stay inside its domain.
+    """
     d = np.minimum(np.abs(np.sum(a * b, axis=-1)), 1.0)
     return np.degrees(2.0 * np.arccos(d))
+
+
+def axis_angle_rows(axes: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
+    """(N, 4) unit quaternions turning by angles_deg about (N, 3) unit axes."""
+    half = np.radians(angles_deg) / 2.0
+    q = np.concatenate([np.cos(half)[:, None], np.sin(half)[:, None] * axes], axis=1)
+    return normalize_quat_rows(q)
+
+
+def relative_rows(qa: np.ndarray, ta: np.ndarray, qb: np.ndarray, tb: np.ndarray):
+    """inverse(a) * b for one anchor pose (qa, ta) against (M, 4) / (M, 3)
+    query rows: ((M, 4) rotations, (M, 3) translations)."""
+    q_rel = quat_mul_rows(quat_conj_rows(np.broadcast_to(qa, qb.shape)), qb)
+    return normalize_quat_rows(q_rel), (tb - ta) @ quats_to_matrices(qa[None, :])[0]
 
 
 def euler_zyx_deg_rows(rows: np.ndarray):

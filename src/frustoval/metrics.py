@@ -67,14 +67,6 @@ class LossWeights:
             raise ValueError("loss weights must be finite")
 
 
-def _vector_norms(rows: np.ndarray, norm: str) -> np.ndarray:
-    if norm.lower() == "l2":
-        return np.linalg.norm(rows, axis=-1)
-    if norm.lower() == "l1":
-        return np.abs(rows).sum(axis=-1)
-    raise ValueError(f"unknown norm {norm!r}")
-
-
 def _table(items) -> PairTable:
     try:
         return dataset.as_table(items)
@@ -134,7 +126,7 @@ class StandardErrors:
 
 
 def _standard_errors(t, t_hat, q, q_hat, cfg: MetricConfig) -> StandardErrors:
-    t_err = _vector_norms(t - t_hat, cfg.norm)
+    t_err = geometry.vector_norms(t - t_hat, cfg.norm)
     q_err = geometry.quat_angle_deg_rows(q, q_hat)
     want_mean = "mean" in cfg.statistics
     want_median = "median" in cfg.statistics
@@ -155,11 +147,11 @@ def standard_errors(pairs, predictions, cfg: MetricConfig = MetricConfig()) -> S
 
 
 def _mape(t, t_hat, norm: str) -> float | None:
-    gt = _vector_norms(t, norm)
+    gt = geometry.vector_norms(t, norm)
     keep = gt > 0.0
     if not np.any(keep):
         return None
-    ratios = _vector_norms((t - t_hat)[keep], norm) / gt[keep]
+    ratios = geometry.vector_norms((t - t_hat)[keep], norm) / gt[keep]
     return float(ratios.mean())
 
 
@@ -174,7 +166,7 @@ def mape_translation(pairs, predictions, norm: str = "l1") -> float | None:
 
 def mape_zero_excluded(pairs, norm: str = "l1") -> int:
     """How many pairs a percentage metric drops for zero ground-truth norm."""
-    return int(np.sum(_vector_norms(_table(pairs).translations, norm) == 0.0))
+    return int(np.sum(geometry.vector_norms(_table(pairs).translations, norm) == 0.0))
 
 
 def naive_mean_translation(source_pairs) -> Translation:
@@ -186,8 +178,8 @@ def naive_mean_translation(source_pairs) -> Translation:
 
 
 def _mase(t, t_hat, naive_mean: Translation, norm: str) -> float | None:
-    num = float(_vector_norms(t - t_hat, norm).sum())
-    den = float(_vector_norms(t - naive_mean.as_array(), norm).sum())
+    num = float(geometry.vector_norms(t - t_hat, norm).sum())
+    den = float(geometry.vector_norms(t - naive_mean.as_array(), norm).sum())
     if den == 0.0:
         return None
     return num / den
@@ -205,12 +197,12 @@ def mase_translation(pairs, predictions, naive_mean: Translation, norm: str = "l
 
 
 def _mapse(t, t_hat, naive_mean: Translation, norm: str) -> float | None:
-    gt = _vector_norms(t, norm)
+    gt = geometry.vector_norms(t, norm)
     keep = gt > 0.0
     if not np.any(keep):
         return None
-    mape = float((_vector_norms((t - t_hat)[keep], norm) / gt[keep]).mean())
-    naive_dev = float(_vector_norms(t[keep] - naive_mean.as_array(), norm).sum())
+    mape = float((geometry.vector_norms((t - t_hat)[keep], norm) / gt[keep]).mean())
+    naive_dev = float(geometry.vector_norms(t[keep] - naive_mean.as_array(), norm).sum())
     if naive_dev == 0.0:
         return None
     naive_relative = naive_dev / float(gt[keep].sum())
@@ -240,12 +232,12 @@ def _mape_rotation(q, q_hat, gimbal_policy: str):
             raise EvaluationError(f"{int(bad.sum())} pairs are gimbal-locked")
     elif gimbal_policy != "exclude":
         raise ValueError(f"unknown gimbal policy {gimbal_policy!r}")
-    denom = np.abs(r).sum(axis=1)
+    denom = geometry.vector_norms(r, "l1")
     keep = ~bad & (denom > 0.0)
     n_excluded = int(np.sum(~keep))
     if not np.any(keep):
         return None, n_excluded
-    ratios = np.abs(r - r_hat)[keep].sum(axis=1) / denom[keep]
+    ratios = geometry.vector_norms((r - r_hat)[keep], "l1") / denom[keep]
     return float(ratios.mean()), n_excluded
 
 
@@ -291,7 +283,7 @@ def naive_predictor(source_pairs) -> NaivePredictor:
     q = source_pairs.rotations
     sign = np.where(q @ q[0] < 0.0, -1.0, 1.0)
     q_mean = (q * sign[:, None]).mean(axis=0)
-    if np.linalg.norm(q_mean) < 1e-12:
+    if geometry.vector_norms(q_mean, "l2") < 1e-12:
         raise EvaluationError("rotation mean is degenerate (cancels to zero)")
     q_mean = geometry.normalize_quat_rows(q_mean[None, :])[0]
     return NaivePredictor(
@@ -357,7 +349,7 @@ def error_curve(pairs, predictions, binning: OverlapBinning = OverlapBinning(),
     if not len(pairs):
         raise EvaluationError("cannot build an error curve from an empty pair set")
     t, t_hat, q, q_hat = _paired_arrays(pairs, predictions)
-    t_err = _vector_norms(t - t_hat, norm)
+    t_err = geometry.vector_norms(t - t_hat, norm)
     q_err = geometry.quat_angle_deg_rows(q, q_hat)
     idx = binning.indices(pairs.overlaps)
     reduce = np.mean if stat == "mean" else np.median
@@ -393,14 +385,12 @@ def combined_loss(pair: PairRecord, prediction: Prediction,
     ground-truth quaternion and the renormalized predicted quaternion.
     Diagnostic only; nothing in the toolkit trains on it.
     """
-    t = pair.rel.translation.as_array()
-    t_hat = prediction.rel_hat.translation.as_array()
-    l_t = float(np.linalg.norm(t - t_hat))
+    l_t = geometry.translation_error(pair.rel.translation, prediction.rel_hat.translation, "l2")
     q_hat = prediction.rel_hat.rotation
     n = q_hat.norm()
     if n == 0.0:
         raise EvaluationError("predicted quaternion has zero norm and cannot be renormalized")
-    l_q = float(np.linalg.norm(pair.rel.rotation.as_array() - q_hat.as_array() / n))
+    l_q = float(geometry.vector_norms(pair.rel.rotation.as_array() - q_hat.as_array() / n, "l2"))
     a2 = weights.alpha ** 2
     b2 = weights.beta ** 2
     return a2 + b2 + math.exp(-a2) * l_t + math.exp(-b2) * l_q

@@ -69,15 +69,6 @@ class SubspaceStats:
         return self.count > 0
 
 
-def _relative_rows(batch: _FrustumBatch, i: int, js: np.ndarray):
-    """Ground-truth relative poses of anchor i to each query in js."""
-    qi = np.broadcast_to(batch.quats[i], (js.size, 4))
-    q_rel = geometry.quat_mul_rows(geometry.quat_conj_rows(qi), batch.quats[js])
-    q_rel = geometry.normalize_quat_rows(q_rel)
-    t_rel = (batch.trans[js] - batch.trans[i]) @ batch.rot[i]
-    return q_rel, t_rel
-
-
 def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
                    max_overlap: float = 1.0, *, unordered: bool = False,
                    threads: int = 1) -> PairTable:
@@ -110,7 +101,9 @@ def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
     bounds = np.searchsorted(anchors, np.arange(batch.n + 1))
     for i in np.flatnonzero(np.diff(bounds)):
         lo, hi = bounds[i], bounds[i + 1]
-        rotations[lo:hi], translations[lo:hi] = _relative_rows(batch, i, queries[lo:hi])
+        js = queries[lo:hi]
+        rotations[lo:hi], translations[lo:hi] = geometry.relative_rows(
+            batch.quats[i], batch.trans[i], batch.quats[js], batch.trans[js])
     ids = np.array(poses.ids(), dtype=object)
     return PairTable(ids[anchors].tolist(), ids[queries].tolist(), rotations, translations,
                      scores, digest)
@@ -125,10 +118,7 @@ def bin_histogram(pairs, binning: OverlapBinning = OverlapBinning()) -> np.ndarr
 def subspace_stats(pairs, threshold: float) -> SubspaceStats:
     """Relative-translation norm statistics over pairs with overlap >= threshold."""
     pairs = dataset.as_table(pairs)
-    t = pairs.translations[pairs.overlaps >= threshold]
-    # one dot product per row, the arithmetic of np.linalg.norm on a single
-    # vector; norm(t, axis=1) rounds differently in the last bit
-    norms = np.sqrt((t[:, None, :] @ t[:, :, None]).reshape(-1))
+    norms = geometry.dot_norms(pairs.translations[pairs.overlaps >= threshold])
     if norms.size == 0:
         return SubspaceStats(threshold=threshold, count=0, mean_norm=None, std_norm=None, diameter=None)
     mean = float(norms.mean())

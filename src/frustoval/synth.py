@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .dataset import PairTable, PoseSet, as_table, round9
+from .dataset import PairTable, PoseSet, as_table, rounded_poses
 from .geometry import (
-    Pose,
-    Quaternion,
     RelativePose,
-    Translation,
+    axis_angle_rows,
+    dot_norms,
     normalize_quat_rows,
     quat_mul_rows,
+    vector_norms,
 )
 
 RNG_KIND = "pcg64"
@@ -54,15 +54,9 @@ class SynthConfig:
 
 def _random_axes(rng, n):
     axes = rng.normal(size=(n, 3))
-    norms = np.linalg.norm(axes, axis=1, keepdims=True)
+    norms = vector_norms(axes, "l2")[:, None]
     norms[norms == 0.0] = 1.0
     return axes / norms
-
-
-def _axis_angle_rows(axes, angles_deg):
-    half = np.radians(angles_deg) / 2.0
-    q = np.concatenate([np.cos(half)[:, None], np.sin(half)[:, None] * axes], axis=1)
-    return normalize_quat_rows(q)
 
 
 def generate_trajectory(cfg: SynthConfig) -> PoseSet:
@@ -72,15 +66,8 @@ def generate_trajectory(cfg: SynthConfig) -> PoseSet:
     positions = rng.uniform(-0.5, 0.5, size=(cfg.n_poses, 3)) * extents
     axes = _random_axes(rng, cfg.n_poses)
     angles = rng.uniform(0.0, cfg.max_tilt_deg, size=cfg.n_poses)
-    quats = _axis_angle_rows(axes, angles)
-    poses = [
-        Pose(
-            rotation=Quaternion(*(round9(v) for v in quats[i])),
-            translation=Translation(*(round9(v) for v in positions[i])),
-            frame_id=f"pose-{i:06d}",
-        )
-        for i in range(cfg.n_poses)
-    ]
+    ids = [f"pose-{i:06d}" for i in range(cfg.n_poses)]
+    poses = rounded_poses(axis_angle_rows(axes, angles), positions, ids)
     ex = "x".join(format(e, "g") for e in cfg.extents)
     return PoseSet(
         scene_name=f"synthetic-box-{ex}",
@@ -152,21 +139,13 @@ def generate_walk(cfg: WalkConfig) -> PoseSet:
     v = np.zeros(3)
     for i in range(n):
         v = v + turns[i]
-        mag = np.linalg.norm(v)
+        mag = dot_norms(v[None, :])[0]
         if mag > cfg.max_tilt_deg:
             v = v * (cfg.max_tilt_deg / mag)
         tilt[i] = v
-    mags = np.linalg.norm(tilt, axis=1)
+    mags = vector_norms(tilt, "l2")
     axes = np.where(mags[:, None] > 0, tilt / np.maximum(mags, 1e-300)[:, None], [0.0, 0.0, 1.0])
-    quats = _axis_angle_rows(axes, mags)
-    poses = [
-        Pose(
-            rotation=Quaternion(*(round9(c) for c in quats[i])),
-            translation=Translation(*(round9(c) for c in pos[i])),
-            frame_id=f"pose-{i:06d}",
-        )
-        for i in range(n)
-    ]
+    poses = rounded_poses(axis_angle_rows(axes, mags), pos, [f"pose-{i:06d}" for i in range(n)])
     ex = "x".join(format(e, "g") for e in cfg.extents)
     return PoseSet(
         scene_name=f"synthetic-walk-{ex}",
@@ -236,11 +215,11 @@ def synth_predict(pairs, predictor: SynthPredictor, seed: int = 0) -> PairTable:
         t, q = pairs.translations, pairs.rotations
         dt = rng.normal(size=(n, 3)) * predictor.sigma_t
         if predictor.relative_noise:
-            dt *= np.linalg.norm(t, axis=1, keepdims=True)
+            dt *= vector_norms(t, "l2")[:, None]
         t_hat = t + dt
         axes = _random_axes(rng, n)
         angles = rng.normal(0.0, predictor.sigma_q_deg, size=n) if predictor.sigma_q_deg > 0 else np.zeros(n)
-        q_noise = _axis_angle_rows(axes, angles)
+        q_noise = axis_angle_rows(axes, angles)
         q_hat = normalize_quat_rows(quat_mul_rows(q_noise, q))
     return PairTable(pairs.anchor_ids, pairs.query_ids, q_hat, t_hat,
                      config_digest=pairs.config_digest)

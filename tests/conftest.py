@@ -21,6 +21,29 @@ def random_pose(rng, box=2.0, frame_id="") -> Pose:
     return Pose(rotation=random_quat(rng), translation=Translation(*t), frame_id=frame_id)
 
 
+def oracle_matrix(transform) -> np.ndarray:
+    """4x4 homogeneous matrix of a transform, built from its unit quaternion
+    without any frustoval code."""
+    q = transform.rotation
+    w, x, y, z = q.w, q.x, q.y, q.z
+    r = np.array(
+        [
+            [w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z],
+        ]
+    )
+    m = np.eye(4)
+    m[:3, :3] = r
+    m[:3, 3] = transform.translation.as_array()
+    return m
+
+
+def oracle_relative(anchor, query) -> np.ndarray:
+    """inverse(anchor) * query as a 4x4 matrix product."""
+    return np.linalg.inv(oracle_matrix(anchor)) @ oracle_matrix(query)
+
+
 def assert_transform_close(a, b, tol=1e-9):
     """Componentwise closeness of two transforms, sign-resolving the rotation."""
     qa, qb = a.rotation, b.rotation

@@ -179,6 +179,19 @@ class TestPredictAndEval:
         assert rc == 2
         assert "digest mismatch" in capsys.readouterr().err
 
+    def test_source_pairs_digest_warning(self, tmp_path, poses_file, pairs_file, pred_file, capsys):
+        source = tmp_path / "source.pairs"
+        main(["pairs", "--poses", str(poses_file), "--hfov", "70", "--grid", GRID,
+              "--out", str(source)])
+        capsys.readouterr()
+        warning = (f"warning: source pairs digest {dataset.read_pairs(source).digest} differs "
+                   f"from eval pairs digest {dataset.read_pairs(pairs_file).digest}\n")
+        for argv in (["naive", "--pairs", str(pairs_file)],
+                     ["eval", "--pairs", str(pairs_file), "--pred", str(pred_file)]):
+            rc = main([*argv, "--source-pairs", str(source), "--out", str(tmp_path / "out")])
+            assert rc == 0
+            assert capsys.readouterr().err.startswith(warning)
+
     def test_missing_prediction_key_refused(self, tmp_path, pairs_file, pred_file, capsys):
         pd = dataset.read_predictions(pred_file)
         short = tmp_path / "short.pred"

@@ -168,6 +168,19 @@ class TestCambridge:
         with pytest.raises(ParseError, match="non-finite"):
             parse_cambridge(f)
 
+    def test_bad_lines_reported_in_line_order(self, tmp_path):
+        f = tmp_path / "dataset_train.txt"
+        f.write_text("h\nh\nh\nok.png 0 0 0 1 0 0 0\nzero.png 0 0 0 0 0 0 0\nshort.png 1 2\n"
+                     "nan.png 0 nan 0 1 0 0 0\ntext.png 0 0 x 1 0 0 0\n")
+        with pytest.raises(ParseError, match=r"dataset_train\.txt:5: zero quaternion"):
+            parse_cambridge(f)
+        errors = []
+        ps = parse_cambridge(f, collect_errors=errors)
+        assert [p.frame_id for p in ps.poses] == ["ok"]
+        assert [e.split(f"{f}:", 1)[1] for e in errors] == [
+            "5: zero quaternion", "6: expected 'path x y z w p q r', got 3 fields",
+            "7: non-finite pose entry", "8: non-numeric pose entry"]
+
     def test_round_trip_identical_poseset(self, tmp_path):
         ps = parse_cambridge(SHOP_MINI / "dataset_train.txt")
         out = tmp_path / "poses.txt"

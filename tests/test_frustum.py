@@ -186,10 +186,13 @@ class TestPointFrustum:
 
 class TestOverlapScore:
     def test_self_pair_is_exactly_one(self, rng):
-        cfg = OverlapConfig()
-        for _ in range(25):
-            p = random_pose(rng)
-            assert overlap_score(p, p, cfg) == 1.0
+        # holds for any boundary_epsilon > 0, in small and large scenes
+        for eps in (1e-9, 0.03):
+            cfg = OverlapConfig(frustum=FrustumSpec(boundary_epsilon=eps))
+            for box in (2.0, 5000.0):
+                for _ in range(25):
+                    p = random_pose(rng, box=box)
+                    assert overlap_score(p, p, cfg) == 1.0, (eps, box)
 
     def test_opposite_facing_gated_to_zero(self):
         cfg = OverlapConfig()

@@ -7,42 +7,32 @@ import pytest
 
 from frustoval import (
     EulerAngles,
+    MetricConfig,
+    OverlapConfig,
     Pose,
     Quaternion,
     RelativePose,
     Translation,
     compose,
+    evaluate,
     from_euler,
+    generate_pairs,
     inverse,
     relative,
     rotation_error,
     to_euler,
     translation_error,
 )
-from frustoval.geometry import euler_zyx_deg_rows, normalize_quat_rows, quat_rows
+from frustoval.geometry import (
+    euler_zyx_deg_rows,
+    normalize_quat_rows,
+    quat_angle_deg_rows,
+    quat_rows,
+    vector_norms,
+)
+from frustoval.synth import SynthConfig, SynthPredictor, generate_trajectory, synth_predict
 
-from conftest import assert_transform_close, random_pose, random_quat
-
-
-# -----------------------------------------------------------------------
-# oracle: 4x4 homogeneous matrices, built and multiplied independently
-# -----------------------------------------------------------------------
-
-
-def _oracle_matrix(transform):
-    q = transform.rotation
-    w, x, y, z = q.w, q.x, q.y, q.z
-    r = np.array(
-        [
-            [w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z],
-        ]
-    )
-    m = np.eye(4)
-    m[:3, :3] = r
-    m[:3, 3] = transform.translation.as_array()
-    return m
+from conftest import assert_transform_close, oracle_matrix, random_pose, random_quat
 
 
 class TestQuaternion:
@@ -89,8 +79,8 @@ class TestCompose:
         for _ in range(200):
             a, b = random_pose(rng), random_pose(rng)
             c = compose(a, b)
-            expected = _oracle_matrix(a) @ _oracle_matrix(b)
-            np.testing.assert_allclose(_oracle_matrix(c), expected, atol=1e-9)
+            expected = oracle_matrix(a) @ oracle_matrix(b)
+            np.testing.assert_allclose(oracle_matrix(c), expected, atol=1e-9)
 
     def test_result_rotation_is_canonical(self, rng):
         for _ in range(100):
@@ -240,6 +230,28 @@ class TestRowOps:
             e = to_euler(q)
             assert e.gimbal_locked == bool(locked[i])
             np.testing.assert_allclose(eulers[i], e.as_array(), atol=1e-12)
+
+    def test_scalar_functions_equal_pipeline_rows(self):
+        # relative() equals the pair file's row, and the scalar errors equal
+        # the per-pair values evaluate() reduces, bit for bit
+        poses = generate_trajectory(SynthConfig(n_poses=60, seed=5))
+        by_id = {p.frame_id: p for p in poses.poses}
+        pairs = generate_pairs(poses, OverlapConfig())
+        assert len(pairs) > 1000
+        for row in pairs:
+            rel = relative(by_id[row.anchor_id], by_id[row.query_id])
+            assert rel == row.rel, row.key
+        preds = synth_predict(pairs, SynthPredictor("noisy", sigma_t=0.3, sigma_q_deg=4.0), seed=2)
+        q_err = quat_angle_deg_rows(pairs.rotations, preds.rotations)
+        t_err = {n: vector_norms(pairs.translations - preds.translations, n) for n in ("l1", "l2")}
+        for k, (row, pred) in enumerate(zip(pairs, preds)):
+            assert rotation_error(row.rel.rotation, pred.rel_hat.rotation) == q_err[k]
+            for n in ("l1", "l2"):
+                assert translation_error(row.rel.translation, pred.rel_hat.translation, n) == t_err[n][k]
+        for n in ("l1", "l2"):
+            report = evaluate(pairs, preds, MetricConfig(norm=n), include=())
+            assert report.t_median == np.median(t_err[n])
+            assert report.q_median == np.median(q_err)
 
     def test_euler_angles_container(self):
         e = EulerAngles(1.0, 2.0, 3.0)

@@ -17,7 +17,6 @@ from frustoval import (
     config_digest,
     generate_pairs,
     overlap_score,
-    relative,
     subspace_stats,
 )
 from frustoval import dataset, frustum
@@ -26,7 +25,7 @@ from frustoval.frustum import camera_corners
 from frustoval.geometry import Pose, RelativePose
 from frustoval.synth import SynthConfig, generate_trajectory
 
-from conftest import assert_transform_close
+from conftest import oracle_matrix, oracle_relative
 
 from test_frustum import oracle_overlap
 
@@ -54,7 +53,7 @@ class TestGeneratePairs:
         assert all(r.overlap == 1.0 for r in pairs)
 
     def test_matches_sequential_double_loop(self):
-        # oracle: brute-force oracle_overlap + scalar relative() over every ordered pair
+        # oracle: brute-force oracle_overlap + a 4x4 matrix product over every ordered pair
         cfg = OverlapConfig(frustum=SMALL_SPEC)
         ps = small_poses(n=20)
         got = generate_pairs(ps, cfg, min_overlap=0.0, max_overlap=1.0)
@@ -66,13 +65,13 @@ class TestGeneratePairs:
                     continue
                 s = oracle_overlap(a, b, cfg)
                 if s > 0.0:
-                    expected.append((a.frame_id, b.frame_id, s, relative(a, b)))
+                    expected.append((a.frame_id, b.frame_id, s, oracle_relative(a, b)))
         expected.sort(key=lambda r: (r[0], r[1]))
         assert [r.key for r in got] == [(e[0], e[1]) for e in expected]
         for rec, exp in zip(got, expected):
             assert rec.overlap == exp[2]
             assert rec.config_digest == digest
-            assert_transform_close(rec.rel, exp[3], tol=1e-12)
+            np.testing.assert_allclose(oracle_matrix(rec.rel), exp[3], atol=1e-12)
 
     def test_rows_equal_overlap_score(self):
         # the single-pair score and the all-pairs kernel agree on every

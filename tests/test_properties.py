@@ -1,9 +1,12 @@
-"""Property tests: metric scale invariance and the symmetric pair score.
+"""Property tests: metric scale invariance, the symmetric pair score and
+rigid invariance.
 
 Multiplying every translation of a pair set and its predictions by a power
 of two is exact in floating point, so the dimensionless MASE and MAPSE must
 come out bit-equal. An unordered pair's score is the minimum of the two
-directional `overlap_score`s, for any poses and any configuration.
+directional `overlap_score`s, for any poses and any configuration. Moving
+both poses of a pair by one rigid motion leaves their relative pose
+unchanged up to rounding, and their score up to one probe point.
 """
 
 import numpy as np
@@ -18,11 +21,15 @@ from frustoval import (
     Pose,
     Quaternion,
     Translation,
+    compose,
     evaluate,
     generate_pairs,
     overlap_score,
+    relative,
 )
 from frustoval.dataset import PairTable
+
+from conftest import assert_transform_close
 
 # magnitudes kept well away from overflow and from the subnormal range, where
 # a power-of-two scale would stop being exact
@@ -81,3 +88,13 @@ def test_unordered_score_is_min_of_directions(drawn, eps, gate):
         for b in poses[i + 1:]:
             want = min(overlap_score(a, b, directional), overlap_score(b, a, directional))
             assert got.get((a.frame_id, b.frame_id), 0.0) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(pose, pose, st.tuples(quat, st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)))
+def test_rigid_invariance(a, b, g):
+    a, b, g = (Pose(Quaternion.unit(*q), Translation(*t), f"p{k}") for k, (q, t) in enumerate((a, b, g)))
+    ga, gb = (Pose(c.rotation, c.translation, p.frame_id) for p, c in ((a, compose(g, a)), (b, compose(g, b))))
+    assert_transform_close(relative(ga, gb), relative(a, b), tol=1e-9)
+    cfg = OverlapConfig()
+    assert abs(overlap_score(ga, gb, cfg) - overlap_score(a, b, cfg)) <= 1.0 / cfg.frustum.n_points
