@@ -19,8 +19,8 @@ poses = generate_walk(WalkConfig(extents=(3, 2, 1), n_poses=200, max_tilt_deg=40
                                  turn_deg=5, seed=0))
 pairs = generate_pairs(poses, cfg, threads=4)
 
-easy = [p for p in pairs if p.overlap > 0.7]
-hard = [p for p in pairs if 0.1 < p.overlap <= 0.4]
+easy = pairs[pairs.overlaps > 0.7]
+hard = pairs[(0.1 < pairs.overlaps) & (pairs.overlaps <= 0.4)]
 print(f"easy set (overlap > 0.7):      {len(easy):6d} pairs")
 print(f"hard set (0.1 < overlap <= 0.4): {len(hard):6d} pairs\n")
 

@@ -38,8 +38,6 @@ from .dataset import (  # noqa: E402
     PairRecord,
     PairTable,
     PoseSet,
-    Prediction,
-    as_table,
     config_digest,
     parse_cambridge,
     parse_sevenscenes,
@@ -75,7 +73,7 @@ __all__ = [
     "compose", "from_euler", "inverse", "relative", "rotation_error",
     "to_euler", "translation_error",
     "FrustumSpec", "OverlapConfig", "overlap_score",
-    "PairRecord", "PairTable", "PoseSet", "Prediction", "as_table", "config_digest",
+    "PairRecord", "PairTable", "PoseSet", "config_digest",
     "parse_cambridge", "parse_sevenscenes",
     "OverlapBinning", "SubspaceStats", "bin_histogram", "generate_pairs",
     "subspace_stats",

@@ -98,33 +98,16 @@ class PoseSet:
 
 @dataclass(frozen=True)
 class PairRecord:
-    """One row of a pair table: an ordered frame pair, its overlap score and
-    the ground-truth relative pose."""
+    """One row of a pair or prediction table, as iterating the table yields it:
+    an ordered frame pair, its overlap score (None for a prediction), the
+    relative pose and the table's config digest. Read-only; nothing takes it
+    as input."""
 
     anchor_id: str
     query_id: str
-    overlap: float
+    overlap: float | None
     rel: RelativePose
     config_digest: str
-
-    def __post_init__(self):
-        if self.anchor_id == self.query_id:
-            raise ValueError(f"pair must join two distinct frames, got {self.anchor_id!r} twice")
-        if not (0.0 <= self.overlap <= 1.0):
-            raise ValueError(f"overlap {self.overlap} outside [0, 1]")
-
-    @property
-    def key(self):
-        return (self.anchor_id, self.query_id)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """One row of a prediction table: a predictor's relative-pose estimate for one pair."""
-
-    anchor_id: str
-    query_id: str
-    rel_hat: RelativePose
 
     @property
     def key(self):
@@ -149,9 +132,10 @@ class PairTable:
     was made for ('' when unknown). Rows given out of order are sorted on
     construction. Tables are not modified in place.
 
-    Iterating yields PairRecord (or Prediction) rows, an integer index one
-    row, and a slice a table. Tables compare equal to tables with the same
-    columns and to lists of the same rows.
+    `table[rows]` selects rows by a slice, a boolean mask or an integer index
+    array and returns a table with the same digest. Iterating yields
+    read-only PairRecord rows. Tables compare equal to tables with the same
+    columns.
     """
 
     __slots__ = ("anchor_ids", "query_ids", "overlaps", "rotations", "translations",
@@ -173,15 +157,14 @@ class PairTable:
             raise ValueError("pair table columns differ in length")
         order = _key_order(self.anchor_ids, self.query_ids)
         if order is not None:
-            self._take(order)
+            (self.anchor_ids, self.query_ids, self.rotations, self.translations,
+             self.overlaps) = self._take(order)
 
     def _take(self, rows):
-        self.anchor_ids = [self.anchor_ids[k] for k in rows]
-        self.query_ids = [self.query_ids[k] for k in rows]
-        self.rotations = self.rotations[rows]
-        self.translations = self.translations[rows]
-        if self.overlaps is not None:
-            self.overlaps = self.overlaps[rows]
+        """Every column at the given row indices, in constructor order."""
+        return ([self.anchor_ids[k] for k in rows], [self.query_ids[k] for k in rows],
+                self.rotations[rows], self.translations[rows],
+                None if self.overlaps is None else self.overlaps[rows])
 
     @property
     def is_pairs(self) -> bool:
@@ -198,71 +181,36 @@ class PairTable:
     def __len__(self):
         return len(self.anchor_ids)
 
-    def _row(self, a, q, overlap, r, t):
-        rel = RelativePose(Quaternion(*r), Translation(*t))
-        if overlap is None:
-            return Prediction(a, q, rel)
-        return PairRecord(a, q, overlap, rel, self.config_digest)
-
     def __iter__(self):
         overlaps = [None] * len(self) if self.overlaps is None else self.overlaps.tolist()
-        return map(self._row, self.anchor_ids, self.query_ids, overlaps,
-                   self.rotations.tolist(), self.translations.tolist())
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return PairTable(self.anchor_ids[k], self.query_ids[k], self.rotations[k],
-                             self.translations[k],
-                             None if self.overlaps is None else self.overlaps[k],
+        for a, q, overlap, r, t in zip(self.anchor_ids, self.query_ids, overlaps,
+                                       self.rotations.tolist(), self.translations.tolist()):
+            yield PairRecord(a, q, overlap, RelativePose(Quaternion(*r), Translation(*t)),
                              self.config_digest)
-        k = range(len(self))[k]
-        return self._row(self.anchor_ids[k], self.query_ids[k],
-                         None if self.overlaps is None else float(self.overlaps[k]),
-                         self.rotations[k].tolist(), self.translations[k].tolist())
+
+    def __getitem__(self, rows):
+        if isinstance(rows, (int, np.integer)):
+            raise TypeError("select table rows with a slice, a boolean mask or an integer "
+                            "index array; iterate for single rows")
+        return PairTable(*self._take(np.arange(len(self))[rows].tolist()),
+                         config_digest=self.config_digest)
 
     def __eq__(self, other):
-        if isinstance(other, PairTable):
-            if self.is_pairs != other.is_pairs:
-                return False
-            return (self.anchor_ids == other.anchor_ids and self.query_ids == other.query_ids
-                    and np.array_equal(self.rotations, other.rotations)
-                    and np.array_equal(self.translations, other.translations)
-                    and (not self.is_pairs or (self.config_digest == other.config_digest
-                                               and np.array_equal(self.overlaps, other.overlaps))))
-        if isinstance(other, (list, tuple)):
-            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, PairTable):
+            return NotImplemented
+        if self.is_pairs != other.is_pairs:
+            return False
+        return (self.anchor_ids == other.anchor_ids and self.query_ids == other.query_ids
+                and np.array_equal(self.rotations, other.rotations)
+                and np.array_equal(self.translations, other.translations)
+                and (not self.is_pairs or (self.config_digest == other.config_digest
+                                           and np.array_equal(self.overlaps, other.overlaps))))
 
     __hash__ = None
 
     def __repr__(self):
         kind = "pairs" if self.is_pairs else "predictions"
         return f"PairTable({len(self)} {kind}, config_digest={self.config_digest!r})"
-
-
-def as_table(items) -> PairTable:
-    """A PairTable unchanged, or the table of an iterable of PairRecord or
-    Prediction rows. Pair rows must share one config digest."""
-    if isinstance(items, PairTable):
-        return items
-    rows = list(items)
-    kinds = {type(r) for r in rows}
-    if kinds - {PairRecord, Prediction} or len(kinds) > 1:
-        raise TypeError("expected PairRecord rows or Prediction rows, not a mix or other objects")
-    rels = [r.rel_hat if Prediction in kinds else r.rel for r in rows]
-    cols = dict(
-        anchor_ids=[r.anchor_id for r in rows],
-        query_ids=[r.query_id for r in rows],
-        rotations=[(p.rotation.w, p.rotation.x, p.rotation.y, p.rotation.z) for p in rels],
-        translations=[(p.translation.x, p.translation.y, p.translation.z) for p in rels],
-    )
-    if Prediction in kinds:
-        return PairTable(**cols)
-    digests = {r.config_digest for r in rows}
-    if len(digests) > 1:
-        raise ValueError(f"pairs mix {len(digests)} different config digests")
-    return PairTable(**cols, overlaps=[r.overlap for r in rows],
-                     config_digest=digests.pop() if digests else "")
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +425,12 @@ def _parsed_quats(path, q: np.ndarray) -> np.ndarray:
     redo = ~((np.abs(nsq - 1.0) <= _PARSE_NORM_SLACK) & (w >= 0.0))
     if redo.any():
         rows = np.flatnonzero(redo)
-        if not nsq[rows].all():
-            raise _record_error(path, int(rows[np.argmin(nsq[rows])]), "zero quaternion cannot be normalized")
-        with np.errstate(over="ignore"):
-            q[rows] = geometry.normalize_quat_rows(q[rows])
+        bad = rows[(nsq[rows] == 0.0) | ~np.isfinite(nsq[rows])]
+        if bad.size:
+            k = int(bad[0])
+            raise _record_error(path, k, "zero quaternion cannot be normalized" if nsq[k] == 0.0
+                                else "quaternion's squared norm overflows")
+        q[rows] = geometry.normalize_quat_rows(q[rows])
     return q
 
 
@@ -583,9 +533,8 @@ class PairFileData:
     header: dict
 
 
-def write_pairs(path, pairs, cfg: OverlapConfig, *, min_overlap: float, max_overlap: float,
+def write_pairs(path, pairs: PairTable, cfg: OverlapConfig, *, min_overlap: float, max_overlap: float,
                 ordered: bool = True, extra: dict | None = None):
-    pairs = as_table(pairs)
     digest = config_digest(cfg)
     if not pairs.is_pairs:
         raise ValueError("write_pairs needs a pair table, got predictions")
@@ -672,9 +621,8 @@ class PredictionFileData:
     header: dict
 
 
-def write_predictions(path, predictions, *, config_digest: str, predictor: str = "external",
+def write_predictions(path, predictions: PairTable, *, config_digest: str, predictor: str = "external",
                       extra: dict | None = None):
-    predictions = as_table(predictions)
     _check_table_ids(predictions)
     dupes = predictions.duplicate_keys()
     if dupes:
@@ -839,7 +787,7 @@ def _nearest_rotation(m3: np.ndarray):
 
 
 def _parse_pose_matrix(path: Path):
-    """(wxyz rotation, translation) of a 4x4 camera-to-world matrix file."""
+    """(snapped 3x3 rotation, translation) of a 4x4 camera-to-world matrix file."""
     try:
         values = [float(tok) for tok in path.read_text().split()]
     except ValueError as e:
@@ -857,7 +805,7 @@ def _parse_pose_matrix(path: Path):
         raise ParseError(
             f"{path}: rotation block deviates from orthogonal by {deviation:.3g} (Frobenius)"
         )
-    return Quaternion.from_matrix(r).as_array(), m[:3, 3]
+    return r, m[:3, 3]
 
 
 _SEQ_LINE = re.compile(r"sequence\s*(\d+)", re.IGNORECASE)
@@ -901,19 +849,20 @@ def parse_sevenscenes(scene_dir, split: str = "train", scene_name: str | None = 
     pose_files = []
     for root in roots:
         pose_files.extend(sorted(root.glob("frame-*.pose.txt")))
-    ids, quats, trans = [], [], []
+    ids, rots, trans = [], [], []
     for pf in pose_files:
         try:
-            q, t = _parse_pose_matrix(pf)
+            r, t = _parse_pose_matrix(pf)
         except ParseError as e:
             if collect_errors is None:
                 raise
             collect_errors.append(str(e))
             continue
         ids.append(pf.relative_to(scene_dir).as_posix()[: -len(".pose.txt")])
-        quats.append(q)
+        rots.append(r)
         trans.append(t)
-    poses = rounded_poses(np.reshape(quats, (-1, 4)), np.reshape(trans, (-1, 3)), ids)
+    quats = geometry.matrix_to_quat_rows(np.reshape(rots, (-1, 3, 3)))
+    poses = rounded_poses(quats, np.reshape(trans, (-1, 3)), ids)
     poses.sort(key=lambda p: p.frame_id)
     return PoseSet(
         scene_name=scene_name or scene_dir.name,

@@ -18,7 +18,6 @@ Conventions (echoed into every output file header):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,33 +58,7 @@ class Quaternion:
     @classmethod
     def from_matrix(cls, m) -> "Quaternion":
         """Nearest unit quaternion for a 3x3 rotation matrix (Shepperd's method)."""
-        m = np.asarray(m, dtype=float)
-        t = m[0, 0] + m[1, 1] + m[2, 2]
-        if t > 0.0:
-            s = math.sqrt(t + 1.0) * 2.0
-            w = 0.25 * s
-            x = (m[2, 1] - m[1, 2]) / s
-            y = (m[0, 2] - m[2, 0]) / s
-            z = (m[1, 0] - m[0, 1]) / s
-        elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-            s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            w = (m[2, 1] - m[1, 2]) / s
-            x = 0.25 * s
-            y = (m[0, 1] + m[1, 0]) / s
-            z = (m[0, 2] + m[2, 0]) / s
-        elif m[1, 1] >= m[2, 2]:
-            s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            w = (m[0, 2] - m[2, 0]) / s
-            x = (m[0, 1] + m[1, 0]) / s
-            y = 0.25 * s
-            z = (m[1, 2] + m[2, 1]) / s
-        else:
-            s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-            w = (m[1, 0] - m[0, 1]) / s
-            x = (m[0, 2] + m[2, 0]) / s
-            y = (m[1, 2] + m[2, 1]) / s
-            z = 0.25 * s
-        return cls.unit(w, x, y, z)
+        return cls(*matrix_to_quat_rows(np.asarray(m, dtype=float)[None])[0].tolist())
 
     def norm(self) -> float:
         return float(vector_norms(self.as_array(), "l2"))
@@ -313,6 +286,35 @@ def quat_angle_deg_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     d = np.minimum(np.abs(np.sum(a * b, axis=-1)), 1.0)
     return np.degrees(2.0 * np.arccos(d))
+
+
+def matrix_to_quat_rows(m: np.ndarray) -> np.ndarray:
+    """(N, 3, 3) rotation matrices -> (N, 4) unit wxyz rows by Shepperd's method.
+
+    A row takes branch 0 (w) when its trace is positive, else the branch of
+    its largest diagonal entry (x, y or z). In branch b, k[b, b] is the
+    radicand, s = 2 sqrt(k[b, b]), component b is s / 4 and every other
+    component j is k[b, j] / s.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.moveaxis(m, (1, 2), (0, 1))
+    k = np.empty(m.shape[:1] + (4, 4))
+    k[:, 0, 0] = m00 + m11 + m22 + 1.0
+    k[:, 1, 1] = 1.0 + m00 - m11 - m22
+    k[:, 2, 2] = 1.0 + m11 - m00 - m22
+    k[:, 3, 3] = 1.0 + m22 - m00 - m11
+    k[:, 0, 1] = k[:, 1, 0] = m21 - m12
+    k[:, 0, 2] = k[:, 2, 0] = m02 - m20
+    k[:, 0, 3] = k[:, 3, 0] = m10 - m01
+    k[:, 1, 2] = k[:, 2, 1] = m01 + m10
+    k[:, 1, 3] = k[:, 3, 1] = m02 + m20
+    k[:, 2, 3] = k[:, 3, 2] = m12 + m21
+    branch = np.where(m00 + m11 + m22 > 0.0, 0,
+                      np.where((m00 >= m11) & (m00 >= m22), 1, np.where(m11 >= m22, 2, 3)))
+    rows = np.arange(len(m))
+    s = np.sqrt(k[rows, branch, branch]) * 2.0
+    q = k[rows, branch] / s[:, None]
+    q[rows, branch] = 0.25 * s
+    return normalize_quat_rows(q)
 
 
 def axis_angle_rows(axes: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:

@@ -14,12 +14,12 @@ linearly with the spanned volume of the relative-pose targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataset, geometry
-from .dataset import PairRecord, PairTable, Prediction
+from . import geometry
+from .dataset import PairTable
 from .geometry import Quaternion, RelativePose, Translation
 from .pairgen import OverlapBinning, SubspaceStats, subspace_stats
 
@@ -67,13 +67,6 @@ class LossWeights:
             raise ValueError("loss weights must be finite")
 
 
-def _table(items) -> PairTable:
-    try:
-        return dataset.as_table(items)
-    except ValueError as e:
-        raise EvaluationError(str(e)) from None
-
-
 def _align(pairs: PairTable, predictions: PairTable) -> np.ndarray:
     """Row of `predictions` holding each pair's key, or -1 where none does."""
     dupes = predictions.duplicate_keys()
@@ -85,13 +78,12 @@ def _align(pairs: PairTable, predictions: PairTable) -> np.ndarray:
     return np.array([row.get(k, -1) for k in pairs.keys()], dtype=np.intp)
 
 
-def match_predictions(pairs, predictions) -> np.ndarray:
+def match_predictions(pairs: PairTable, predictions: PairTable) -> np.ndarray:
     """Row of `predictions` for each pair, in pair order; refuses on missing or
     duplicate keys.
 
     Extra predictions (covering pairs not under evaluation) are ignored.
     """
-    pairs, predictions = _table(pairs), _table(predictions)
     idx = _align(pairs, predictions)
     if (idx < 0).any():
         missing = [pairs.keys()[k] for k in np.flatnonzero(idx < 0)[:10]]
@@ -99,9 +91,8 @@ def match_predictions(pairs, predictions) -> np.ndarray:
     return idx
 
 
-def unmatched_predictions(pairs, predictions) -> list:
+def unmatched_predictions(pairs: PairTable, predictions: PairTable) -> list:
     """Keys of predictions that no pair holds."""
-    pairs, predictions = _table(pairs), _table(predictions)
     hit = np.zeros(len(predictions), dtype=bool)
     idx = _align(pairs, predictions)
     hit[idx[idx >= 0]] = True
@@ -109,9 +100,8 @@ def unmatched_predictions(pairs, predictions) -> list:
     return [keys[k] for k in np.flatnonzero(~hit)]
 
 
-def _paired_arrays(pairs, predictions):
+def _paired_arrays(pairs: PairTable, predictions: PairTable):
     """(t, t_hat, q, q_hat) columns, predictions aligned to the pair rows."""
-    pairs, predictions = _table(pairs), _table(predictions)
     idx = match_predictions(pairs, predictions)
     return (pairs.translations, predictions.translations[idx], pairs.rotations,
             predictions.rotations[idx])
@@ -138,9 +128,9 @@ def _standard_errors(t, t_hat, q, q_hat, cfg: MetricConfig) -> StandardErrors:
     )
 
 
-def standard_errors(pairs, predictions, cfg: MetricConfig = MetricConfig()) -> StandardErrors:
+def standard_errors(pairs: PairTable, predictions: PairTable,
+                    cfg: MetricConfig = MetricConfig()) -> StandardErrors:
     """Mean/median of the per-pair translation and rotation errors."""
-    pairs = _table(pairs)
     if not len(pairs):
         raise EvaluationError("cannot evaluate an empty pair set")
     return _standard_errors(*_paired_arrays(pairs, predictions), cfg)
@@ -155,7 +145,7 @@ def _mape(t, t_hat, norm: str) -> float | None:
     return float(ratios.mean())
 
 
-def mape_translation(pairs, predictions, norm: str = "l1") -> float | None:
+def mape_translation(pairs: PairTable, predictions: PairTable, norm: str = "l1") -> float | None:
     """Mean of ||t - t_hat|| / ||t||; pairs with exactly zero ||t|| are excluded.
 
     Returns None when every pair is excluded.
@@ -164,14 +154,13 @@ def mape_translation(pairs, predictions, norm: str = "l1") -> float | None:
     return _mape(t, t_hat, norm)
 
 
-def mape_zero_excluded(pairs, norm: str = "l1") -> int:
+def mape_zero_excluded(pairs: PairTable, norm: str = "l1") -> int:
     """How many pairs a percentage metric drops for zero ground-truth norm."""
-    return int(np.sum(geometry.vector_norms(_table(pairs).translations, norm) == 0.0))
+    return int(np.sum(geometry.vector_norms(pairs.translations, norm) == 0.0))
 
 
-def naive_mean_translation(source_pairs) -> Translation:
+def naive_mean_translation(source_pairs: PairTable) -> Translation:
     """Componentwise mean of the ground-truth relative translations."""
-    source_pairs = _table(source_pairs)
     if not len(source_pairs):
         raise EvaluationError("naive mean needs a non-empty source pair set")
     return Translation.from_array(source_pairs.translations.mean(axis=0))
@@ -185,7 +174,8 @@ def _mase(t, t_hat, naive_mean: Translation, norm: str) -> float | None:
     return num / den
 
 
-def mase_translation(pairs, predictions, naive_mean: Translation, norm: str = "l1") -> float | None:
+def mase_translation(pairs: PairTable, predictions: PairTable, naive_mean: Translation,
+                     norm: str = "l1") -> float | None:
     """Total model error over the total error of always predicting `naive_mean`.
 
     1.0 means no better than the naive baseline. None when the baseline error
@@ -209,7 +199,8 @@ def _mapse(t, t_hat, naive_mean: Translation, norm: str) -> float | None:
     return mape / naive_relative
 
 
-def mapse_translation(pairs, predictions, naive_mean: Translation, norm: str = "l1") -> float | None:
+def mapse_translation(pairs: PairTable, predictions: PairTable, naive_mean: Translation,
+                      norm: str = "l1") -> float | None:
     """Percentage error scaled by the naive baseline's relative error.
 
     MAPE of the model divided by the naive model's total deviation relative
@@ -241,7 +232,7 @@ def _mape_rotation(q, q_hat, gimbal_policy: str):
     return float(ratios.mean()), n_excluded
 
 
-def mape_rotation(pairs, predictions, gimbal_policy: str = "exclude"):
+def mape_rotation(pairs: PairTable, predictions: PairTable, gimbal_policy: str = "exclude"):
     """Rotation MAPE over Euler triples: mean of |r - r_hat|_1 / |r|_1.
 
     Gimbal-locked pairs (ground truth or prediction) follow the policy:
@@ -259,8 +250,7 @@ class NaivePredictor:
 
     mean_rel: RelativePose
 
-    def predict(self, pairs) -> PairTable:
-        pairs = _table(pairs)
+    def predict(self, pairs: PairTable) -> PairTable:
         m = len(pairs)
         return PairTable(
             pairs.anchor_ids, pairs.query_ids,
@@ -270,14 +260,13 @@ class NaivePredictor:
         )
 
 
-def naive_predictor(source_pairs) -> NaivePredictor:
+def naive_predictor(source_pairs: PairTable) -> NaivePredictor:
     """Fit the mean-returning baseline on a pair set.
 
     Translation is the componentwise mean; rotation is the normalized
     componentwise quaternion mean after aligning every sample to the first
     one's hemisphere.
     """
-    source_pairs = _table(source_pairs)
     if not len(source_pairs):
         raise EvaluationError("naive predictor needs a non-empty source pair set")
     q = source_pairs.rotations
@@ -336,7 +325,7 @@ def _auc(mids, values):
     return raw / float(mids[-1] - mids[0]), raw
 
 
-def error_curve(pairs, predictions, binning: OverlapBinning = OverlapBinning(),
+def error_curve(pairs: PairTable, predictions: PairTable, binning: OverlapBinning = OverlapBinning(),
                 *, stat: str = "median", norm: str = "l1") -> ErrorCurve:
     """Bin pairs by overlap and reduce the errors inside each bin.
 
@@ -345,7 +334,6 @@ def error_curve(pairs, predictions, binning: OverlapBinning = OverlapBinning(),
     """
     if stat not in ("mean", "median"):
         raise ValueError(f"unknown statistic {stat!r}")
-    pairs = _table(pairs)
     if not len(pairs):
         raise EvaluationError("cannot build an error curve from an empty pair set")
     t, t_hat, q, q_hat = _paired_arrays(pairs, predictions)
@@ -377,20 +365,21 @@ def error_curve(pairs, predictions, binning: OverlapBinning = OverlapBinning(),
     )
 
 
-def combined_loss(pair: PairRecord, prediction: Prediction,
-                  weights: LossWeights = LossWeights()) -> float:
-    """Balanced pose loss: a^2 + b^2 + e^(-a^2) * L_t + e^(-b^2) * L_q.
+def combined_loss(pairs: PairTable, predictions: PairTable,
+                  weights: LossWeights = LossWeights()) -> np.ndarray:
+    """Balanced pose loss of each pair: a^2 + b^2 + e^(-a^2) * L_t + e^(-b^2) * L_q.
 
     L_t is the L2 translation distance; L_q the L2 distance between the
     ground-truth quaternion and the renormalized predicted quaternion.
-    Diagnostic only; nothing in the toolkit trains on it.
+    Returns the (M,) losses in pair order. Diagnostic only; nothing in the
+    toolkit trains on it.
     """
-    l_t = geometry.translation_error(pair.rel.translation, prediction.rel_hat.translation, "l2")
-    q_hat = prediction.rel_hat.rotation
-    n = q_hat.norm()
-    if n == 0.0:
+    t, t_hat, q, q_hat = _paired_arrays(pairs, predictions)
+    n = geometry.vector_norms(q_hat, "l2")
+    if not n.all():
         raise EvaluationError("predicted quaternion has zero norm and cannot be renormalized")
-    l_q = float(geometry.vector_norms(pair.rel.rotation.as_array() - q_hat.as_array() / n, "l2"))
+    l_t = geometry.vector_norms(t - t_hat, "l2")
+    l_q = geometry.vector_norms(q - q_hat / n[:, None], "l2")
     a2 = weights.alpha ** 2
     b2 = weights.beta ** 2
     return a2 + b2 + math.exp(-a2) * l_t + math.exp(-b2) * l_q
@@ -478,8 +467,8 @@ class MetricReport:
         )
 
 
-def evaluate(pairs, predictions, cfg: MetricConfig = MetricConfig(), *,
-             naive_source_pairs=None, subspace_threshold: float | None = None,
+def evaluate(pairs: PairTable, predictions: PairTable, cfg: MetricConfig = MetricConfig(), *,
+             naive_source_pairs: PairTable | None = None, subspace_threshold: float | None = None,
              include=_METRIC_NAMES) -> MetricReport:
     """Run every configured criterion over one pair/prediction set.
 
@@ -488,7 +477,6 @@ def evaluate(pairs, predictions, cfg: MetricConfig = MetricConfig(), *,
     `naive_source_pairs`. The subspace statistics default to the evaluated
     set at its own minimum overlap.
     """
-    pairs = _table(pairs)
     if not len(pairs):
         raise EvaluationError("cannot evaluate an empty pair set")
     unknown = set(include) - set(_METRIC_NAMES)

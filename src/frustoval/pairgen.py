@@ -109,15 +109,13 @@ def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
                      scores, digest)
 
 
-def bin_histogram(pairs, binning: OverlapBinning = OverlapBinning()) -> np.ndarray:
+def bin_histogram(pairs: PairTable, binning: OverlapBinning = OverlapBinning()) -> np.ndarray:
     """Pair counts per overlap bin; the counts partition the pair set."""
-    pairs = dataset.as_table(pairs)
     return np.bincount(binning.indices(pairs.overlaps), minlength=binning.n_bins)
 
 
-def subspace_stats(pairs, threshold: float) -> SubspaceStats:
+def subspace_stats(pairs: PairTable, threshold: float) -> SubspaceStats:
     """Relative-translation norm statistics over pairs with overlap >= threshold."""
-    pairs = dataset.as_table(pairs)
     norms = geometry.dot_norms(pairs.translations[pairs.overlaps >= threshold])
     if norms.size == 0:
         return SubspaceStats(threshold=threshold, count=0, mean_norm=None, std_norm=None, diameter=None)

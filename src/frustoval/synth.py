@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .dataset import PairTable, PoseSet, as_table, rounded_poses
+from .dataset import PairTable, PoseSet, rounded_poses
 from .geometry import (
     RelativePose,
     axis_angle_rows,
@@ -198,9 +198,8 @@ class SynthPredictor:
         return self.kind
 
 
-def synth_predict(pairs, predictor: SynthPredictor, seed: int = 0) -> PairTable:
+def synth_predict(pairs: PairTable, predictor: SynthPredictor, seed: int = 0) -> PairTable:
     """Predictions for every pair, in pair order; deterministic for a seed."""
-    pairs = as_table(pairs)
     if predictor.kind == "naive":
         return metrics.naive_predictor(pairs).predict(pairs)
     n = len(pairs)

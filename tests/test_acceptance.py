@@ -38,10 +38,9 @@ from frustoval import (
     subspace_stats,
     synth_predict,
 )
-from frustoval import dataset, metrics, pairgen
+from frustoval import dataset
 from frustoval.cli import main as cli_main
 from frustoval.metrics import (
-    mape_translation,
     mapse_translation,
     mase_translation,
     naive_mean_translation,
@@ -185,22 +184,11 @@ def test_criterion_07_metric_scale_behavior(walk_pairs):
     base = evaluate(pairs, preds, cfg)
     s = 10.0
 
-    def scaled_pair(p):
-        t = p.rel.translation
-        return dataset.PairRecord(
-            p.anchor_id, p.query_id, p.overlap,
-            metrics.RelativePose(p.rel.rotation, Translation(s * t.x, s * t.y, s * t.z)),
-            p.config_digest,
-        )
+    def scale(table):
+        return dataset.PairTable(table.anchor_ids, table.query_ids, table.rotations,
+                                 s * table.translations, table.overlaps, table.config_digest)
 
-    def scaled_pred(pr):
-        t = pr.rel_hat.translation
-        return dataset.Prediction(
-            pr.anchor_id, pr.query_id,
-            metrics.RelativePose(pr.rel_hat.rotation, Translation(s * t.x, s * t.y, s * t.z)),
-        )
-
-    scaled = evaluate([scaled_pair(p) for p in pairs], [scaled_pred(p) for p in preds], cfg)
+    scaled = evaluate(scale(pairs), scale(preds), cfg)
     assert scaled.t_mean == pytest.approx(s * base.t_mean, rel=1e-9)
     assert scaled.t_median == pytest.approx(s * base.t_median, rel=1e-9)
     assert abs(scaled.t_mape - base.t_mape) < 1e-12
@@ -214,7 +202,8 @@ def test_criterion_08_naive_baseline_identities(walk_pairs):
     naive_preds = naive_predictor(pairs).predict(pairs)
     mase = mase_translation(pairs, naive_preds, naive_mean_translation(pairs), "l1")
     assert abs(mase - 1.0) <= 1e-12
-    perfect = [dataset.Prediction(p.anchor_id, p.query_id, p.rel) for p in pairs]
+    perfect = dataset.PairTable(pairs.anchor_ids, pairs.query_ids, pairs.rotations, pairs.translations,
+                                config_digest=pairs.config_digest)
     report = evaluate(pairs, perfect)
     assert report.t_mean == 0 and report.t_median == 0
     assert report.t_mape == 0 and report.t_mase == 0 and report.t_mapse == 0
@@ -231,7 +220,6 @@ def test_criterion_09_overlap_robustness():
     pairs = generate_pairs(ps, WALK_CFG, threads=4)
     predictor = SynthPredictor(kind="noisy", sigma_t=0.12, sigma_q_deg=4.0, relative_noise=True)
     preds = synth_predict(pairs, predictor, seed=11)
-    by_key = {p.key: p for p in preds}
     edges = [round(0.1 + 0.1 * k, 12) for k in range(9)]
 
     def cv(values):
@@ -242,9 +230,9 @@ def test_criterion_09_overlap_robustness():
     for norm in ("l1", "l2"):
         medians, mases, mapses = [], [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
-            sub = [p for p in pairs if lo < p.overlap <= hi]
-            assert sub, f"empty bin ({lo}, {hi}]"
-            sp = [by_key[p.key] for p in sub]
+            sel = (lo < pairs.overlaps) & (pairs.overlaps <= hi)
+            sub, sp = pairs[sel], preds[sel]
+            assert len(sub), f"empty bin ({lo}, {hi}]"
             nm = naive_mean_translation(sub)
             medians.append(standard_errors(sub, sp, MetricConfig(norm=norm)).t_median)
             mases.append(mase_translation(sub, sp, nm, norm))
@@ -264,16 +252,14 @@ def test_criterion_10_auc(tmp_path):
     binning = OverlapBinning()
 
     def problem(errors_by_bin):
-        pairs, preds = [], []
-        for b, err in errors_by_bin.items():
-            mid = 0.5 * (binning.edges[b] + binning.edges[b + 1])
-            p = dataset.PairRecord(
-                f"a{b}", f"q{b}", mid,
-                metrics.RelativePose(Quaternion.identity(), Translation(1, 0, 0)), digest,
-            )
-            pairs.append(p)
-            preds.append(dataset.Prediction(p.anchor_id, p.query_id,
-                         metrics.RelativePose(Quaternion.identity(), Translation(1 + err, 0, 0))))
+        m = len(errors_by_bin)
+        mids = [0.5 * (binning.edges[b] + binning.edges[b + 1]) for b in errors_by_bin]
+        rotations = np.tile(Quaternion.identity().as_array(), (m, 1))
+        t = np.tile([1.0, 0.0, 0.0], (m, 1))
+        pairs = dataset.PairTable([f"a{b}" for b in errors_by_bin], [f"q{b}" for b in errors_by_bin],
+                                  rotations, t, mids, digest)
+        t_hat = t + np.array([[err, 0.0, 0.0] for err in errors_by_bin.values()])
+        preds = dataset.PairTable(pairs.anchor_ids, pairs.query_ids, rotations, t_hat)
         return pairs, preds
 
     c_const = error_curve(*problem({b: 0.42 for b in range(10)}), binning)
@@ -347,8 +333,9 @@ def test_criterion_12_pitfall_demo(walk_pairs):
     # the naive predictor evaluated on easy high-overlap pairs posts a BETTER
     # mean translation error than an informative-but-noisy predictor on hard
     # low-overlap pairs, yet MASE ranks them correctly
-    easy = [p for p in walk_pairs if p.overlap > 0.7]
-    hard = [p for p in walk_pairs if 0.1 < p.overlap <= 0.4]
+    overlaps = walk_pairs.overlaps
+    easy = walk_pairs[overlaps > 0.7]
+    hard = walk_pairs[(0.1 < overlaps) & (overlaps <= 0.4)]
     assert len(easy) > 100 and len(hard) > 1000
     naive_preds = naive_predictor(easy).predict(easy)
     noisy_preds = synth_predict(hard, SynthPredictor(kind="noisy", sigma_t=0.15, sigma_q_deg=5.0),

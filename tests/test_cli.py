@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from frustoval import FrustumSpec, MetricConfig, OverlapConfig, PairTable, config_digest
@@ -149,7 +150,7 @@ class TestPredictAndEval:
         assert main(["naive", "--pairs", str(pairs_file), "--out", str(out)]) == 0
         data = dataset.read_predictions(out)
         assert data.digest == dataset.read_pairs(pairs_file).digest
-        rels = {(p.rel_hat.rotation, p.rel_hat.translation) for p in data.predictions}
+        rels = {(p.rel.rotation, p.rel.translation) for p in data.predictions}
         assert len(rels) == 1  # one mean pose for every pair
 
     def test_eval_report_matches_library(self, tmp_path, pairs_file, pred_file):
@@ -203,9 +204,13 @@ class TestPredictAndEval:
 
     def test_orphan_prediction_key_refused(self, tmp_path, pairs_file, pred_file, capsys):
         pd = dataset.read_predictions(pred_file)
-        stray = dataset.Prediction("no-such", "pair", pd.predictions[0].rel_hat)
+        t = pd.predictions
+        # one more row, a copy of the first under a key no pair holds
+        with_stray = PairTable([*t.anchor_ids, "no-such"], [*t.query_ids, "pair"],
+                               np.vstack([t.rotations, t.rotations[:1]]),
+                               np.vstack([t.translations, t.translations[:1]]))
         padded = tmp_path / "padded.pred"
-        dataset.write_predictions(padded, list(pd.predictions) + [stray], config_digest=pd.digest)
+        dataset.write_predictions(padded, with_stray, config_digest=pd.digest)
         rc = main(["eval", "--pairs", str(pairs_file), "--pred", str(padded),
                    "--out", str(tmp_path / "r.report")])
         assert rc == 2
@@ -341,6 +346,24 @@ class TestRecordValidation:
     def test_non_finite_number(self, tmp_path, pairs_file, capsys):
         lineno = _edit_record(pairs_file, 11, lambda f, prev: [*f[:3], "nan", *f[4:]])
         self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, lineno, "non-finite qw value")
+
+    def test_overflowing_pose_quaternion(self, tmp_path, poses_file, capsys):
+        # 1e200 squared overflows: the row cannot be normalized, not even to zero
+        lineno = _edit_record(poses_file, 3, lambda f, prev: [f[0], "1e200", *f[2:]])
+        self.refused(capsys, ["pairs", "--poses", str(poses_file), *FRUSTUM_FLAGS,
+                              "--out", str(tmp_path / "x.pairs")],
+                     poses_file, lineno, "squared norm overflows")
+
+    def test_overflowing_pair_quaternion(self, tmp_path, pairs_file, capsys):
+        lineno = _edit_record(pairs_file, 6, lambda f, prev: [*f[:4], "-1e200", *f[5:]])
+        self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, lineno,
+                     "squared norm overflows")
+
+    def test_overflowing_prediction_quaternion(self, tmp_path, pairs_file, pred_file, capsys):
+        lineno = _edit_record(pred_file, 2, lambda f, prev: [*f[:2], "1e200", *f[3:]])
+        self.refused(capsys, ["eval", "--pairs", str(pairs_file), "--pred", str(pred_file),
+                              "--out", str(tmp_path / "r.report")],
+                     pred_file, lineno, "squared norm overflows")
 
     def test_duplicate_prediction_key(self, tmp_path, pairs_file, pred_file, capsys):
         lineno = _edit_record(pred_file, 4, lambda f, prev: prev)

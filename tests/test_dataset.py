@@ -11,7 +11,6 @@ from frustoval import (
     OverlapConfig,
     Pose,
     Quaternion,
-    RelativePose,
     Translation,
     config_digest,
     parse_cambridge,
@@ -22,10 +21,9 @@ from frustoval import dataset
 from frustoval.dataset import (
     DigestMismatchError,
     FormatError,
-    PairRecord,
+    PairTable,
     ParseError,
     PoseSet,
-    Prediction,
     fnum,
     round9,
 )
@@ -37,22 +35,20 @@ SHOP_MINI = FIXTURES / "cambridge" / "ShopMini"
 
 
 def random_pairs(rng, n, digest="0" * 16, lo=0.05, hi=1.0):
-    out = []
-    for i in range(n):
-        rel = RelativePose(random_quat(rng), Translation(*rng.normal(size=3)))
-        out.append(
-            PairRecord(
-                anchor_id=f"a-{i:04d}",
-                query_id=f"b-{i:04d}",
-                overlap=round9(rng.uniform(lo, hi)),
-                rel=RelativePose(
-                    Quaternion(*(round9(c) for c in rel.rotation.as_array())),
-                    Translation(*(round9(c) for c in rel.translation.as_array())),
-                ),
-                config_digest=digest,
-            )
-        )
-    return out
+    q, t, overlaps = [], [], []
+    for _ in range(n):
+        q.append(random_quat(rng).as_array())
+        t.append(rng.normal(size=3))
+        overlaps.append(rng.uniform(lo, hi))
+    return PairTable([f"a-{i:04d}" for i in range(n)], [f"b-{i:04d}" for i in range(n)],
+                     [[round9(c) for c in r] for r in q], [[round9(c) for c in r] for r in t],
+                     [round9(o) for o in overlaps], digest)
+
+
+def random_predictions(rng, n, digest=""):
+    rows = [(random_quat(rng).as_array(), rng.normal(size=3)) for _ in range(n)]
+    return PairTable([f"a-{i}" for i in range(n)], [f"b-{i}" for i in range(n)],
+                     [q for q, _ in rows], [t for _, t in rows], config_digest=digest)
 
 
 class TestNumberFormat:
@@ -240,7 +236,7 @@ class TestPairSerialization:
         dataset.write_pairs(f2, data.pairs, cfg, min_overlap=0.0, max_overlap=1.0)
         assert f1.read_bytes() == f2.read_bytes()
         again = dataset.read_pairs(f2)
-        assert again.pairs == sorted(pairs, key=lambda p: p.key)
+        assert again.pairs == pairs
 
     def test_header_reconstructs_config(self, tmp_path, rng):
         cfg = OverlapConfig(
@@ -278,17 +274,16 @@ class TestPairSerialization:
         with pytest.raises(ValueError, match="overlap"):
             dataset.write_pairs(tmp_path / "a.pairs", pairs, cfg, min_overlap=0.99, max_overlap=1.0)
 
-    def test_self_pair_rejected(self):
+    def test_self_pair_rejected(self, tmp_path):
+        cfg = OverlapConfig()
+        pairs = PairTable(["x"], ["x"], [[1, 0, 0, 0]], [[0, 0, 0]], [0.5], config_digest(cfg))
         with pytest.raises(ValueError, match="distinct"):
-            PairRecord("x", "x", 0.5, RelativePose.identity(), "d")
+            dataset.write_pairs(tmp_path / "a.pairs", pairs, cfg, min_overlap=0.0, max_overlap=1.0)
 
 
 class TestPredictionSerialization:
     def test_round_trip(self, tmp_path, rng):
-        preds = [
-            Prediction(f"a-{i}", f"b-{i}", RelativePose(random_quat(rng), Translation(*rng.normal(size=3))))
-            for i in range(20)
-        ]
+        preds = random_predictions(rng, 20)
         f = tmp_path / "p.pred"
         dataset.write_predictions(f, preds, config_digest="abc", predictor="external")
         data = dataset.read_predictions(f)
@@ -299,13 +294,66 @@ class TestPredictionSerialization:
         assert f.read_bytes() == f2.read_bytes()
 
     def test_duplicate_keys_rejected(self):
-        p = Prediction("a", "b", RelativePose.identity())
+        p = PairTable(["a", "a"], ["b", "b"], [[1, 0, 0, 0]] * 2, [[0, 0, 0]] * 2)
         with pytest.raises(ValueError, match="duplicate"):
-            dataset.write_predictions("/tmp/never-written.pred", [p, p], config_digest="x")
+            dataset.write_predictions("/tmp/never-written.pred", p, config_digest="x")
 
     def test_digest_mismatch_check(self):
         with pytest.raises(DigestMismatchError, match="mismatch"):
             dataset.check_digest_match("aaaa", "bbbb")
+
+
+class TestPairTableSelection:
+    def test_mask_index_array_and_slice_select_the_same_rows(self, rng):
+        pairs = random_pairs(rng, 30, digest="d")
+        for rows in (np.arange(4, 20, 3), np.flatnonzero(pairs.overlaps > 0.5)):
+            mask = np.zeros(len(pairs), dtype=bool)
+            mask[rows] = True
+            want = PairTable([pairs.anchor_ids[k] for k in rows], [pairs.query_ids[k] for k in rows],
+                             pairs.rotations[rows], pairs.translations[rows], pairs.overlaps[rows], "d")
+            assert pairs[mask] == want
+            assert pairs[rows] == want
+            assert pairs[rows.tolist()] == want
+        assert pairs[4:20:3] == pairs[np.arange(4, 20, 3)]
+        assert pairs[pairs.overlaps > 2.0] == pairs[:0]
+        assert len(pairs[:0]) == 0
+
+    def test_selection_keeps_digest_and_kind(self, rng):
+        pairs = random_pairs(rng, 10, digest="d")
+        preds = random_predictions(rng, 10, digest="d")
+        for sel in (slice(2, 7), np.arange(3), np.arange(10) % 2 == 0):
+            assert pairs[sel].config_digest == "d" and pairs[sel].is_pairs
+            assert preds[sel].config_digest == "d" and preds[sel].overlaps is None
+
+    def test_index_array_rows_come_back_sorted(self, rng):
+        pairs = random_pairs(rng, 12)
+        assert pairs[np.arange(12)[::-1]] == pairs
+        assert pairs[[5, 1]] == pairs[[1, 5]]
+
+    def test_bare_integer_is_refused(self, rng):
+        pairs = random_pairs(rng, 5)
+        for k in (0, -1, np.int64(2)):
+            with pytest.raises(TypeError):
+                pairs[k]
+        with pytest.raises(IndexError):
+            pairs[np.ones(4, dtype=bool)]
+
+    def test_iteration_yields_read_only_rows(self, rng):
+        pairs = random_pairs(rng, 3, digest="d")
+        preds = random_predictions(rng, 3)
+        rows = list(pairs)
+        assert [r.key for r in rows] == pairs.keys()
+        assert [r.overlap for r in rows] == pairs.overlaps.tolist()
+        assert [r.rel.translation.as_array().tolist() for r in rows] == pairs.translations.tolist()
+        assert all(r.config_digest == "d" for r in rows)
+        assert [r.overlap for r in preds] == [None] * 3
+        with pytest.raises(AttributeError):
+            rows[0].overlap = 0.5
+
+    def test_tables_never_equal_lists(self, rng):
+        pairs = random_pairs(rng, 3)
+        assert pairs != list(pairs)
+        assert pairs[:0] != []
 
 
 class TestConfigDigest:
@@ -374,7 +422,7 @@ class TestRecordParsing:
         got = dataset.read_predictions(f).predictions
         want = [Quaternion(2, 0, 0, 0).normalized(), Quaternion(-0.5, 0.5, -0.5, 0.5).normalized(),
                 Quaternion(0, -3, 4, 0).normalized()]
-        assert [p.rel_hat.rotation for p in got] == want
+        assert [p.rel.rotation for p in got] == want
 
     def test_zero_quaternion_names_line(self, tmp_path):
         f = tmp_path / "p.pred"

@@ -25,9 +25,11 @@ from frustoval import (
 )
 from frustoval.geometry import (
     euler_zyx_deg_rows,
+    matrix_to_quat_rows,
     normalize_quat_rows,
     quat_angle_deg_rows,
     quat_rows,
+    quats_to_matrices,
     vector_norms,
 )
 from frustoval.synth import SynthConfig, SynthPredictor, generate_trajectory, synth_predict
@@ -53,6 +55,40 @@ class TestQuaternion:
             q = random_quat(rng)
             q2 = Quaternion.from_matrix(q.to_matrix())
             np.testing.assert_allclose(q2.as_array(), q.as_array(), atol=1e-12)
+
+    def test_matrix_rows_equal_scalar_shepperd(self, rng):
+        # oracle: Shepperd's method one matrix at a time in Python floats,
+        # then Quaternion.unit; rotations plus 1e-3 noise, every branch taken
+        def shepperd(m):
+            t = m[0, 0] + m[1, 1] + m[2, 2]
+            if t > 0.0:
+                s = math.sqrt(t + 1.0) * 2.0
+                q, branch = (0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s,
+                             (m[1, 0] - m[0, 1]) / s), 0
+            elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
+                s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+                q, branch = ((m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s,
+                             (m[0, 2] + m[2, 0]) / s), 1
+            elif m[1, 1] >= m[2, 2]:
+                s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+                q, branch = ((m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s,
+                             (m[1, 2] + m[2, 1]) / s), 2
+            else:
+                s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+                q, branch = ((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
+                             (m[1, 2] + m[2, 1]) / s, 0.25 * s), 3
+            return Quaternion.unit(*q), branch
+
+        mats = quats_to_matrices(quat_rows([random_quat(rng) for _ in range(400)]))
+        mats += rng.normal(scale=1e-3, size=mats.shape)
+        rows = matrix_to_quat_rows(mats)
+        branches = []
+        for m, row in zip(mats, rows):
+            want, branch = shepperd(m)
+            branches.append(branch)
+            assert Quaternion(*row.tolist()) == want
+            assert Quaternion.from_matrix(m) == want
+        assert min(np.bincount(branches, minlength=4)) >= 40
 
     def test_rotate_matches_matrix(self, rng):
         q = random_quat(rng)
@@ -245,9 +281,9 @@ class TestRowOps:
         q_err = quat_angle_deg_rows(pairs.rotations, preds.rotations)
         t_err = {n: vector_norms(pairs.translations - preds.translations, n) for n in ("l1", "l2")}
         for k, (row, pred) in enumerate(zip(pairs, preds)):
-            assert rotation_error(row.rel.rotation, pred.rel_hat.rotation) == q_err[k]
+            assert rotation_error(row.rel.rotation, pred.rel.rotation) == q_err[k]
             for n in ("l1", "l2"):
-                assert translation_error(row.rel.translation, pred.rel_hat.translation, n) == t_err[n][k]
+                assert translation_error(row.rel.translation, pred.rel.translation, n) == t_err[n][k]
         for n in ("l1", "l2"):
             report = evaluate(pairs, preds, MetricConfig(norm=n), include=())
             assert report.t_median == np.median(t_err[n])

@@ -9,7 +9,20 @@ exactly; any change to parsing, formatting or arithmetic shows up here.
 
 import pytest
 
-from frustoval import dataset
+from frustoval import (
+    OverlapBinning,
+    OverlapConfig,
+    SynthPredictor,
+    bin_histogram,
+    combined_loss,
+    dataset,
+    error_curve,
+    evaluate,
+    generate_pairs,
+    naive_predictor,
+    subspace_stats,
+    synth_predict,
+)
 from frustoval.cli import main
 
 from conftest import FIXTURES
@@ -50,15 +63,30 @@ def test_corpus_regenerates_byte_for_byte(tmp_path):
 
 
 def test_chain_builds_no_row_objects(tmp_path, monkeypatch):
-    # the pipeline works on PairTable columns; a PairRecord or Prediction
-    # built anywhere on the way from pose file to metric fails the run
+    # the pipeline works on PairTable columns; a PairRecord built anywhere on
+    # the way from pose file to metric, in the CLI or through the library
+    # API, fails the run
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built on the pipeline path")
 
     monkeypatch.setattr(dataset.PairRecord, "__init__", refuse)
-    monkeypatch.setattr(dataset.Prediction, "__init__", refuse)
     with pytest.raises(AssertionError):
-        dataset.Prediction("a", "b", None)
+        dataset.PairRecord("a", "b", 0.5, None, "")
     run_chain(tmp_path)
     for name, _ in CHAIN:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    poses = dataset.read_poses(GOLDEN / "poses.txt")
+    cfg = OverlapConfig()
+    pairs = generate_pairs(poses, cfg, 0.1, 0.9)
+    dataset.write_pairs(tmp_path / "lib.pairs", pairs, cfg, min_overlap=0.1, max_overlap=0.9)
+    pairs = dataset.read_pairs(tmp_path / "lib.pairs").pairs
+    preds = synth_predict(pairs, SynthPredictor("noisy", sigma_t=0.05, sigma_q_deg=2.0), seed=3)
+    naive = naive_predictor(pairs).predict(pairs)
+    assert len(pairs) == len(preds) == len(naive) > 0
+    assert bin_histogram(pairs).sum() == len(pairs)
+    assert subspace_stats(pairs, 0.5).count == int((pairs.overlaps >= 0.5).sum())
+    assert evaluate(pairs, preds).n_pairs == len(pairs)
+    binning = OverlapBinning(edges=(0.1, 0.5, 0.9))
+    assert sum(b.n for b in error_curve(pairs, naive, binning).bins) == len(pairs)
+    assert combined_loss(pairs, preds).shape == (len(pairs),)

@@ -10,7 +10,6 @@ from frustoval import (
     MetricConfig,
     OverlapBinning,
     Quaternion,
-    RelativePose,
     Translation,
     combined_loss,
     error_curve,
@@ -23,10 +22,10 @@ from frustoval import (
     naive_predictor,
     standard_errors,
 )
-from frustoval.dataset import PairRecord, Prediction
+from frustoval.dataset import PairTable
+from frustoval.geometry import quat_rows
 from frustoval.metrics import (
     EvaluationError,
-    StandardErrors,
     match_predictions,
     naive_mean_translation,
 )
@@ -34,54 +33,72 @@ from frustoval.metrics import (
 from conftest import random_quat
 
 
-def make_pair(i, t, q=None, overlap=0.5, digest="d"):
-    q = q or Quaternion.identity()
-    return PairRecord(f"a-{i:04d}", f"q-{i:04d}", overlap, RelativePose(q, Translation(*t)), digest)
+def make_pairs(t, q=None, overlap=0.5, digest="d"):
+    """A pair table of one row per translation, keyed a-NNNN/q-NNNN in row
+    order; q is a list of Quaternions (identity when None)."""
+    t = np.reshape(np.asarray(t, dtype=float), (-1, 3))
+    m = len(t)
+    q = np.tile([1.0, 0.0, 0.0, 0.0], (m, 1)) if q is None else quat_rows(q)
+    return PairTable([f"a-{i:04d}" for i in range(m)], [f"q-{i:04d}" for i in range(m)],
+                     q, t, np.broadcast_to(np.asarray(overlap, dtype=float), (m,)), digest)
 
 
-def make_pred(pair, t, q=None):
-    q = q or pair.rel.rotation
-    return Prediction(pair.anchor_id, pair.query_id, RelativePose(q, Translation(*t)))
+def make_preds(pairs, t, q=None):
+    """Predictions for the keys of `pairs`; rotations from q, or the pairs' own."""
+    return PairTable(pairs.anchor_ids, pairs.query_ids,
+                     pairs.rotations if q is None else quat_rows(q), t,
+                     config_digest=pairs.config_digest)
 
 
 def perfect_preds(pairs):
-    return [Prediction(p.anchor_id, p.query_id, p.rel) for p in pairs]
+    return make_preds(pairs, pairs.translations)
+
+
+def scaled(table, s):
+    return PairTable(table.anchor_ids, table.query_ids, table.rotations, s * table.translations,
+                     table.overlaps, table.config_digest)
+
+
+def empty_pairs():
+    return make_pairs(np.empty((0, 3)))
 
 
 def random_problem(rng, n=50, rot_scale=20.0):
-    pairs, preds = [], []
-    for i in range(n):
-        t = rng.normal(size=3)
-        q = Quaternion.from_axis_angle(rng.normal(size=3), rng.uniform(1, rot_scale))
-        p = make_pair(i, t, q, overlap=float(rng.uniform(0.05, 1.0)))
+    t, q, overlaps, t_hat, q_hat = [], [], [], [], []
+    for _ in range(n):
+        t.append(rng.normal(size=3))
+        q.append(Quaternion.from_axis_angle(rng.normal(size=3), rng.uniform(1, rot_scale)))
+        overlaps.append(float(rng.uniform(0.05, 1.0)))
         dq = Quaternion.from_axis_angle(rng.normal(size=3), rng.uniform(0, 5))
-        preds.append(make_pred(p, t + rng.normal(size=3) * 0.2, (dq * q).normalized()))
-        pairs.append(p)
-    return pairs, preds
+        t_hat.append(t[-1] + rng.normal(size=3) * 0.2)
+        q_hat.append((dq * q[-1]).normalized())
+    pairs = make_pairs(t, q, overlaps)
+    return pairs, make_preds(pairs, t_hat, q_hat)
 
 
 class TestMatching:
     def test_missing_key_listed(self):
-        pairs = [make_pair(0, (1, 0, 0)), make_pair(1, (0, 1, 0))]
+        pairs = make_pairs([(1, 0, 0), (0, 1, 0)])
         preds = perfect_preds(pairs[:1])
         with pytest.raises(EvaluationError, match="a-0001"):
             match_predictions(pairs, preds)
 
     def test_duplicate_key_listed(self):
-        pairs = [make_pair(0, (1, 0, 0))]
-        preds = perfect_preds(pairs) * 2
+        pairs = make_pairs([(1, 0, 0)])
+        preds = perfect_preds(pairs)[[0, 0]]
         with pytest.raises(EvaluationError, match="duplicate"):
             match_predictions(pairs, preds)
 
     def test_extra_predictions_ignored(self):
-        pairs = [make_pair(0, (1, 0, 0)), make_pair(1, (0, 1, 0))]
+        pairs = make_pairs([(1, 0, 0), (0, 1, 0)])
         preds = perfect_preds(pairs)
         assert len(match_predictions(pairs[:1], preds)) == 1
 
 
 class TestStandardErrors:
     def test_perfect_is_zero(self, rng):
-        pairs = [make_pair(i, rng.normal(size=3), random_quat(rng)) for i in range(10)]
+        rows = [(rng.normal(size=3), random_quat(rng)) for _ in range(10)]
+        pairs = make_pairs([t for t, _ in rows], [q for _, q in rows])
         se = standard_errors(pairs, perfect_preds(pairs))
         assert se.t_mean == 0 and se.t_median == 0
         # identical quaternions land within the acos noise floor (~2e-6 deg)
@@ -89,8 +106,8 @@ class TestStandardErrors:
         assert se.q_median == pytest.approx(0, abs=1e-5)
 
     def test_analytic_mean_median(self):
-        pairs = [make_pair(0, (0, 0, 0)), make_pair(1, (0, 0, 0))]
-        preds = [make_pred(pairs[0], (1, 0, 0)), make_pred(pairs[1], (3, 0, 0))]
+        pairs = make_pairs([(0, 0, 0), (0, 0, 0)])
+        preds = make_preds(pairs, [(1, 0, 0), (3, 0, 0)])
         se = standard_errors(pairs, preds, MetricConfig(norm="l2"))
         assert se.t_mean == pytest.approx(2.0)
         assert se.t_median == pytest.approx(2.0)
@@ -100,8 +117,7 @@ class TestStandardErrors:
         cfg = MetricConfig(norm="l2")
         se = standard_errors(pairs, preds, cfg)
         t_errs = sorted(
-            np.linalg.norm(p.rel.translation.as_array() - pr.rel_hat.translation.as_array())
-            for p, pr in zip(pairs, preds)
+            np.linalg.norm(t - t_hat) for t, t_hat in zip(pairs.translations, preds.translations)
         )
         n = len(t_errs)
         median = t_errs[n // 2] if n % 2 else 0.5 * (t_errs[n // 2 - 1] + t_errs[n // 2])
@@ -116,7 +132,7 @@ class TestStandardErrors:
 
     def test_empty_refused(self):
         with pytest.raises(EvaluationError):
-            standard_errors([], [])
+            standard_errors(empty_pairs(), perfect_preds(empty_pairs()))
 
 
 class TestMape:
@@ -125,32 +141,24 @@ class TestMape:
         assert mape_translation(pairs, perfect_preds(pairs)) == 0.0
 
     def test_analytic_l1(self):
-        pair = make_pair(0, (1, 1, 0))
-        pred = make_pred(pair, (1.1, 0.9, 0))
-        assert mape_translation([pair], [pred], "l1") == pytest.approx(0.1)
+        pair = make_pairs([(1, 1, 0)])
+        pred = make_preds(pair, [(1.1, 0.9, 0)])
+        assert mape_translation(pair, pred, "l1") == pytest.approx(0.1)
 
     def test_scale_equivariance(self, rng):
         pairs, preds = random_problem(rng)
         v1 = mape_translation(pairs, preds, "l1")
-        scaled_pairs = [
-            make_pair(i, 10 * p.rel.translation.as_array(), p.rel.rotation, p.overlap)
-            for i, p in enumerate(pairs)
-        ]
-        scaled_preds = [
-            make_pred(sp, 10 * pr.rel_hat.translation.as_array(), pr.rel_hat.rotation)
-            for sp, pr in zip(scaled_pairs, preds)
-        ]
-        v2 = mape_translation(scaled_pairs, scaled_preds, "l1")
+        v2 = mape_translation(scaled(pairs, 10), scaled(preds, 10), "l1")
         assert v2 == pytest.approx(v1, abs=1e-12)
 
     def test_zero_norm_excluded(self):
-        pairs = [make_pair(0, (0, 0, 0)), make_pair(1, (1, 0, 0))]
-        preds = [make_pred(pairs[0], (5, 0, 0)), make_pred(pairs[1], (1.5, 0, 0))]
+        pairs = make_pairs([(0, 0, 0), (1, 0, 0)])
+        preds = make_preds(pairs, [(5, 0, 0), (1.5, 0, 0)])
         # the zero-norm pair would contribute an unbounded ratio; it must not
         assert mape_translation(pairs, preds, "l2") == pytest.approx(0.5)
 
     def test_all_zero_norm_undefined(self):
-        pairs = [make_pair(0, (0, 0, 0))]
+        pairs = make_pairs([(0, 0, 0)])
         assert mape_translation(pairs, perfect_preds(pairs)) is None
 
 
@@ -171,19 +179,19 @@ class TestMase:
         # predictor = truth + fixed offset of half the naive mean deviation
         pairs, _ = random_problem(rng)
         nm = naive_mean_translation(pairs)
-        t = np.array([p.rel.translation.as_array() for p in pairs])
+        t = pairs.translations
         mean_dev = np.linalg.norm(t - nm.as_array(), axis=1).mean()
         offset = np.array([0.5 * mean_dev, 0.0, 0.0])
-        preds = [make_pred(p, p.rel.translation.as_array() + offset) for p in pairs]
+        preds = make_preds(pairs, t + offset)
         got = mase_translation(pairs, preds, nm, "l2")
         # direct-summation oracle
-        num = sum(np.linalg.norm(offset) for _ in pairs)
+        num = sum(np.linalg.norm(offset) for _ in range(len(pairs)))
         den = sum(np.linalg.norm(row - nm.as_array()) for row in t)
         assert got == pytest.approx(num / den, abs=1e-12)
         assert got == pytest.approx(0.5, abs=1e-9)
 
     def test_degenerate_denominator_undefined(self):
-        pairs = [make_pair(0, (1, 0, 0)), make_pair(1, (1, 0, 0))]
+        pairs = make_pairs([(1, 0, 0), (1, 0, 0)])
         nm = naive_mean_translation(pairs)
         assert mase_translation(pairs, perfect_preds(pairs), nm, "l1") is None
 
@@ -195,11 +203,11 @@ class TestMapse:
         assert mapse_translation(pairs, perfect_preds(pairs), nm, "l1") == 0.0
 
     def test_single_pair_reduces_to_error_ratio(self, rng):
-        pair = make_pair(0, (1.0, 2.0, -0.5))
-        pred = make_pred(pair, (1.2, 1.9, -0.5))
+        pair = make_pairs([(1.0, 2.0, -0.5)])
+        pred = make_preds(pair, [(1.2, 1.9, -0.5)])
         nm = Translation(0.5, 0.5, 0.5)
-        got = mapse_translation([pair], [pred], nm, "l2")
-        t, th = pair.rel.translation.as_array(), pred.rel_hat.translation.as_array()
+        got = mapse_translation(pair, pred, nm, "l2")
+        t, th = pair.translations[0], pred.translations[0]
         expected = np.linalg.norm(t - th) / np.linalg.norm(t - nm.as_array())
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -208,12 +216,11 @@ class TestMapse:
         nm = naive_mean_translation(pairs)
         got = mapse_translation(pairs, preds, nm, "l1")
         pct, dev, mag, n = 0.0, 0.0, 0.0, 0
-        for p, pr in zip(pairs, preds):
-            t = p.rel.translation.as_array()
+        for t, t_hat in zip(pairs.translations, preds.translations):
             gt = np.abs(t).sum()
             if gt == 0.0:
                 continue
-            pct += np.abs(t - pr.rel_hat.translation.as_array()).sum() / gt
+            pct += np.abs(t - t_hat).sum() / gt
             dev += np.abs(t - nm.as_array()).sum()
             mag += gt
             n += 1
@@ -224,15 +231,8 @@ class TestMapse:
         nm = naive_mean_translation(pairs)
         v1 = mapse_translation(pairs, preds, nm, "l2")
         s = 10.0
-        spairs = [
-            make_pair(i, s * p.rel.translation.as_array(), p.rel.rotation, p.overlap)
-            for i, p in enumerate(pairs)
-        ]
-        spreds = [
-            make_pred(sp, s * pr.rel_hat.translation.as_array(), pr.rel_hat.rotation)
-            for sp, pr in zip(spairs, preds)
-        ]
-        v2 = mapse_translation(spairs, spreds, naive_mean_translation(spairs), "l2")
+        spairs = scaled(pairs, s)
+        v2 = mapse_translation(spairs, scaled(preds, s), naive_mean_translation(spairs), "l2")
         assert v2 == pytest.approx(v1, abs=1e-12)
 
 
@@ -243,9 +243,9 @@ class TestMapeRotation:
         assert value == 0.0 and excluded == 0
 
     def test_analytic_yaw(self):
-        pair = make_pair(0, (1, 0, 0), from_euler(90, 0, 0))
-        pred = make_pred(pair, (1, 0, 0), from_euler(99, 0, 0))
-        value, _ = mape_rotation([pair], [pred])
+        pair = make_pairs([(1, 0, 0)], [from_euler(90, 0, 0)])
+        pred = make_preds(pair, [(1, 0, 0)], [from_euler(99, 0, 0)])
+        value, _ = mape_rotation(pair, pred)
         assert value == pytest.approx(0.1, abs=1e-9)
 
     def test_matches_direct_recomputation(self, rng):
@@ -254,9 +254,9 @@ class TestMapeRotation:
         pairs, preds = random_problem(rng, rot_scale=40.0)
         got, excluded = mape_rotation(pairs, preds)
         acc, n = 0.0, 0
-        for p, pr in zip(pairs, preds):
-            e = to_euler(p.rel.rotation)
-            eh = to_euler(pr.rel_hat.rotation)
+        for q, q_hat in zip(pairs.rotations, preds.rotations):
+            e = to_euler(Quaternion(*q))
+            eh = to_euler(Quaternion(*q_hat))
             if e.gimbal_locked or eh.gimbal_locked:
                 continue
             den = abs(e.yaw) + abs(e.pitch) + abs(e.roll)
@@ -269,47 +269,45 @@ class TestMapeRotation:
         assert got == pytest.approx(acc / n, abs=1e-12)
 
     def test_gimbal_policy_error_raises(self):
-        pair = make_pair(0, (1, 0, 0), from_euler(10, 90, 0))
+        pair = make_pairs([(1, 0, 0)], [from_euler(10, 90, 0)])
         with pytest.raises(EvaluationError, match="gimbal"):
-            mape_rotation([pair], perfect_preds([pair]), gimbal_policy="error")
+            mape_rotation(pair, perfect_preds(pair), gimbal_policy="error")
 
     def test_gimbal_excluded_and_counted(self):
-        locked = make_pair(0, (1, 0, 0), from_euler(10, 90, 0))
-        plain = make_pair(1, (1, 0, 0), from_euler(10, 20, 5))
-        value, excluded = mape_rotation([locked, plain], perfect_preds([locked, plain]))
+        # row 0 gimbal-locked, row 1 plain
+        pairs = make_pairs([(1, 0, 0), (1, 0, 0)], [from_euler(10, 90, 0), from_euler(10, 20, 5)])
+        value, excluded = mape_rotation(pairs, perfect_preds(pairs))
         assert excluded == 1
         assert value == 0.0
 
     def test_all_excluded_undefined(self):
-        pair = make_pair(0, (1, 0, 0), Quaternion.identity())  # |r|_1 == 0
-        value, excluded = mape_rotation([pair], perfect_preds([pair]))
+        pair = make_pairs([(1, 0, 0)], [Quaternion.identity()])  # |r|_1 == 0
+        value, excluded = mape_rotation(pair, perfect_preds(pair))
         assert value is None and excluded == 1
 
 
 class TestNaivePredictor:
     def test_single_source_pair(self):
-        pair = make_pair(0, (1, 2, 3), from_euler(30, 10, -5))
-        naive = naive_predictor([pair])
-        pred = naive.predict([pair])[0]
-        np.testing.assert_allclose(pred.rel_hat.translation.as_array(), [1, 2, 3])
-        np.testing.assert_allclose(
-            pred.rel_hat.rotation.as_array(), pair.rel.rotation.as_array(), atol=1e-12
-        )
+        pair = make_pairs([(1, 2, 3)], [from_euler(30, 10, -5)])
+        naive = naive_predictor(pair)
+        pred = naive.predict(pair)
+        np.testing.assert_allclose(pred.translations[0], [1, 2, 3])
+        np.testing.assert_allclose(pred.rotations[0], pair.rotations[0], atol=1e-12)
 
     def test_symmetric_translations_cancel(self):
-        pairs = [make_pair(0, (1, 0, 0)), make_pair(1, (-1, 0, 0))]
+        pairs = make_pairs([(1, 0, 0), (-1, 0, 0)])
         np.testing.assert_allclose(
             naive_predictor(pairs).mean_rel.translation.as_array(), [0, 0, 0]
         )
 
     def test_identity_mean(self):
-        pairs = [make_pair(0, (0, 0, 1)), make_pair(1, (0, 0, 1))]
+        pairs = make_pairs([(0, 0, 1), (0, 0, 1)])
         assert naive_predictor(pairs).mean_rel.rotation == Quaternion.identity()
 
     def test_hemisphere_alignment(self):
         q = from_euler(170, 0, 0)
         neg = Quaternion(-q.w, -q.x, -q.y, -q.z)  # same rotation, other sheet
-        pairs = [make_pair(0, (1, 0, 0), q), make_pair(1, (1, 0, 0), neg)]
+        pairs = make_pairs([(1, 0, 0), (1, 0, 0)], [q, neg])
         mean = naive_predictor(pairs).mean_rel.rotation
         np.testing.assert_allclose(np.abs(mean.as_array()), np.abs(q.as_array()), atol=1e-9)
 
@@ -318,13 +316,9 @@ class TestErrorCurve:
     @staticmethod
     def curve_problem(values_by_bin, binning=OverlapBinning()):
         """One pair per listed bin with an exact translation error."""
-        pairs, preds = [], []
-        for b, err in values_by_bin.items():
-            mid = 0.5 * (binning.edges[b] + binning.edges[b + 1])
-            p = make_pair(b, (1, 0, 0), overlap=mid)
-            pairs.append(p)
-            preds.append(make_pred(p, (1 + err, 0, 0)))
-        return pairs, preds
+        mids = [0.5 * (binning.edges[b] + binning.edges[b + 1]) for b in values_by_bin]
+        pairs = make_pairs([(1, 0, 0)] * len(mids), overlap=mids)
+        return pairs, make_preds(pairs, [(1 + err, 0, 0) for err in values_by_bin.values()])
 
     def test_constant_curve_auc_is_constant(self):
         pairs, preds = self.curve_problem({b: 0.37 for b in range(10)})
@@ -365,44 +359,44 @@ class TestErrorCurve:
         assert c.raw_area_t == 0.0
 
     def test_out_of_range_overlap_rejected(self):
-        pair = make_pair(0, (1, 0, 0), overlap=0.95)
+        pair = make_pairs([(1, 0, 0)], overlap=0.95)
         with pytest.raises(ValueError, match="outside"):
-            error_curve([pair], perfect_preds([pair]), OverlapBinning(edges=(0.1, 0.5, 0.9)))
+            error_curve(pair, perfect_preds(pair), OverlapBinning(edges=(0.1, 0.5, 0.9)))
 
 
 class TestCombinedLoss:
     def test_perfect_zero_weights(self, rng):
         pairs, _ = random_problem(rng, n=1)
-        assert combined_loss(pairs[0], perfect_preds(pairs)[0]) == pytest.approx(0.0, abs=1e-12)
+        assert combined_loss(pairs, perfect_preds(pairs))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_perfect_alpha_one(self, rng):
         pairs, _ = random_problem(rng, n=1)
-        loss = combined_loss(pairs[0], perfect_preds(pairs)[0], LossWeights(alpha=1.0))
+        loss = combined_loss(pairs, perfect_preds(pairs), LossWeights(alpha=1.0))[0]
         assert loss == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_direct_formula(self, rng):
         pairs, preds = random_problem(rng, n=20)
         w = LossWeights(alpha=0.7, beta=-0.3)
-        for p, pr in zip(pairs, preds):
-            l_t = np.linalg.norm(p.rel.translation.as_array() - pr.rel_hat.translation.as_array())
-            qh = pr.rel_hat.rotation.as_array()
-            l_q = np.linalg.norm(p.rel.rotation.as_array() - qh / np.linalg.norm(qh))
+        losses = combined_loss(pairs, preds, w)
+        assert losses.shape == (len(pairs),)
+        rows = zip(pairs.translations, preds.translations, pairs.rotations, preds.rotations)
+        for loss, (t, t_hat, q, qh) in zip(losses, rows):
+            l_t = np.linalg.norm(t - t_hat)
+            l_q = np.linalg.norm(q - qh / np.linalg.norm(qh))
             expected = (
                 w.alpha**2 + w.beta**2
                 + math.exp(-w.alpha**2) * l_t + math.exp(-w.beta**2) * l_q
             )
-            assert combined_loss(p, pr, w) == pytest.approx(expected, abs=1e-12)
+            assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_unnormalized_prediction_renormalized(self):
-        pair = make_pair(0, (0, 0, 0), Quaternion.identity())
-        doubled = Prediction(pair.anchor_id, pair.query_id,
-                             RelativePose(Quaternion(2.0, 0, 0, 0), Translation.zero()))
-        assert combined_loss(pair, doubled) == pytest.approx(0.0, abs=1e-12)
+        pair = make_pairs([(0, 0, 0)], [Quaternion.identity()])
+        doubled = make_preds(pair, [(0, 0, 0)], [Quaternion(2.0, 0, 0, 0)])
+        assert combined_loss(pair, doubled)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_quaternion_rejected(self):
-        pair = make_pair(0, (0, 0, 0))
-        bad = Prediction(pair.anchor_id, pair.query_id,
-                         RelativePose(Quaternion(0, 0, 0, 0), Translation.zero()))
+        pair = make_pairs([(0, 0, 0)])
+        bad = make_preds(pair, [(0, 0, 0)], [Quaternion(0, 0, 0, 0)])
         with pytest.raises(EvaluationError, match="zero norm"):
             combined_loss(pair, bad)
 
@@ -431,15 +425,7 @@ class TestEvaluate:
         pairs, preds = random_problem(rng)
         r1 = evaluate(pairs, preds, MetricConfig(norm="l2"))
         s = 10.0
-        spairs = [
-            make_pair(i, s * p.rel.translation.as_array(), p.rel.rotation, p.overlap)
-            for i, p in enumerate(pairs)
-        ]
-        spreds = [
-            make_pred(sp, s * pr.rel_hat.translation.as_array(), pr.rel_hat.rotation)
-            for sp, pr in zip(spairs, preds)
-        ]
-        r2 = evaluate(spairs, spreds, MetricConfig(norm="l2"))
+        r2 = evaluate(scaled(pairs, s), scaled(preds, s), MetricConfig(norm="l2"))
         assert r2.t_mean == pytest.approx(s * r1.t_mean, rel=1e-9)
         assert r2.t_median == pytest.approx(s * r1.t_median, rel=1e-9)
         assert abs(r2.t_mape - r1.t_mape) < 1e-12
@@ -450,7 +436,7 @@ class TestEvaluate:
         pairs, preds = random_problem(rng)
         r1 = evaluate(pairs, preds)
         order = rng.permutation(len(pairs))
-        r2 = evaluate([pairs[i] for i in order], [preds[i] for i in order])
+        r2 = evaluate(pairs[order], preds[order])
         # reordering perturbs float sums by at most an ulp; the median is exact
         assert r1.t_mean == pytest.approx(r2.t_mean, rel=1e-12)
         assert r1.t_median == r2.t_median
@@ -469,8 +455,8 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="train_pairs"):
             evaluate(pairs, preds, MetricConfig(naive_source="train_pairs"))
 
-    def test_mixed_digests_refused(self, rng):
+    def test_row_lists_refused(self, rng):
+        # sets of pairs and predictions are tables; lists of rows are not converted
         pairs, preds = random_problem(rng, n=4)
-        other = make_pair(99, (1, 1, 1), digest="other")
-        with pytest.raises(EvaluationError, match="digest"):
-            evaluate(pairs + [other], preds + perfect_preds([other]))
+        with pytest.raises(AttributeError):
+            evaluate(list(pairs), list(preds))

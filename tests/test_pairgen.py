@@ -20,9 +20,9 @@ from frustoval import (
     subspace_stats,
 )
 from frustoval import dataset, frustum
-from frustoval.dataset import PairRecord
+from frustoval.dataset import PairTable
 from frustoval.frustum import camera_corners
-from frustoval.geometry import Pose, RelativePose
+from frustoval.geometry import Pose
 from frustoval.synth import SynthConfig, generate_trajectory
 
 from conftest import oracle_matrix, oracle_relative
@@ -30,6 +30,14 @@ from conftest import oracle_matrix, oracle_relative
 from test_frustum import oracle_overlap
 
 SMALL_SPEC = FrustumSpec(grid_nx=4, grid_ny=4, grid_nz=4)
+
+
+def scored(translations, overlaps=0.5):
+    """A pair table with identity rotations: one row per translation, all keyed (a, b)."""
+    t = np.reshape(np.asarray(translations, dtype=float), (-1, 3))
+    m = len(t)
+    return PairTable(["a"] * m, ["b"] * m, np.tile([1.0, 0.0, 0.0, 0.0], (m, 1)), t,
+                     np.broadcast_to(np.asarray(overlaps, dtype=float), (m,)), "d")
 
 
 def small_poses(n=20, seed=3, tilt=30.0):
@@ -41,7 +49,7 @@ class TestGeneratePairs:
         ps = small_poses(n=2)
         ps = PoseSet(ps.scene_name, ps.split, ps.poses[:1], ps.source_format)
         with pytest.warns(UserWarning, match="fewer than 2"):
-            assert generate_pairs(ps, OverlapConfig()) == []
+            assert len(generate_pairs(ps, OverlapConfig())) == 0
 
     def test_two_identical_poses(self):
         p = Pose(Quaternion.identity(), Translation(0, 0, 0), "a")
@@ -270,13 +278,10 @@ class TestBinning:
             b.indices([0.0])
 
     def test_histogram_empty(self):
-        assert bin_histogram([], OverlapBinning()).tolist() == [0] * 10
+        assert bin_histogram(scored([]), OverlapBinning()).tolist() == [0] * 10
 
     def test_histogram_analytic(self):
-        def rec(score):
-            return PairRecord("a", "b", score, RelativePose.identity(), "d")
-
-        counts = bin_histogram([rec(0.15), rec(0.15), rec(0.85)])
+        counts = bin_histogram(scored([(0, 0, 0)] * 3, [0.15, 0.15, 0.85]))
         assert counts[1] == 2
         assert counts[8] == 1
         assert counts.sum() == 3
@@ -288,15 +293,8 @@ class TestBinning:
 
 
 class TestSubspaceStats:
-    @staticmethod
-    def rec(tx, ty, tz, overlap=0.5):
-        return PairRecord(
-            "a", "b", overlap,
-            RelativePose(Quaternion.identity(), Translation(tx, ty, tz)), "d",
-        )
-
     def test_unit_norms(self):
-        pairs = [self.rec(1, 0, 0), self.rec(0, 1, 0), self.rec(0, 0, -1)]
+        pairs = scored([(1, 0, 0), (0, 1, 0), (0, 0, -1)])
         s = subspace_stats(pairs, threshold=0.0)
         assert s.count == 3
         assert s.mean_norm == pytest.approx(1.0)
@@ -304,20 +302,20 @@ class TestSubspaceStats:
         assert s.diameter == pytest.approx(1.0)
 
     def test_analytic_zero_two(self):
-        pairs = [self.rec(0, 0, 0), self.rec(2, 0, 0)]
+        pairs = scored([(0, 0, 0), (2, 0, 0)])
         s = subspace_stats(pairs, threshold=0.0)
         assert s.mean_norm == pytest.approx(1.0)
         assert s.std_norm == pytest.approx(1.0)  # population std
         assert s.diameter == pytest.approx(3.0)
 
     def test_empty_is_undefined_not_zero(self):
-        s = subspace_stats([self.rec(1, 0, 0, overlap=0.3)], threshold=0.9)
+        s = subspace_stats(scored([(1, 0, 0)], 0.3), threshold=0.9)
         assert s.count == 0
         assert s.diameter is None and s.mean_norm is None and s.std_norm is None
         assert not s.defined
 
     def test_threshold_inclusive(self):
-        pairs = [self.rec(1, 0, 0, overlap=0.5)]
+        pairs = scored([(1, 0, 0)], 0.5)
         assert subspace_stats(pairs, threshold=0.5).count == 1
 
     def test_matches_per_row_norm(self):
@@ -326,9 +324,9 @@ class TestSubspaceStats:
         # (np.linalg.norm(t, axis=1) differs in the last bit on some rows)
         rng = np.random.default_rng(5)
         for t in rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-3, 4, size=(500, 1)):
-            assert subspace_stats([self.rec(*t)], 0.0).mean_norm == np.linalg.norm(t)
+            assert subspace_stats(scored([t]), 0.0).mean_norm == np.linalg.norm(t)
 
     def test_diameter_identity(self):
-        pairs = [self.rec(*t) for t in np.random.default_rng(0).normal(size=(50, 3))]
+        pairs = scored(np.random.default_rng(0).normal(size=(50, 3)))
         s = subspace_stats(pairs, threshold=0.0)
         assert s.diameter == s.mean_norm + 2.0 * s.std_norm

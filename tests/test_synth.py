@@ -8,8 +8,6 @@ from frustoval import (
     FrustumSpec,
     MetricConfig,
     OverlapConfig,
-    RelativePose,
-    Translation,
     evaluate,
     generate_pairs,
     generate_trajectory,
@@ -160,13 +158,12 @@ class TestTradeoffReproduction:
         pairs = generate_pairs(ps, cfg, threads=4)
         predictor = SynthPredictor(kind="noisy", sigma_t=0.1, sigma_q_deg=3.0, relative_noise=True)
         preds = synth_predict(pairs, predictor, seed=8)
-        by_key = {p.key: p for p in preds}
         thresholds = (0.2, 0.4, 0.6, 0.8)
         diameters, mases, mapses = [], [], []
         for th in thresholds:
-            sub = [p for p in pairs if p.overlap >= th]
-            assert sub, f"no pairs above {th}"
-            sp = [by_key[p.key] for p in sub]
+            sel = pairs.overlaps >= th
+            sub, sp = pairs[sel], preds[sel]
+            assert len(sub), f"no pairs above {th}"
             nm = naive_mean_translation(sub)
             diameters.append(subspace_stats(sub, th).diameter)
             mases.append(mase_translation(sub, sp, nm, "l1"))
