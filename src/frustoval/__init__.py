@@ -4,7 +4,7 @@ The package is organized by pipeline stage:
 
 * :mod:`frustoval.geometry` - quaternion/pose math and per-pair error primitives
 * :mod:`frustoval.frustum`  - viewing-volume models and the overlap-scoring kernel
-* :mod:`frustoval.dataset`  - the PairTable, pose-format parsers and the canonical file formats
+* :mod:`frustoval.dataset`  - the PoseSet and PairTable, pose-format parsers and the canonical file formats
 * :mod:`frustoval.pairgen`  - all-pairs pair tables, histograms, subspace statistics
 * :mod:`frustoval.metrics`  - standard and volume-aware evaluation criteria
 * :mod:`frustoval.synth`    - seeded synthetic trajectories and predictors

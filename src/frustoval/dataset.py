@@ -1,4 +1,6 @@
-"""Pose-format parsers and the canonical on-disk formats for every artifact.
+"""The columnar pose and pair sets (`PoseSet`, `PairTable`: id lists plus
+(N, 4) wxyz and (N, 3) arrays, rows sorted by id), pose-format parsers and
+the canonical on-disk formats for every artifact.
 
 All toolkit files are line-oriented text: a `# frustoval-format v1` magic
 line, a `# key=value` header block echoing the full configuration, then one
@@ -7,8 +9,8 @@ sorted by their ids, so identical logical content serializes byte-identically
 and write -> read -> write is a fixed point.
 
 Ingested poses (public datasets, synthetic trajectories) are rounded to the
-same 9-significant-digit precision on construction, which makes
-parse -> serialize -> parse an exact identity as well.
+same 9-significant-digit precision (`round9_array`) before they become a
+PoseSet, which makes parse -> serialize -> parse an exact identity as well.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ import re
 import tempfile
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, geometry
 from .frustum import FrustumSpec, OverlapConfig
-from .geometry import Pose, Quaternion, RelativePose, Translation
+from .geometry import Quaternion, RelativePose, Translation
 
 FORMAT_LINE = "# frustoval-format v1"
 POSE_CONVENTION = "camera-to-world"
@@ -62,9 +64,11 @@ def fnum(x: float) -> str:
     return format(x, ".9g")
 
 
-def round9(x: float) -> float:
-    """Round to the canonical serialized precision."""
-    return float(fnum(x))
+def round9_array(values) -> np.ndarray:
+    """Every element rounded to the canonical serialized precision, as
+    float(fnum(x)): the values as a file stores them."""
+    values = np.asarray(values, dtype=float)
+    return np.array([float(fnum(x)) for x in values.ravel().tolist()]).reshape(values.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -72,28 +76,56 @@ def round9(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+def _key_order(keys: list):
+    """Row order sorting the keys (stable), or None when they are sorted already."""
+    if all(map(operator.le, keys, keys[1:])):
+        return None
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+@dataclass(eq=False)
 class PoseSet:
-    """An ordered, uniquely-keyed collection of camera poses for one scene split."""
+    """The camera poses of one scene split as columns, rows sorted by frame id.
+
+    `frame_ids` is a list of unique ids, `rotations` an (N, 4) wxyz array and
+    `translations` an (N, 3) array: camera-to-world poses. Rows given out of
+    order are sorted on construction; repeated ids and columns of different
+    lengths are refused. Equality compares names, notes and columns.
+    """
 
     scene_name: str
     split: str
-    poses: list[Pose] = field(default_factory=list)
+    frame_ids: list
+    rotations: np.ndarray
+    translations: np.ndarray
     source_format: str = "canonical"
     convention_note: str = ""
 
     def __post_init__(self):
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be 'train' or 'test', got {self.split!r}")
-        ids = [p.frame_id for p in self.poses]
-        if len(set(ids)) != len(ids):
+        self.frame_ids = list(self.frame_ids)
+        self.rotations = np.ascontiguousarray(self.rotations, dtype=float).reshape(-1, 4)
+        self.translations = np.ascontiguousarray(self.translations, dtype=float).reshape(-1, 3)
+        if not len(self.frame_ids) == len(self.rotations) == len(self.translations):
+            raise ValueError("pose set columns differ in length")
+        order = _key_order(self.frame_ids)
+        if order is not None:
+            self.frame_ids = [self.frame_ids[k] for k in order]
+            self.rotations, self.translations = self.rotations[order], self.translations[order]
+        if any(map(operator.eq, self.frame_ids, self.frame_ids[1:])):
             raise ValueError("frame ids must be unique")
 
     def __len__(self):
-        return len(self.poses)
+        return len(self.frame_ids)
 
-    def ids(self) -> list[str]:
-        return [p.frame_id for p in self.poses]
+    def __eq__(self, other):
+        if not isinstance(other, PoseSet):
+            return NotImplemented
+        names = ("scene_name", "split", "source_format", "convention_note", "frame_ids")
+        return ([getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+                and np.array_equal(self.rotations, other.rotations)
+                and np.array_equal(self.translations, other.translations))
 
 
 @dataclass(frozen=True)
@@ -112,14 +144,6 @@ class PairRecord:
     @property
     def key(self):
         return (self.anchor_id, self.query_id)
-
-
-def _key_order(anchor_ids, query_ids):
-    """Row order sorting the keys (stable), or None when they are sorted already."""
-    keys = list(zip(anchor_ids, query_ids))
-    if all(map(operator.le, keys, keys[1:])):
-        return None
-    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 class PairTable:
@@ -155,7 +179,7 @@ class PairTable:
             sizes.add(len(self.overlaps))
         if sizes != {m}:
             raise ValueError("pair table columns differ in length")
-        order = _key_order(self.anchor_ids, self.query_ids)
+        order = _key_order(self.keys())
         if order is not None:
             (self.anchor_ids, self.query_ids, self.rotations, self.translations,
              self.overlaps) = self._take(order)
@@ -452,15 +476,23 @@ def _check_frame_id(frame_id: str):
     return frame_id
 
 
-def _check_table_ids(table: PairTable):
-    for frame_id in dict.fromkeys(table.anchor_ids + table.query_ids):
+def _check_ids(frame_ids):
+    for frame_id in dict.fromkeys(frame_ids):
         _check_frame_id(frame_id)
 
 
-def _write_records(fh, ids, numbers):
-    """One line per row: the id columns, then each numeric column through fnum."""
-    fields = [*ids, *(map(fnum, c.tolist()) for c in numbers)]
-    fh.writelines(" ".join(row) + "\n" for row in zip(*fields))
+def _write_records(path, kind: str, entries: dict, columns: str, ids, numbers):
+    """Write a record file: the header, ending with the record count and the
+    column names, then one line per row of the id columns and the numeric
+    columns, each number as fnum prints it, through one %-format per row. A
+    non-finite number is refused."""
+    values = np.column_stack(numbers) + 0.0  # + 0.0 turns -0 into 0, as fnum does
+    if not np.isfinite(values).all():
+        raise ValueError(f"cannot serialize non-finite number {float(values[~np.isfinite(values)][0])!r}")
+    line = " ".join(["%s"] * len(ids) + ["%.9g"] * values.shape[1]) + "\n"
+    with atomic_write(path) as fh:
+        _write_header(fh, kind, {**entries, "count": len(values), "columns": columns})
+        fh.writelines(line % row for row in zip(*ids, *values.T.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +510,10 @@ def write_poses(path, ps: PoseSet, extra: dict | None = None):
         **convention_entries(),
         "convention_note": ps.convention_note,
         **(extra or {}),
-        "count": len(ps.poses),
-        "columns": _POSE_COLUMNS,
     }
-    with atomic_write(path) as fh:
-        _write_header(fh, "poses", entries)
-        for p in sorted(ps.poses, key=lambda p: p.frame_id):
-            _check_frame_id(p.frame_id)
-            q, t = p.rotation, p.translation
-            fh.write(
-                f"{p.frame_id} {fnum(q.w)} {fnum(q.x)} {fnum(q.y)} {fnum(q.z)}"
-                f" {fnum(t.x)} {fnum(t.y)} {fnum(t.z)}\n"
-            )
+    _check_ids(ps.frame_ids)
+    _write_records(path, "poses", entries, _POSE_COLUMNS, (ps.frame_ids,),
+                   (*ps.rotations.T, *ps.translations.T))
 
 
 def read_poses(path) -> PoseSet:
@@ -501,15 +525,12 @@ def read_poses(path) -> PoseSet:
         seen = set()
         k = next(k for k, f in enumerate(ids) if f in seen or seen.add(f))
         raise _record_error(path, k, f"duplicate frame id {ids[k]!r}")
-    quats = _parsed_quats(path, values[:, 0:4]).tolist()
-    poses = [
-        Pose(rotation=Quaternion(*q), translation=Translation(*t), frame_id=f)
-        for f, q, t in zip(ids, quats, values[:, 4:7].tolist())
-    ]
     return PoseSet(
         scene_name=header.get("scene", ""),
         split=header.get("split", "train"),
-        poses=poses,
+        frame_ids=ids,
+        rotations=_parsed_quats(path, values[:, 0:4]),
+        translations=values[:, 4:7],
         source_format=header.get("source_format", "canonical"),
         convention_note=header.get("convention_note", ""),
     )
@@ -549,7 +570,7 @@ def write_pairs(path, pairs: PairTable, cfg: OverlapConfig, *, min_overlap: floa
                          f"({min_overlap}, {max_overlap}]")
     if any(map(operator.eq, pairs.anchor_ids, pairs.query_ids)):
         raise ValueError("pair must join two distinct frames")
-    _check_table_ids(pairs)
+    _check_ids(pairs.anchor_ids + pairs.query_ids)
     dupes = pairs.duplicate_keys()
     if dupes:
         raise ValueError(f"duplicate pair keys: {dupes[:5]}")
@@ -561,13 +582,9 @@ def write_pairs(path, pairs: PairTable, cfg: OverlapConfig, *, min_overlap: floa
         "max_overlap": fnum(max_overlap),
         **convention_entries(),
         **(extra or {}),
-        "count": len(pairs),
-        "columns": _PAIR_COLUMNS,
     }
-    with atomic_write(path) as fh:
-        _write_header(fh, "pairs", entries)
-        _write_records(fh, (pairs.anchor_ids, pairs.query_ids),
-                       (pairs.overlaps, *pairs.rotations.T, *pairs.translations.T))
+    _write_records(path, "pairs", entries, _PAIR_COLUMNS, (pairs.anchor_ids, pairs.query_ids),
+                   (pairs.overlaps, *pairs.rotations.T, *pairs.translations.T))
 
 
 def read_pairs(path) -> PairFileData:
@@ -623,7 +640,7 @@ class PredictionFileData:
 
 def write_predictions(path, predictions: PairTable, *, config_digest: str, predictor: str = "external",
                       extra: dict | None = None):
-    _check_table_ids(predictions)
+    _check_ids(predictions.anchor_ids + predictions.query_ids)
     dupes = predictions.duplicate_keys()
     if dupes:
         raise ValueError(f"duplicate prediction keys: {dupes[:5]}")
@@ -632,13 +649,10 @@ def write_predictions(path, predictions: PairTable, *, config_digest: str, predi
         "predictor": predictor,
         **convention_entries(),
         **(extra or {}),
-        "count": len(predictions),
-        "columns": _PRED_COLUMNS,
     }
-    with atomic_write(path) as fh:
-        _write_header(fh, "predictions", entries)
-        _write_records(fh, (predictions.anchor_ids, predictions.query_ids),
-                       (*predictions.rotations.T, *predictions.translations.T))
+    _write_records(path, "predictions", entries, _PRED_COLUMNS,
+                   (predictions.anchor_ids, predictions.query_ids),
+                   (*predictions.rotations.T, *predictions.translations.T))
 
 
 def read_predictions(path) -> PredictionFileData:
@@ -768,44 +782,28 @@ def write_curve(path, curve, extra: dict | None = None):
 # ---------------------------------------------------------------------------
 
 
-def rounded_poses(quats: np.ndarray, translations: np.ndarray, frame_ids) -> list[Pose]:
-    """Poses from (N, 4) wxyz and (N, 3) rows, every component rounded to the
-    serialized precision so that writing and reading them back is exact."""
-    return [Pose(Quaternion(*map(round9, q)), Translation(*map(round9, t)), f)
-            for q, t, f in zip(quats.tolist(), translations.tolist(), frame_ids)]
-
-
-def _nearest_rotation(m3: np.ndarray):
-    """Polar decomposition: the orthogonal factor closest in Frobenius norm."""
-    u, _, vt = np.linalg.svd(m3)
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        u = u.copy()
-        u[:, -1] *= -1
-        r = u @ vt
-    return r
-
-
-def _parse_pose_matrix(path: Path):
-    """(snapped 3x3 rotation, translation) of a 4x4 camera-to-world matrix file."""
-    try:
-        values = [float(tok) for tok in path.read_text().split()]
-    except ValueError as e:
-        raise ParseError(f"{path}: non-numeric pose matrix entry ({e})") from None
-    if len(values) != 16:
-        raise ParseError(f"{path}: expected 16 matrix entries, found {len(values)}")
-    m = np.array(values).reshape(4, 4)
-    if not np.all(np.isfinite(m)):
-        raise ParseError(f"{path}: pose matrix contains non-finite entries")
-    if not np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-6):
-        raise ParseError(f"{path}: bottom row {m[3].tolist()} is not [0 0 0 1]")
-    r = _nearest_rotation(m[:3, :3])
-    deviation = float(np.linalg.norm(m[:3, :3] - r))
-    if deviation > 1e-2:
-        raise ParseError(
-            f"{path}: rotation block deviates from orthogonal by {deviation:.3g} (Frobenius)"
-        )
-    return r, m[:3, 3]
+def _snap_pose_matrices(m: np.ndarray):
+    """Check (K, 4, 4) camera-to-world matrices and snap each rotation block to
+    the nearest rotation by polar decomposition: ((K, 3, 3) rotations,
+    {row: problem}). A row is refused for the first of: a non-finite entry, a
+    bottom row other than [0 0 0 1], a rotation block more than 1e-2
+    (Frobenius) from that rotation."""
+    problems = {}
+    finite = np.isfinite(m).all(axis=(1, 2))
+    bottom = np.isclose(m[:, 3], [0.0, 0.0, 0.0, 1.0], atol=1e-6).all(axis=1)
+    for k in np.flatnonzero(~finite).tolist():
+        problems[k] = "pose matrix contains non-finite entries"
+    for k in np.flatnonzero(finite & ~bottom).tolist():
+        problems[k] = f"bottom row {m[k, 3].tolist()} is not [0 0 0 1]"
+    rows = np.flatnonzero(finite & bottom)
+    u, _, vt = np.linalg.svd(m[rows, :3, :3])
+    u[np.linalg.det(u @ vt) < 0, :, -1] *= -1
+    r = np.zeros((len(m), 3, 3))
+    r[rows] = u @ vt
+    deviation = geometry.dot_norms((m[rows, :3, :3] - r[rows]).reshape(-1, 9))
+    for k, d in zip(rows[deviation > 1e-2].tolist(), deviation[deviation > 1e-2].tolist()):
+        problems[k] = f"rotation block deviates from orthogonal by {d:.3g} (Frobenius)"
+    return r, problems
 
 
 _SEQ_LINE = re.compile(r"sequence\s*(\d+)", re.IGNORECASE)
@@ -838,8 +836,9 @@ def parse_sevenscenes(scene_dir, split: str = "train", scene_name: str | None = 
     Each pose file is a whitespace-separated 4x4 camera-to-world matrix; the
     rotation block is snapped to the nearest rotation before conversion.
 
-    Malformed files raise ParseError naming the file, or, when
-    `collect_errors` is a list, are skipped with the message appended to it.
+    Malformed files raise ParseError naming the first of them, or, when
+    `collect_errors` is a list, are skipped with their messages appended to
+    it in file order.
     """
     scene_dir = Path(scene_dir)
     if not scene_dir.is_dir():
@@ -849,25 +848,34 @@ def parse_sevenscenes(scene_dir, split: str = "train", scene_name: str | None = 
     pose_files = []
     for root in roots:
         pose_files.extend(sorted(root.glob("frame-*.pose.txt")))
-    ids, rots, trans = [], [], []
-    for pf in pose_files:
+    errors, read, values = {}, [], []
+    for k, pf in enumerate(pose_files):
         try:
-            r, t = _parse_pose_matrix(pf)
-        except ParseError as e:
-            if collect_errors is None:
-                raise
-            collect_errors.append(str(e))
+            row = [float(tok) for tok in pf.read_text().split()]
+        except ValueError as e:
+            errors[k] = f"{pf}: non-numeric pose matrix entry ({e})"
             continue
-        ids.append(pf.relative_to(scene_dir).as_posix()[: -len(".pose.txt")])
-        rots.append(r)
-        trans.append(t)
-    quats = geometry.matrix_to_quat_rows(np.reshape(rots, (-1, 3, 3)))
-    poses = rounded_poses(quats, np.reshape(trans, (-1, 3)), ids)
-    poses.sort(key=lambda p: p.frame_id)
+        if len(row) != 16:
+            errors[k] = f"{pf}: expected 16 matrix entries, found {len(row)}"
+            continue
+        read.append(k)
+        values.append(row)
+    m = np.reshape(values, (-1, 4, 4))
+    rot, problems = _snap_pose_matrices(m)
+    errors.update((read[j], f"{pose_files[read[j]]}: {msg}") for j, msg in problems.items())
+    if errors:
+        messages = [errors[k] for k in sorted(errors)]
+        if collect_errors is None:
+            raise ParseError(messages[0])
+        collect_errors.extend(messages)
+    keep = [j for j in range(len(read)) if j not in problems]
     return PoseSet(
         scene_name=scene_name or scene_dir.name,
         split=split,
-        poses=poses,
+        frame_ids=[pose_files[read[j]].relative_to(scene_dir).as_posix()[: -len(".pose.txt")]
+                   for j in keep],
+        rotations=round9_array(geometry.matrix_to_quat_rows(rot[keep])),
+        translations=round9_array(m[keep, :3, 3]),
         source_format="sevenscenes",
         convention_note="4x4 camera-to-world matrices; rotation orthonormalized by polar decomposition",
     )
@@ -928,18 +936,18 @@ def parse_cambridge(dataset_file, scene_name: str | None = None, split: str | No
     # file stores world-to-camera rotation; camera-to-world is its conjugate
     q_c2w = geometry.normalize_quat_rows(
         geometry.quat_conj_rows(geometry.normalize_quat_rows(values[keep, 3:])))
-    poses = rounded_poses(q_c2w, values[keep, :3], [f for f, k in zip(ids, keep) if k])
     if bad_norms:
         warnings.warn(
             f"{dataset_file}: {bad_norms} quaternions deviated from unit norm by more "
             "than 1e-3 before normalization",
             stacklevel=2,
         )
-    poses.sort(key=lambda p: p.frame_id)
     return PoseSet(
         scene_name=scene_name or dataset_file.parent.name,
         split=split,
-        poses=poses,
+        frame_ids=[f for f, k in zip(ids, keep) if k],
+        rotations=round9_array(q_c2w),
+        translations=round9_array(values[keep, :3]),
         source_format="cambridge",
         convention_note="camera centers kept; world-to-camera rotations conjugated to camera-to-world",
     )

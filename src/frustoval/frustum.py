@@ -182,13 +182,13 @@ _SEPARATION_MARGIN = 1e-9
 
 
 class _FrustumBatch:
-    """Per-pose world-space frustum data stacked for row-at-a-time scoring."""
+    """World-space frustum data of (N, 4) wxyz and (N, 3) camera-to-world
+    pose rows, stacked for row-at-a-time scoring."""
 
-    def __init__(self, poses, cfg: OverlapConfig):
+    def __init__(self, quats: np.ndarray, trans: np.ndarray, cfg: OverlapConfig):
         spec = cfg.frustum
-        self.n = len(poses)
-        self.quats = geometry.quat_rows(p.rotation for p in poses)
-        self.trans = geometry.translation_rows(p.translation for p in poses)
+        self.n = len(quats)
+        self.quats, self.trans = quats, trans
         rot = geometry.quats_to_matrices(self.quats)
         rot_t = np.transpose(rot, (0, 2, 1))
         self.points = np.matmul(camera_grid(spec), rot_t)  # (N, n_points, 3)
@@ -294,7 +294,8 @@ def overlap_score(anchor: Pose, other: Pose, cfg: OverlapConfig) -> float:
     A two-pose batch through the kernel `generate_pairs` uses, so a pair's
     score here equals its row there.
     """
-    batch = _FrustumBatch([anchor, other], cfg)
+    batch = _FrustumBatch(np.stack([anchor.rotation.as_array(), other.rotation.as_array()]),
+                          np.stack([anchor.translation.as_array(), other.translation.as_array()]), cfg)
     anchors, queries, counts = _score_pairs(batch, 1)
     if cfg.symmetric:
         counts = np.minimum(counts, _reverse_counts(anchors, queries, counts, batch.n))

@@ -87,7 +87,7 @@ def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
     if len(poses) < 2:
         warnings.warn("fewer than 2 poses; no pairs can be generated", stacklevel=2)
         return PairTable([], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), digest)
-    batch = _FrustumBatch(poses.poses, cfg)
+    batch = _FrustumBatch(poses.rotations, poses.translations, cfg)
     anchors, queries, counts = _score_pairs(batch, threads)
     if cfg.symmetric:
         counts = np.minimum(counts, _reverse_counts(anchors, queries, counts, batch.n))
@@ -104,7 +104,7 @@ def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
         js = queries[lo:hi]
         rotations[lo:hi], translations[lo:hi] = geometry.relative_rows(
             batch.quats[i], batch.trans[i], batch.quats[js], batch.trans[js])
-    ids = np.array(poses.ids(), dtype=object)
+    ids = np.array(poses.frame_ids, dtype=object)
     return PairTable(ids[anchors].tolist(), ids[queries].tolist(), rotations, translations,
                      scores, digest)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .dataset import PairTable, PoseSet, rounded_poses
+from .dataset import PairTable, PoseSet, round9_array
 from .geometry import (
     RelativePose,
     axis_angle_rows,
@@ -59,6 +59,15 @@ def _random_axes(rng, n):
     return axes / norms
 
 
+def _synthetic_poses(kind: str, cfg, quats, positions, note: str) -> PoseSet:
+    """The sampled rows as a PoseSet named after the box, values rounded to
+    file precision; the convention note records the sampler's settings."""
+    ex = "x".join(format(e, "g") for e in cfg.extents)
+    return PoseSet(f"synthetic-{kind}-{ex}", "train", [f"pose-{i:06d}" for i in range(cfg.n_poses)],
+                   round9_array(quats), round9_array(positions), "synthetic",
+                   f"rng={RNG_KIND} seed={cfg.seed} n_poses={cfg.n_poses} {note}")
+
+
 def generate_trajectory(cfg: SynthConfig) -> PoseSet:
     """Sample a reproducible PoseSet; values are pre-rounded to file precision."""
     rng = np.random.default_rng(cfg.seed)
@@ -66,19 +75,8 @@ def generate_trajectory(cfg: SynthConfig) -> PoseSet:
     positions = rng.uniform(-0.5, 0.5, size=(cfg.n_poses, 3)) * extents
     axes = _random_axes(rng, cfg.n_poses)
     angles = rng.uniform(0.0, cfg.max_tilt_deg, size=cfg.n_poses)
-    ids = [f"pose-{i:06d}" for i in range(cfg.n_poses)]
-    poses = rounded_poses(axis_angle_rows(axes, angles), positions, ids)
-    ex = "x".join(format(e, "g") for e in cfg.extents)
-    return PoseSet(
-        scene_name=f"synthetic-box-{ex}",
-        split="train",
-        poses=poses,
-        source_format="synthetic",
-        convention_note=(
-            f"rng={RNG_KIND} seed={cfg.seed} n_poses={cfg.n_poses} "
-            f"max_tilt_deg={format(cfg.max_tilt_deg, 'g')}"
-        ),
-    )
+    return _synthetic_poses("box", cfg, axis_angle_rows(axes, angles), positions,
+                            f"max_tilt_deg={format(cfg.max_tilt_deg, 'g')}")
 
 
 @dataclass(frozen=True)
@@ -145,19 +143,10 @@ def generate_walk(cfg: WalkConfig) -> PoseSet:
         tilt[i] = v
     mags = vector_norms(tilt, "l2")
     axes = np.where(mags[:, None] > 0, tilt / np.maximum(mags, 1e-300)[:, None], [0.0, 0.0, 1.0])
-    poses = rounded_poses(axis_angle_rows(axes, mags), pos, [f"pose-{i:06d}" for i in range(n)])
-    ex = "x".join(format(e, "g") for e in cfg.extents)
-    return PoseSet(
-        scene_name=f"synthetic-walk-{ex}",
-        split="train",
-        poses=poses,
-        source_format="synthetic",
-        convention_note=(
-            f"rng={RNG_KIND} seed={cfg.seed} n_poses={cfg.n_poses} walk "
-            f"step_m={format(cfg.step_m, 'g')} turn_deg={format(cfg.turn_deg, 'g')} "
-            f"dwell={format(cfg.dwell_fraction, 'g')} max_tilt_deg={format(cfg.max_tilt_deg, 'g')}"
-        ),
-    )
+    return _synthetic_poses("walk", cfg, axis_angle_rows(axes, mags), pos,
+                            f"walk step_m={format(cfg.step_m, 'g')} turn_deg={format(cfg.turn_deg, 'g')} "
+                            f"dwell={format(cfg.dwell_fraction, 'g')} "
+                            f"max_tilt_deg={format(cfg.max_tilt_deg, 'g')}")
 
 
 @dataclass(frozen=True)

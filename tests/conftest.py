@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frustoval import Pose, Quaternion, Translation
+from frustoval import Pose, PoseSet, Quaternion, Translation
 from frustoval.frustum import _FrustumBatch
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -19,6 +19,20 @@ def random_quat(rng) -> Quaternion:
 def random_pose(rng, box=2.0, frame_id="") -> Pose:
     t = rng.uniform(-box, box, size=3)
     return Pose(rotation=random_quat(rng), translation=Translation(*t), frame_id=frame_id)
+
+
+def pose_set(scene_name, split, poses, source_format="canonical") -> PoseSet:
+    """A PoseSet of Pose objects, for tests that describe their poses one by one."""
+    return PoseSet(scene_name, split, [p.frame_id for p in poses],
+                   [p.rotation.as_array() for p in poses], [p.translation.as_array() for p in poses],
+                   source_format)
+
+
+def pose_rows(ps: PoseSet) -> list:
+    """The rows of a PoseSet as Pose objects, in frame-id order: the inputs of
+    the scalar-oracle loops."""
+    return [Pose(Quaternion(*q), Translation(*t), f)
+            for f, q, t in zip(ps.frame_ids, ps.rotations.tolist(), ps.translations.tolist())]
 
 
 def oracle_matrix(transform) -> np.ndarray:

@@ -388,10 +388,9 @@ class TestRecordValidation:
     def test_pose_writer_refuses_hash_id(self, tmp_path, poses_file):
         # the record line of id "#" starts with "# ", a header line
         ps = dataset.read_poses(poses_file)
-        renamed = [replace(p, frame_id="#") if k == 0 else p for k, p in enumerate(ps.poses)]
         out = tmp_path / "hash.poses"
         with pytest.raises(ValueError, match="not '#'"):
-            dataset.write_poses(out, replace(ps, poses=renamed))
+            dataset.write_poses(out, replace(ps, frame_ids=["#", *ps.frame_ids[1:]]))
         assert not out.exists()
 
     def test_pair_writer_refuses_bad_ids(self, tmp_path, pairs_file):

@@ -1,6 +1,7 @@
 """Parsers and the canonical file formats: round trips, digests, error paths."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,10 +26,10 @@ from frustoval.dataset import (
     ParseError,
     PoseSet,
     fnum,
-    round9,
+    round9_array,
 )
 
-from conftest import FIXTURES, random_pose, random_quat
+from conftest import FIXTURES, pose_rows, pose_set, random_pose, random_quat
 
 CHESS_MINI = FIXTURES / "sevenscenes" / "chess_mini"
 SHOP_MINI = FIXTURES / "cambridge" / "ShopMini"
@@ -41,8 +42,8 @@ def random_pairs(rng, n, digest="0" * 16, lo=0.05, hi=1.0):
         t.append(rng.normal(size=3))
         overlaps.append(rng.uniform(lo, hi))
     return PairTable([f"a-{i:04d}" for i in range(n)], [f"b-{i:04d}" for i in range(n)],
-                     [[round9(c) for c in r] for r in q], [[round9(c) for c in r] for r in t],
-                     [round9(o) for o in overlaps], digest)
+                     round9_array(q), round9_array(t),
+                     round9_array(overlaps), digest)
 
 
 def random_predictions(rng, n, digest=""):
@@ -68,6 +69,49 @@ class TestNumberFormat:
         with pytest.raises(ValueError):
             fnum(math.inf)
 
+    def test_record_format_equals_fnum(self):
+        # the record writers print a number as "%.9g" % (x + 0.0)
+        rng = np.random.default_rng(9)
+        n = 200_000
+        x = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-30, 31, n) * rng.choice([-1.0, 1.0], n)
+        tiny = rng.uniform(-1.0, 1.0, 1000) * sys.float_info.min  # subnormals
+        edge = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max, -sys.float_info.max]
+        x = np.concatenate([x, tiny, edge])
+        assert ["%.9g" % v for v in (x + 0.0).tolist()] == [fnum(v) for v in x.tolist()]
+
+    def test_record_writers_refuse_non_finite(self, tmp_path, rng):
+        cfg = OverlapConfig()
+        pairs = random_pairs(rng, 3, config_digest(cfg))
+        preds = random_predictions(rng, 3)
+        poses = PoseSet("s", "train", ["a", "b", "c"], preds.rotations, preds.translations)
+        out = tmp_path / "bad.txt"
+
+        def spoiled(table, c, bad):
+            v = np.hstack([table.rotations, table.translations])
+            v[1, c] = bad
+            return v[:, :4], v[:, 4:]
+
+        for bad in (math.nan, math.inf, -math.inf):
+            for c in range(7):
+                q, t = spoiled(poses, c, bad)
+                with pytest.raises(ValueError):
+                    dataset.write_poses(out, replace(poses, rotations=q, translations=t))
+                q, t = spoiled(pairs, c, bad)
+                with pytest.raises(ValueError):
+                    dataset.write_pairs(out, PairTable(pairs.anchor_ids, pairs.query_ids, q, t, pairs.overlaps,
+                                                       pairs.config_digest), cfg, min_overlap=0.0, max_overlap=1.0)
+                q, t = spoiled(preds, c, bad)
+                with pytest.raises(ValueError):
+                    dataset.write_predictions(out, PairTable(preds.anchor_ids, preds.query_ids, q, t),
+                                              config_digest="")
+            overlaps = pairs.overlaps.copy()
+            overlaps[1] = bad
+            with pytest.raises(ValueError):
+                dataset.write_pairs(out, PairTable(pairs.anchor_ids, pairs.query_ids, pairs.rotations,
+                                                   pairs.translations, overlaps, pairs.config_digest),
+                                    cfg, min_overlap=0.0, max_overlap=1.0)
+        assert not out.exists()
+
 
 class TestSevenScenes:
     def test_split_counts(self):
@@ -80,26 +124,26 @@ class TestSevenScenes:
 
     def test_identity_matrix(self):
         ps = parse_sevenscenes(CHESS_MINI, split="train")
-        p = ps.poses[0]
+        p = pose_rows(ps)[0]
         assert p.frame_id == "seq-01/frame-000000"
         assert rotation_error(p.rotation, Quaternion.identity()) == 0.0
         np.testing.assert_array_equal(p.translation.as_array(), [0, 0, 0])
 
     def test_translation_column(self):
         ps = parse_sevenscenes(CHESS_MINI, split="train")
-        np.testing.assert_array_equal(ps.poses[1].translation.as_array(), [1, 2, 3])
+        np.testing.assert_array_equal(ps.translations[1], [1, 2, 3])
 
     def test_noisy_rotation_orthonormalized(self):
         # frame-000002 carries a 3-decimal, slightly non-orthogonal 90deg-about-z block
         ps = parse_sevenscenes(CHESS_MINI, split="train")
-        q = ps.poses[2].rotation
+        q = pose_rows(ps)[2].rotation
         assert abs(q.norm() - 1.0) < 1e-8
         assert rotation_error(q, Quaternion.from_axis_angle((0, 0, 1), 90)) < 0.05
 
     def test_flat_directory(self):
         ps = parse_sevenscenes(CHESS_MINI / "seq-01", split="train")
         assert len(ps) == 3
-        assert ps.poses[0].frame_id == "frame-000000"
+        assert ps.frame_ids[0] == "frame-000000"
 
     def test_malformed_matrix_names_file(self, tmp_path):
         bad = tmp_path / "frame-000000.pose.txt"
@@ -120,12 +164,21 @@ class TestSevenScenes:
             parse_sevenscenes(tmp_path)
 
     def test_collect_errors_accounts_for_every_file(self, tmp_path):
-        (tmp_path / "frame-000000.pose.txt").write_text("1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
-        (tmp_path / "frame-000001.pose.txt").write_text("garbage\n")
-        errors = []
-        ps = parse_sevenscenes(tmp_path, collect_errors=errors)
-        assert len(ps) + len(errors) == 2
-        assert len(errors) == 1
+        # a good matrix, then an unreadable file; a bad matrix, then an
+        # unreadable file: one message per bad file, in file order
+        good, bad_matrix = "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 2\n"
+        for first, want in ((good, ["frame-000001.pose.txt: non-numeric"]),
+                            (bad_matrix, ["frame-000000.pose.txt: bottom row [0.0, 0.0, 0.0, 2.0]",
+                                          "frame-000001.pose.txt: non-numeric"])):
+            scene = tmp_path / str(len(want))
+            scene.mkdir()
+            (scene / "frame-000000.pose.txt").write_text(first)
+            (scene / "frame-000001.pose.txt").write_text("garbage\n")
+            errors = []
+            ps = parse_sevenscenes(scene, collect_errors=errors)
+            assert len(ps) + len(errors) == 2
+            assert len(errors) == len(want)
+            assert [e.startswith(f"{scene}/{w}") for e, w in zip(errors, want)] == [True] * len(want), errors
 
 
 class TestCambridge:
@@ -138,14 +191,14 @@ class TestCambridge:
 
     def test_identity_line(self):
         ps = parse_cambridge(SHOP_MINI / "dataset_train.txt")
-        p = ps.poses[0]
+        p = pose_rows(ps)[0]
         assert rotation_error(p.rotation, Quaternion.identity()) == 0.0
         np.testing.assert_array_equal(p.translation.as_array(), [0, 0, 0])
 
     def test_world_to_camera_conjugated(self):
         # file line: 45 deg about y as world-to-camera; stored pose must be its inverse
         ps = parse_cambridge(SHOP_MINI / "dataset_train.txt")
-        p = ps.poses[1]
+        p = pose_rows(ps)[1]
         expected = Quaternion.from_axis_angle((0, 1, 0), -45)
         # 9-digit storage gives rotation_error a ~1e-3 deg acos noise floor
         assert rotation_error(p.rotation, expected) < 0.01
@@ -156,7 +209,7 @@ class TestCambridge:
         f.write_text("h\nh\nh\nim.png 0 0 0 1.01 0 0 0\n")
         with pytest.warns(UserWarning, match="unit norm"):
             ps = parse_cambridge(f)
-        assert abs(ps.poses[0].rotation.norm() - 1.0) < 1e-8
+        assert abs(pose_rows(ps)[0].rotation.norm() - 1.0) < 1e-8
 
     def test_non_finite_rejected(self, tmp_path):
         f = tmp_path / "dataset_train.txt"
@@ -172,7 +225,7 @@ class TestCambridge:
             parse_cambridge(f)
         errors = []
         ps = parse_cambridge(f, collect_errors=errors)
-        assert [p.frame_id for p in ps.poses] == ["ok"]
+        assert ps.frame_ids == ["ok"]
         assert [e.split(f"{f}:", 1)[1] for e in errors] == [
             "5: zero quaternion", "6: expected 'path x y z w p q r', got 3 fields",
             "7: non-finite pose entry", "8: non-numeric pose entry"]
@@ -190,7 +243,7 @@ class TestCambridge:
 
 class TestPoseSerialization:
     def test_empty_poseset(self, tmp_path):
-        ps = PoseSet(scene_name="empty", split="train")
+        ps = PoseSet("empty", "train", [], [], [])
         f = tmp_path / "p.txt"
         dataset.write_poses(f, ps)
         back = dataset.read_poses(f)
@@ -204,7 +257,7 @@ class TestPoseSerialization:
             dataset.read_poses(f)
 
     def test_count_mismatch_detected(self, tmp_path):
-        ps = PoseSet("s", "train", [Pose(Quaternion.identity(), Translation.zero(), "f0")])
+        ps = pose_set("s", "train", [Pose(Quaternion.identity(), Translation.zero(), "f0")])
         f = tmp_path / "p.txt"
         dataset.write_poses(f, ps)
         truncated = "\n".join(f.read_text().splitlines()[:-1]) + "\n"
@@ -214,16 +267,16 @@ class TestPoseSerialization:
 
     def test_records_sorted_by_id(self, tmp_path, rng):
         poses = [random_pose(rng, frame_id=f"f-{i}") for i in (3, 1, 2)]
-        ps = PoseSet("s", "train", poses)
+        ps = pose_set("s", "train", poses)
         f = tmp_path / "p.txt"
         dataset.write_poses(f, ps)
-        ids = dataset.read_poses(f).ids()
+        ids = dataset.read_poses(f).frame_ids
         assert ids == sorted(ids)
 
     def test_duplicate_frame_ids_rejected(self):
         p = Pose(Quaternion.identity(), Translation.zero(), "same")
         with pytest.raises(ValueError, match="unique"):
-            PoseSet("s", "train", [p, p])
+            pose_set("s", "train", [p, p])
 
 
 class TestPairSerialization:

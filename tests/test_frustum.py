@@ -15,6 +15,7 @@ from frustoval import (
     overlap_score,
 )
 from frustoval.frustum import _FrustumBatch, camera_grid
+from frustoval.geometry import quat_rows, translation_rows
 
 from conftest import random_pose
 
@@ -23,7 +24,8 @@ IDENT = Pose(Quaternion.identity(), Translation(0, 0, 0), "ident")
 
 def batch_of(*poses, spec=FrustumSpec()):
     """The scoring kernel's world-space frustum data for the given poses."""
-    return _FrustumBatch(poses, OverlapConfig(frustum=spec))
+    return _FrustumBatch(quat_rows(p.rotation for p in poses), translation_rows(p.translation for p in poses),
+                         OverlapConfig(frustum=spec))
 
 
 def plane_distances(batch, k, points):

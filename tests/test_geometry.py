@@ -34,7 +34,7 @@ from frustoval.geometry import (
 )
 from frustoval.synth import SynthConfig, SynthPredictor, generate_trajectory, synth_predict
 
-from conftest import assert_transform_close, oracle_matrix, random_pose, random_quat
+from conftest import assert_transform_close, oracle_matrix, pose_rows, random_pose, random_quat
 
 
 class TestQuaternion:
@@ -271,7 +271,7 @@ class TestRowOps:
         # relative() equals the pair file's row, and the scalar errors equal
         # the per-pair values evaluate() reduces, bit for bit
         poses = generate_trajectory(SynthConfig(n_poses=60, seed=5))
-        by_id = {p.frame_id: p for p in poses.poses}
+        by_id = {p.frame_id: p for p in pose_rows(poses)}
         pairs = generate_pairs(poses, OverlapConfig())
         assert len(pairs) > 1000
         for row in pairs:

@@ -12,7 +12,10 @@ import pytest
 from frustoval import (
     OverlapBinning,
     OverlapConfig,
+    Pose,
+    Quaternion,
     SynthPredictor,
+    Translation,
     bin_histogram,
     combined_loss,
     dataset,
@@ -63,15 +66,18 @@ def test_corpus_regenerates_byte_for_byte(tmp_path):
 
 
 def test_chain_builds_no_row_objects(tmp_path, monkeypatch):
-    # the pipeline works on PairTable columns; a PairRecord built anywhere on
-    # the way from pose file to metric, in the CLI or through the library
-    # API, fails the run
+    # the pipeline works on PoseSet and PairTable columns; a Pose or
+    # PairRecord built anywhere on the way from pose file to metric, in the
+    # CLI or through the library API, fails the run
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built on the pipeline path")
 
     monkeypatch.setattr(dataset.PairRecord, "__init__", refuse)
+    monkeypatch.setattr(Pose, "__init__", refuse)
     with pytest.raises(AssertionError):
         dataset.PairRecord("a", "b", 0.5, None, "")
+    with pytest.raises(AssertionError):
+        Pose(Quaternion.identity(), Translation.zero())
     run_chain(tmp_path)
     for name, _ in CHAIN:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -25,7 +25,7 @@ from frustoval.frustum import camera_corners
 from frustoval.geometry import Pose
 from frustoval.synth import SynthConfig, generate_trajectory
 
-from conftest import oracle_matrix, oracle_relative
+from conftest import oracle_matrix, oracle_relative, pose_rows, pose_set
 
 from test_frustum import oracle_overlap
 
@@ -47,14 +47,15 @@ def small_poses(n=20, seed=3, tilt=30.0):
 class TestGeneratePairs:
     def test_single_pose_warns_empty(self):
         ps = small_poses(n=2)
-        ps = PoseSet(ps.scene_name, ps.split, ps.poses[:1], ps.source_format)
+        ps = PoseSet(ps.scene_name, ps.split, ps.frame_ids[:1], ps.rotations[:1], ps.translations[:1],
+                     ps.source_format)
         with pytest.warns(UserWarning, match="fewer than 2"):
             assert len(generate_pairs(ps, OverlapConfig())) == 0
 
     def test_two_identical_poses(self):
         p = Pose(Quaternion.identity(), Translation(0, 0, 0), "a")
         q = Pose(Quaternion.identity(), Translation(0, 0, 0), "b")
-        ps = PoseSet("twins", "train", [p, q], "synthetic")
+        ps = pose_set("twins", "train", [p, q], "synthetic")
         pairs = generate_pairs(ps, OverlapConfig(), min_overlap=0.5)
         assert len(pairs) == 2
         assert {r.key for r in pairs} == {("a", "b"), ("b", "a")}
@@ -67,8 +68,9 @@ class TestGeneratePairs:
         got = generate_pairs(ps, cfg, min_overlap=0.0, max_overlap=1.0)
         digest = config_digest(cfg)
         expected = []
-        for a in ps.poses:
-            for b in ps.poses:
+        rows = pose_rows(ps)
+        for a in rows:
+            for b in rows:
                 if a.frame_id == b.frame_id:
                     continue
                 s = oracle_overlap(a, b, cfg)
@@ -87,24 +89,25 @@ class TestGeneratePairs:
         # its lattice corners exactly on the other's planes, where any
         # difference in the arithmetic of the two entry points would show;
         # the twins sit 1 km apart so only twins overlap
-        twins = PoseSet("twins", "train", [
+        twins = pose_set("twins", "train", [
             Pose(p.rotation, Translation(p.translation.x + 1000.0 * k, p.translation.y, p.translation.z),
                  f"{p.frame_id}{tag}")
-            for k, p in enumerate(small_poses(n=30).poses) for tag in "ab"
+            for k, p in enumerate(pose_rows(small_poses(n=30))) for tag in "ab"
         ], "synthetic")
         twin_cfg = OverlapConfig(frustum=FrustumSpec(boundary_epsilon=0.0))
         twin_pairs = generate_pairs(twins, twin_cfg)
         assert len(twin_pairs) == 60
-        by_id = {p.frame_id: p for p in twins.poses}
+        by_id = {p.frame_id: p for p in pose_rows(twins)}
         for r in twin_pairs:
             assert overlap_score(by_id[r.anchor_id], by_id[r.query_id], twin_cfg) == r.overlap, r.key
         ps = small_poses(n=15)
+        rows = pose_rows(ps)
         for symmetric in (False, True):
             cfg = OverlapConfig(frustum=SMALL_SPEC, symmetric=symmetric)
             got = {r.key: r.overlap for r in generate_pairs(ps, cfg)}
             assert got
-            for a in ps.poses:
-                for b in ps.poses:
+            for a in rows:
+                for b in rows:
                     if a is not b:
                         assert overlap_score(a, b, cfg) == got.get((a.frame_id, b.frame_id), 0.0)
 
@@ -157,9 +160,9 @@ class TestGeneratePairs:
         spread = [
             Pose(p.rotation * turn if i % 3 == 0 else p.rotation,
                  Translation(p.translation.x + 6.0 * (i % 4), p.translation.y, p.translation.z), p.frame_id)
-            for i, p in enumerate(base.poses)
+            for i, p in enumerate(pose_rows(base))
         ]
-        ps = PoseSet("spread", "train", spread, "synthetic")
+        ps = pose_set("spread", "train", spread, "synthetic")
         for eps in (1e-9, 0.03, 0.1):
             for gate in (110.0, 180.0):
                 for symmetric in (False, True):
@@ -204,7 +207,7 @@ class TestGeneratePairs:
             poses.append(Pose(anchor.rotation, Translation(*shift), f"p{len(poses):04d}"))
             poses.append(Pose(q, Translation(*(t + shift)), f"p{len(poses):04d}"))
         assert scored > 0
-        ps = PoseSet("tips", "train", poses, "synthetic")
+        ps = pose_set("tips", "train", poses, "synthetic")
         with_reject = generate_pairs(ps, cfg)
         assert len(with_reject) == 2 * scored
         with no_rejects():

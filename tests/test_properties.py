@@ -17,7 +17,6 @@ from frustoval import (
     FrustumSpec,
     MetricConfig,
     OverlapConfig,
-    PoseSet,
     Pose,
     Quaternion,
     Translation,
@@ -29,7 +28,7 @@ from frustoval import (
 )
 from frustoval.dataset import PairTable
 
-from conftest import assert_transform_close
+from conftest import assert_transform_close, pose_set
 
 # magnitudes kept well away from overflow and from the subnormal range, where
 # a power-of-two scale would stop being exact
@@ -83,7 +82,7 @@ def test_unordered_score_is_min_of_directions(drawn, eps, gate):
     directional = OverlapConfig(frustum=spec, max_relative_rotation_deg=gate)
     symmetric = OverlapConfig(frustum=spec, max_relative_rotation_deg=gate, symmetric=True)
     got = {r.key: r.overlap
-           for r in generate_pairs(PoseSet("drawn", "test", poses, "synthetic"), symmetric, unordered=True)}
+           for r in generate_pairs(pose_set("drawn", "test", poses, "synthetic"), symmetric, unordered=True)}
     for i, a in enumerate(poses):
         for b in poses[i + 1:]:
             want = min(overlap_score(a, b, directional), overlap_score(b, a, directional))

@@ -1,4 +1,5 @@
-"""Property tests: PairTable write -> read -> write is a byte fixed point.
+"""Property tests: PoseSet and PairTable write -> read -> write is a byte
+fixed point.
 
 For any finite floats, whitespace-free ids and unit or non-unit quaternions,
 the file written after one read never changes again, and it equals the
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from frustoval import OverlapConfig, config_digest
 from frustoval import dataset
-from frustoval.dataset import PairTable, fnum
+from frustoval.dataset import PairTable, PoseSet, fnum
 
 CFG = OverlapConfig()
 
@@ -47,7 +48,23 @@ def tables(draw, pairs: bool):
     )
 
 
+@st.composite
+def pose_sets(draw):
+    frame_ids = draw(st.lists(ids, unique=True, max_size=20))
+    rows = draw(st.lists(st.tuples(st.one_of(unit_quat, any_quat), st.lists(finite, min_size=3, max_size=3)),
+                         min_size=len(frame_ids), max_size=len(frame_ids)))
+    return PoseSet("drawn", "train", frame_ids, np.array([r[0] for r in rows]).reshape(-1, 4),
+                   np.array([r[1] for r in rows]).reshape(-1, 3))
+
+
+def keys(table):
+    return table.frame_ids if isinstance(table, PoseSet) else table.keys()
+
+
 def write(path, table):
+    if isinstance(table, PoseSet):
+        dataset.write_poses(path, table)
+        return dataset.read_poses(path)
     if table.is_pairs:
         dataset.write_pairs(path, table, CFG, min_overlap=0.0, max_overlap=1.0)
         return dataset.read_pairs(path).pairs
@@ -72,10 +89,10 @@ def check_fixed_point(table):
         t3 = write(f3, t2)
         assert f2.read_bytes() == f3.read_bytes()
         assert t2 == t3
-        assert t1.keys() == table.keys()
+        assert keys(t1) == keys(table)
         written = [[float(fnum(v)) for v in r] for r in table.translations.tolist()]
         np.testing.assert_array_equal(t1.translations, np.reshape(written, (-1, 3)))
-        if table.is_pairs:
+        if getattr(table, "overlaps", None) is not None:
             np.testing.assert_array_equal(t1.overlaps, [float(fnum(v)) for v in table.overlaps.tolist()])
         if kept_verbatim(table.rotations):
             assert f1.read_bytes() == f2.read_bytes()
@@ -91,3 +108,9 @@ def test_pair_files_are_a_fixed_point(table):
 @given(tables(pairs=False))
 def test_prediction_files_are_a_fixed_point(table):
     check_fixed_point(table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pose_sets())
+def test_pose_files_are_a_fixed_point(poses):
+    check_fixed_point(poses)

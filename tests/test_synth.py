@@ -24,6 +24,8 @@ from frustoval.metrics import (
 )
 from frustoval.synth import SynthConfig, SynthPredictor, WalkConfig, generate_walk
 
+from conftest import pose_rows
+
 
 class TestGenerateTrajectory:
     def test_same_seed_identical(self, tmp_path):
@@ -39,26 +41,26 @@ class TestGenerateTrajectory:
     def test_different_seeds_differ(self):
         a = generate_trajectory(SynthConfig(n_poses=40, seed=1))
         b = generate_trajectory(SynthConfig(n_poses=40, seed=2))
-        pos_a = {tuple(p.translation.as_array()) for p in a.poses}
-        pos_b = {tuple(p.translation.as_array()) for p in b.poses}
+        pos_a = {tuple(t) for t in a.translations.tolist()}
+        pos_b = {tuple(t) for t in b.translations.tolist()}
         assert pos_a != pos_b
 
     def test_degenerate_box_collapses_to_origin(self):
         ps = generate_trajectory(SynthConfig(extents=(0, 0, 0), n_poses=10))
-        for p in ps.poses:
-            np.testing.assert_array_equal(p.translation.as_array(), [0, 0, 0])
+        for t in ps.translations:
+            np.testing.assert_array_equal(t, [0, 0, 0])
 
     def test_positions_inside_box(self):
         ext = (3.0, 2.0, 1.0)
         ps = generate_trajectory(SynthConfig(extents=ext, n_poses=200, seed=5))
-        pos = np.array([p.translation.as_array() for p in ps.poses])
+        pos = ps.translations
         assert np.all(np.abs(pos) <= np.array(ext) / 2 + 1e-9)
 
     def test_tilt_cone_respected(self):
         from frustoval.geometry import Quaternion, rotation_error
 
         ps = generate_trajectory(SynthConfig(n_poses=100, max_tilt_deg=15, seed=3))
-        for p in ps.poses:
+        for p in pose_rows(ps):
             assert rotation_error(p.rotation, Quaternion.identity()) <= 15 + 1e-6
 
     def test_invalid_configs(self):
@@ -75,12 +77,12 @@ class TestGenerateWalk:
         cfg = WalkConfig(extents=(3, 2, 1), n_poses=120, seed=4)
         a = generate_walk(cfg)
         assert a == generate_walk(cfg)
-        pos = np.array([p.translation.as_array() for p in a.poses])
+        pos = a.translations
         assert np.all(np.abs(pos) <= np.array([1.5, 1.0, 0.5]) + 1e-9)
 
     def test_steps_are_small(self):
         cfg = WalkConfig(extents=(3, 2, 1), n_poses=120, step_m=0.05, seed=4)
-        pos = np.array([p.translation.as_array() for p in generate_walk(cfg).poses])
+        pos = generate_walk(cfg).translations
         steps = np.linalg.norm(np.diff(pos, axis=0), axis=1)
         assert np.median(steps) < 0.2
 
@@ -88,7 +90,7 @@ class TestGenerateWalk:
         from frustoval.geometry import Quaternion, rotation_error
 
         ps = generate_walk(WalkConfig(n_poses=200, max_tilt_deg=20, seed=7))
-        for p in ps.poses:
+        for p in pose_rows(ps):
             assert rotation_error(p.rotation, Quaternion.identity()) <= 20 + 1e-6
 
 
