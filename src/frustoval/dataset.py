@@ -398,6 +398,14 @@ def _record_error(path, k: int, message: str) -> FormatError:
     return FormatError(f"{path}:{_record_lineno(path, k)}: {message}")
 
 
+def _header_error(path, key: str, message: str) -> FormatError:
+    """FormatError naming the file line of header entry `key` (its last
+    occurrence, the one read_header keeps)."""
+    lines = _read_lines(path)
+    lineno = max(k for k, ln in enumerate(lines, start=1) if ln.startswith(f"# {key}="))
+    return FormatError(f"{path}:{lineno}: {message}")
+
+
 def _parse_records(path, body, columns: str, kind: str):
     """Split record lines into their id columns (the leading `*_id` fields)
     and one (M, fields) float64 array of the numeric fields, parsed by one
@@ -520,6 +528,9 @@ def read_poses(path) -> PoseSet:
     kind, header, body = read_header(path)
     _expect_kind(path, kind, "poses")
     _expect_count(path, header, body)
+    split = header.get("split", "train")
+    if split not in ("train", "test"):
+        raise _header_error(path, "split", f"split must be 'train' or 'test', got {split!r}")
     (ids,), values = _parse_records(path, body, _POSE_COLUMNS, "pose")
     if len(set(ids)) != len(ids):
         seen = set()
@@ -527,7 +538,7 @@ def read_poses(path) -> PoseSet:
         raise _record_error(path, k, f"duplicate frame id {ids[k]!r}")
     return PoseSet(
         scene_name=header.get("scene", ""),
-        split=header.get("split", "train"),
+        split=split,
         frame_ids=ids,
         rotations=_parsed_quats(path, values[:, 0:4]),
         translations=values[:, 4:7],

@@ -8,21 +8,27 @@ when the relative rotation exceeds a configurable gate.
 
 One kernel computes it, for two poses (`overlap_score`) or for a whole
 trajectory (`pairgen.generate_pairs`). Scoring every ordered pair of N frames
-is O(N^2 * n_points), so each anchor row runs three cheap rejects before the
-point-containment test: the rotation gate, bounding-sphere separation (the
-sphere covers the epsilon-inflated frustum), and plane separation (all eight
-corners of the other frustum below one anchor plane). The rejects never
-change a count. The survivors are point-tested in fixed-size candidate
-blocks, and each row keeps only its nonzero (query, count) entries, so no
-(N, N) array is ever built. Rows are independent and spread over one thread
-pool, the only parallel layer, which makes the output bit-identical for any
-thread count.
+is O(N^2 * n_points), so pairs pass cheap rejects before the
+point-containment test, in this order: grid neighbours (sphere centres hashed
+into cells as wide as the sphere test's reach; an anchor's candidates are
+the poses in the 27 cells around its own), bounding-sphere separation (the
+sphere covers the epsilon-inflated frustum), the rotation gate, and plane
+separation (all eight corners of the other frustum below one anchor plane).
+The rejects never change a count. They run on flat (anchor, query) index
+arrays, _CHUNK_PAIRS candidates at a time, so their temporaries are
+O(_CHUNK_PAIRS) whatever N is. Each anchor's survivors are point-tested in
+fixed-size candidate blocks, and only nonzero (query, count) entries are
+kept, so no (N, N) array is ever built. Contiguous anchor ranges are spread
+over one thread pool, the only parallel layer, and no result depends on how
+the anchors are split, which makes the output bit-identical for any thread
+count.
 
 The camera looks along +z; hfov spans x, vfov spans y.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -94,6 +100,23 @@ class OverlapConfig:
             raise ValueError("max_relative_rotation_deg must be in (0, 180]")
 
 
+def _per_spec(fn):
+    """Compute fn once per frozen FrustumSpec and hand out read-only arrays:
+    every batch, and so every overlap_score call, reads the same camera-frame
+    data."""
+    @functools.lru_cache(maxsize=32)
+    @functools.wraps(fn)
+    def cached(spec: FrustumSpec):
+        out = fn(spec)
+        for a in out if isinstance(out, tuple) else (out,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        return out
+
+    return cached
+
+
+@_per_spec
 def camera_planes(spec: FrustumSpec):
     """Inward plane normals and offsets in the camera frame."""
     ta, tb = spec.half_tangents
@@ -113,6 +136,7 @@ def camera_planes(spec: FrustumSpec):
     return normals, offsets
 
 
+@_per_spec
 def camera_grid(spec: FrustumSpec) -> np.ndarray:
     """Probe lattice in the camera frame, shape (n_points, 3).
 
@@ -131,6 +155,7 @@ def camera_grid(spec: FrustumSpec) -> np.ndarray:
     return np.stack([x, y, zfull], axis=-1).reshape(-1, 3)
 
 
+@_per_spec
 def camera_corners(spec: FrustumSpec) -> np.ndarray:
     """The eight vertices of the truncated pyramid, camera frame."""
     ta, tb = spec.half_tangents
@@ -142,6 +167,7 @@ def camera_corners(spec: FrustumSpec) -> np.ndarray:
     return np.array(corners)
 
 
+@_per_spec
 def camera_sphere(spec: FrustumSpec):
     """Camera-frame (center, radius) of a sphere covering the viewing volume
     inflated by boundary_epsilon, i.e. every point the containment test accepts.
@@ -174,16 +200,26 @@ def camera_sphere(spec: FrustumSpec):
 # spend handing the GIL back and forth.
 _BLOCK_POINTS = 16384
 
+# (anchor, query) pairs per reject chunk, and kept pairs per relative-pose
+# chunk: each reject's temporaries stay near 0.2 MB a worker (all pairs of a
+# 600-pose room at once would take 270 MB), while each chunk still pays for
+# about 50 numpy calls. A batch whose pairs all fit in one chunk skips the grid.
+_CHUNK_PAIRS = 2048
+
 # The separation reject drops a candidate only when its frustum corners fall
 # this far (relative to the scene's coordinate scale) below an anchor plane's
 # threshold, far more than the rounding between a probe point and the convex
 # combination of corners it lies on.
 _SEPARATION_MARGIN = 1e-9
 
+# Grid cells per axis at most: coarser cells beyond that keep a cell key far
+# inside int64.
+_MAX_CELLS = 2 ** 20
+
 
 class _FrustumBatch:
     """World-space frustum data of (N, 4) wxyz and (N, 3) camera-to-world
-    pose rows, stacked for row-at-a-time scoring."""
+    pose rows, stacked for scoring in anchor chunks."""
 
     def __init__(self, quats: np.ndarray, trans: np.ndarray, cfg: OverlapConfig):
         spec = cfg.frustum
@@ -199,6 +235,7 @@ class _FrustumBatch:
         # containment as n.p >= threshold, one contiguous row per plane
         self.thresholds = -self.offsets - spec.boundary_epsilon
         c_cam, self.sphere_radius = camera_sphere(spec)
+        self.reach = 2.0 * self.sphere_radius + 1e-6  # sphere centres further apart cannot overlap
         self.centers = self.trans + np.einsum("nij,j->ni", rot, c_cam)
         self.corners = np.matmul(camera_corners(spec), rot_t) + self.trans[:, None, :]  # (N, 8, 3)
         self.margin = _SEPARATION_MARGIN * (1.0 + float(np.abs(self.corners).max()))
@@ -206,30 +243,81 @@ class _FrustumBatch:
         self.n_points = spec.n_points
         self.max_rot = cfg.max_relative_rotation_deg
 
-    def spheres_meet(self, i: int, idx: np.ndarray) -> np.ndarray:
-        """Mask of candidates whose bounding sphere reaches anchor i's."""
-        d2 = np.sum((self.centers[idx] - self.centers[i]) ** 2, axis=1)
-        return d2 <= (2.0 * self.sphere_radius + 1e-6) ** 2
+    @functools.cached_property
+    def _grid(self):
+        """(poses in cell-key order, their keys in that order, each pose's
+        key, the key offsets of the 9 columns of cells around a cell).
 
-    def separated(self, i: int, idx: np.ndarray) -> np.ndarray:
-        """Mask of candidates with all eight frustum corners below one of
-        anchor i's plane thresholds. Every probe point is a convex combination
-        of those corners, so none of them can pass that plane."""
-        top = (self.corners[idx] @ self.normals[i].T).max(axis=1)  # (M, 6)
-        return np.any(top < self.thresholds[i] - self.margin, axis=1)
+        Cells are cubes no narrower than the sphere test's reach times
+        1 + 1e-6 for rounding, so two centres it keeps lie in the same or
+        adjacent cells along every axis. An empty border cell on each side
+        keeps neighbour offsets from wrapping.
+        """
+        low = self.centers.min(axis=0)
+        side = max(self.reach * (1.0 + 1e-6), float(np.max(self.centers.max(axis=0) - low)) / _MAX_CELLS)
+        cell = ((self.centers - low) / side).astype(np.int64) + 1  # truncation floors the values >= 0
+        dims = cell.max(axis=0) + 2
+        keys = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+        order = np.argsort(keys)
+        steps = (np.arange(-1, 2)[:, None] * dims[1] + np.arange(-1, 2)[None, :]).ravel() * dims[2]
+        return order, keys[order], keys, steps
 
-    def score_row(self, i: int, work: "_BlockArrays"):
-        """Anchor i's nonzero directional probe counts as (js, counts)."""
-        ang = geometry.quat_angle_deg_rows(self.quats, self.quats[i])
-        cand = ang <= self.max_rot
-        cand[i] = False
-        idx = np.nonzero(cand)[0]
-        idx = idx[self.spheres_meet(i, idx)]
-        idx = idx[~self.separated(i, idx)]
-        counts = np.empty(idx.size, dtype=np.int64)
+    def grid_candidates(self, lo: int, hi: int):
+        """Candidate queries of anchors lo..hi-1 as (order, starts, stops):
+        anchor lo + k's candidates are order[starts[k, r]:stops[k, r]] over r,
+        the poses in the 27 grid cells around its sphere centre (9 runs of 3
+        cells adjacent along z), so every pair `spheres_meet` keeps is
+        listed. A batch whose pairs all fit in one chunk gets one run of
+        every pose instead."""
+        if self.n * self.n <= _CHUNK_PAIRS:
+            return np.arange(self.n), np.zeros((hi - lo, 1), dtype=np.int64), np.full((hi - lo, 1), self.n)
+        order, sorted_keys, keys, steps = self._grid
+        middle = keys[lo:hi, None] + steps  # the middle cell of each run
+        return (order, np.searchsorted(sorted_keys, middle - 1, side="left"),
+                np.searchsorted(sorted_keys, middle + 1, side="right"))
+
+    def spheres_meet(self, anchors: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """Mask of (anchor, query) pairs whose bounding spheres meet."""
+        d = self.centers[queries]
+        d -= self.centers[anchors]
+        d *= d
+        return np.sum(d, axis=1) <= self.reach ** 2
+
+    def separated(self, anchors: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """Mask of (anchor, query) pairs whose query frustum has all eight
+        corners below one of the anchor's plane thresholds. Every probe point
+        is a convex combination of those corners, so none of them can pass
+        that plane. Its (pairs, 8, 6) temporaries take eight times more per
+        pair than the other rejects', so it takes a sixteenth of a chunk at a
+        time."""
+        out = np.empty(anchors.size, dtype=bool)
+        step = max(1, _CHUNK_PAIRS // 16)
+        for lo in range(0, anchors.size, step):
+            a, q = anchors[lo:lo + step], queries[lo:lo + step]
+            heights = np.matmul(self.corners[q], self.normals[a].transpose(0, 2, 1))
+            top = np.maximum(heights[:, 0], heights[:, 1])
+            for c in range(2, 8):  # faster than a max over the middle axis
+                np.maximum(top, heights[:, c], out=top)
+            out[lo:lo + step] = np.any(top < self.thresholds[a] - self.margin, axis=1)
+        return out
+
+    def rejects(self, anchors: np.ndarray, queries: np.ndarray):
+        """The (anchor, query) pairs that may share a probe point: distinct
+        poses past the sphere reject, the rotation gate and the separation
+        reject, in that order. No reject changes a count."""
+        keep = self.spheres_meet(anchors, queries) & (anchors != queries)
+        anchors, queries = anchors[keep], queries[keep]
+        keep = geometry.quat_angle_deg_rows(self.quats[anchors], self.quats[queries]) <= self.max_rot
+        anchors, queries = anchors[keep], queries[keep]
+        keep = ~self.separated(anchors, queries)
+        return anchors[keep], queries[keep]
+
+    def point_counts(self, i: int, js: np.ndarray, work: "_BlockArrays") -> np.ndarray:
+        """Probe points of each of the ascending queries js inside anchor i."""
+        counts = np.empty(js.size, dtype=np.int64)
         normals, thr = self.normals[i], self.thresholds[i][:, None]
-        for lo in range(0, idx.size, self.block):
-            blk = idx[lo:lo + self.block]
+        for lo in range(0, js.size, self.block):
+            blk = js[lo:lo + self.block]
             size = blk.size * self.n_points
             # mode="clip" (the indices are in range) writes straight into out;
             # the default mode would gather into a temporary first
@@ -241,8 +329,51 @@ class _FrustumBatch:
             passed = np.greater_equal(dist, thr, out=work.passed[:6 * size].reshape(6, size))
             inside = np.logical_and.reduce(passed, axis=0, out=work.inside[:size])
             counts[lo:lo + blk.size] = inside.reshape(blk.size, self.n_points).sum(axis=1)
-        keep = counts > 0
-        return idx[keep], counts[keep]
+        return counts
+
+    def score_range(self, lo: int, hi: int):
+        """Nonzero directional counts of anchors lo..hi-1 as (anchors, queries,
+        counts), sorted by (anchor, query). Anchors are taken in groups whose
+        candidate runs, 9 an anchor, fit in one chunk."""
+        work = _BlockArrays(self)
+        group = max(1, _CHUNK_PAIRS // 9)
+        out = [part for a in range(lo, hi, group) for part in self._score_group(a, min(a + group, hi), work)]
+        return tuple(np.concatenate(col) for col in zip(*out))
+
+    def _score_group(self, lo: int, hi: int, work: "_BlockArrays"):
+        """score_range's (anchors, queries, counts) parts for anchors lo..hi-1.
+
+        The anchors' grid candidates, in anchor order, pass the rejects
+        _CHUNK_PAIRS at a time; each anchor's survivors are then point-tested
+        in ascending query order, once no later chunk can add to them.
+        """
+        order, starts, stops = self.grid_candidates(lo, hi)
+        width = stops.shape[1]
+        ends = np.cumsum(stops - starts)
+        shift = stops.ravel() - ends  # order position minus candidate position, per run
+        total = int(ends[-1])
+        held = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        out = []
+        for p in range(0, total, _CHUNK_PAIRS):
+            stop = min(p + _CHUNK_PAIRS, total)
+            pos = np.arange(p, stop)
+            run = np.searchsorted(ends, pos, side="right")
+            anchors, queries = self.rejects(lo + run // width, order[pos + shift[run]])
+            anchors = np.concatenate([held[0], anchors])
+            queries = np.concatenate([held[1], queries])
+            # the anchor the next chunk starts in may get more survivors there
+            cut = np.searchsorted(anchors, lo + np.searchsorted(ends, stop, side="right") // width)
+            held = anchors[cut:], queries[cut:]
+            anchors, queries = anchors[:cut], queries[:cut]
+            sort = np.argsort(anchors * self.n + queries)
+            anchors, queries = anchors[sort], queries[sort]
+            counts = np.empty(queries.size, dtype=np.int64)
+            first = np.flatnonzero(np.diff(anchors, prepend=-1)).tolist()
+            for a, b in zip(first, [*first[1:], queries.size]):
+                counts[a:b] = self.point_counts(int(anchors[a]), queries[a:b], work)
+            keep = counts > 0
+            out.append((anchors[keep], queries[keep], counts[keep]))
+        return out
 
 
 class _BlockArrays:
@@ -261,21 +392,14 @@ class _BlockArrays:
 def _score_pairs(batch: _FrustumBatch, threads: int):
     """Nonzero directional counts as (anchors, queries, counts), sorted by
     (anchor, query). Each worker scores one contiguous range of anchor rows."""
-    def run(lo, hi):
-        work = _BlockArrays(batch)
-        return [batch.score_row(i, work) for i in range(lo, hi)]
-
     if threads <= 1 or batch.n < 4:
-        rows = run(0, batch.n)
+        parts = [batch.score_range(0, batch.n)]
     else:
         step = -(-batch.n // threads)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(lambda lo: run(lo, min(lo + step, batch.n)), range(0, batch.n, step))
-            rows = [row for chunk in chunks for row in chunk]
-    anchors = np.repeat(np.arange(batch.n), [js.size for js, _ in rows])
-    queries = np.concatenate([js for js, _ in rows])
-    counts = np.concatenate([c for _, c in rows])
-    return anchors, queries, counts
+            parts = list(pool.map(lambda lo: batch.score_range(lo, min(lo + step, batch.n)),
+                                  range(0, batch.n, step)))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _reverse_counts(anchors, queries, counts, n: int) -> np.ndarray:
@@ -292,7 +416,10 @@ def overlap_score(anchor: Pose, other: Pose, cfg: OverlapConfig) -> float:
     Returns 0 outright when the relative rotation exceeds the gate. With
     cfg.symmetric the minimum of the two directional scores is returned.
     A two-pose batch through the kernel `generate_pairs` uses, so a pair's
-    score here equals its row there.
+    score here equals its row there: the sphere reject, the gate, the
+    separation reject and the point test, in that order. Two poses fit in one
+    reject chunk, so the batch skips the grid, and the camera-frame lattice,
+    planes and sphere come from a per-spec cache rather than being rebuilt.
     """
     batch = _FrustumBatch(np.stack([anchor.rotation.as_array(), other.rotation.as_array()]),
                           np.stack([anchor.translation.as_array(), other.translation.as_array()]), cfg)

@@ -151,8 +151,9 @@ def relative(anchor: Pose, query: Pose) -> RelativePose:
 
     The one-row case of `relative_rows`, so it equals the pair file's row.
     """
-    q, t = relative_rows(anchor.rotation.as_array(), anchor.translation.as_array(),
-                         query.rotation.as_array()[None, :], query.translation.as_array()[None, :])
+    q, t = relative_rows(np.stack([anchor.rotation.as_array(), query.rotation.as_array()]),
+                         np.stack([anchor.translation.as_array(), query.translation.as_array()]),
+                         np.array([0]), np.array([1]))
     return RelativePose(Quaternion(*q[0].tolist()), Translation.from_array(t[0]))
 
 
@@ -324,11 +325,20 @@ def axis_angle_rows(axes: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
     return normalize_quat_rows(q)
 
 
-def relative_rows(qa: np.ndarray, ta: np.ndarray, qb: np.ndarray, tb: np.ndarray):
-    """inverse(a) * b for one anchor pose (qa, ta) against (M, 4) / (M, 3)
-    query rows: ((M, 4) rotations, (M, 3) translations)."""
-    q_rel = quat_mul_rows(quat_conj_rows(np.broadcast_to(qa, qb.shape)), qb)
-    return normalize_quat_rows(q_rel), (tb - ta) @ quats_to_matrices(qa[None, :])[0]
+def relative_rows(quats: np.ndarray, trans: np.ndarray, anchors: np.ndarray, queries: np.ndarray):
+    """inverse(a) * b for each (anchors[k], queries[k]) index pair into
+    (N, 4) wxyz and (N, 3) pose rows: ((M, 4) rotations, (M, 3) translations).
+
+    Rotations are elementwise. The pairs of one anchor must be adjacent:
+    their translations are one (tb - ta) @ R_a product, with R_a built once
+    per anchor.
+    """
+    q_rel = quat_mul_rows(quat_conj_rows(quats[anchors]), quats[queries])
+    t_rel = np.empty((len(anchors), 3))
+    first = np.flatnonzero(np.diff(anchors, prepend=-1))
+    for r, lo, hi in zip(quats_to_matrices(quats[anchors[first]]), first, [*first[1:], len(anchors)]):
+        t_rel[lo:hi] = (trans[queries[lo:hi]] - trans[anchors[lo]]) @ r
+    return normalize_quat_rows(q_rel), t_rel
 
 
 def euler_zyx_deg_rows(rows: np.ndarray):

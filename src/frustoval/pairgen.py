@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dataset, geometry
 from .dataset import PairTable, PoseSet
-from .frustum import OverlapConfig, _FrustumBatch, _reverse_counts, _score_pairs
+from .frustum import _CHUNK_PAIRS, OverlapConfig, _FrustumBatch, _reverse_counts, _score_pairs
 
 DEFAULT_BIN_EDGES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -98,12 +98,11 @@ def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
     anchors, queries, scores = anchors[keep], queries[keep], scores[keep]
     rotations = np.empty((scores.size, 4))
     translations = np.empty((scores.size, 3))
-    bounds = np.searchsorted(anchors, np.arange(batch.n + 1))
-    for i in np.flatnonzero(np.diff(bounds)):
-        lo, hi = bounds[i], bounds[i + 1]
-        js = queries[lo:hi]
+    # chunks of about _CHUNK_PAIRS pairs, cut where an anchor's pairs begin
+    cuts = sorted(set(np.searchsorted(anchors, anchors[::_CHUNK_PAIRS]).tolist()))
+    for lo, hi in zip(cuts, [*cuts[1:], scores.size]):
         rotations[lo:hi], translations[lo:hi] = geometry.relative_rows(
-            batch.quats[i], batch.trans[i], batch.quats[js], batch.trans[js])
+            batch.quats, batch.trans, anchors[lo:hi], queries[lo:hi])
     ids = np.array(poses.frame_ids, dtype=object)
     return PairTable(ids[anchors].tolist(), ids[queries].tolist(), rotations, translations,
                      scores, digest)

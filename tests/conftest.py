@@ -73,17 +73,23 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def all_pairs(batch, lo, hi):
+    """grid_candidates without the grid: one run of every pose per anchor."""
+    return np.arange(batch.n), np.zeros((hi - lo, 1), dtype=np.int64), np.full((hi - lo, 1), batch.n)
+
+
 @contextmanager
-def _no_rejects():
+def without_rejects():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_FrustumBatch, "spheres_meet", lambda self, i, idx: np.ones(idx.size, dtype=bool))
-        mp.setattr(_FrustumBatch, "separated", lambda self, i, idx: np.zeros(idx.size, dtype=bool))
+        mp.setattr(_FrustumBatch, "grid_candidates", all_pairs)
+        mp.setattr(_FrustumBatch, "spheres_meet", lambda self, a, q: np.ones(a.size, dtype=bool))
+        mp.setattr(_FrustumBatch, "separated", lambda self, a, q: np.zeros(a.size, dtype=bool))
         yield
 
 
 @pytest.fixture
 def no_rejects():
-    """`with no_rejects(): ...` scores with the sphere and separation rejects
-    turned off, so every candidate past the rotation gate is point-tested:
+    """`with no_rejects(): ...` scores with the grid, sphere and separation
+    rejects turned off, so every pair past the rotation gate is point-tested:
     the reference that reject-equivalence tests compare the kernel against."""
-    return _no_rejects
+    return without_rejects

@@ -354,6 +354,15 @@ class TestRecordValidation:
                               "--out", str(tmp_path / "x.pairs")],
                      poses_file, lineno, "squared norm overflows")
 
+    def test_unknown_split(self, tmp_path, poses_file, capsys):
+        lines = poses_file.read_text().splitlines()
+        k = next(k for k, ln in enumerate(lines) if ln.startswith("# split="))
+        lines[k] = "# split=val"
+        poses_file.write_text("\n".join(lines) + "\n")
+        self.refused(capsys, ["pairs", "--poses", str(poses_file), *FRUSTUM_FLAGS,
+                              "--out", str(tmp_path / "x.pairs")],
+                     poses_file, k + 1, "split must be 'train' or 'test', got 'val'")
+
     def test_overflowing_pair_quaternion(self, tmp_path, pairs_file, capsys):
         lineno = _edit_record(pairs_file, 6, lambda f, prev: [*f[:4], "-1e200", *f[5:]])
         self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, lineno,

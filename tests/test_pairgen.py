@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frustoval import (
     FrustumSpec,
@@ -19,13 +21,13 @@ from frustoval import (
     overlap_score,
     subspace_stats,
 )
-from frustoval import dataset, frustum
+from frustoval import dataset, frustum, geometry, pairgen
 from frustoval.dataset import PairTable
-from frustoval.frustum import camera_corners
+from frustoval.frustum import camera_corners, camera_sphere
 from frustoval.geometry import Pose
 from frustoval.synth import SynthConfig, generate_trajectory
 
-from conftest import oracle_matrix, oracle_relative, pose_rows, pose_set
+from conftest import oracle_matrix, oracle_relative, pose_rows, pose_set, without_rejects
 
 from test_frustum import oracle_overlap
 
@@ -138,20 +140,29 @@ class TestGeneratePairs:
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_early_reject_changes_nothing(self, monkeypatch, no_rejects):
-        # spread poses so the bounding-sphere reject and the plane-separation
-        # reject both fire, and count how many candidates each one drops
-        dropped = {"spheres_meet": 0, "separated": 0}
+        # spread poses so the grid, the bounding-sphere reject and the
+        # plane-separation reject all fire, and count how many pairs each one
+        # drops; small chunks make these 24 poses use the grid
+        monkeypatch.setattr(frustum, "_CHUNK_PAIRS", 64)
+        dropped = {"grid_candidates": 0, "spheres_meet": 0, "separated": 0}
 
         def counting(name, keeps):
             orig = getattr(frustum._FrustumBatch, name)
 
-            def wrapper(batch, i, idx):
-                mask = orig(batch, i, idx)
+            def wrapper(batch, a, q):
+                mask = orig(batch, a, q)
                 dropped[name] += int(np.count_nonzero(mask != keeps))
                 return mask
 
             monkeypatch.setattr(frustum._FrustumBatch, name, wrapper)
 
+        def counting_grid(batch, lo, hi):
+            order, starts, stops = grid(batch, lo, hi)
+            dropped["grid_candidates"] += (hi - lo) * batch.n - int((stops - starts).sum())
+            return order, starts, stops
+
+        grid = frustum._FrustumBatch.grid_candidates
+        monkeypatch.setattr(frustum._FrustumBatch, "grid_candidates", counting_grid)
         counting("spheres_meet", keeps=True)
         counting("separated", keeps=False)
         # every third camera turned 150 degrees, so the two gates differ
@@ -168,9 +179,9 @@ class TestGeneratePairs:
                 for symmetric in (False, True):
                     spec = FrustumSpec(grid_nx=4, grid_ny=4, grid_nz=4, boundary_epsilon=eps)
                     cfg = OverlapConfig(frustum=spec, max_relative_rotation_deg=gate, symmetric=symmetric)
-                    dropped.update(spheres_meet=0, separated=0)
+                    dropped.update(grid_candidates=0, spheres_meet=0, separated=0)
                     with_reject = generate_pairs(ps, cfg)
-                    assert dropped["spheres_meet"] > 0 and dropped["separated"] > 0, (eps, gate, symmetric)
+                    assert min(dropped.values()) > 0, (dropped, eps, gate, symmetric)
                     with no_rejects():
                         without = generate_pairs(ps, cfg)
                     assert with_reject == without, (eps, gate, symmetric)
@@ -227,6 +238,22 @@ class TestGeneratePairs:
         assert pairs
         assert peak < n * n * 8
 
+    def test_reject_chunks_bound_memory(self):
+        # 600 poses in a 3x2x1 m box: nearly every one of the 359,400 pairs
+        # reaches the separation reject, and the reject temporaries of all of
+        # them at once peak near 270 MB; chunked, the whole call peaks near 22 MB
+        n = 600
+        ps = generate_trajectory(SynthConfig(extents=(3, 2, 1), n_poses=n, max_tilt_deg=25.0, seed=5))
+        cfg = OverlapConfig(frustum=FrustumSpec(grid_nx=2, grid_ny=2, grid_nz=2))
+        tracemalloc.start()
+        try:
+            pairs = generate_pairs(ps, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) > n * n // 4
+        assert peak < 64e6
+
     def test_unordered_requires_symmetric(self):
         ps = small_poses(n=6)
         with pytest.raises(ValueError, match="symmetric"):
@@ -256,6 +283,79 @@ class TestGeneratePairs:
         ps = small_poses(n=4)
         with pytest.raises(ValueError):
             generate_pairs(ps, OverlapConfig(), min_overlap=0.5, max_overlap=0.5)
+
+
+GRID_SPEC = FrustumSpec(grid_nx=2, grid_ny=2, grid_nz=2)
+GRID_CENTRE, GRID_RADIUS = camera_sphere(GRID_SPEC)
+REACH = 2.0 * GRID_RADIUS + 1e-6  # the sphere test's own reach
+SIDE = REACH * (1.0 + 1e-6)  # the grid's cell side for GRID_SPEC
+
+
+@st.composite
+def grid_scenes(draw):
+    """(unit quaternions, translations) whose sphere centres stress the grid:
+    one cell, cell boundaries, pairs just within the sphere reach, clusters
+    5 km apart, a 1e6 m offset or a line."""
+    n = draw(st.one_of(st.sampled_from([2, 3]), st.integers(4, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    layout = draw(st.sampled_from(["one-cell", "boundaries", "near-reach", "clusters", "offset", "collinear"]))
+    if layout == "one-cell":
+        centres = rng.uniform(0.0, 0.999 * SIDE, (n, 3))
+    elif layout == "boundaries":
+        # whole multiples of the cell side, or of the sphere reach just below it
+        centres = draw(st.sampled_from([SIDE, REACH])) * rng.integers(0, 4, (n, 3))
+    elif layout == "near-reach":
+        # pairs whose spheres just meet along a grid axis, anywhere in a cell
+        centres = rng.uniform(0.0, 3.0 * SIDE, (n, 3))
+        centres[1::2] = centres[:n // 2 * 2:2] + 0.999 * REACH * np.eye(3)[rng.integers(0, 3, n // 2)]
+    elif layout == "clusters":
+        centres = rng.uniform(0.0, 2.0 * SIDE, (n, 3)) + 5000.0 * rng.integers(0, 3, (n, 1)) * rng.normal(size=3)
+    elif layout == "offset":
+        centres = 1e6 + rng.uniform(0.0, 3.0 * SIDE, (n, 3))
+    else:
+        direction = rng.normal(size=3)
+        centres = rng.integers(0, 9, (n, 1)) * (REACH / 2.0) * direction / np.linalg.norm(direction)
+    quats = geometry.normalize_quat_rows(rng.normal(size=(n, 4)))
+    return quats, centres - geometry.quats_to_matrices(quats) @ GRID_CENTRE
+
+
+class TestCandidateGrid:
+    """The grid enumerates every pair the sphere test keeps, and scoring
+    through it, in chunks of any size, equals the all-pairs reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_scenes())
+    def test_grid_holds_every_sphere_pair(self, scene):
+        quats, trans = scene
+        n = len(quats)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(frustum, "_CHUNK_PAIRS", 1)  # no all-pairs shortcut
+            batch = frustum._FrustumBatch(quats, trans, OverlapConfig(frustum=GRID_SPEC))
+            order, starts, stops = batch.grid_candidates(0, n)
+        listed = [order[lo:hi] for k in range(n) for lo, hi in zip(starts[k], stops[k])]
+        anchors = np.repeat(np.arange(n), [sum(stops[k] - starts[k]) for k in range(n)])
+        queries = np.concatenate(listed)
+        assert np.unique(anchors * n + queries).size == anchors.size  # no pair twice
+        every = np.arange(n * n)
+        meet = batch.spheres_meet(every // n, every % n)
+        assert set(every[meet].tolist()) <= set((anchors * n + queries).tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_scenes(), st.sampled_from([1, 7, 64]), st.sampled_from([110.0, 180.0]), st.booleans())
+    def test_chunked_grid_scoring_equals_all_pairs(self, scene, chunk, gate, symmetric):
+        quats, trans = scene
+        ps = PoseSet("grid", "train", [f"p{k:02d}" for k in range(len(quats))], quats, trans)
+        cfg = OverlapConfig(frustum=GRID_SPEC, max_relative_rotation_deg=gate, symmetric=symmetric)
+        with without_rejects():
+            want = generate_pairs(ps, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(frustum, "_CHUNK_PAIRS", chunk)
+            mp.setattr(pairgen, "_CHUNK_PAIRS", chunk)
+            assert generate_pairs(ps, cfg) == want
+            assert generate_pairs(ps, cfg, threads=2) == want
+            # the kernel's own order, which the symmetric join relies on
+            anchors, queries, _ = frustum._score_pairs(frustum._FrustumBatch(quats, trans, cfg), 1)
+            assert np.all(np.diff(anchors * len(quats) + queries) > 0)
 
 
 class TestBinning:
