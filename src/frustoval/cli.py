@@ -404,23 +404,11 @@ def cmd_eval(args) -> int:
         raise UsageError(f"unknown --stats entries: {sorted(unknown)}")
     statistics = tuple(s for s in ("mean", "median") if s in requested) or ("mean", "median")
     include = tuple(m for m in ("mape", "mase", "mapse", "rmape") if m in requested)
-    naive_source_pairs = None
-    naive_source = "eval_pairs"
-    if args.source_pairs:
-        naive_source_pairs = _source_pairs(args.source_pairs, pf)
-        naive_source = "train_pairs"
-    cfg = MetricConfig(
-        norm=args.norm, statistics=statistics,
-        euler_gimbal_policy=args.gimbal, naive_source=naive_source,
-    )
-    threshold = args.subspace_threshold
-    if threshold is None:
-        threshold = pf.min_overlap
-    report = metrics.evaluate(
-        pf.pairs, pd.predictions, cfg,
-        naive_source_pairs=naive_source_pairs,
-        subspace_threshold=threshold, include=include,
-    )
+    naive_source_pairs = _source_pairs(args.source_pairs, pf) if args.source_pairs else None
+    cfg = MetricConfig(norm=args.norm, statistics=statistics, euler_gimbal_policy=args.gimbal)
+    threshold = pf.min_overlap if args.subspace_threshold is None else args.subspace_threshold
+    report = metrics.evaluate(pf.pairs, pd.predictions, cfg, naive_source_pairs=naive_source_pairs,
+                              subspace_threshold=threshold, include=include)
     dataset.write_report(
         args.out, report.to_items(),
         extra={**dataset.config_header_entries(pf.cfg), **dataset.convention_entries()},

@@ -4,9 +4,15 @@ the canonical on-disk formats for every artifact.
 
 All toolkit files are line-oriented text: a `# frustoval-format v1` magic
 line, a `# key=value` header block echoing the full configuration, then one
-record per line. Floats are printed with 9 significant digits and records are
-sorted by their ids, so identical logical content serializes byte-identically
-and write -> read -> write is a fixed point.
+record per line; blank lines are ignored. Floats are printed with 9
+significant digits and records are sorted by their ids, so identical logical
+content serializes byte-identically and write -> read -> write is a fixed
+point.
+
+Pose, pair and prediction files are read once and their records parsed by
+one structured `np.loadtxt` call, so numbers take the syntax loadtxt reads.
+A refusal names `path:LINE:` when one line is at fault and `path:` otherwise;
+the line is looked up only after a check fails.
 
 Ingested poses (public datasets, synthetic trajectories) are rounded to the
 same 9-significant-digit precision (`round9_array`) before they become a
@@ -283,26 +289,42 @@ def parse_grid(text: str):
     return tuple(int(g) for g in m.groups())
 
 
-def config_from_header(header: dict) -> OverlapConfig:
+class _Refused(FormatError):
+    """A check failed on one header entry (`key`) or one record (`row`,
+    counted from 0); the reader adds the file and that line."""
+
+    def __init__(self, message: str, *, key: str | None = None, row: int | None = None):
+        super().__init__(message)
+        self.key, self.row = key, row
+
+
+def _entry(header: dict, key: str, convert=float, default=None):
+    """header[key], or `default` when absent, through `convert`."""
+    value = header.get(key, default)
+    if value is None:
+        raise FormatError(f"header is missing configuration key {key!r}")
     try:
-        nx, ny, nz = parse_grid(header["grid"])
+        return convert(value)
+    except (ValueError, FormatError):
+        raise _Refused(f"bad {key} value {value!r}", key=key) from None
+
+
+def config_from_header(header: dict) -> OverlapConfig:
+    """The OverlapConfig a pair file's header echoes. A missing or unreadable
+    entry, or values the configuration refuses, raise FormatError."""
+    nx, ny, nz = _entry(header, "grid", parse_grid)
+    try:
         spec = FrustumSpec(
-            hfov_deg=float(header["hfov_deg"]),
-            vfov_deg=float(header["vfov_deg"]),
-            near=float(header["near_m"]),
-            far=float(header["far_m"]),
-            grid_nx=nx,
-            grid_ny=ny,
-            grid_nz=nz,
-            boundary_epsilon=float(header["boundary_epsilon_m"]),
+            hfov_deg=_entry(header, "hfov_deg"), vfov_deg=_entry(header, "vfov_deg"),
+            near=_entry(header, "near_m"), far=_entry(header, "far_m"), grid_nx=nx, grid_ny=ny,
+            grid_nz=nz, boundary_epsilon=_entry(header, "boundary_epsilon_m"),
         )
         return OverlapConfig(
-            frustum=spec,
-            max_relative_rotation_deg=float(header["max_relative_rotation_deg"]),
-            symmetric=header["symmetric"] == "true",
+            frustum=spec, max_relative_rotation_deg=_entry(header, "max_relative_rotation_deg"),
+            symmetric=_entry(header, "symmetric", str) == "true",
         )
-    except KeyError as e:
-        raise FormatError(f"header is missing configuration key {e.args[0]!r}") from None
+    except ValueError as e:
+        raise FormatError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +355,7 @@ def _write_header(fh, kind: str, entries: dict):
     fh.write(f"# kind={kind}\n")
     fh.write(f"# toolkit_version={__version__}\n")
     for k, v in entries.items():
-        v = str(v)
-        if "\n" in v:
-            v = v.replace("\n", " ")
-        fh.write(f"# {k}={v}\n")
+        fh.write("# {}={}\n".format(k, str(v).replace("\n", " ")))
 
 
 def _read_lines(path):
@@ -347,105 +366,136 @@ def _read_lines(path):
     return text.splitlines()
 
 
-def read_header(path):
-    """Return (kind, header dict, record lines) of a canonical file."""
-    lines = _read_lines(path)
+def _header_block(path, lines, expected: str | None = None):
+    """(kind, header dict, index of the first record line): the magic line,
+    then the consecutive `# key=value` lines. Blank lines among them are
+    skipped and a repeated key keeps its last value. A kind other than
+    `expected`, when given, is refused."""
     if not lines or lines[0] != FORMAT_LINE:
         raise FormatError(
             f"{path}: not a frustoval v1 file (expected first line {FORMAT_LINE!r})"
         )
     header = {}
-    body = []
-    for ln in lines[1:]:
+    for end in range(1, len(lines)):
+        ln = lines[end]
         if ln.startswith("# "):
             key, sep, value = ln[2:].partition("=")
             if not sep:
-                raise FormatError(f"{path}: malformed header line {ln!r}")
+                raise FormatError(f"{path}:{end + 1}: malformed header line {ln!r}")
             header[key] = value
         elif ln.strip():
-            body.append(ln)
+            break
+    else:
+        end = len(lines)
     kind = header.pop("kind", None)
     if kind is None:
         raise FormatError(f"{path}: header has no kind entry")
-    return kind, header, body
-
-
-def _expect_kind(path, kind, expected):
-    if kind != expected:
+    if expected not in (None, kind):
         raise FormatError(f"{path}: expected a {expected} file, found kind={kind}")
+    return kind, header, end
 
 
-def _expect_count(path, header, body):
-    declared = int(header.get("count", len(body)))
-    if declared != len(body):
-        raise FormatError(f"{path}: header declares {declared} records, found {len(body)}")
-
-
-def _record_lineno(path, k: int) -> int:
-    """File line number of the k-th record line. Only error paths call this,
-    so readers never track line numbers while parsing."""
-    seen = -1
+def read_header(path):
+    """Return (kind, header dict, record lines) of a canonical file."""
     lines = _read_lines(path)
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if not ln.startswith("# ") and ln.strip():
-            seen += 1
-            if seen == k:
-                return lineno
-    return len(lines)
+    kind, header, start = _header_block(path, lines)
+    late = next((i for i in range(start, len(lines)) if lines[i].startswith("# ")), None)
+    if late is not None:
+        raise FormatError(f"{path}:{late + 1}: header line {lines[late]!r} after the first record")
+    return kind, header, [ln for ln in lines[start:] if ln.strip()]
 
 
-def _record_error(path, k: int, message: str) -> FormatError:
-    return FormatError(f"{path}:{_record_lineno(path, k)}: {message}")
+def _record_lineno(lines, k: int) -> int:
+    """File line number of the k-th record: the k-th non-blank line from the
+    first line after the header block. Only refusals call this, so readers
+    never track line numbers while parsing."""
+    first = next(i for i, ln in enumerate(lines) if i and ln.strip() and not ln.startswith("# "))
+    return [i for i in range(first, len(lines)) if lines[i].strip()][k] + 1
 
 
-def _header_error(path, key: str, message: str) -> FormatError:
-    """FormatError naming the file line of header entry `key` (its last
-    occurrence, the one read_header keeps)."""
+@contextmanager
+def _located(path, lines):
+    """Prefix a FormatError raised inside with the file and, for a _Refused,
+    its line: the record's, or the header entry's last (the one kept)."""
+    try:
+        yield
+    except _Refused as e:
+        if e.key is None:
+            lineno = _record_lineno(lines, e.row)
+        else:
+            lineno = max(n for n, ln in enumerate(lines, start=1) if ln.startswith(f"# {e.key}="))
+        raise FormatError(f"{path}:{lineno}: {e}") from None
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
+def _loadtxt(lines, dtype):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+
+
+def _first_refused(body, dtype) -> int:
+    """Index of the first line of `body` that np.loadtxt refuses, found by
+    bisecting with the same call: each line is refused or not on its own."""
+    lo, hi = 0, len(body)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _loadtxt(body[lo:mid], dtype)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
+def _refusal(line: str, names, n_ids: int, record: str) -> str:
+    """Why a record line was refused, found on that line alone."""
+    tokens = line.split()
+    if tokens[:1] == ["#"]:
+        return f"header line {line!r} after the first record"
+    if len(tokens) != len(names):
+        return f"{record} record needs {len(names)} fields, got {len(tokens)}: {line!r}"
+    for name, tok in zip(names[n_ids:], tokens[n_ids:]):
+        try:
+            if not np.isfinite(_loadtxt([tok], np.float64)).all():
+                return f"non-finite {name} value {tok!r}"
+        except ValueError:
+            return f"bad {name} value {tok!r}"
+    return f"unreadable {record} record {line!r}"
+
+
+def _read_records(path, kind: str, columns: str):
+    """Read a record file once: (header, id columns as lists of str, (M,
+    fields) float64 array of the numbers, lines). One structured np.loadtxt
+    parses every line after the header block, skipping blank ones; the line
+    of a refused record is looked up only then."""
     lines = _read_lines(path)
-    lineno = max(k for k, ln in enumerate(lines, start=1) if ln.startswith(f"# {key}="))
-    return FormatError(f"{path}:{lineno}: {message}")
-
-
-def _parse_records(path, body, columns: str, kind: str):
-    """Split record lines into their id columns (the leading `*_id` fields)
-    and one (M, fields) float64 array of the numeric fields, parsed by one
-    np.loadtxt call. A wrong field count or a bad or non-finite number is
-    refused with the file and line."""
+    _, header, start = _header_block(path, lines, kind)
     names = columns.split()
     n_ids = sum(name.endswith("_id") for name in names)
-    parts = [ln.split(None, n_ids) for ln in body]
-    if body and all(len(p) == n_ids + 1 for p in parts):
-        try:
-            values = np.loadtxt([p[-1] for p in parts], dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            values = None
-        if values is not None and values.shape[1] == len(names) - n_ids and np.isfinite(values).all():
-            return [list(c) for c in list(zip(*parts))[:n_ids]], values
-    return _parse_tokens(path, body, names, n_ids, kind)
+    dtype = np.dtype([*((name, object) for name in names[:n_ids]),
+                      ("values", np.float64, (len(names) - n_ids,))])
+    try:
+        table = _loadtxt(lines[start:], dtype)
+    except ValueError:
+        i = start + _first_refused(lines[start:], dtype)
+    else:
+        ids, values = [table[name].tolist() for name in names[:n_ids]], table["values"]
+        bad = ~np.isfinite(values).all(axis=1)
+        if "#" in ids[0]:  # a header line with as many fields as a record
+            bad[ids[0].index("#")] = True
+        if not bad.any():
+            with _located(path, lines):
+                declared = _entry(header, "count", int, len(values))
+                if declared != len(values):
+                    raise FormatError(f"header declares {declared} records, found {len(values)}")
+            return header, ids, values, lines
+        i = _record_lineno(lines, int(np.argmax(bad))) - 1
+    raise FormatError(f"{path}:{i + 1}: {_refusal(lines[i], names, n_ids, kind[:-1])}")
 
 
-def _parse_tokens(path, body, names, n_ids, kind):
-    """_parse_records token by token, with Python's float() as the parser:
-    finds the offending line, and reads what float() accepts but loadtxt
-    does not (digit separators, non-ASCII digits)."""
-    rows = [ln.split() for ln in body]
-    bad = next((k for k, r in enumerate(rows) if len(r) != len(names)), None)
-    if bad is not None:
-        raise _record_error(path, bad, f"{kind} record needs {len(names)} fields, "
-                                       f"got {len(rows[bad])}: {body[bad]!r}")
-    values = np.empty((len(rows), len(names) - n_ids))
-    for k, r in enumerate(rows):
-        for c, (name, tok) in enumerate(zip(names[n_ids:], r[n_ids:])):
-            try:
-                values[k, c] = v = float(tok)
-            except ValueError:
-                raise _record_error(path, k, f"bad {name} value {tok!r}") from None
-            if not math.isfinite(v):
-                raise _record_error(path, k, f"non-finite {name} value {tok!r}")
-    return [[r[c] for r in rows] for c in range(n_ids)], values
-
-
-def _parsed_quats(path, q: np.ndarray) -> np.ndarray:
+def _parsed_quats(q: np.ndarray) -> np.ndarray:
     """(M, 4) parsed wxyz rows, each kept verbatim when within
     _PARSE_NORM_SLACK of unit norm with w >= 0, otherwise normalized to the
     canonical hemisphere, so canonical files survive read/write cycles
@@ -460,47 +510,47 @@ def _parsed_quats(path, q: np.ndarray) -> np.ndarray:
         bad = rows[(nsq[rows] == 0.0) | ~np.isfinite(nsq[rows])]
         if bad.size:
             k = int(bad[0])
-            raise _record_error(path, k, "zero quaternion cannot be normalized" if nsq[k] == 0.0
-                                else "quaternion's squared norm overflows")
+            raise _Refused("zero quaternion cannot be normalized" if nsq[k] == 0.0
+                           else "quaternion's squared norm overflows", row=k)
         q[rows] = geometry.normalize_quat_rows(q[rows])
     return q
 
 
-def _check_keys(path, anchor_ids, query_ids, kind: str):
-    """Refuse, with the file and line, keys that repeat or are out of order."""
+def _check_keys(anchor_ids, query_ids, kind: str):
+    """Refuse keys that repeat or are out of order."""
     keys = list(zip(anchor_ids, query_ids))
     ascending = list(map(operator.lt, keys, keys[1:]))
     if False in ascending:
         k = ascending.index(False) + 1
         problem = "duplicate" if keys[k] == keys[k - 1] else "unsorted"
-        raise _record_error(path, k, f"{problem} {kind} key {keys[k]}: records must be sorted "
-                                     "by (anchor_id, query_id) without repeats")
-
-
-def _check_frame_id(frame_id: str):
-    # a record line starting with "# " would read back as a header line
-    if not frame_id or frame_id == "#" or any(c.isspace() for c in frame_id):
-        raise ValueError(f"frame id {frame_id!r} must be non-empty, whitespace-free and not '#'")
-    return frame_id
+        raise _Refused(f"{problem} {kind} key {keys[k]}: records must be sorted "
+                       "by (anchor_id, query_id) without repeats", row=k)
 
 
 def _check_ids(frame_ids):
+    # an id "#" would start a record line that reads back as a header line
     for frame_id in dict.fromkeys(frame_ids):
-        _check_frame_id(frame_id)
+        if not frame_id or frame_id == "#" or any(c.isspace() for c in frame_id):
+            raise ValueError(f"frame id {frame_id!r} must be non-empty, whitespace-free and not '#'")
+
+
+def _write_table(path, kind: str, entries: dict, columns: str, count: int, lines):
+    """Write the header, ending with the row count and the column names, then the lines."""
+    with atomic_write(path) as fh:
+        _write_header(fh, kind, {**entries, "count": count, "columns": columns})
+        fh.writelines(lines)
 
 
 def _write_records(path, kind: str, entries: dict, columns: str, ids, numbers):
-    """Write a record file: the header, ending with the record count and the
-    column names, then one line per row of the id columns and the numeric
+    """Write a record file: one line per row of the id columns and the numeric
     columns, each number as fnum prints it, through one %-format per row. A
     non-finite number is refused."""
     values = np.column_stack(numbers) + 0.0  # + 0.0 turns -0 into 0, as fnum does
     if not np.isfinite(values).all():
         raise ValueError(f"cannot serialize non-finite number {float(values[~np.isfinite(values)][0])!r}")
     line = " ".join(["%s"] * len(ids) + ["%.9g"] * values.shape[1]) + "\n"
-    with atomic_write(path) as fh:
-        _write_header(fh, kind, {**entries, "count": len(values), "columns": columns})
-        fh.writelines(line % row for row in zip(*ids, *values.T.tolist()))
+    _write_table(path, kind, entries, columns, len(values),
+                 (line % row for row in zip(*ids, *values.T.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -525,22 +575,21 @@ def write_poses(path, ps: PoseSet, extra: dict | None = None):
 
 
 def read_poses(path) -> PoseSet:
-    kind, header, body = read_header(path)
-    _expect_kind(path, kind, "poses")
-    _expect_count(path, header, body)
-    split = header.get("split", "train")
-    if split not in ("train", "test"):
-        raise _header_error(path, "split", f"split must be 'train' or 'test', got {split!r}")
-    (ids,), values = _parse_records(path, body, _POSE_COLUMNS, "pose")
-    if len(set(ids)) != len(ids):
-        seen = set()
-        k = next(k for k, f in enumerate(ids) if f in seen or seen.add(f))
-        raise _record_error(path, k, f"duplicate frame id {ids[k]!r}")
+    header, (ids,), values, lines = _read_records(path, "poses", _POSE_COLUMNS)
+    with _located(path, lines):
+        split = header.get("split", "train")
+        if split not in ("train", "test"):
+            raise _Refused(f"split must be 'train' or 'test', got {split!r}", key="split")
+        if len(set(ids)) != len(ids):
+            seen = set()
+            k = next(k for k, f in enumerate(ids) if f in seen or seen.add(f))
+            raise _Refused(f"duplicate frame id {ids[k]!r}", row=k)
+        rotations = _parsed_quats(values[:, 0:4])
     return PoseSet(
         scene_name=header.get("scene", ""),
         split=split,
         frame_ids=ids,
-        rotations=_parsed_quats(path, values[:, 0:4]),
+        rotations=rotations,
         translations=values[:, 4:7],
         source_format=header.get("source_format", "canonical"),
         convention_note=header.get("convention_note", ""),
@@ -599,40 +648,29 @@ def write_pairs(path, pairs: PairTable, cfg: OverlapConfig, *, min_overlap: floa
 
 
 def read_pairs(path) -> PairFileData:
-    kind, header, body = read_header(path)
-    _expect_kind(path, kind, "pairs")
-    _expect_count(path, header, body)
-    cfg = config_from_header(header)
-    digest = header.get("config_digest", "")
-    if config_digest(cfg) != digest:
-        raise FormatError(
-            f"{path}: stored config_digest {digest} does not match the header configuration"
-        )
-    lo = float(header.get("min_overlap", "0"))
-    hi = float(header.get("max_overlap", "1"))
-    (anchor_ids, query_ids), values = _parse_records(path, body, _PAIR_COLUMNS, "pair")
-    same = list(map(operator.eq, anchor_ids, query_ids))
-    if True in same:
-        k = same.index(True)
-        raise _record_error(path, k, f"pair must join two distinct frames, got {anchor_ids[k]!r} twice")
-    overlaps = values[:, 0]
-    inside = (overlaps > lo) & (overlaps <= hi) & (overlaps >= 0.0) & (overlaps <= 1.0)
-    if not inside.all():
-        k = int(np.argmin(inside))
-        raise _record_error(path, k, f"overlap {body[k].split()[2]} outside the header's "
-                                     f"({header.get('min_overlap', '0')}, {header.get('max_overlap', '1')}]")
-    _check_keys(path, anchor_ids, query_ids, "pair")
-    pairs = PairTable(anchor_ids, query_ids, _parsed_quats(path, values[:, 1:5]), values[:, 5:8],
-                      overlaps=overlaps, config_digest=digest)
-    return PairFileData(
-        pairs=pairs,
-        cfg=cfg,
-        digest=digest,
-        min_overlap=lo,
-        max_overlap=hi,
-        ordered=header.get("ordered", "true") == "true",
-        header=header,
-    )
+    header, (anchor_ids, query_ids), values, lines = _read_records(path, "pairs", _PAIR_COLUMNS)
+    with _located(path, lines):
+        cfg = config_from_header(header)
+        lo = _entry(header, "min_overlap", default="0")
+        hi = _entry(header, "max_overlap", default="1")
+        digest = header.get("config_digest", "")
+        if config_digest(cfg) != digest:
+            raise FormatError(f"stored config_digest {digest} does not match the header configuration")
+        same = list(map(operator.eq, anchor_ids, query_ids))
+        if True in same:
+            k = same.index(True)
+            raise _Refused(f"pair must join two distinct frames, got {anchor_ids[k]!r} twice", row=k)
+        overlaps = values[:, 0]
+        inside = (overlaps > lo) & (overlaps <= hi) & (overlaps >= 0.0) & (overlaps <= 1.0)
+        if not inside.all():
+            k = int(np.argmin(inside))
+            raise _Refused(f"overlap {float(overlaps[k])} outside the header's "
+                           f"({header.get('min_overlap', '0')}, {header.get('max_overlap', '1')}]", row=k)
+        _check_keys(anchor_ids, query_ids, "pair")
+        pairs = PairTable(anchor_ids, query_ids, _parsed_quats(values[:, 1:5]), values[:, 5:8],
+                          overlaps=overlaps, config_digest=digest)
+    return PairFileData(pairs=pairs, cfg=cfg, digest=digest, min_overlap=lo, max_overlap=hi,
+                        ordered=header.get("ordered", "true") == "true", header=header)
 
 
 # ---------------------------------------------------------------------------
@@ -667,14 +705,12 @@ def write_predictions(path, predictions: PairTable, *, config_digest: str, predi
 
 
 def read_predictions(path) -> PredictionFileData:
-    kind, header, body = read_header(path)
-    _expect_kind(path, kind, "predictions")
-    _expect_count(path, header, body)
+    header, (anchor_ids, query_ids), values, lines = _read_records(path, "predictions", _PRED_COLUMNS)
     digest = header.get("config_digest", "")
-    (anchor_ids, query_ids), values = _parse_records(path, body, _PRED_COLUMNS, "prediction")
-    _check_keys(path, anchor_ids, query_ids, "prediction")
-    predictions = PairTable(anchor_ids, query_ids, _parsed_quats(path, values[:, 0:4]),
-                            values[:, 4:7], config_digest=digest)
+    with _located(path, lines):
+        _check_keys(anchor_ids, query_ids, "prediction")
+        rotations = _parsed_quats(values[:, 0:4])
+    predictions = PairTable(anchor_ids, query_ids, rotations, values[:, 4:7], config_digest=digest)
     return PredictionFileData(predictions=predictions, digest=digest, header=header)
 
 
@@ -691,101 +727,73 @@ def check_digest_match(pairs_digest: str, predictions_digest: str):
 # ---------------------------------------------------------------------------
 
 
+def _report_text(v) -> str:
+    if v is None or isinstance(v, bool):
+        return "undefined" if v is None else str(v).lower()
+    return fnum(v) if isinstance(v, float) else str(v)
+
+
 def write_report(path, items: dict, extra: dict | None = None):
-    """Serialize a metric report; values are written as key=value header lines."""
-    entries = dict(extra or {})
-    for k, v in items.items():
-        if v is None:
-            entries[k] = "undefined"
-        elif isinstance(v, bool):
-            entries[k] = "true" if v else "false"
-        elif isinstance(v, float):
-            entries[k] = fnum(v)
-        else:
-            entries[k] = str(v)
+    """Serialize a metric report: each value is a key=value header line, None
+    as undefined, booleans as true/false, floats as fnum prints them."""
     with atomic_write(path) as fh:
-        _write_header(fh, "report", entries)
+        _write_header(fh, "report", {**(extra or {}), **{k: _report_text(v) for k, v in items.items()}})
+
+
+_REPORT_WORDS = {"undefined": None, "true": True, "false": False}
+
+
+def _report_value(v: str):
+    """What read_report makes of a value _report_text wrote."""
+    if v in _REPORT_WORDS:
+        return _REPORT_WORDS[v]
+    for convert in (int, float):
+        try:
+            return convert(v)
+        except ValueError:
+            pass
+    return v
 
 
 def read_report(path) -> dict:
-    kind, header, body = read_header(path)
-    _expect_kind(path, kind, "report")
-    out = {}
-    for k, v in header.items():
-        if v == "undefined":
-            out[k] = None
-        elif v == "true":
-            out[k] = True
-        elif v == "false":
-            out[k] = False
-        else:
-            try:
-                out[k] = int(v)
-            except ValueError:
-                try:
-                    out[k] = float(v)
-                except ValueError:
-                    out[k] = v
-    return out
+    _, header, _ = _header_block(path, _read_lines(path), "report")
+    return {k: _report_value(v) for k, v in header.items()}
+
+
+def _cell(v):
+    """A CSV cell: the number as fnum prints it, or nan when undefined."""
+    return "nan" if v is None else fnum(v)
 
 
 def write_histogram(path, edges, counts, extra: dict | None = None):
     edges = list(edges)
-    counts = list(counts)
-    entries = {
-        **(extra or {}),
-        "count": len(counts),
-        "columns": "bin_lo,bin_hi,count",
-    }
-    with atomic_write(path) as fh:
-        _write_header(fh, "histogram", entries)
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            fh.write(f"{fnum(lo)},{fnum(hi)},{int(c)}\n")
+    rows = [f"{fnum(lo)},{fnum(hi)},{int(c)}\n" for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
+    _write_table(path, "histogram", extra or {}, "bin_lo,bin_hi,count", len(rows), rows)
 
 
 def write_subspace_table(path, stats_rows, extra: dict | None = None):
     """One subspace-statistics row per threshold; undefined values print as nan."""
-    entries = {
-        **(extra or {}),
-        "count": len(stats_rows),
-        "columns": "threshold,count,mean_norm,std_norm,diameter",
-    }
-
-    def cell(v):
-        return "nan" if v is None else fnum(v)
-
-    with atomic_write(path) as fh:
-        _write_header(fh, "subspace_stats", entries)
-        for s in stats_rows:
-            fh.write(
-                f"{fnum(s.threshold)},{s.count},{cell(s.mean_norm)},{cell(s.std_norm)},{cell(s.diameter)}\n"
-            )
+    rows = [f"{fnum(s.threshold)},{s.count},{_cell(s.mean_norm)},{_cell(s.std_norm)},{_cell(s.diameter)}\n"
+            for s in stats_rows]
+    _write_table(path, "subspace_stats", extra or {}, "threshold,count,mean_norm,std_norm,diameter",
+                 len(rows), rows)
 
 
 def write_curve(path, curve, extra: dict | None = None):
     """Plot-ready CSV of an error curve plus its area summaries."""
-
-    def cell(v):
-        return "nan" if v is None else fnum(v)
-
     entries = {
         **(extra or {}),
         "stat": curve.stat,
         "norm": curve.norm,
-        "auc_t": cell(curve.auc_t),
-        "auc_q": cell(curve.auc_q),
-        "raw_area_t": cell(curve.raw_area_t),
-        "raw_area_q": cell(curve.raw_area_q),
+        "auc_t": _cell(curve.auc_t),
+        "auc_q": _cell(curve.auc_q),
+        "raw_area_t": _cell(curve.raw_area_t),
+        "raw_area_q": _cell(curve.raw_area_q),
         "empty_bins": sum(1 for b in curve.bins if b.n == 0),
-        "count": len(curve.bins),
-        "columns": "bin_lo,bin_mid,bin_hi,t_stat,q_stat,n",
     }
-    with atomic_write(path) as fh:
-        _write_header(fh, "error_curve", entries)
-        for b in curve.bins:
-            fh.write(
-                f"{fnum(b.lo)},{fnum(b.mid)},{fnum(b.hi)},{cell(b.t_stat)},{cell(b.q_stat)},{b.n}\n"
-            )
+    rows = [f"{fnum(b.lo)},{fnum(b.mid)},{fnum(b.hi)},{_cell(b.t_stat)},{_cell(b.q_stat)},{b.n}\n"
+            for b in curve.bins]
+    _write_table(path, "error_curve", entries, "bin_lo,bin_mid,bin_hi,t_stat,q_stat,n", len(rows), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ class MetricConfig:
     norm: str = "l1"
     statistics: tuple = ("mean", "median")
     euler_gimbal_policy: str = "exclude"  # or "error"
-    naive_source: str = "eval_pairs"  # or "train_pairs"
 
     def __post_init__(self):
         if self.norm.lower() not in ("l1", "l2"):
@@ -51,8 +50,6 @@ class MetricConfig:
                 raise ValueError(f"unknown statistic {s!r}")
         if self.euler_gimbal_policy not in ("exclude", "error"):
             raise ValueError(f"unknown gimbal policy {self.euler_gimbal_policy!r}")
-        if self.naive_source not in ("eval_pairs", "train_pairs"):
-            raise ValueError(f"unknown naive source {self.naive_source!r}")
 
 
 @dataclass(frozen=True)
@@ -472,10 +469,10 @@ def evaluate(pairs: PairTable, predictions: PairTable, cfg: MetricConfig = Metri
              include=_METRIC_NAMES) -> MetricReport:
     """Run every configured criterion over one pair/prediction set.
 
-    The naive baseline is fit on the evaluated pairs themselves or, with
-    cfg.naive_source == 'train_pairs', on the separately supplied
-    `naive_source_pairs`. The subspace statistics default to the evaluated
-    set at its own minimum overlap.
+    The naive baseline is fit on `naive_source_pairs` when given (the
+    report's naive_source reads 'train_pairs'), otherwise on the evaluated
+    pairs themselves ('eval_pairs'). The subspace statistics default to the
+    evaluated set at its own minimum overlap.
     """
     if not len(pairs):
         raise EvaluationError("cannot evaluate an empty pair set")
@@ -484,12 +481,7 @@ def evaluate(pairs: PairTable, predictions: PairTable, cfg: MetricConfig = Metri
         raise ValueError(f"unknown metrics requested: {sorted(unknown)}")
     t, t_hat, q, q_hat = _paired_arrays(pairs, predictions)
     std = _standard_errors(t, t_hat, q, q_hat, cfg)
-    if cfg.naive_source == "train_pairs":
-        if naive_source_pairs is None:
-            raise EvaluationError("naive_source='train_pairs' requires naive_source_pairs")
-        source = naive_source_pairs
-    else:
-        source = pairs
+    source = pairs if naive_source_pairs is None else naive_source_pairs
     naive_mean = naive_mean_translation(source)
     threshold = subspace_threshold
     if threshold is None:
@@ -499,7 +491,7 @@ def evaluate(pairs: PairTable, predictions: PairTable, cfg: MetricConfig = Metri
         norm=cfg.norm,
         statistics=tuple(cfg.statistics),
         euler_gimbal_policy=cfg.euler_gimbal_policy,
-        naive_source=cfg.naive_source,
+        naive_source="eval_pairs" if naive_source_pairs is None else "train_pairs",
         config_digest=pairs.config_digest,
         subspace=subspace_stats(pairs, threshold),
         t_mean=std.t_mean,

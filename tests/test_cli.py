@@ -363,6 +363,37 @@ class TestRecordValidation:
                               "--out", str(tmp_path / "x.pairs")],
                      poses_file, k + 1, "split must be 'train' or 'test', got 'val'")
 
+    @staticmethod
+    def set_header(path, key, value):
+        """Set header entry `key` to `value`, or drop it for None; return its file line number."""
+        lines = path.read_text().splitlines()
+        k = next(k for k, ln in enumerate(lines) if ln.startswith(f"# {key}="))
+        lines[k:k + 1] = [] if value is None else [f"# {key}={value}"]
+        path.write_text("\n".join(lines) + "\n")
+        return k + 1
+
+    def test_unreadable_header_number(self, tmp_path, pairs_file, capsys):
+        lineno = self.set_header(pairs_file, "min_overlap", "abc")
+        self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, lineno,
+                     "bad min_overlap value 'abc'")
+
+    def test_unreadable_record_count(self, tmp_path, poses_file, capsys):
+        lineno = self.set_header(poses_file, "count", "x")
+        self.refused(capsys, ["pairs", "--poses", str(poses_file), *FRUSTUM_FLAGS,
+                              "--out", str(tmp_path / "x.pairs")],
+                     poses_file, lineno, "bad count value 'x'")
+
+    def test_header_configuration_refused(self, tmp_path, pairs_file, capsys):
+        # the check involves near and far together, so no one line is named
+        self.set_header(pairs_file, "near_m", "-1")
+        assert main(self.histogram(pairs_file, tmp_path)) == 2
+        assert f"{pairs_file}: require 0 < near < far" in capsys.readouterr().err
+
+    def test_missing_configuration_entry(self, tmp_path, pairs_file, capsys):
+        self.set_header(pairs_file, "grid", None)
+        assert main(self.histogram(pairs_file, tmp_path)) == 2
+        assert f"{pairs_file}: header is missing configuration key 'grid'" in capsys.readouterr().err
+
     def test_overflowing_pair_quaternion(self, tmp_path, pairs_file, capsys):
         lineno = _edit_record(pairs_file, 6, lambda f, prev: [*f[:4], "-1e200", *f[5:]])
         self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, lineno,

@@ -3,6 +3,7 @@
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,22 +450,21 @@ class TestReportSerialization:
 
 
 class TestRecordParsing:
-    def test_float_syntax_beyond_loadtxt_still_read(self, tmp_path, rng):
-        # digit separators parse with Python's float() exactly as before
+    def test_float_syntax_beyond_loadtxt_refused(self, tmp_path, rng):
+        # digit separators and non-ASCII digits are read by Python's float()
+        # but not by numpy.loadtxt, so a record holding one is refused
         cfg = OverlapConfig()
         f = tmp_path / "a.pairs"
         dataset.write_pairs(f, random_pairs(rng, 4, config_digest(cfg)), cfg,
                             min_overlap=0.0, max_overlap=1.0)
-        plain = dataset.read_pairs(f).pairs
         lines = f.read_text().splitlines()
         fields = lines[-1].split()
-        fields[7] = "1_000.25"
-        lines[-1] = " ".join(fields)
-        f.write_text("\n".join(lines) + "\n")
-        again = dataset.read_pairs(f).pairs
-        assert again.keys() == plain.keys()
-        assert again.translations[-1, 0] == 1000.25
-        np.testing.assert_array_equal(again.rotations, plain.rotations)
+        for tok in ("1_000.25", "\u0661\u0662"):
+            fields[7] = tok
+            f.write_text("\n".join([*lines[:-1], " ".join(fields)]) + "\n")
+            with pytest.raises(FormatError) as e:
+                dataset.read_pairs(f)
+            assert str(e.value) == f"{f}:{len(lines)}: bad tx value {tok!r}"
 
     def test_non_unit_quaternion_normalized_like_scalar_path(self, tmp_path):
         f = tmp_path / "p.pred"
@@ -484,3 +484,121 @@ class TestRecordParsing:
                      "a c 0 0 0 0 1 2 3\n")
         with pytest.raises(FormatError, match=r"p\.pred:5: zero quaternion"):
             dataset.read_predictions(f)
+
+
+def _rewrite(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _first_record(lines) -> int:
+    return next(i for i, ln in enumerate(lines) if not ln.startswith("# "))
+
+
+class TestRecordReader:
+    """One read and one parse per file; the line of a refusal is looked up
+    only when a check fails."""
+
+    def test_refusals_named_at_first_middle_and_last_record(self, tmp_path, rng):
+        cfg = OverlapConfig()
+        f = tmp_path / "big.pairs"
+        dataset.write_pairs(f, random_pairs(rng, 5000, config_digest(cfg)), cfg,
+                            min_overlap=0.0, max_overlap=1.0)
+        lines = f.read_text().splitlines()
+        first = _first_record(lines)
+        spoils = (
+            (lambda t: [*t[:6], "0.5x", *t[7:]], "bad qz value '0.5x'"),
+            (lambda t: t[:-1], "pair record needs 10 fields, got 9"),
+            (lambda t: [*t, "1"], "pair record needs 10 fields, got 11"),
+        )
+        for i in (first, first + 2500, len(lines) - 1):
+            for spoil, want in spoils:
+                _rewrite(f, [*lines[:i], " ".join(spoil(lines[i].split())), *lines[i + 1:]])
+                with pytest.raises(FormatError) as e:
+                    dataset.read_pairs(f)
+                assert str(e.value).startswith(f"{f}:{i + 1}: {want}"), (i, str(e.value))
+
+    def test_first_of_two_refused_lines_named(self, tmp_path, rng):
+        f = tmp_path / "p.pred"
+        dataset.write_predictions(f, random_predictions(rng, 40), config_digest="")
+        lines = f.read_text().splitlines()
+        i = _first_record(lines) + 7
+        lines[i + 20] += " 1"
+        lines[i] = " ".join([*lines[i].split()[:-1], "1.2.3"])
+        _rewrite(f, lines)
+        with pytest.raises(FormatError, match=rf"p\.pred:{i + 1}: bad tz value '1\.2\.3'"):
+            dataset.read_predictions(f)
+
+    def test_blank_lines_skipped_and_later_lines_still_named(self, tmp_path, rng):
+        f = tmp_path / "p.pred"
+        preds = random_predictions(rng, 8)
+        dataset.write_predictions(f, preds, config_digest="d")
+        lines = f.read_text().splitlines()
+        first = _first_record(lines)
+        spaced = [*lines[:first + 1], "", "  \t", *lines[first + 1:first + 4], "", *lines[first + 4:], ""]
+        _rewrite(f, spaced)
+        got = dataset.read_predictions(f).predictions
+        assert got.keys() == preds.keys()
+        np.testing.assert_array_equal(got.translations, round9_array(preds.translations))
+        # the 6th record now repeats the 5th; three blank lines come before it
+        dup = first + 5 + 3
+        spaced[dup] = spaced[dup - 1]
+        _rewrite(f, spaced)
+        with pytest.raises(FormatError, match=rf"p\.pred:{dup + 1}: duplicate prediction key"):
+            dataset.read_predictions(f)
+
+    def test_header_line_after_a_record_refused(self, tmp_path, rng):
+        cfg = OverlapConfig()
+        f = tmp_path / "a.pairs"
+        dataset.write_pairs(f, random_pairs(rng, 6, config_digest(cfg)), cfg,
+                            min_overlap=0.0, max_overlap=1.0)
+        lines = f.read_text().splitlines()
+        i = _first_record(lines) + 2
+        # a header entry, then a "# " line with as many fields as a record
+        for late in ("# note=late", "# b-9999 0.5 1 0 0 0 0 0 0"):
+            _rewrite(f, [*lines[:i], late, *lines[i:]])
+            with pytest.raises(FormatError, match=rf"a\.pairs:{i + 1}: header line .*after the first record"):
+                dataset.read_pairs(f)
+        h = tmp_path / "h.csv"
+        dataset.write_histogram(h, [0.0, 0.5, 1.0], [3, 4])
+        rows = h.read_text().splitlines()
+        _rewrite(h, [*rows, "# note=late"])
+        with pytest.raises(FormatError, match=rf"h\.csv:{len(rows) + 1}: header line '# note=late' after the first record"):
+            dataset.read_header(h)
+
+    def test_empty_record_files_read_as_zero_rows(self, tmp_path):
+        cfg = OverlapConfig()
+        pairs = PairTable([], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), config_digest(cfg))
+        fp, fq = tmp_path / "a.pairs", tmp_path / "a.pred"
+        dataset.write_pairs(fp, pairs, cfg, min_overlap=0.0, max_overlap=1.0)
+        dataset.write_predictions(fq, pairs[:0], config_digest=pairs.config_digest)
+        for f in (fp, fq):
+            f.write_text(f.read_text() + "\n  \n")  # blank lines only after the header
+        assert dataset.read_pairs(fp).pairs == pairs
+        got = dataset.read_predictions(fq).predictions
+        assert len(got) == 0 and got.rotations.shape == (0, 4) and got.translations.shape == (0, 3)
+
+    def test_a_refusal_reads_the_file_once(self, tmp_path, rng, monkeypatch):
+        cfg = OverlapConfig()
+        f = tmp_path / "a.pairs"
+        dataset.write_pairs(f, random_pairs(rng, 30, config_digest(cfg)), cfg,
+                            min_overlap=0.0, max_overlap=1.0)
+        lines = f.read_text().splitlines()
+        i = _first_record(lines) + 11
+        count = next(k for k, ln in enumerate(lines) if ln.startswith("# count="))
+        t = lines[i].split()
+        spoiled = (
+            [*lines[:i], " ".join([*t[:3], "0.5x", *t[4:]]), *lines[i + 1:]],  # bad number
+            [*lines[:i], " ".join(t[:-1]), *lines[i + 1:]],  # wrong field count
+            [*lines[:i], " ".join([*t[:3], "nan", *t[4:]]), *lines[i + 1:]],  # non-finite
+            [*lines[:i], lines[i - 1], *lines[i + 1:]],  # duplicate key
+            [*lines[:count], "# count=x", *lines[count + 1:]],  # unreadable header entry
+        )
+        reads = []
+        read_text = Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: reads.append(self) or read_text(self, *a, **k))
+        for text in spoiled:
+            _rewrite(f, text)
+            reads.clear()
+            with pytest.raises(FormatError, match=r"a\.pairs:\d+: "):
+                dataset.read_pairs(f)
+            assert reads == [f]

@@ -450,10 +450,16 @@ class TestEvaluate:
         assert m1 <= math.sqrt(3) * m2 + 1e-12
         assert m2 <= math.sqrt(3) * m1 + 1e-12
 
-    def test_train_source_requires_pairs(self, rng):
-        pairs, preds = random_problem(rng, n=5)
-        with pytest.raises(EvaluationError, match="train_pairs"):
-            evaluate(pairs, preds, MetricConfig(naive_source="train_pairs"))
+    def test_source_pairs_switch_the_baseline(self, rng):
+        # passing naive_source_pairs is what fits the baseline on them
+        pairs, preds = random_problem(rng, n=20)
+        train, _ = random_problem(rng, n=30)
+        own = evaluate(pairs, preds, MetricConfig())
+        other = evaluate(pairs, preds, MetricConfig(), naive_source_pairs=train)
+        assert (own.naive_source, other.naive_source) == ("eval_pairs", "train_pairs")
+        assert own.t_mase == mase_translation(pairs, preds, naive_mean_translation(pairs))
+        assert other.t_mase == mase_translation(pairs, preds, naive_mean_translation(train))
+        assert other.t_mase != own.t_mase
 
     def test_row_lists_refused(self, rng):
         # sets of pairs and predictions are tables; lists of rows are not converted
