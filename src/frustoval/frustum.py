@@ -3,8 +3,8 @@
 A camera's viewing volume is modelled two ways: as six inward-facing planes
 (the containment test) and as a regular lattice of 3D points (the probe set).
 The overlap of an (anchor, other) pair is the fraction of the other camera's
-lattice points that fall inside the anchor's plane frustum, forced to zero
-when the relative rotation exceeds a configurable gate.
+probe points inside the anchor's plane frustum, tested in the other camera's
+frame, forced to zero when the relative rotation exceeds a configurable gate.
 
 One kernel computes it, for two poses (`overlap_score`) or for a whole
 trajectory (`pairgen.generate_pairs`). Scoring every ordered pair of N frames
@@ -192,10 +192,11 @@ def camera_sphere(spec: FrustumSpec):
     return c_cam, float(geometry.vector_norms(corners - c_cam, "l2").max())
 
 
-# Probe points per point-test block. A block's work arrays (about 1.3 MB)
-# stay in cache, and its gemm, (6, 3) planes against (3, points), stays below
-# the size at which OpenBLAS splits a gemm over threads (m*n*k = 524288 with
-# OpenBLAS 0.3.31; here 294912), so the row pool is the only parallel layer.
+# Probe points per point-test block. A block's work arrays (about 0.9 MB)
+# stay in cache, and its gemm, the (6J, 3) planes of J queries against the
+# (3, n_points) lattice, stays below the size at which OpenBLAS splits a gemm
+# over threads (m*n*k = 524288 with OpenBLAS 0.3.31; here at most 294912), so
+# the row pool is the only parallel layer.
 # Smaller blocks make more, shorter numpy calls, which two row threads then
 # spend handing the GIL back and forth.
 _BLOCK_POINTS = 16384
@@ -218,17 +219,17 @@ _MAX_CELLS = 2 ** 20
 
 
 class _FrustumBatch:
-    """World-space frustum data of (N, 4) wxyz and (N, 3) camera-to-world
-    pose rows, stacked for scoring in anchor chunks."""
+    """Per-pose rotations, world-space planes, corners and sphere centres of
+    (N, 4) wxyz and (N, 3) camera-to-world pose rows, for scoring in anchor
+    chunks; every pose's probe points are the spec's one camera-frame lattice."""
 
     def __init__(self, quats: np.ndarray, trans: np.ndarray, cfg: OverlapConfig):
         spec = cfg.frustum
         self.n = len(quats)
         self.quats, self.trans = quats, trans
-        rot = geometry.quats_to_matrices(self.quats)
-        rot_t = np.transpose(rot, (0, 2, 1))
-        self.points = np.matmul(camera_grid(spec), rot_t)  # (N, n_points, 3)
-        self.points += self.trans[:, None, :]
+        self.rot = geometry.quats_to_matrices(self.quats)  # (N, 3, 3)
+        rot_t = np.transpose(self.rot, (0, 2, 1))
+        self.grid_t = camera_grid(spec).T  # (3, n_points), read-only
         n_cam, d_cam = camera_planes(spec)
         self.normals = np.matmul(n_cam, rot_t)  # (N, 6, 3)
         self.offsets = d_cam[None, :] - np.einsum("nij,nj->ni", self.normals, self.trans)
@@ -236,7 +237,7 @@ class _FrustumBatch:
         self.thresholds = -self.offsets - spec.boundary_epsilon
         c_cam, self.sphere_radius = camera_sphere(spec)
         self.reach = 2.0 * self.sphere_radius + 1e-6  # sphere centres further apart cannot overlap
-        self.centers = self.trans + np.einsum("nij,j->ni", rot, c_cam)
+        self.centers = self.trans + np.einsum("nij,j->ni", self.rot, c_cam)
         self.corners = np.matmul(camera_corners(spec), rot_t) + self.trans[:, None, :]  # (N, 8, 3)
         self.margin = _SEPARATION_MARGIN * (1.0 + float(np.abs(self.corners).max()))
         self.block = max(1, _BLOCK_POINTS // spec.n_points)
@@ -315,20 +316,18 @@ class _FrustumBatch:
     def point_counts(self, i: int, js: np.ndarray, work: "_BlockArrays") -> np.ndarray:
         """Probe points of each of the ascending queries js inside anchor i."""
         counts = np.empty(js.size, dtype=np.int64)
-        normals, thr = self.normals[i], self.thresholds[i][:, None]
+        normals, thr = self.normals[i], self.thresholds[i]
         for lo in range(0, js.size, self.block):
             blk = js[lo:lo + self.block]
-            size = blk.size * self.n_points
-            # mode="clip" (the indices are in range) writes straight into out;
-            # the default mode would gather into a temporary first
-            pts = np.take(self.points, blk, axis=0, mode="clip",
-                          out=work.points[:3 * size].reshape(blk.size, self.n_points, 3))
-            # one flat gemm in plane-major layout: row k holds every probe's
-            # distance along plane k
-            dist = np.matmul(normals, pts.reshape(size, 3).T, out=work.dist[:6 * size].reshape(6, size))
-            passed = np.greater_equal(dist, thr, out=work.passed[:6 * size].reshape(6, size))
-            inside = np.logical_and.reduce(passed, axis=0, out=work.inside[:size])
-            counts[lo:lo + blk.size] = inside.reshape(blk.size, self.n_points).sum(axis=1)
+            # anchor i's planes in each query's camera frame: n.(R p + t) >= thr
+            # is (n R).p >= thr - n.t, with p a point of the camera lattice
+            rows = np.matmul(normals, self.rot[blk]).reshape(-1, 3)
+            cut = (thr - self.trans[blk] @ normals.T).reshape(-1, 1)
+            # one flat gemm: row 6j + k holds query j's lattice distances along plane k
+            dist = np.matmul(rows, self.grid_t, out=work.dist[:len(rows)])
+            passed = np.greater_equal(dist, cut, out=work.passed[:len(rows)])
+            inside = np.logical_and.reduce(passed.reshape(blk.size, 6, -1), axis=1, out=work.inside[:blk.size])
+            counts[lo:lo + blk.size] = inside.sum(axis=1)
         return counts
 
     def score_range(self, lo: int, hi: int):
@@ -377,16 +376,14 @@ class _FrustumBatch:
 
 
 class _BlockArrays:
-    """One worker's point-test arrays, reused for every block it scores.
+    """One worker's point-test arrays, reused for every block of queries.
     Fresh block-sized temporaries would cost page faults whenever the
     allocator hands their pages back to the system between blocks."""
 
     def __init__(self, batch: _FrustumBatch):
-        size = batch.block * batch.n_points
-        self.points = np.empty(3 * size)
-        self.dist = np.empty(6 * size)
-        self.passed = np.empty(6 * size, dtype=bool)
-        self.inside = np.empty(size, dtype=bool)
+        self.dist = np.empty((6 * batch.block, batch.n_points))
+        self.passed = np.empty(self.dist.shape, dtype=bool)
+        self.inside = np.empty((batch.block, batch.n_points), dtype=bool)
 
 
 def _score_pairs(batch: _FrustumBatch, threads: int):

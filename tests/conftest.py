@@ -1,3 +1,4 @@
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from frustoval import Pose, PoseSet, Quaternion, Translation
-from frustoval.frustum import _FrustumBatch
+from frustoval.frustum import _FrustumBatch, camera_grid
+from frustoval.geometry import axis_angle_rows, matrix_to_quat_rows, quat_mul_rows
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -33,6 +35,31 @@ def pose_rows(ps: PoseSet) -> list:
     the scalar-oracle loops."""
     return [Pose(Quaternion(*q), Translation(*t), f)
             for f, q, t in zip(ps.frame_ids, ps.rotations.tolist(), ps.translations.tolist())]
+
+
+def world_lattice(*poses, spec) -> np.ndarray:
+    """Each pose's probe lattice in world coordinates, shape (len(poses),
+    n_points, 3): camera_grid(spec) @ R.T + t. The kernel tests points in
+    the camera frame and never builds this."""
+    return np.stack([camera_grid(spec) @ p.rotation.to_matrix().T + p.translation.as_array() for p in poses])
+
+
+def street_poses(n: int, seed: int = 1) -> PoseSet:
+    """An outdoor street block with 1,200 cameras per 400 x 200 m: uniform
+    positions about 1.6 m above the ground and uniform heading, each camera
+    upright (looking horizontally, image y down) with about 1 degree of pitch
+    and roll."""
+    rng = np.random.default_rng([seed, 1])
+    xy = (rng.random((n, 2)) - 0.5) * (np.array([400.0, 200.0]) * math.sqrt(n / 1200))
+    z = 1.6 + rng.normal(0.0, 0.1, n)
+    axes = np.eye(3)
+    # camera x -> world -y, y -> -z, z -> +x
+    upright = matrix_to_quat_rows(np.array([[[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]]))
+    q = np.repeat(upright, n, axis=0)
+    for axis, angles in ((0, rng.normal(0.0, 1.0, n)), (1, rng.normal(0.0, 1.0, n)),
+                         (2, rng.uniform(0.0, 360.0, n))):  # roll, pitch, then heading
+        q = quat_mul_rows(axis_angle_rows(np.tile(axes[axis], (n, 1)), angles), q)
+    return PoseSet("street", "train", [f"frame{i:06d}" for i in range(n)], q, np.column_stack([xy, z]))
 
 
 def oracle_matrix(transform) -> np.ndarray:

@@ -1,9 +1,12 @@
 """End-to-end command-line pipeline: exit codes, header echoes, determinism,
 and byte-equality with direct library calls."""
 
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from frustoval import dataset, metrics, pairgen
 from frustoval.cli import main
 from frustoval.pairgen import OverlapBinning
 
-from conftest import FIXTURES
+from conftest import FIXTURES, street_poses
 
 GRID = "4x4x4"
 SPEC = FrustumSpec(grid_nx=4, grid_ny=4, grid_nz=4)
@@ -142,6 +145,45 @@ class TestPairs:
         rc = main(["pairs", "--poses", str(poses_file), "--min-overlap", "0.9",
                    "--max-overlap", "0.5", "--out", str(tmp_path / "x.pairs")])
         assert rc == 1
+
+    def test_memory_bounded_at_20k_outdoor_poses(self, tmp_path):
+        # 20,000 street cameras at outdoor density with 1,000 probe points
+        # each: a world-space lattice of every pose alone would take 480 MB,
+        # while per-pose rotations, planes and corners take about 12 MB
+        poses = tmp_path / "street.poses"
+        dataset.write_poses(poses, street_poses(20_000))
+        # a process started straight from this one would count this process's
+        # pages in its ru_maxrss, so a small launcher starts and measures it
+        launcher = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
+                    "_, s, ru = os.wait4(p.pid, 0); print(os.waitstatus_to_exitcode(s), ru.ru_maxrss)")
+        proc = subprocess.run([sys.executable, "-S", "-c", launcher, sys.executable, "-m", "frustoval.cli",
+                               "pairs", "--poses", str(poses), "--far", "30", "--grid", "10x10x10",
+                               "--min-overlap", "0.3", "--threads", "2", "--out", str(tmp_path / "street.pairs")],
+                              stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True)
+        code, max_rss_kb = map(int, proc.stdout.split())  # ru_maxrss is in kB on Linux
+        assert code == 0, proc.stderr
+        assert max_rss_kb < 200 * 1024
+
+
+class TestReadme:
+    def test_pipeline_example_runs(self, tmp_path, monkeypatch):
+        # the README's command-line chain as written, on 60 poses instead of
+        # 500; `ingest` is left out because it reads a dataset from /data
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"## Command-line pipeline.*?```sh\n(.*?)```", readme, re.S).group(1)
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.strip() and not line.lstrip().startswith("#")]
+        assert [argv[0] for argv in commands] == ["frustoval"] * len(commands)
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        for _, *argv in commands:
+            if argv[0] == "ingest":
+                continue
+            if "--n-poses" in argv:
+                argv[argv.index("--n-poses") + 1] = "60"
+            assert main(argv) == 0, argv
+            ran.append(argv[0])
+        assert ran[0] == "synth" and ran[-1] == "curve" and len(ran) == 8
 
 
 class TestPredictAndEval:

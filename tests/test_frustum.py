@@ -14,10 +14,10 @@ from frustoval import (
     compose,
     overlap_score,
 )
-from frustoval.frustum import _FrustumBatch, camera_grid
+from frustoval.frustum import _FrustumBatch, _score_pairs, camera_grid
 from frustoval.geometry import quat_rows, translation_rows
 
-from conftest import random_pose
+from conftest import random_pose, world_lattice
 
 IDENT = Pose(Quaternion.identity(), Translation(0, 0, 0), "ident")
 
@@ -44,7 +44,9 @@ def kernel_contains(batch, k, points):
 # -----------------------------------------------------------------------
 
 
-def oracle_contains(pose, spec, points):
+def oracle_distances(pose, spec, points):
+    """Signed distances of world points inside pose's six faces, shape (n, 6):
+    near, far, then the side faces, each from camera-frame coordinates."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     r = pose.rotation.to_matrix()
     t = pose.translation.as_array()
@@ -54,11 +56,12 @@ def oracle_contains(pose, spec, points):
     tb = math.tan(math.radians(spec.vfov_deg) / 2.0)
     ca = math.cos(math.atan(ta))
     cb = math.cos(math.atan(tb))
-    eps = spec.boundary_epsilon
-    ok = (z - spec.near >= -eps) & (spec.far - z >= -eps)
-    ok &= ((z * ta - x) * ca >= -eps) & ((z * ta + x) * ca >= -eps)
-    ok &= ((z * tb - y) * cb >= -eps) & ((z * tb + y) * cb >= -eps)
-    return ok
+    return np.stack([z - spec.near, spec.far - z, (z * ta - x) * ca, (z * ta + x) * ca,
+                     (z * tb - y) * cb, (z * tb + y) * cb], axis=1)
+
+
+def oracle_contains(pose, spec, points):
+    return np.all(oracle_distances(pose, spec, points) >= -spec.boundary_epsilon, axis=1)
 
 
 def oracle_overlap(anchor, other, cfg):
@@ -154,7 +157,7 @@ class TestPlaneFrustum:
 class TestPointFrustum:
     def test_grid_corners_2x2x2(self):
         spec = FrustumSpec(hfov_deg=90, vfov_deg=90, near=1, far=2, grid_nx=2, grid_ny=2, grid_nz=2)
-        pts = batch_of(IDENT, spec=spec).points[0]
+        pts = world_lattice(IDENT, spec=spec)[0]
         expected = {
             (-1, -1, 1), (1, -1, 1), (-1, 1, 1), (1, 1, 1),
             (-2, -2, 2), (2, -2, 2), (-2, 2, 2), (2, 2, 2),
@@ -165,7 +168,7 @@ class TestPointFrustum:
     def test_depth_and_fov_bounds(self, rng):
         spec = FrustumSpec()
         pose = random_pose(rng)
-        pts = batch_of(pose, spec=spec).points[0]
+        pts = world_lattice(pose, spec=spec)[0]
         r = pose.rotation.to_matrix()
         cam = (pts - pose.translation.as_array()) @ r
         z = cam[:, 2]
@@ -176,14 +179,14 @@ class TestPointFrustum:
 
     def test_translation_shifts_points(self):
         spec = FrustumSpec()
-        base, moved = batch_of(
+        base, moved = world_lattice(
             IDENT, Pose(Quaternion.identity(), Translation(2.5, 0, 0), "m"), spec=spec
-        ).points
+        )
         np.testing.assert_allclose(moved - base, [[2.5, 0, 0]] * len(base), atol=1e-12)
 
     def test_point_count(self):
         spec = FrustumSpec(grid_nx=3, grid_ny=4, grid_nz=5)
-        assert len(batch_of(IDENT, spec=spec).points[0]) == 60 == spec.n_points
+        assert len(world_lattice(IDENT, spec=spec)[0]) == 60 == spec.n_points
 
 
 class TestOverlapScore:
@@ -309,11 +312,61 @@ class TestOverlapScore:
                 pose = random_pose(rng)
                 batch = batch_of(pose, spec=spec)
                 center, radius = batch.centers[0], batch.sphere_radius
-                pts = batch.points[0]
+                pts = world_lattice(pose, spec=spec)[0]
                 assert np.linalg.norm(pts - center, axis=1).max() <= radius + 1e-9
                 far_world = far_cam @ pose.rotation.to_matrix().T + pose.translation.as_array()
                 assert oracle_contains(pose, spec, far_world).all()
                 assert np.linalg.norm(far_world - center, axis=1).max() <= radius + 1e-9
+
+
+class TestQueryFrameExactness:
+    """The kernel moves the anchor's planes into each query's camera frame and
+    tests the camera lattice there; the oracle tests the world lattice in the
+    anchor's camera frame. Their counts may differ only by probe points within
+    1e-12 * (1 + |coordinates|) of a plane moved out by epsilon."""
+
+    @staticmethod
+    def scene(rng, spec, origin):
+        """Anchors near `origin`, each with a twin and with copies moved by
+        whole lattice steps along its optical axis, so that many probe points
+        fall on the anchor's planes; then poses scattered among them."""
+        step = (spec.far - spec.near) / (spec.grid_nz - 1)
+        poses = []
+        for _ in range(4):
+            a = random_pose(rng, box=1.0)
+            t, axis = a.translation.as_array() + origin, a.rotation.to_matrix()[:, 2]
+            poses += [Pose(a.rotation, Translation(*(t + k * step * axis)), "") for k in (0, 0, -2, -1, 1, 3)]
+        for _ in range(8):
+            b = random_pose(rng, box=1.0)
+            poses.append(Pose(b.rotation, Translation(*(b.translation.as_array() + origin)), ""))
+        return poses
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.03])
+    @pytest.mark.parametrize("origin", [(0.0, 0.0, 0.0), (600.0, -600.0, 529.2)], ids=["origin", "1km"])
+    def test_counts_match_world_oracle(self, rng, eps, origin):
+        spec = FrustumSpec(boundary_epsilon=eps)
+        cfg = OverlapConfig(frustum=spec, max_relative_rotation_deg=180.0)
+        poses = self.scene(rng, spec, np.array(origin))
+        batch = _FrustumBatch(quat_rows(p.rotation for p in poses),
+                              translation_rows(p.translation for p in poses), cfg)
+        anchors, queries, counts = _score_pairs(batch, 1)
+        got = np.zeros((len(poses), len(poses)), dtype=np.int64)
+        got[anchors, queries] = counts
+        lattices = world_lattice(*poses, spec=spec)
+        tol = 1e-12 * (1.0 + np.abs(lattices).max(axis=2))  # (poses, n_points)
+        unsure = 0
+        for i, anchor in enumerate(poses):
+            dist = oracle_distances(anchor, spec, lattices.reshape(-1, 3)).reshape(len(poses), spec.n_points, 6)
+            dist += eps
+            sure = np.all(dist > tol[..., None], axis=2).sum(axis=1)
+            maybe = np.all(dist >= -tol[..., None], axis=2).sum(axis=1)
+            others = np.arange(len(poses)) != i
+            assert np.all(sure[others] <= got[i, others]), (i, sure, got[i])
+            assert np.all(got[i, others] <= maybe[others]), (i, maybe, got[i])
+            unsure += int((maybe - sure)[others].sum())
+        assert got.sum() > 0
+        # the bounds pin nearly every count: few probe points lie that close to a plane
+        assert unsure < 0.25 * got.sum()
 
 
 class TestCameraGrid:
