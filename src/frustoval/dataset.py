@@ -1,6 +1,8 @@
-"""The columnar pose and pair sets (`PoseSet`, `PairTable`: id lists plus
-(N, 4) wxyz and (N, 3) arrays, rows sorted by id), pose-format parsers and
-the canonical on-disk formats for every artifact.
+"""The columnar pose and pair sets, pose-format parsers and the canonical
+on-disk formats for every artifact. A `PoseSet` is a list of frame ids plus
+(N, 4) wxyz and (N, 3) arrays; a `PairTable` holds its ids once, as a sorted
+vocabulary, with int32 anchor and query indices into it per row. Rows are
+sorted by id.
 
 All toolkit files are line-oriented text: a `# frustoval-format v1` magic
 line, a `# key=value` header block echoing the full configuration, then one
@@ -82,13 +84,6 @@ def round9_array(values) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _key_order(keys: list):
-    """Row order sorting the keys (stable), or None when they are sorted already."""
-    if all(map(operator.le, keys, keys[1:])):
-        return None
-    return sorted(range(len(keys)), key=keys.__getitem__)
-
-
 @dataclass(eq=False)
 class PoseSet:
     """The camera poses of one scene split as columns, rows sorted by frame id.
@@ -115,8 +110,8 @@ class PoseSet:
         self.translations = np.ascontiguousarray(self.translations, dtype=float).reshape(-1, 3)
         if not len(self.frame_ids) == len(self.rotations) == len(self.translations):
             raise ValueError("pose set columns differ in length")
-        order = _key_order(self.frame_ids)
-        if order is not None:
+        if not all(map(operator.le, self.frame_ids, self.frame_ids[1:])):
+            order = sorted(range(len(self.frame_ids)), key=self.frame_ids.__getitem__)
             self.frame_ids = [self.frame_ids[k] for k in order]
             self.rotations, self.translations = self.rotations[order], self.translations[order]
         if any(map(operator.eq, self.frame_ids, self.frame_ids[1:])):
@@ -152,68 +147,102 @@ class PairRecord:
         return (self.anchor_id, self.query_id)
 
 
+def pair_keys(anchors, queries, n_ids: int) -> np.ndarray:
+    """One int64 key per row of indices into a sorted vocabulary of n_ids
+    ids; the keys ascend as the rows' (anchor_id, query_id) do."""
+    return np.asarray(anchors, dtype=np.int64) * n_ids + queries
+
+
+def _encode_ids(anchor_ids, query_ids):
+    """(frame_ids, anchors, queries): the sorted set of the ids and int32 indices into it."""
+    frame_ids = sorted({*anchor_ids, *query_ids})
+    index = {f: i for i, f in enumerate(frame_ids)}
+    return (frame_ids, np.fromiter(map(index.get, anchor_ids), np.int32),
+            np.fromiter(map(index.get, query_ids), np.int32))
+
+
 class PairTable:
     """A pair set or a prediction set as columns, rows sorted by (anchor_id, query_id).
 
-    `anchor_ids` and `query_ids` are lists of frame ids, `rotations` an (M, 4)
-    wxyz array and `translations` an (M, 3) array. A pair set also has an
-    (M,) `overlaps` array and the `config_digest` it was scored under; a
+    `frame_ids` is the sorted list of the ids the rows use and `anchors` and
+    `queries` are int32 indices into it, so integer order is id order and
+    `key()` one ascending int64 per row. `rotations` is an (M, 4) wxyz array
+    and `translations` an (M, 3) array. A pair set also has an (M,)
+    `overlaps` array and the `config_digest` it was scored under; a
     prediction set has `overlaps` None and carries the digest of the pairs it
-    was made for ('' when unknown). Rows given out of order are sorted on
-    construction. Tables are not modified in place.
+    was made for ('' when unknown). Construction sorts the rows and drops
+    the ids no row uses; repeated keys are kept, for writers and evaluation
+    to refuse. `from_ids` builds a table from id strings. Tables are not
+    modified in place.
 
     `table[rows]` selects rows by a slice, a boolean mask or an integer index
     array and returns a table with the same digest. Iterating yields
-    read-only PairRecord rows. Tables compare equal to tables with the same
-    columns.
+    read-only PairRecord rows. Tables with the same row ids and numbers, so
+    the same columns, compare equal.
     """
 
-    __slots__ = ("anchor_ids", "query_ids", "overlaps", "rotations", "translations",
+    __slots__ = ("frame_ids", "anchors", "queries", "overlaps", "rotations", "translations",
                  "config_digest")
 
-    def __init__(self, anchor_ids, query_ids, rotations, translations, overlaps=None,
+    def __init__(self, frame_ids, anchors, queries, rotations, translations, overlaps=None,
                  config_digest: str = ""):
-        self.anchor_ids = list(anchor_ids)
-        self.query_ids = list(query_ids)
+        self.frame_ids = list(frame_ids)
+        if any(map(operator.ge, self.frame_ids, self.frame_ids[1:])):
+            raise ValueError("pair table frame ids must be sorted and unique")
+        self.anchors = np.ascontiguousarray(anchors, dtype=np.int32).reshape(-1)
+        self.queries = np.ascontiguousarray(queries, dtype=np.int32).reshape(-1)
         self.rotations = np.ascontiguousarray(rotations, dtype=float).reshape(-1, 4)
         self.translations = np.ascontiguousarray(translations, dtype=float).reshape(-1, 3)
         self.overlaps = None if overlaps is None else np.ascontiguousarray(overlaps, dtype=float).reshape(-1)
         self.config_digest = config_digest
-        m = len(self.anchor_ids)
-        sizes = {len(self.query_ids), len(self.rotations), len(self.translations)}
-        if self.overlaps is not None:
-            sizes.add(len(self.overlaps))
-        if sizes != {m}:
+        columns = (self.queries, self.rotations, self.translations, self.overlaps)
+        if {len(c) for c in columns if c is not None} != {len(self.anchors)}:
             raise ValueError("pair table columns differ in length")
-        order = _key_order(self.keys())
-        if order is not None:
-            (self.anchor_ids, self.query_ids, self.rotations, self.translations,
-             self.overlaps) = self._take(order)
+        used = np.zeros(len(self.frame_ids), dtype=bool)
+        used[self.anchors] = used[self.queries] = True
+        if not used.all():
+            self.frame_ids = [self.frame_ids[k] for k in np.flatnonzero(used).tolist()]
+            index = np.cumsum(used, dtype=np.int32) - 1
+            self.anchors, self.queries = index[self.anchors], index[self.queries]
+        if (np.diff(self.key()) < 0).any():
+            order = np.argsort(self.key(), kind="stable")
+            for name in ("anchors", "queries", "rotations", "translations", "overlaps"):
+                column = getattr(self, name)
+                setattr(self, name, None if column is None else column[order])
 
-    def _take(self, rows):
-        """Every column at the given row indices, in constructor order."""
-        return ([self.anchor_ids[k] for k in rows], [self.query_ids[k] for k in rows],
-                self.rotations[rows], self.translations[rows],
-                None if self.overlaps is None else self.overlaps[rows])
+    @classmethod
+    def from_ids(cls, anchor_ids, query_ids, rotations, translations, overlaps=None, config_digest=""):
+        """A table whose rows hold the given anchor and query id strings."""
+        return cls(*_encode_ids(anchor_ids, query_ids), rotations, translations, overlaps, config_digest)
 
     @property
     def is_pairs(self) -> bool:
         return self.overlaps is not None
 
-    def keys(self) -> list:
-        return list(zip(self.anchor_ids, self.query_ids))
+    def key(self) -> np.ndarray:
+        return pair_keys(self.anchors, self.queries, len(self.frame_ids))
 
-    def duplicate_keys(self) -> list:
-        """Keys held by more than one row, in order."""
-        keys = self.keys()
-        return sorted({a for a, b in zip(keys, keys[1:]) if a == b})
+    def id_columns(self, rows=slice(None)):
+        """The anchor ids and the query ids of the selected rows, as two lists."""
+        ids = np.array(self.frame_ids, dtype=object)
+        return ids[self.anchors[rows]].tolist(), ids[self.queries[rows]].tolist()
+
+    def id_pairs(self, rows) -> list:
+        """(anchor_id, query_id) of the selected rows, in row order."""
+        return list(zip(*self.id_columns(rows)))
+
+    def repeated_keys(self) -> list:
+        """(anchor_id, query_id) of each key more than one row holds, in order."""
+        key = self.key()
+        rows = np.flatnonzero(np.diff(key) == 0)
+        return self.id_pairs(rows[np.diff(key[rows], prepend=-1) != 0])
 
     def __len__(self):
-        return len(self.anchor_ids)
+        return len(self.anchors)
 
     def __iter__(self):
         overlaps = [None] * len(self) if self.overlaps is None else self.overlaps.tolist()
-        for a, q, overlap, r, t in zip(self.anchor_ids, self.query_ids, overlaps,
+        for a, q, overlap, r, t in zip(*self.id_columns(), overlaps,
                                        self.rotations.tolist(), self.translations.tolist()):
             yield PairRecord(a, q, overlap, RelativePose(Quaternion(*r), Translation(*t)),
                              self.config_digest)
@@ -222,15 +251,18 @@ class PairTable:
         if isinstance(rows, (int, np.integer)):
             raise TypeError("select table rows with a slice, a boolean mask or an integer "
                             "index array; iterate for single rows")
-        return PairTable(*self._take(np.arange(len(self))[rows].tolist()),
-                         config_digest=self.config_digest)
+        rows = np.arange(len(self))[rows]  # an index array: a slice would share memory
+        return PairTable(self.frame_ids, self.anchors[rows], self.queries[rows],
+                         self.rotations[rows], self.translations[rows],
+                         None if self.overlaps is None else self.overlaps[rows], self.config_digest)
 
     def __eq__(self, other):
         if not isinstance(other, PairTable):
             return NotImplemented
         if self.is_pairs != other.is_pairs:
             return False
-        return (self.anchor_ids == other.anchor_ids and self.query_ids == other.query_ids
+        return (self.frame_ids == other.frame_ids and np.array_equal(self.anchors, other.anchors)
+                and np.array_equal(self.queries, other.queries)
                 and np.array_equal(self.rotations, other.rotations)
                 and np.array_equal(self.translations, other.translations)
                 and (not self.is_pairs or (self.config_digest == other.config_digest
@@ -516,20 +548,20 @@ def _parsed_quats(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def _check_keys(anchor_ids, query_ids, kind: str):
+def _check_keys(frame_ids, anchors, queries, kind: str):
     """Refuse keys that repeat or are out of order."""
-    keys = list(zip(anchor_ids, query_ids))
-    ascending = list(map(operator.lt, keys, keys[1:]))
-    if False in ascending:
-        k = ascending.index(False) + 1
-        problem = "duplicate" if keys[k] == keys[k - 1] else "unsorted"
-        raise _Refused(f"{problem} {kind} key {keys[k]}: records must be sorted "
-                       "by (anchor_id, query_id) without repeats", row=k)
+    step = np.diff(pair_keys(anchors, queries, len(frame_ids)))
+    if (step <= 0).any():
+        k = int(np.argmax(step <= 0)) + 1
+        problem = "duplicate" if step[k - 1] == 0 else "unsorted"
+        raise _Refused(f"{problem} {kind} key {(frame_ids[anchors[k]], frame_ids[queries[k]])}: "
+                       "records must be sorted by (anchor_id, query_id) without repeats", row=k)
 
 
 def _check_ids(frame_ids):
+    """Refuse ids a record line cannot hold; `frame_ids` are unique."""
     # an id "#" would start a record line that reads back as a header line
-    for frame_id in dict.fromkeys(frame_ids):
+    for frame_id in frame_ids:
         if not frame_id or frame_id == "#" or any(c.isspace() for c in frame_id):
             raise ValueError(f"frame id {frame_id!r} must be non-empty, whitespace-free and not '#'")
 
@@ -626,12 +658,12 @@ def write_pairs(path, pairs: PairTable, cfg: OverlapConfig, *, min_overlap: floa
     outside = ~((pairs.overlaps > min_overlap) & (pairs.overlaps <= max_overlap))
     if outside.any():
         k = int(np.argmax(outside))
-        raise ValueError(f"pair {pairs.keys()[k]} overlap {pairs.overlaps[k]} outside "
+        raise ValueError(f"pair {pairs.id_pairs([k])[0]} overlap {pairs.overlaps[k]} outside "
                          f"({min_overlap}, {max_overlap}]")
-    if any(map(operator.eq, pairs.anchor_ids, pairs.query_ids)):
+    if (pairs.anchors == pairs.queries).any():
         raise ValueError("pair must join two distinct frames")
-    _check_ids(pairs.anchor_ids + pairs.query_ids)
-    dupes = pairs.duplicate_keys()
+    _check_ids(pairs.frame_ids)
+    dupes = pairs.repeated_keys()
     if dupes:
         raise ValueError(f"duplicate pair keys: {dupes[:5]}")
     entries = {
@@ -643,7 +675,7 @@ def write_pairs(path, pairs: PairTable, cfg: OverlapConfig, *, min_overlap: floa
         **convention_entries(),
         **(extra or {}),
     }
-    _write_records(path, "pairs", entries, _PAIR_COLUMNS, (pairs.anchor_ids, pairs.query_ids),
+    _write_records(path, "pairs", entries, _PAIR_COLUMNS, pairs.id_columns(),
                    (pairs.overlaps, *pairs.rotations.T, *pairs.translations.T))
 
 
@@ -656,9 +688,10 @@ def read_pairs(path) -> PairFileData:
         digest = header.get("config_digest", "")
         if config_digest(cfg) != digest:
             raise FormatError(f"stored config_digest {digest} does not match the header configuration")
-        same = list(map(operator.eq, anchor_ids, query_ids))
-        if True in same:
-            k = same.index(True)
+        frame_ids, anchors, queries = _encode_ids(anchor_ids, query_ids)
+        same = anchors == queries
+        if same.any():
+            k = int(np.argmax(same))
             raise _Refused(f"pair must join two distinct frames, got {anchor_ids[k]!r} twice", row=k)
         overlaps = values[:, 0]
         inside = (overlaps > lo) & (overlaps <= hi) & (overlaps >= 0.0) & (overlaps <= 1.0)
@@ -666,8 +699,8 @@ def read_pairs(path) -> PairFileData:
             k = int(np.argmin(inside))
             raise _Refused(f"overlap {float(overlaps[k])} outside the header's "
                            f"({header.get('min_overlap', '0')}, {header.get('max_overlap', '1')}]", row=k)
-        _check_keys(anchor_ids, query_ids, "pair")
-        pairs = PairTable(anchor_ids, query_ids, _parsed_quats(values[:, 1:5]), values[:, 5:8],
+        _check_keys(frame_ids, anchors, queries, "pair")
+        pairs = PairTable(frame_ids, anchors, queries, _parsed_quats(values[:, 1:5]), values[:, 5:8],
                           overlaps=overlaps, config_digest=digest)
     return PairFileData(pairs=pairs, cfg=cfg, digest=digest, min_overlap=lo, max_overlap=hi,
                         ordered=header.get("ordered", "true") == "true", header=header)
@@ -689,8 +722,8 @@ class PredictionFileData:
 
 def write_predictions(path, predictions: PairTable, *, config_digest: str, predictor: str = "external",
                       extra: dict | None = None):
-    _check_ids(predictions.anchor_ids + predictions.query_ids)
-    dupes = predictions.duplicate_keys()
+    _check_ids(predictions.frame_ids)
+    dupes = predictions.repeated_keys()
     if dupes:
         raise ValueError(f"duplicate prediction keys: {dupes[:5]}")
     entries = {
@@ -699,8 +732,7 @@ def write_predictions(path, predictions: PairTable, *, config_digest: str, predi
         **convention_entries(),
         **(extra or {}),
     }
-    _write_records(path, "predictions", entries, _PRED_COLUMNS,
-                   (predictions.anchor_ids, predictions.query_ids),
+    _write_records(path, "predictions", entries, _PRED_COLUMNS, predictions.id_columns(),
                    (*predictions.rotations.T, *predictions.translations.T))
 
 
@@ -708,9 +740,10 @@ def read_predictions(path) -> PredictionFileData:
     header, (anchor_ids, query_ids), values, lines = _read_records(path, "predictions", _PRED_COLUMNS)
     digest = header.get("config_digest", "")
     with _located(path, lines):
-        _check_keys(anchor_ids, query_ids, "prediction")
+        frame_ids, anchors, queries = _encode_ids(anchor_ids, query_ids)
+        _check_keys(frame_ids, anchors, queries, "prediction")
         rotations = _parsed_quats(values[:, 0:4])
-    predictions = PairTable(anchor_ids, query_ids, rotations, values[:, 4:7], config_digest=digest)
+    predictions = PairTable(frame_ids, anchors, queries, rotations, values[:, 4:7], config_digest=digest)
     return PredictionFileData(predictions=predictions, digest=digest, header=header)
 
 

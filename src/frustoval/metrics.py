@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .dataset import PairTable
+from .dataset import PairTable, pair_keys
 from .geometry import Quaternion, RelativePose, Translation
 from .pairgen import OverlapBinning, SubspaceStats, subspace_stats
 
@@ -65,14 +65,23 @@ class LossWeights:
 
 
 def _align(pairs: PairTable, predictions: PairTable) -> np.ndarray:
-    """Row of `predictions` holding each pair's key, or -1 where none does."""
-    dupes = predictions.duplicate_keys()
+    """Row of `predictions` holding each pair's key, or -1 where none does.
+
+    The prediction ids are mapped onto the pair vocabulary. Both are sorted,
+    so the mapped keys stay ascending and a binary search joins them to the
+    pair keys; a prediction with an id no pair uses matches nothing."""
+    dupes = predictions.repeated_keys()
     if dupes:
         raise EvaluationError(f"duplicate prediction keys: {dupes[:10]}")
-    if pairs.anchor_ids == predictions.anchor_ids and pairs.query_ids == predictions.query_ids:
-        return np.arange(len(pairs))
-    row = {k: i for i, k in enumerate(predictions.keys())}
-    return np.array([row.get(k, -1) for k in pairs.keys()], dtype=np.intp)
+    index = {f: i for i, f in enumerate(pairs.frame_ids)}
+    onto = np.array([index.get(f, -1) for f in predictions.frame_ids], dtype=np.int64)
+    anchors, queries = onto[predictions.anchors], onto[predictions.queries]
+    rows = np.flatnonzero((anchors >= 0) & (queries >= 0))
+    keys = pair_keys(anchors[rows], queries[rows], len(pairs.frame_ids))
+    want = pairs.key()
+    at = np.searchsorted(keys, want)
+    # a -1 past the end stands for "no such key": pair keys are never negative
+    return np.where(np.append(keys, -1)[at] == want, np.append(rows, -1)[at], -1)
 
 
 def match_predictions(pairs: PairTable, predictions: PairTable) -> np.ndarray:
@@ -83,7 +92,7 @@ def match_predictions(pairs: PairTable, predictions: PairTable) -> np.ndarray:
     """
     idx = _align(pairs, predictions)
     if (idx < 0).any():
-        missing = [pairs.keys()[k] for k in np.flatnonzero(idx < 0)[:10]]
+        missing = pairs.id_pairs(np.flatnonzero(idx < 0)[:10])
         raise EvaluationError(f"predictions missing for pair keys: {missing}")
     return idx
 
@@ -93,8 +102,7 @@ def unmatched_predictions(pairs: PairTable, predictions: PairTable) -> list:
     hit = np.zeros(len(predictions), dtype=bool)
     idx = _align(pairs, predictions)
     hit[idx[idx >= 0]] = True
-    keys = predictions.keys()
-    return [keys[k] for k in np.flatnonzero(~hit)]
+    return predictions.id_pairs(~hit)
 
 
 def _paired_arrays(pairs: PairTable, predictions: PairTable):
@@ -250,7 +258,7 @@ class NaivePredictor:
     def predict(self, pairs: PairTable) -> PairTable:
         m = len(pairs)
         return PairTable(
-            pairs.anchor_ids, pairs.query_ids,
+            pairs.frame_ids, pairs.anchors, pairs.queries,
             np.broadcast_to(self.mean_rel.rotation.as_array(), (m, 4)),
             np.broadcast_to(self.mean_rel.translation.as_array(), (m, 3)),
             config_digest=pairs.config_digest,

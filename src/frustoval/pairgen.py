@@ -86,7 +86,7 @@ def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
     digest = dataset.config_digest(cfg)
     if len(poses) < 2:
         warnings.warn("fewer than 2 poses; no pairs can be generated", stacklevel=2)
-        return PairTable([], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), digest)
+        return PairTable([], [], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), digest)
     batch = _FrustumBatch(poses.rotations, poses.translations, cfg)
     anchors, queries, counts = _score_pairs(batch, threads)
     if cfg.symmetric:
@@ -103,9 +103,7 @@ def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
     for lo, hi in zip(cuts, [*cuts[1:], scores.size]):
         rotations[lo:hi], translations[lo:hi] = geometry.relative_rows(
             batch.quats, batch.trans, anchors[lo:hi], queries[lo:hi])
-    ids = np.array(poses.frame_ids, dtype=object)
-    return PairTable(ids[anchors].tolist(), ids[queries].tolist(), rotations, translations,
-                     scores, digest)
+    return PairTable(poses.frame_ids, anchors, queries, rotations, translations, scores, digest)
 
 
 def bin_histogram(pairs: PairTable, binning: OverlapBinning = OverlapBinning()) -> np.ndarray:

@@ -209,5 +209,5 @@ def synth_predict(pairs: PairTable, predictor: SynthPredictor, seed: int = 0) ->
         angles = rng.normal(0.0, predictor.sigma_q_deg, size=n) if predictor.sigma_q_deg > 0 else np.zeros(n)
         q_noise = axis_angle_rows(axes, angles)
         q_hat = normalize_quat_rows(quat_mul_rows(q_noise, q))
-    return PairTable(pairs.anchor_ids, pairs.query_ids, q_hat, t_hat,
+    return PairTable(pairs.frame_ids, pairs.anchors, pairs.queries, q_hat, t_hat,
                      config_digest=pairs.config_digest)

@@ -185,7 +185,7 @@ def test_criterion_07_metric_scale_behavior(walk_pairs):
     s = 10.0
 
     def scale(table):
-        return dataset.PairTable(table.anchor_ids, table.query_ids, table.rotations,
+        return dataset.PairTable(table.frame_ids, table.anchors, table.queries, table.rotations,
                                  s * table.translations, table.overlaps, table.config_digest)
 
     scaled = evaluate(scale(pairs), scale(preds), cfg)
@@ -202,8 +202,8 @@ def test_criterion_08_naive_baseline_identities(walk_pairs):
     naive_preds = naive_predictor(pairs).predict(pairs)
     mase = mase_translation(pairs, naive_preds, naive_mean_translation(pairs), "l1")
     assert abs(mase - 1.0) <= 1e-12
-    perfect = dataset.PairTable(pairs.anchor_ids, pairs.query_ids, pairs.rotations, pairs.translations,
-                                config_digest=pairs.config_digest)
+    perfect = dataset.PairTable(pairs.frame_ids, pairs.anchors, pairs.queries, pairs.rotations,
+                                pairs.translations, config_digest=pairs.config_digest)
     report = evaluate(pairs, perfect)
     assert report.t_mean == 0 and report.t_median == 0
     assert report.t_mape == 0 and report.t_mase == 0 and report.t_mapse == 0
@@ -256,10 +256,10 @@ def test_criterion_10_auc(tmp_path):
         mids = [0.5 * (binning.edges[b] + binning.edges[b + 1]) for b in errors_by_bin]
         rotations = np.tile(Quaternion.identity().as_array(), (m, 1))
         t = np.tile([1.0, 0.0, 0.0], (m, 1))
-        pairs = dataset.PairTable([f"a{b}" for b in errors_by_bin], [f"q{b}" for b in errors_by_bin],
-                                  rotations, t, mids, digest)
+        pairs = dataset.PairTable.from_ids([f"a{b}" for b in errors_by_bin],
+                                           [f"q{b}" for b in errors_by_bin], rotations, t, mids, digest)
         t_hat = t + np.array([[err, 0.0, 0.0] for err in errors_by_bin.values()])
-        preds = dataset.PairTable(pairs.anchor_ids, pairs.query_ids, rotations, t_hat)
+        preds = dataset.PairTable(pairs.frame_ids, pairs.anchors, pairs.queries, rotations, t_hat)
         return pairs, preds
 
     c_const = error_curve(*problem({b: 0.42 for b in range(10)}), binning)

@@ -238,25 +238,34 @@ class TestPredictAndEval:
     def test_missing_prediction_key_refused(self, tmp_path, pairs_file, pred_file, capsys):
         pd = dataset.read_predictions(pred_file)
         short = tmp_path / "short.pred"
-        dataset.write_predictions(short, pd.predictions[:-1], config_digest=pd.digest)
+        dataset.write_predictions(short, pd.predictions[:-12], config_digest=pd.digest)
         rc = main(["eval", "--pairs", str(pairs_file), "--pred", str(short),
                    "--out", str(tmp_path / "r.report")])
         assert rc == 2
-        assert "missing" in capsys.readouterr().err
+        # the first 10 of the 12 keys, in pair order, as a list of tuples
+        keys = [tuple(ln.split()[:2]) for ln in pairs_file.read_text().splitlines() if ln[:1] != "#"]
+        listed = ", ".join(f"('{a}', '{q}')" for a, q in keys[-12:-2])
+        assert capsys.readouterr().err == f"frustoval: error: predictions missing for pair keys: [{listed}]\n"
+        assert listed.startswith("('pose-000029', 'pose-000017'), ('pose-000029', 'pose-000018'), ")
 
     def test_orphan_prediction_key_refused(self, tmp_path, pairs_file, pred_file, capsys):
         pd = dataset.read_predictions(pred_file)
         t = pd.predictions
-        # one more row, a copy of the first under a key no pair holds
-        with_stray = PairTable([*t.anchor_ids, "no-such"], [*t.query_ids, "pair"],
-                               np.vstack([t.rotations, t.rotations[:1]]),
-                               np.vstack([t.translations, t.translations[:1]]))
+        # 12 more rows, copies of the first under keys no pair holds
+        stray = [(f"no-such-{k:02d}", "pair") for k in range(12)]
+        anchor_ids, query_ids = t.id_columns()
+        with_stray = PairTable.from_ids([*anchor_ids, *(a for a, _ in stray)],
+                                        [*query_ids, *(q for _, q in stray)],
+                                        np.vstack([t.rotations, *[t.rotations[:1]] * 12]),
+                                        np.vstack([t.translations, *[t.translations[:1]] * 12]))
         padded = tmp_path / "padded.pred"
         dataset.write_predictions(padded, with_stray, config_digest=pd.digest)
         rc = main(["eval", "--pairs", str(pairs_file), "--pred", str(padded),
                    "--out", str(tmp_path / "r.report")])
         assert rc == 2
-        assert "absent from the pair file" in capsys.readouterr().err
+        listed = ", ".join(f"('no-such-{k:02d}', 'pair')" for k in range(10))
+        assert capsys.readouterr().err == ("frustoval: error: predictions reference pair keys absent from "
+                                           f"the pair file: [{listed}]\n")
 
     def test_report_is_self_describing(self, tmp_path, pairs_file, pred_file):
         # re-running eval with only the report header as configuration
@@ -345,6 +354,13 @@ def _edit_record(path, k, edit):
     return i + 1
 
 
+def _key_refusal(problem, kind, path, lineno):
+    """The reader's refusal of the record at `lineno`, its key as a tuple."""
+    a, q = path.read_text().splitlines()[lineno - 1].split()[:2]
+    return (f"{problem} {kind} key ('{a}', '{q}'): records must be sorted by (anchor_id, query_id) "
+            "without repeats\n")
+
+
 class TestRecordValidation:
     """Malformed records exit 2 with a message naming the file and line, and
     writers refuse frame ids that their own files could not read back."""
@@ -361,13 +377,16 @@ class TestRecordValidation:
 
     def test_duplicate_pair_key(self, tmp_path, pairs_file, capsys):
         lineno = _edit_record(pairs_file, 5, lambda f, prev: prev)
-        self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, lineno, "duplicate pair key")
+        self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, lineno,
+                     f"{pairs_file}:{lineno}: " + _key_refusal("duplicate", "pair", pairs_file, lineno))
 
     def test_unsorted_pair_keys(self, tmp_path, pairs_file, capsys):
         lines, recs = _record_lines(pairs_file)
         lines[recs[3]], lines[recs[4]] = lines[recs[4]], lines[recs[3]]
         pairs_file.write_text("\n".join(lines) + "\n")
-        self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, recs[4] + 1, "unsorted pair key")
+        lineno = recs[4] + 1
+        self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, lineno,
+                     f"{pairs_file}:{lineno}: " + _key_refusal("unsorted", "pair", pairs_file, lineno))
 
     def test_self_pair(self, tmp_path, pairs_file, capsys):
         lineno = _edit_record(pairs_file, 7, lambda f, prev: [f[0], f[0], *f[2:]])
@@ -451,7 +470,7 @@ class TestRecordValidation:
         lineno = _edit_record(pred_file, 4, lambda f, prev: prev)
         self.refused(capsys, ["eval", "--pairs", str(pairs_file), "--pred", str(pred_file),
                               "--out", str(tmp_path / "r.report")],
-                     pred_file, lineno, "duplicate prediction key")
+                     pred_file, lineno, _key_refusal("duplicate", "prediction", pred_file, lineno))
 
     def test_unsorted_prediction_keys(self, tmp_path, pairs_file, pred_file, capsys):
         lines, recs = _record_lines(pred_file)
@@ -459,7 +478,7 @@ class TestRecordValidation:
         pred_file.write_text("\n".join(lines) + "\n")
         self.refused(capsys, ["eval", "--pairs", str(pairs_file), "--pred", str(pred_file),
                               "--out", str(tmp_path / "r.report")],
-                     pred_file, recs[1] + 1, "unsorted prediction key")
+                     pred_file, recs[1] + 1, _key_refusal("unsorted", "prediction", pred_file, recs[1] + 1))
 
     def test_duplicate_frame_id(self, tmp_path, poses_file, capsys):
         lineno = _edit_record(poses_file, 6, lambda f, prev: [prev[0], *f[1:]])
@@ -479,8 +498,9 @@ class TestRecordValidation:
         pf = dataset.read_pairs(pairs_file)
         t = pf.pairs
         for bad in ("a b", "#"):
-            table = PairTable([bad, *t.anchor_ids[1:]], t.query_ids, t.rotations, t.translations,
-                              t.overlaps, t.config_digest)
+            anchor_ids, query_ids = t.id_columns()
+            table = PairTable.from_ids([bad, *anchor_ids[1:]], query_ids, t.rotations, t.translations,
+                                       t.overlaps, t.config_digest)
             out = tmp_path / "bad.pairs"
             with pytest.raises(ValueError, match="frame id"):
                 dataset.write_pairs(out, table, pf.cfg, min_overlap=0.0, max_overlap=1.0)
@@ -490,8 +510,9 @@ class TestRecordValidation:
         pd = dataset.read_predictions(pred_file)
         t = pd.predictions
         for bad in ("a\tb", "#"):
-            table = PairTable(t.anchor_ids, [bad, *t.query_ids[1:]], t.rotations, t.translations,
-                              config_digest=t.config_digest)
+            anchor_ids, query_ids = t.id_columns()
+            table = PairTable.from_ids(anchor_ids, [bad, *query_ids[1:]], t.rotations, t.translations,
+                                       config_digest=t.config_digest)
             out = tmp_path / "bad.pred"
             with pytest.raises(ValueError, match="frame id"):
                 dataset.write_predictions(out, table, config_digest=pd.digest)

@@ -42,15 +42,14 @@ def random_pairs(rng, n, digest="0" * 16, lo=0.05, hi=1.0):
         q.append(random_quat(rng).as_array())
         t.append(rng.normal(size=3))
         overlaps.append(rng.uniform(lo, hi))
-    return PairTable([f"a-{i:04d}" for i in range(n)], [f"b-{i:04d}" for i in range(n)],
-                     round9_array(q), round9_array(t),
-                     round9_array(overlaps), digest)
+    return PairTable.from_ids([f"a-{i:04d}" for i in range(n)], [f"b-{i:04d}" for i in range(n)],
+                              round9_array(q), round9_array(t), round9_array(overlaps), digest)
 
 
 def random_predictions(rng, n, digest=""):
     rows = [(random_quat(rng).as_array(), rng.normal(size=3)) for _ in range(n)]
-    return PairTable([f"a-{i}" for i in range(n)], [f"b-{i}" for i in range(n)],
-                     [q for q, _ in rows], [t for _, t in rows], config_digest=digest)
+    return PairTable.from_ids([f"a-{i}" for i in range(n)], [f"b-{i}" for i in range(n)],
+                              [q for q, _ in rows], [t for _, t in rows], config_digest=digest)
 
 
 class TestNumberFormat:
@@ -99,17 +98,19 @@ class TestNumberFormat:
                     dataset.write_poses(out, replace(poses, rotations=q, translations=t))
                 q, t = spoiled(pairs, c, bad)
                 with pytest.raises(ValueError):
-                    dataset.write_pairs(out, PairTable(pairs.anchor_ids, pairs.query_ids, q, t, pairs.overlaps,
-                                                       pairs.config_digest), cfg, min_overlap=0.0, max_overlap=1.0)
+                    dataset.write_pairs(out, PairTable(pairs.frame_ids, pairs.anchors, pairs.queries, q, t,
+                                                       pairs.overlaps, pairs.config_digest),
+                                        cfg, min_overlap=0.0, max_overlap=1.0)
                 q, t = spoiled(preds, c, bad)
                 with pytest.raises(ValueError):
-                    dataset.write_predictions(out, PairTable(preds.anchor_ids, preds.query_ids, q, t),
-                                              config_digest="")
+                    dataset.write_predictions(out, PairTable(preds.frame_ids, preds.anchors, preds.queries,
+                                                             q, t), config_digest="")
             overlaps = pairs.overlaps.copy()
             overlaps[1] = bad
             with pytest.raises(ValueError):
-                dataset.write_pairs(out, PairTable(pairs.anchor_ids, pairs.query_ids, pairs.rotations,
-                                                   pairs.translations, overlaps, pairs.config_digest),
+                dataset.write_pairs(out, PairTable(pairs.frame_ids, pairs.anchors, pairs.queries,
+                                                   pairs.rotations, pairs.translations, overlaps,
+                                                   pairs.config_digest),
                                     cfg, min_overlap=0.0, max_overlap=1.0)
         assert not out.exists()
 
@@ -330,7 +331,7 @@ class TestPairSerialization:
 
     def test_self_pair_rejected(self, tmp_path):
         cfg = OverlapConfig()
-        pairs = PairTable(["x"], ["x"], [[1, 0, 0, 0]], [[0, 0, 0]], [0.5], config_digest(cfg))
+        pairs = PairTable.from_ids(["x"], ["x"], [[1, 0, 0, 0]], [[0, 0, 0]], [0.5], config_digest(cfg))
         with pytest.raises(ValueError, match="distinct"):
             dataset.write_pairs(tmp_path / "a.pairs", pairs, cfg, min_overlap=0.0, max_overlap=1.0)
 
@@ -347,10 +348,22 @@ class TestPredictionSerialization:
         dataset.write_predictions(f2, data.predictions, config_digest="abc", predictor="external")
         assert f.read_bytes() == f2.read_bytes()
 
-    def test_duplicate_keys_rejected(self):
-        p = PairTable(["a", "a"], ["b", "b"], [[1, 0, 0, 0]] * 2, [[0, 0, 0]] * 2)
-        with pytest.raises(ValueError, match="duplicate"):
-            dataset.write_predictions("/tmp/never-written.pred", p, config_digest="x")
+    def test_duplicate_keys_rejected(self, tmp_path):
+        p = PairTable.from_ids(["a", "a"], ["b", "b"], [[1, 0, 0, 0]] * 2, [[0, 0, 0]] * 2)
+        with pytest.raises(ValueError) as e:
+            dataset.write_predictions(tmp_path / "never-written.pred", p, config_digest="x")
+        assert str(e.value) == "duplicate prediction keys: [('a', 'b')]"
+        # each repeated key once, in key order, at most 5 of them
+        cfg = OverlapConfig()
+        anchors = [f"a{k % 7}" for k in range(14)]
+        pairs = PairTable.from_ids(anchors, ["b"] * 14, [[1, 0, 0, 0]] * 14, [[0, 0, 0]] * 14,
+                                   [0.5] * 14, config_digest(cfg))
+        with pytest.raises(ValueError) as e:
+            dataset.write_pairs(tmp_path / "never-written.pairs", pairs, cfg, min_overlap=0.0,
+                                max_overlap=1.0)
+        assert str(e.value) == ("duplicate pair keys: [('a0', 'b'), ('a1', 'b'), ('a2', 'b'), "
+                                "('a3', 'b'), ('a4', 'b')]")
+        assert not list(tmp_path.iterdir())
 
     def test_digest_mismatch_check(self):
         with pytest.raises(DigestMismatchError, match="mismatch"):
@@ -363,8 +376,9 @@ class TestPairTableSelection:
         for rows in (np.arange(4, 20, 3), np.flatnonzero(pairs.overlaps > 0.5)):
             mask = np.zeros(len(pairs), dtype=bool)
             mask[rows] = True
-            want = PairTable([pairs.anchor_ids[k] for k in rows], [pairs.query_ids[k] for k in rows],
-                             pairs.rotations[rows], pairs.translations[rows], pairs.overlaps[rows], "d")
+            anchor_ids, query_ids = pairs.id_columns(rows)
+            want = PairTable.from_ids(anchor_ids, query_ids, pairs.rotations[rows],
+                                      pairs.translations[rows], pairs.overlaps[rows], "d")
             assert pairs[mask] == want
             assert pairs[rows] == want
             assert pairs[rows.tolist()] == want
@@ -396,7 +410,7 @@ class TestPairTableSelection:
         pairs = random_pairs(rng, 3, digest="d")
         preds = random_predictions(rng, 3)
         rows = list(pairs)
-        assert [r.key for r in rows] == pairs.keys()
+        assert [r.key for r in rows] == pairs.id_pairs(slice(None))
         assert [r.overlap for r in rows] == pairs.overlaps.tolist()
         assert [r.rel.translation.as_array().tolist() for r in rows] == pairs.translations.tolist()
         assert all(r.config_digest == "d" for r in rows)
@@ -537,7 +551,7 @@ class TestRecordReader:
         spaced = [*lines[:first + 1], "", "  \t", *lines[first + 1:first + 4], "", *lines[first + 4:], ""]
         _rewrite(f, spaced)
         got = dataset.read_predictions(f).predictions
-        assert got.keys() == preds.keys()
+        assert [r.key for r in got] == [r.key for r in preds]
         np.testing.assert_array_equal(got.translations, round9_array(preds.translations))
         # the 6th record now repeats the 5th; three blank lines come before it
         dup = first + 5 + 3
@@ -567,7 +581,7 @@ class TestRecordReader:
 
     def test_empty_record_files_read_as_zero_rows(self, tmp_path):
         cfg = OverlapConfig()
-        pairs = PairTable([], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), config_digest(cfg))
+        pairs = PairTable([], [], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), config_digest(cfg))
         fp, fq = tmp_path / "a.pairs", tmp_path / "a.pred"
         dataset.write_pairs(fp, pairs, cfg, min_overlap=0.0, max_overlap=1.0)
         dataset.write_predictions(fq, pairs[:0], config_digest=pairs.config_digest)

@@ -39,13 +39,13 @@ def make_pairs(t, q=None, overlap=0.5, digest="d"):
     t = np.reshape(np.asarray(t, dtype=float), (-1, 3))
     m = len(t)
     q = np.tile([1.0, 0.0, 0.0, 0.0], (m, 1)) if q is None else quat_rows(q)
-    return PairTable([f"a-{i:04d}" for i in range(m)], [f"q-{i:04d}" for i in range(m)],
-                     q, t, np.broadcast_to(np.asarray(overlap, dtype=float), (m,)), digest)
+    return PairTable.from_ids([f"a-{i:04d}" for i in range(m)], [f"q-{i:04d}" for i in range(m)],
+                              q, t, np.broadcast_to(np.asarray(overlap, dtype=float), (m,)), digest)
 
 
 def make_preds(pairs, t, q=None):
     """Predictions for the keys of `pairs`; rotations from q, or the pairs' own."""
-    return PairTable(pairs.anchor_ids, pairs.query_ids,
+    return PairTable(pairs.frame_ids, pairs.anchors, pairs.queries,
                      pairs.rotations if q is None else quat_rows(q), t,
                      config_digest=pairs.config_digest)
 
@@ -55,8 +55,8 @@ def perfect_preds(pairs):
 
 
 def scaled(table, s):
-    return PairTable(table.anchor_ids, table.query_ids, table.rotations, s * table.translations,
-                     table.overlaps, table.config_digest)
+    return PairTable(table.frame_ids, table.anchors, table.queries, table.rotations,
+                     s * table.translations, table.overlaps, table.config_digest)
 
 
 def empty_pairs():
@@ -86,8 +86,9 @@ class TestMatching:
     def test_duplicate_key_listed(self):
         pairs = make_pairs([(1, 0, 0)])
         preds = perfect_preds(pairs)[[0, 0]]
-        with pytest.raises(EvaluationError, match="duplicate"):
+        with pytest.raises(EvaluationError) as e:
             match_predictions(pairs, preds)
+        assert str(e.value) == "duplicate prediction keys: [('a-0000', 'q-0000')]"
 
     def test_extra_predictions_ignored(self):
         pairs = make_pairs([(1, 0, 0), (0, 1, 0)])

@@ -38,8 +38,8 @@ def scored(translations, overlaps=0.5):
     """A pair table with identity rotations: one row per translation, all keyed (a, b)."""
     t = np.reshape(np.asarray(translations, dtype=float), (-1, 3))
     m = len(t)
-    return PairTable(["a"] * m, ["b"] * m, np.tile([1.0, 0.0, 0.0, 0.0], (m, 1)), t,
-                     np.broadcast_to(np.asarray(overlaps, dtype=float), (m,)), "d")
+    return PairTable.from_ids(["a"] * m, ["b"] * m, np.tile([1.0, 0.0, 0.0, 0.0], (m, 1)), t,
+                              np.broadcast_to(np.asarray(overlaps, dtype=float), (m,)), "d")
 
 
 def small_poses(n=20, seed=3, tilt=30.0):

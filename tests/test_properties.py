@@ -1,12 +1,14 @@
-"""Property tests: metric scale invariance, the symmetric pair score and
-rigid invariance.
+"""Property tests: metric scale invariance, the prediction join, the
+symmetric pair score and rigid invariance.
 
 Multiplying every translation of a pair set and its predictions by a power
 of two is exact in floating point, so the dimensionless MASE and MAPSE must
 come out bit-equal. An unordered pair's score is the minimum of the two
 directional `overlap_score`s, for any poses and any configuration. Moving
 both poses of a pair by one rigid motion leaves their relative pose
-unchanged up to rounding, and their score up to one probe point.
+unchanged up to rounding, and their score up to one probe point. Matching
+predictions to pairs gives the rows, and the refusals, of a join through a
+dict keyed by (anchor_id, query_id) tuples, whatever ids each table holds.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from frustoval import (
     relative,
 )
 from frustoval.dataset import PairTable
+from frustoval.metrics import EvaluationError, match_predictions, unmatched_predictions
 
 from conftest import assert_transform_close, pose_set
 
@@ -49,12 +52,12 @@ def problems(draw):
     anchors = [f"a{k:02d}" for k in range(n)]
     queries = [f"q{k:02d}" for k in range(n)]
     overlaps = np.linspace(0.5, 1.0, n)
-    return (PairTable(anchors, queries, q[:n], t, overlaps, "d"),
-            PairTable(anchors, queries, q[n:], t_hat, None, "d"))
+    return (PairTable.from_ids(anchors, queries, q[:n], t, overlaps, "d"),
+            PairTable.from_ids(anchors, queries, q[n:], t_hat, None, "d"))
 
 
 def scaled(table, factor):
-    return PairTable(table.anchor_ids, table.query_ids, table.rotations,
+    return PairTable(table.frame_ids, table.anchors, table.queries, table.rotations,
                      table.translations * factor, table.overlaps, table.config_digest)
 
 
@@ -68,6 +71,65 @@ def test_mase_mapse_scale_invariant(problem, exponent, norm):
     after = evaluate(scaled(pairs, factor), scaled(preds, factor), cfg, include=("mase", "mapse"))
     assert after.t_mase == before.t_mase
     assert after.t_mapse == before.t_mapse
+
+
+# ids where one is a prefix of another ("a" < "a-1" < "a-10" < "a-2" < "a0"),
+# which probe the order of the vocabularies the join maps between
+join_ids = st.one_of(st.sampled_from(["a", "a-1", "a-10", "a-2", "a0", "a00", "a.", "A", "b", "ab"]),
+                     st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=4))
+join_key = st.tuples(join_ids, join_ids).filter(lambda k: k[0] != k[1])
+
+
+def oracle_join(pair_keys, pred_keys):
+    """What match_predictions and unmatched_predictions return, or the text
+    they refuse with, computed with a dict from key tuples to prediction
+    rows. Both key lists are in row order."""
+    dupes = sorted({a for a, b in zip(pred_keys, pred_keys[1:]) if a == b})
+    if dupes:
+        refusal = f"duplicate prediction keys: {dupes[:10]}"
+        return refusal, refusal
+    row = {k: i for i, k in enumerate(pred_keys)}
+    idx = [row.get(k, -1) for k in pair_keys]
+    missing = [k for k, i in zip(pair_keys, idx) if i < 0]
+    hit = set(idx)
+    unmatched = [k for i, k in enumerate(pred_keys) if i not in hit]
+    return (f"predictions missing for pair keys: {missing[:10]}" if missing else idx), unmatched
+
+
+def outcome(fn, *args):
+    try:
+        got = fn(*args)
+    except EvaluationError as e:
+        return str(e)
+    return got if isinstance(got, list) else got.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(join_key, unique=True, max_size=25), st.data())
+def test_join_matches_tuple_dict_oracle(pair_keys, data):
+    """Prediction tables that hold a subset of the pair keys (missing rows),
+    keys of their own, some with ids no pair uses (orphans), and now and then a
+    repeated key; the pair table's vocabulary may hold ids no row uses."""
+    kept = data.draw(st.lists(st.booleans(), min_size=len(pair_keys), max_size=len(pair_keys)))
+    extra = data.draw(st.lists(join_key, max_size=6))
+    pred_keys = [k for k, keep in zip(pair_keys, kept) if keep] + extra
+    unused = data.draw(st.lists(join_ids, max_size=3))
+    frame_ids = sorted({*unused, *(f for k in pair_keys for f in k)})
+    index = {f: i for i, f in enumerate(frame_ids)}
+    m, n = len(pair_keys), len(pred_keys)
+    pairs = PairTable(frame_ids, [index[a] for a, _ in pair_keys], [index[q] for _, q in pair_keys],
+                      np.tile([1.0, 0.0, 0.0, 0.0], (m, 1)), np.zeros((m, 3)), np.full(m, 0.5), "d")
+    preds = PairTable.from_ids([a for a, _ in pred_keys], [q for _, q in pred_keys],
+                               np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), np.arange(3.0 * n).reshape(n, 3))
+    want_match, want_unmatched = oracle_join([r.key for r in pairs], [r.key for r in preds])
+    assert outcome(match_predictions, pairs, preds) == want_match
+    assert outcome(unmatched_predictions, pairs, preds) == want_unmatched
+
+
+def test_join_oracle_sees_repeats_and_missing_rows():
+    assert oracle_join([("a", "b")], [("a", "b"), ("a", "b")])[0] == "duplicate prediction keys: [('a', 'b')]"
+    assert oracle_join([("a", "b"), ("a", "c")], [("a", "c"), ("x", "y")]) == (
+        "predictions missing for pair keys: [('a', 'b')]", [("x", "y")])
 
 
 pose = st.tuples(quat, st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
