@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, geometry
-from .frustum import FrustumSpec, OverlapConfig
+from .frustum import FrustumSpec, OverlapConfig, pair_keys
 from .geometry import Quaternion, RelativePose, Translation
 
 FORMAT_LINE = "# frustoval-format v1"
@@ -145,12 +145,6 @@ class PairRecord:
     @property
     def key(self):
         return (self.anchor_id, self.query_id)
-
-
-def pair_keys(anchors, queries, n_ids: int) -> np.ndarray:
-    """One int64 key per row of indices into a sorted vocabulary of n_ids
-    ids; the keys ascend as the rows' (anchor_id, query_id) do."""
-    return np.asarray(anchors, dtype=np.int64) * n_ids + queries
 
 
 def _encode_ids(anchor_ids, query_ids):

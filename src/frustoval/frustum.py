@@ -12,16 +12,19 @@ is O(N^2 * n_points), so pairs pass cheap rejects before the
 point-containment test, in this order: grid neighbours (sphere centres hashed
 into cells as wide as the sphere test's reach; an anchor's candidates are
 the poses in the 27 cells around its own), bounding-sphere separation (the
-sphere covers the epsilon-inflated frustum), the rotation gate, and plane
-separation (all eight corners of the other frustum below one anchor plane).
-The rejects never change a count. They run on flat (anchor, query) index
-arrays, _CHUNK_PAIRS candidates at a time, so their temporaries are
-O(_CHUNK_PAIRS) whatever N is. Each anchor's survivors are point-tested in
-fixed-size candidate blocks, and only nonzero (query, count) entries are
-kept, so no (N, N) array is ever built. Contiguous anchor ranges are spread
-over one thread pool, the only parallel layer, and no result depends on how
-the anchors are split, which makes the output bit-identical for any thread
-count.
+sphere covers the epsilon-inflated frustum), the rotation gate, plane
+separation (all eight corners of the other frustum below one anchor plane)
+and the overlap window (a bound on the count, from the lattice depths,
+columns and rows that the anchor's inflated corners span in the other
+camera's frame, no higher than the window's lower end). The rejects never
+change a count that the window keeps. They run on flat (anchor, query) index
+arrays, _CHUNK_PAIRS candidates at a time, and each chunk's survivors are
+point-tested as one flat batch in fixed-size blocks of pairs, so every
+temporary is O(_CHUNK_PAIRS) whatever N is. Only nonzero counts are kept, so
+no (N, N) array is ever built. Contiguous anchor ranges are spread over one
+thread pool, the only parallel layer, and every pair's arithmetic is the
+same however the anchors are split, which makes the output bit-identical for
+any thread count.
 
 The camera looks along +z; hfov spans x, vfov spans y.
 """
@@ -168,19 +171,20 @@ def camera_corners(spec: FrustumSpec) -> np.ndarray:
 
 
 @_per_spec
-def camera_sphere(spec: FrustumSpec):
-    """Camera-frame (center, radius) of a sphere covering the viewing volume
-    inflated by boundary_epsilon, i.e. every point the containment test accepts.
+def inflated_corners(spec: FrustumSpec) -> np.ndarray:
+    """The eight vertices of the viewing volume inflated by boundary_epsilon,
+    camera frame: their convex hull holds every point the containment test
+    accepts.
 
     Moving each plane outward by eps keeps the truncated pyramid's shape: the
     depth range grows to [near - eps, far + eps] and each side plane shifts by
-    eps / cos(half-angle), so the eight inflated vertices span it.
+    eps / cos(half-angle).
     """
     ta, tb = spec.half_tangents
     eps = spec.boundary_epsilon
     ex = eps / math.cos(math.atan(ta))
     ey = eps / math.cos(math.atan(tb))
-    corners = np.array(
+    return np.array(
         [
             [sx * (z * ta + ex), sy * (z * tb + ey), z]
             for z in (spec.near - eps, spec.far + eps)
@@ -188,29 +192,41 @@ def camera_sphere(spec: FrustumSpec):
             for sx in (-1.0, 1.0)
         ]
     )
+
+
+@_per_spec
+def camera_sphere(spec: FrustumSpec):
+    """Camera-frame (center, radius) of a sphere covering the inflated corners,
+    i.e. every point the containment test accepts."""
     c_cam = camera_corners(spec).mean(axis=0)
-    return c_cam, float(geometry.vector_norms(corners - c_cam, "l2").max())
+    return c_cam, float(geometry.vector_norms(inflated_corners(spec) - c_cam, "l2").max())
 
 
 # Probe points per point-test block. A block's work arrays (about 0.9 MB)
-# stay in cache, and its gemm, the (6J, 3) planes of J queries against the
-# (3, n_points) lattice, stays below the size at which OpenBLAS splits a gemm
-# over threads (m*n*k = 524288 with OpenBLAS 0.3.31; here at most 294912), so
-# the row pool is the only parallel layer.
-# Smaller blocks make more, shorter numpy calls, which two row threads then
-# spend handing the GIL back and forth.
+# stay in cache, and its gemm, the (6J, 4) planes of J pairs against the
+# (4, n_points) lattice, stays below the size at which OpenBLAS splits a gemm
+# over threads (m*n*k = 524288 with OpenBLAS 0.3.31; here at most 393216), so
+# the thread pool over anchor ranges is the only parallel layer. Smaller
+# blocks make more, shorter numpy calls, which the pool's threads then spend
+# handing the GIL back and forth.
 _BLOCK_POINTS = 16384
 
-# (anchor, query) pairs per reject chunk, and kept pairs per relative-pose
-# chunk: each reject's temporaries stay near 0.2 MB a worker (all pairs of a
-# 600-pose room at once would take 270 MB), while each chunk still pays for
-# about 50 numpy calls. A batch whose pairs all fit in one chunk skips the grid.
-_CHUNK_PAIRS = 2048
+# (anchor, query) candidates per reject chunk, and kept pairs per
+# relative-pose chunk. The sphere reject takes a whole chunk at about 50 bytes
+# of temporaries a pair (0.4 MB a worker); the stages after it take up to 500
+# bytes a pair, so they take an eighth of a chunk at a time (_by_piece). All
+# pairs of a 600-pose room at once would take 270 MB. Outdoor scenes, where
+# most candidates die at the sphere reject, ran fastest on two threads at this
+# size: at 2048 a chunk's short numpy calls left the two threads handing the
+# GIL back and forth, and 16384 gained nothing. A batch whose pairs all fit in
+# one chunk skips the grid.
+_CHUNK_PAIRS = 8192
 
 # The separation reject drops a candidate only when its frustum corners fall
 # this far (relative to the scene's coordinate scale) below an anchor plane's
 # threshold, far more than the rounding between a probe point and the convex
-# combination of corners it lies on.
+# combination of corners it lies on. The window reject widens its bound's
+# ranges by the same margin.
 _SEPARATION_MARGIN = 1e-9
 
 # Grid cells per axis at most: coarser cells beyond that keep a cell key far
@@ -218,18 +234,37 @@ _SEPARATION_MARGIN = 1e-9
 _MAX_CELLS = 2 ** 20
 
 
+def _within(ticks: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """How many of the ascending ticks lie in [lo, hi], per row."""
+    return np.searchsorted(ticks, hi, side="right") - np.searchsorted(ticks, lo, side="left")
+
+
+def _by_piece(method):
+    """Run a per-pair method of _FrustumBatch over an eighth of a chunk of
+    (anchor, query) pairs at a time and join the results, so that its
+    (pairs, 8, 3) and (pairs, 6, 4) temporaries stay smaller than a chunk's."""
+    @functools.wraps(method)
+    def pieces(self, anchors: np.ndarray, queries: np.ndarray, *args):
+        step = max(1, _CHUNK_PAIRS // 8)
+        return np.concatenate([method(self, anchors[lo:lo + step], queries[lo:lo + step], *args)
+                               for lo in range(0, max(anchors.size, 1), step)])
+
+    return pieces
+
+
 class _FrustumBatch:
     """Per-pose rotations, world-space planes, corners and sphere centres of
     (N, 4) wxyz and (N, 3) camera-to-world pose rows, for scoring in anchor
-    chunks; every pose's probe points are the spec's one camera-frame lattice."""
+    chunks; every pose's probe points are the spec's one camera-frame lattice.
+    Pairs scoring no higher than min_overlap may be left out."""
 
-    def __init__(self, quats: np.ndarray, trans: np.ndarray, cfg: OverlapConfig):
+    def __init__(self, quats: np.ndarray, trans: np.ndarray, cfg: OverlapConfig, min_overlap: float = 0.0):
         spec = cfg.frustum
         self.n = len(quats)
         self.quats, self.trans = quats, trans
         self.rot = geometry.quats_to_matrices(self.quats)  # (N, 3, 3)
         rot_t = np.transpose(self.rot, (0, 2, 1))
-        self.grid_t = camera_grid(spec).T  # (3, n_points), read-only
+        self.lattice = np.vstack([camera_grid(spec).T, np.ones(spec.n_points)])  # (4, n_points): x, y, z, 1
         n_cam, d_cam = camera_planes(spec)
         self.normals = np.matmul(n_cam, rot_t)  # (N, 6, 3)
         self.offsets = d_cam[None, :] - np.einsum("nij,nj->ni", self.normals, self.trans)
@@ -238,11 +273,16 @@ class _FrustumBatch:
         c_cam, self.sphere_radius = camera_sphere(spec)
         self.reach = 2.0 * self.sphere_radius + 1e-6  # sphere centres further apart cannot overlap
         self.centers = self.trans + np.einsum("nij,j->ni", self.rot, c_cam)
-        self.corners = np.matmul(camera_corners(spec), rot_t) + self.trans[:, None, :]  # (N, 8, 3)
-        self.margin = _SEPARATION_MARGIN * (1.0 + float(np.abs(self.corners).max()))
+        self.hull = np.matmul(inflated_corners(spec), rot_t) + self.trans[:, None, :]  # (N, 8, 3)
+        self.margin = _SEPARATION_MARGIN * (1.0 + float(np.abs(self.hull).max()))
+        # the lattice's depths, and its columns' x/z and rows' y/z, ascending
+        ta, tb = spec.half_tangents
+        self.depths = np.linspace(spec.near, spec.far, spec.grid_nz)
+        self.slopes = ta * np.linspace(-1.0, 1.0, spec.grid_nx), tb * np.linspace(-1.0, 1.0, spec.grid_ny)
         self.block = max(1, _BLOCK_POINTS // spec.n_points)
         self.n_points = spec.n_points
         self.max_rot = cfg.max_relative_rotation_deg
+        self.min_overlap = min_overlap
 
     @functools.cached_property
     def _grid(self):
@@ -284,50 +324,105 @@ class _FrustumBatch:
         d *= d
         return np.sum(d, axis=1) <= self.reach ** 2
 
+    def query_planes(self, anchors: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """(pairs, 6, 4): each anchor plane's normal n in the query's camera
+        frame, n R, and n.t, so that a world point R p + t of the query's
+        lattice lies n.(R p + t) = (n R).p + n.t along it."""
+        normals = self.normals[anchors]
+        planes = np.empty((anchors.size, 6, 4))
+        np.matmul(normals, self.rot[queries], out=planes[..., :3])
+        np.matmul(normals, self.trans[queries][:, :, None], out=planes[..., 3:])
+        return planes
+
+    @_by_piece
+    def gate_open(self, anchors: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """Mask of (anchor, query) pairs whose relative rotation is within the gate."""
+        return geometry.quat_angle_deg_rows(self.quats[anchors], self.quats[queries]) <= self.max_rot
+
+    @_by_piece
     def separated(self, anchors: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        """Mask of (anchor, query) pairs whose query frustum has all eight
-        corners below one of the anchor's plane thresholds. Every probe point
-        is a convex combination of those corners, so none of them can pass
-        that plane. Its (pairs, 8, 6) temporaries take eight times more per
-        pair than the other rejects', so it takes a sixteenth of a chunk at a
-        time."""
-        out = np.empty(anchors.size, dtype=bool)
-        step = max(1, _CHUNK_PAIRS // 16)
-        for lo in range(0, anchors.size, step):
-            a, q = anchors[lo:lo + step], queries[lo:lo + step]
-            heights = np.matmul(self.corners[q], self.normals[a].transpose(0, 2, 1))
-            top = np.maximum(heights[:, 0], heights[:, 1])
-            for c in range(2, 8):  # faster than a max over the middle axis
-                np.maximum(top, heights[:, c], out=top)
-            out[lo:lo + step] = np.any(top < self.thresholds[a] - self.margin, axis=1)
-        return out
+        """Mask of (anchor, query) pairs whose query frustum lies wholly below
+        one of the anchor's plane thresholds. With the plane's normal n in the
+        query's camera frame as m = n R, the query's corners (+-z ta, +-z tb,
+        z) at z = near and far reach at most n.t + max(near s, far s) along n,
+        s = ta |m_x| + tb |m_y| + m_z; every probe point is a convex
+        combination of those corners, so none of them can pass that plane."""
+        planes = self.query_planes(anchors, queries)
+        m = np.abs(planes[..., :2])
+        s = m[..., 0] * self.slopes[0][-1]
+        s += m[..., 1] * self.slopes[1][-1]
+        s += planes[..., 2]
+        top = np.maximum(s * self.depths[0], s * self.depths[-1])
+        top += planes[..., 3]
+        return np.any(top < self.thresholds[anchors] - self.margin, axis=1)
+
+    @_by_piece
+    def count_bounds(self, anchors: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """Upper bound on each (anchor, query) pair's count: the query's probe
+        points whose depth lies within the depth range of the anchor's
+        inflated corners in the query's camera frame, and, when all eight lie
+        in front of that camera, whose x/z and y/z lie within their ranges.
+
+        The inflated frustum is the convex hull of those corners, and x/z and
+        y/z take their extremes over it at corners, so every point the point
+        test accepts is counted. The ranges are widened by the separation
+        margin, which is far more than the rounding of either side.
+        """
+        c = self.hull[anchors]
+        c -= self.trans[queries][:, None, :]
+        c = np.matmul(c, self.rot[queries])  # (pairs, 8, 3) in the query's camera frame
+        z = c[..., 2]
+        zlo = z.min(axis=1)
+        counts = _within(self.depths, zlo - self.margin, z.max(axis=1) + self.margin)
+        front = zlo > 0.0
+        counts[~front] *= self.slopes[0].size * self.slopes[1].size
+        slopes = c[front, :, :2] / z[front, :, None]  # (front pairs, 8, 2): x/z and y/z
+        # |p/p_z - h/h_z| <= d (1 + |h/h_z|) / p_z for p within d of h, and the
+        # lattice's depths start at near; a corner within rounding of the
+        # camera plane makes this pad wider than the field of view
+        pad = self.margin * (1.0 + np.abs(slopes).max(axis=(1, 2))) * (1.0 / self.depths[0] + 1.0 / zlo[front])
+        lo, hi = slopes.min(axis=1), slopes.max(axis=1)
+        for k, lattice in enumerate(self.slopes):
+            counts[front] *= _within(lattice, lo[:, k] - pad, hi[:, k] + pad)
+        return counts
 
     def rejects(self, anchors: np.ndarray, queries: np.ndarray):
-        """The (anchor, query) pairs that may share a probe point: distinct
-        poses past the sphere reject, the rotation gate and the separation
-        reject, in that order. No reject changes a count."""
+        """The (anchor, query) pairs that may share a probe point and may score
+        above the window's lower end: distinct poses past the sphere reject,
+        the rotation gate, the separation reject and the window reject, in
+        that order. A pair the window drops scores no higher than its bound,
+        in the same float expression `generate_pairs` keeps rows by."""
         keep = self.spheres_meet(anchors, queries) & (anchors != queries)
         anchors, queries = anchors[keep], queries[keep]
-        keep = geometry.quat_angle_deg_rows(self.quats[anchors], self.quats[queries]) <= self.max_rot
+        keep = self.gate_open(anchors, queries)
         anchors, queries = anchors[keep], queries[keep]
         keep = ~self.separated(anchors, queries)
+        anchors, queries = anchors[keep], queries[keep]
+        keep = self.count_bounds(anchors, queries) / self.n_points > self.min_overlap
         return anchors[keep], queries[keep]
 
-    def point_counts(self, i: int, js: np.ndarray, work: "_BlockArrays") -> np.ndarray:
-        """Probe points of each of the ascending queries js inside anchor i."""
-        counts = np.empty(js.size, dtype=np.int64)
-        normals, thr = self.normals[i], self.thresholds[i]
-        for lo in range(0, js.size, self.block):
-            blk = js[lo:lo + self.block]
-            # anchor i's planes in each query's camera frame: n.(R p + t) >= thr
-            # is (n R).p >= thr - n.t, with p a point of the camera lattice
-            rows = np.matmul(normals, self.rot[blk]).reshape(-1, 3)
-            cut = (thr - self.trans[blk] @ normals.T).reshape(-1, 1)
-            # one flat gemm: row 6j + k holds query j's lattice distances along plane k
-            dist = np.matmul(rows, self.grid_t, out=work.dist[:len(rows)])
-            passed = np.greater_equal(dist, cut, out=work.passed[:len(rows)])
-            inside = np.logical_and.reduce(passed.reshape(blk.size, 6, -1), axis=1, out=work.inside[:blk.size])
-            counts[lo:lo + blk.size] = inside.sum(axis=1)
+    @_by_piece
+    def point_counts(self, anchors: np.ndarray, queries: np.ndarray, work: "_BlockArrays") -> np.ndarray:
+        """Probe points of each query inside its anchor, for flat (anchor,
+        query) pairs. The planes of a piece's pairs are built at once; the
+        gemm, compare, and-reduce and count then run over blocks of pairs."""
+        # the anchor's planes in the query's camera frame: n.(R p + t) >= thr
+        # is (n R).p + (n.t - thr) >= 0, with p a point of the camera lattice.
+        # The gemm adds the fourth term last (as OpenBLAS does), and a rounded
+        # difference has the exact sign, so this decides as (n R).p >= thr - n.t
+        # does; a compare with 0 runs several times faster than one with a
+        # column of cuts.
+        planes = self.query_planes(anchors, queries)
+        planes[..., 3] -= self.thresholds[anchors]
+        planes = planes.reshape(-1, 4)
+        counts = np.empty(anchors.size, dtype=np.int64)
+        for lo in range(0, anchors.size, self.block):
+            hi = min(lo + self.block, anchors.size)
+            # one flat gemm: row 6j + k holds pair j's lattice distances past plane k
+            dist = np.matmul(planes[6 * lo:6 * hi], self.lattice, out=work.dist[:6 * (hi - lo)])
+            passed = np.greater_equal(dist, 0.0, out=work.passed[:6 * (hi - lo)])
+            inside = np.logical_and.reduce(passed.reshape(hi - lo, 6, -1), axis=1, out=work.inside[:hi - lo])
+            counts[lo:hi] = inside.sum(axis=1)
         return counts
 
     def score_range(self, lo: int, hi: int):
@@ -336,47 +431,34 @@ class _FrustumBatch:
         candidate runs, 9 an anchor, fit in one chunk."""
         work = _BlockArrays(self)
         group = max(1, _CHUNK_PAIRS // 9)
-        out = [part for a in range(lo, hi, group) for part in self._score_group(a, min(a + group, hi), work)]
+        out = [self._score_group(a, min(a + group, hi), work) for a in range(lo, hi, group)]
         return tuple(np.concatenate(col) for col in zip(*out))
 
     def _score_group(self, lo: int, hi: int, work: "_BlockArrays"):
-        """score_range's (anchors, queries, counts) parts for anchors lo..hi-1.
-
-        The anchors' grid candidates, in anchor order, pass the rejects
-        _CHUNK_PAIRS at a time; each anchor's survivors are then point-tested
-        in ascending query order, once no later chunk can add to them.
-        """
+        """score_range's (anchors, queries, counts) for anchors lo..hi-1: the
+        anchors' grid candidates, in anchor order, pass the rejects and the
+        point test _CHUNK_PAIRS at a time, and the group's nonzero counts are
+        sorted once."""
         order, starts, stops = self.grid_candidates(lo, hi)
         width = stops.shape[1]
         ends = np.cumsum(stops - starts)
         shift = stops.ravel() - ends  # order position minus candidate position, per run
         total = int(ends[-1])
-        held = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         out = []
         for p in range(0, total, _CHUNK_PAIRS):
-            stop = min(p + _CHUNK_PAIRS, total)
-            pos = np.arange(p, stop)
+            pos = np.arange(p, min(p + _CHUNK_PAIRS, total))
             run = np.searchsorted(ends, pos, side="right")
             anchors, queries = self.rejects(lo + run // width, order[pos + shift[run]])
-            anchors = np.concatenate([held[0], anchors])
-            queries = np.concatenate([held[1], queries])
-            # the anchor the next chunk starts in may get more survivors there
-            cut = np.searchsorted(anchors, lo + np.searchsorted(ends, stop, side="right") // width)
-            held = anchors[cut:], queries[cut:]
-            anchors, queries = anchors[:cut], queries[:cut]
-            sort = np.argsort(anchors * self.n + queries)
-            anchors, queries = anchors[sort], queries[sort]
-            counts = np.empty(queries.size, dtype=np.int64)
-            first = np.flatnonzero(np.diff(anchors, prepend=-1)).tolist()
-            for a, b in zip(first, [*first[1:], queries.size]):
-                counts[a:b] = self.point_counts(int(anchors[a]), queries[a:b], work)
+            counts = self.point_counts(anchors, queries, work)
             keep = counts > 0
             out.append((anchors[keep], queries[keep], counts[keep]))
-        return out
+        anchors, queries, counts = (np.concatenate(col) for col in zip(*out))
+        sort = np.argsort(pair_keys(anchors, queries, self.n))
+        return anchors[sort], queries[sort], counts[sort]
 
 
 class _BlockArrays:
-    """One worker's point-test arrays, reused for every block of queries.
+    """One worker's point-test arrays, reused for every block of pairs.
     Fresh block-sized temporaries would cost page faults whenever the
     allocator hands their pages back to the system between blocks."""
 
@@ -399,10 +481,16 @@ def _score_pairs(batch: _FrustumBatch, threads: int):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
+def pair_keys(anchors, queries, n_ids: int) -> np.ndarray:
+    """One int64 key per row of indices into a sorted vocabulary of n_ids
+    ids; the keys ascend as the rows' (anchor_id, query_id) do."""
+    return np.asarray(anchors, dtype=np.int64) * n_ids + queries
+
+
 def _reverse_counts(anchors, queries, counts, n: int) -> np.ndarray:
     """The (j, i) count of each (i, j) entry; 0 where (j, i) is absent."""
-    keys = anchors * n + queries  # ascending
-    rev = queries * n + anchors
+    keys = pair_keys(anchors, queries, n)  # ascending
+    rev = pair_keys(queries, anchors, n)
     pos = np.minimum(np.searchsorted(keys, rev), keys.size - 1)
     return np.where(keys[pos] == rev, counts[pos], 0)
 

@@ -3,6 +3,9 @@
 `generate_pairs` runs the frustum module's scoring kernel over every ordered
 pair of a trajectory, joins each entry with its reverse for symmetric scores,
 keeps an overlap window and attaches each pair's ground-truth relative pose.
+The kernel gets the window's lower end and skips the point test of pairs
+whose count bound cannot clear it; a pair it skips would score at or below
+the window in either direction, so symmetric scores keep their rows too.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
     if len(poses) < 2:
         warnings.warn("fewer than 2 poses; no pairs can be generated", stacklevel=2)
         return PairTable([], [], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), digest)
-    batch = _FrustumBatch(poses.rotations, poses.translations, cfg)
+    batch = _FrustumBatch(poses.rotations, poses.translations, cfg, min_overlap)
     anchors, queries, counts = _score_pairs(batch, threads)
     if cfg.symmetric:
         counts = np.minimum(counts, _reverse_counts(anchors, queries, counts, batch.n))

@@ -107,16 +107,21 @@ def all_pairs(batch, lo, hi):
 
 @contextmanager
 def without_rejects():
+    """Score with the grid, sphere, separation and window rejects turned off:
+    every distinct pair past the rotation gate is point-tested, whatever the
+    overlap window."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_FrustumBatch, "grid_candidates", all_pairs)
         mp.setattr(_FrustumBatch, "spheres_meet", lambda self, a, q: np.ones(a.size, dtype=bool))
         mp.setattr(_FrustumBatch, "separated", lambda self, a, q: np.zeros(a.size, dtype=bool))
+        mp.setattr(_FrustumBatch, "count_bounds", lambda self, a, q: np.full(a.size, self.n_points))
         yield
 
 
 @pytest.fixture
 def no_rejects():
-    """`with no_rejects(): ...` scores with the grid, sphere and separation
-    rejects turned off, so every pair past the rotation gate is point-tested:
-    the reference that reject-equivalence tests compare the kernel against."""
+    """`with no_rejects(): ...` scores with the grid, sphere, separation and
+    window rejects turned off, so every pair past the rotation gate is
+    point-tested: the reference that reject-equivalence tests compare the
+    kernel against."""
     return without_rejects

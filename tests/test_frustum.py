@@ -4,20 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frustoval import (
     FrustumSpec,
     OverlapConfig,
     Pose,
+    PoseSet,
     Quaternion,
     Translation,
     compose,
+    generate_pairs,
     overlap_score,
 )
 from frustoval.frustum import _FrustumBatch, _score_pairs, camera_grid
 from frustoval.geometry import quat_rows, translation_rows
 
-from conftest import random_pose, world_lattice
+from conftest import random_pose, street_poses, without_rejects, world_lattice
 
 IDENT = Pose(Quaternion.identity(), Translation(0, 0, 0), "ident")
 
@@ -367,6 +371,70 @@ class TestQueryFrameExactness:
         assert got.sum() > 0
         # the bounds pin nearly every count: few probe points lie that close to a plane
         assert unsure < 0.25 * got.sum()
+
+
+class TestWindowReject:
+    """The window reject drops a candidate only when its count bound B gives
+    B / n_points <= min_overlap, so it never drops a pair the window keeps."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 1e-9, 0.03]),
+           st.sampled_from([(0.0, 0.0, 0.0), (600.0, -600.0, 529.2)]))
+    def test_bound_covers_every_count(self, seed, eps, origin):
+        # twins and whole-lattice-step copies put many probe points on the
+        # anchor's planes and the bound's corners on lattice depths, columns
+        # and rows, where only the rounding pad keeps B above the count; twins
+        # nudged by half of epsilon put points inside the inflation alone
+        spec = FrustumSpec(boundary_epsilon=eps)
+        rng = np.random.default_rng(seed)
+        poses = TestQueryFrameExactness.scene(rng, spec, np.array(origin))
+        for p in poses[:24:6]:
+            nudge = rng.normal(size=3)
+            nudge *= 0.5 * eps / np.linalg.norm(nudge)
+            poses.append(Pose(p.rotation, Translation(*(p.translation.as_array() + nudge)), ""))
+        n = len(poses)
+        ps = PoseSet("window", "train", [f"p{k:02d}" for k in range(n)], quat_rows(p.rotation for p in poses),
+                     translation_rows(p.translation for p in poses))
+        batch = _FrustumBatch(ps.rotations, ps.translations, OverlapConfig(frustum=spec, max_relative_rotation_deg=180.0))
+        with without_rejects():
+            anchors, queries, counts = _score_pairs(batch, 1)
+        got = np.zeros((n, n), dtype=np.int64)
+        got[anchors, queries] = counts
+        a, q = np.nonzero(~np.eye(n, dtype=bool))
+        bound = batch.count_bounds(a, q)
+        assert np.all(got[a, q] <= bound), np.flatnonzero(got[a, q] > bound)
+        assert np.count_nonzero(bound < spec.n_points) > 0
+        for symmetric in (False, True):
+            cfg = OverlapConfig(frustum=spec, max_relative_rotation_deg=180.0, symmetric=symmetric)
+            for lo in (0.0, 0.3, 0.7):
+                with without_rejects():
+                    want = generate_pairs(ps, cfg, lo)
+                assert generate_pairs(ps, cfg, lo) == want, (symmetric, lo)
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_drops_point_tests_on_a_street(self, monkeypatch, symmetric):
+        # outdoor-style poses: most pairs past the separation reject share
+        # only a sliver of the lattice, so the bound drops them before the
+        # point test without changing a row
+        ps = street_poses(300)
+        cfg = OverlapConfig(frustum=FrustumSpec(far=30.0, grid_nx=10, grid_ny=10, grid_nz=10), symmetric=symmetric)
+        with without_rejects():
+            want = generate_pairs(ps, cfg, 0.3)
+        tested = []
+        point_counts = _FrustumBatch.point_counts
+
+        def counting(batch, a, q, work):
+            tested.append(a.size)
+            return point_counts(batch, a, q, work)
+
+        monkeypatch.setattr(_FrustumBatch, "point_counts", counting)
+        got = generate_pairs(ps, cfg, 0.3)
+        assert got == want and len(got) > 0
+        with_window = sum(tested)
+        monkeypatch.setattr(_FrustumBatch, "count_bounds", lambda self, a, q: np.full(a.size, self.n_points))
+        tested.clear()
+        assert generate_pairs(ps, cfg, 0.3) == want
+        assert with_window < 0.8 * sum(tested), (with_window, sum(tested))
 
 
 class TestCameraGrid:

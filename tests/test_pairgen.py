@@ -27,7 +27,7 @@ from frustoval.frustum import camera_corners, camera_sphere
 from frustoval.geometry import Pose
 from frustoval.synth import SynthConfig, generate_trajectory
 
-from conftest import oracle_matrix, oracle_relative, pose_rows, pose_set, without_rejects
+from conftest import oracle_matrix, oracle_relative, pose_rows, pose_set, street_poses, without_rejects
 
 from test_frustum import oracle_overlap
 
@@ -139,6 +139,16 @@ class TestGeneratePairs:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_thread_counts_equal_with_a_window(self, symmetric):
+        # outdoor-style poses and window (0.3, 1]: the window reject and the
+        # point test run on flat pairs whose chunks depend on the split
+        ps = street_poses(400)
+        cfg = OverlapConfig(frustum=FrustumSpec(far=30.0, grid_nx=10, grid_ny=10, grid_nz=10), symmetric=symmetric)
+        one = generate_pairs(ps, cfg, 0.3, threads=1)
+        assert len(one) > 0
+        assert generate_pairs(ps, cfg, 0.3, threads=3) == one
+
     def test_early_reject_changes_nothing(self, monkeypatch, no_rejects):
         # spread poses so the grid, the bounding-sphere reject and the
         # plane-separation reject all fire, and count how many pairs each one
@@ -241,7 +251,7 @@ class TestGeneratePairs:
     def test_reject_chunks_bound_memory(self):
         # 600 poses in a 3x2x1 m box: nearly every one of the 359,400 pairs
         # reaches the separation reject, and the reject temporaries of all of
-        # them at once peak near 270 MB; chunked, the whole call peaks near 22 MB
+        # them at once peak near 270 MB; chunked, the whole call peaks near 13 MB
         n = 600
         ps = generate_trajectory(SynthConfig(extents=(3, 2, 1), n_poses=n, max_tilt_deg=25.0, seed=5))
         cfg = OverlapConfig(frustum=FrustumSpec(grid_nx=2, grid_ny=2, grid_nz=2))
