@@ -8,6 +8,7 @@ atomically. Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -36,6 +37,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _thread_count(text: str) -> int:
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 def _parse_extents(text: str):
     try:
         ex, ey, ez = (float(v) for v in text.split("x"))
@@ -57,7 +64,7 @@ def _parse_bins(text: str) -> OverlapBinning:
         else:
             edges = tuple(float(v) for v in text.split(","))
         return OverlapBinning(edges=edges)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # round() of an infinite step count overflows
         raise UsageError(f"bad --bins {text!r}: {e}") from None
 
 
@@ -112,15 +119,10 @@ def _add_frustum_flags(sp):
                     help="score both directions and keep the minimum")
 
 
-def _default_threads() -> int:
-    """CPUs this process may run on, where the platform reports them."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _add_threads(sp):
-    sp.add_argument("--threads", type=int, default=_default_threads(),
+    # the CPUs this process may run on, where the platform reports them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    sp.add_argument("--threads", type=_thread_count, default=cpus,
                     help="worker threads; defaults to the CPUs this process may use "
                          "(output is identical for any value)")
 
@@ -329,8 +331,7 @@ def cmd_synth(args) -> int:
 def cmd_pairs(args) -> int:
     ps = dataset.read_poses(args.poses)
     cfg = _overlap_config(args)
-    if not (0.0 <= args.min_overlap < args.max_overlap <= 1.0):
-        raise UsageError("require 0 <= --min-overlap < --max-overlap <= 1")
+    dataset.check_window(args.min_overlap, args.max_overlap, UsageError)
     records = pairgen.generate_pairs(
         ps, cfg, args.min_overlap, args.max_overlap,
         unordered=args.unordered, threads=args.threads,
@@ -362,6 +363,8 @@ def cmd_diameter(args) -> int:
     pf = dataset.read_pairs(args.pairs)
     try:
         thresholds = [float(v) for v in args.thresholds.split(",")]
+        if not all(map(math.isfinite, thresholds)):
+            raise ValueError
     except ValueError:
         raise UsageError(f"bad --thresholds {args.thresholds!r}") from None
     rows = [pairgen.subspace_stats(pf.pairs, t) for t in thresholds]
@@ -407,6 +410,8 @@ def cmd_eval(args) -> int:
     naive_source_pairs = _source_pairs(args.source_pairs, pf) if args.source_pairs else None
     cfg = MetricConfig(norm=args.norm, statistics=statistics, euler_gimbal_policy=args.gimbal)
     threshold = pf.min_overlap if args.subspace_threshold is None else args.subspace_threshold
+    if not math.isfinite(threshold):
+        raise UsageError(f"bad --subspace-threshold {threshold!r}, expected a finite number")
     report = metrics.evaluate(pf.pairs, pd.predictions, cfg, naive_source_pairs=naive_source_pairs,
                               subspace_threshold=threshold, include=include)
     dataset.write_report(

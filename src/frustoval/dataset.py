@@ -629,6 +629,12 @@ def read_poses(path) -> PoseSet:
 _PAIR_COLUMNS = "anchor_id query_id overlap qw qx qy qz tx ty tz"
 
 
+def check_window(min_overlap: float, max_overlap: float, error=ValueError):
+    """Raise `error` unless (min_overlap, max_overlap] is a non-empty part of [0, 1]."""
+    if not (0.0 <= min_overlap < max_overlap <= 1.0):
+        raise error(f"require 0 <= min_overlap < max_overlap <= 1, got ({min_overlap}, {max_overlap}]")
+
+
 @dataclass
 class PairFileData:
     pairs: PairTable
@@ -642,6 +648,7 @@ class PairFileData:
 
 def write_pairs(path, pairs: PairTable, cfg: OverlapConfig, *, min_overlap: float, max_overlap: float,
                 ordered: bool = True, extra: dict | None = None):
+    check_window(min_overlap, max_overlap)
     digest = config_digest(cfg)
     if not pairs.is_pairs:
         raise ValueError("write_pairs needs a pair table, got predictions")
@@ -679,6 +686,7 @@ def read_pairs(path) -> PairFileData:
         cfg = config_from_header(header)
         lo = _entry(header, "min_overlap", default="0")
         hi = _entry(header, "max_overlap", default="1")
+        check_window(lo, hi, FormatError)
         digest = header.get("config_digest", "")
         if config_digest(cfg) != digest:
             raise FormatError(f"stored config_digest {digest} does not match the header configuration")
@@ -688,7 +696,7 @@ def read_pairs(path) -> PairFileData:
             k = int(np.argmax(same))
             raise _Refused(f"pair must join two distinct frames, got {anchor_ids[k]!r} twice", row=k)
         overlaps = values[:, 0]
-        inside = (overlaps > lo) & (overlaps <= hi) & (overlaps >= 0.0) & (overlaps <= 1.0)
+        inside = (overlaps > lo) & (overlaps <= hi)
         if not inside.all():
             k = int(np.argmin(inside))
             raise _Refused(f"overlap {float(overlaps[k])} outside the header's "

@@ -6,25 +6,25 @@ The overlap of an (anchor, other) pair is the fraction of the other camera's
 probe points inside the anchor's plane frustum, tested in the other camera's
 frame, forced to zero when the relative rotation exceeds a configurable gate.
 
-One kernel computes it, for two poses (`overlap_score`) or for a whole
-trajectory (`pairgen.generate_pairs`). Scoring every ordered pair of N frames
-is O(N^2 * n_points), so pairs pass cheap rejects before the
-point-containment test, in this order: grid neighbours (sphere centres hashed
-into cells as wide as the sphere test's reach; an anchor's candidates are
-the poses in the 27 cells around its own), bounding-sphere separation (the
-sphere covers the epsilon-inflated frustum), the rotation gate, plane
-separation (all eight corners of the other frustum below one anchor plane)
-and the overlap window (a bound on the count, from the lattice depths,
-columns and rows that the anchor's inflated corners span in the other
-camera's frame, no higher than the window's lower end). The rejects never
-change a count that the window keeps. They run on flat (anchor, query) index
-arrays, _CHUNK_PAIRS candidates at a time, and each chunk's survivors are
-point-tested as one flat batch in fixed-size blocks of pairs, so every
-temporary is O(_CHUNK_PAIRS) whatever N is. Only nonzero counts are kept, so
-no (N, N) array is ever built. Contiguous anchor ranges are spread over one
-thread pool, the only parallel layer, and every pair's arithmetic is the
-same however the anchors are split, which makes the output bit-identical for
-any thread count.
+One kernel, `score_pairs`, scores every ordered pair of a trajectory;
+`overlap_score` (two poses) and `pairgen.generate_pairs` call it. Scoring
+every ordered pair of N frames is O(N^2 * n_points), so pairs pass cheap
+rejects before the point-containment test, in this order: grid neighbours
+(sphere centres hashed into cells as wide as the sphere test's reach; an
+anchor's candidates are the poses in the 27 cells around its own),
+bounding-sphere separation (the sphere covers the epsilon-inflated frustum),
+the rotation gate, plane separation (all eight corners of the other frustum
+below one anchor plane) and the overlap window (a bound on the count, from
+the lattice depths, columns and rows that the anchor's inflated corners span
+in the other camera's frame, no higher than the window's lower end). The
+rejects never change a count that the window keeps. They run on flat
+(anchor, query) index arrays, _CHUNK_PAIRS candidates at a time, and each
+chunk's survivors are point-tested as one flat batch in fixed-size blocks of
+pairs, so every per-pair temporary is O(_CHUNK_PAIRS) whatever N is. Only
+nonzero counts are kept, so no (N, N) array is ever built. Contiguous anchor
+ranges are spread over one thread pool, the only parallel layer, and every
+pair's arithmetic is the same however the anchors are split, which makes the
+output bit-identical for any thread count.
 
 The camera looks along +z; hfov spans x, vfov spans y.
 """
@@ -65,14 +65,14 @@ class FrustumSpec:
 
     def __post_init__(self):
         if not (0.0 < self.hfov_deg < 180.0 and 0.0 < self.vfov_deg < 180.0):
-            raise ValueError("field of view must be in (0, 180) degrees")
-        if not (0.0 < self.near < self.far):
-            raise ValueError("require 0 < near < far")
+            raise ValueError(f"field of view must be in (0, 180) degrees, got {self.hfov_deg!r} x {self.vfov_deg!r}")
+        if not (0.0 < self.near < self.far < math.inf):
+            raise ValueError(f"require 0 < near < far < inf, got near={self.near!r}, far={self.far!r}")
         # corner-inclusive lattice needs both endpoints along every axis
         if min(self.grid_nx, self.grid_ny, self.grid_nz) < 2:
             raise ValueError("grid resolution must be >= 2 per axis")
-        if self.boundary_epsilon < 0.0:
-            raise ValueError("boundary_epsilon must be >= 0")
+        if not (0.0 <= self.boundary_epsilon < math.inf):
+            raise ValueError(f"boundary_epsilon must be finite and >= 0, got {self.boundary_epsilon!r}")
 
     @property
     def n_points(self) -> int:
@@ -100,7 +100,7 @@ class OverlapConfig:
 
     def __post_init__(self):
         if not (0.0 < self.max_relative_rotation_deg <= 180.0):
-            raise ValueError("max_relative_rotation_deg must be in (0, 180]")
+            raise ValueError(f"max_relative_rotation_deg must be in (0, 180], got {self.max_relative_rotation_deg!r}")
 
 
 def _per_spec(fn):
@@ -156,6 +156,15 @@ def camera_grid(spec: FrustumSpec) -> np.ndarray:
     y = np.broadcast_to(zz * tb * uy[None, :, None], (spec.grid_nz, spec.grid_ny, spec.grid_nx))
     zfull = np.broadcast_to(zz, (spec.grid_nz, spec.grid_ny, spec.grid_nx))
     return np.stack([x, y, zfull], axis=-1).reshape(-1, 3)
+
+
+@_per_spec
+def lattice_axes(spec: FrustumSpec):
+    """The probe lattice as a (4, n_points) array of rows x, y, z and 1, then
+    its depths, its columns' x/z and its rows' y/z, each ascending."""
+    ta, tb = spec.half_tangents
+    return (np.vstack([camera_grid(spec).T, np.ones(spec.n_points)]), np.linspace(spec.near, spec.far, spec.grid_nz),
+            ta * np.linspace(-1.0, 1.0, spec.grid_nx), tb * np.linspace(-1.0, 1.0, spec.grid_ny))
 
 
 @_per_spec
@@ -218,8 +227,7 @@ _BLOCK_POINTS = 16384
 # pairs of a 600-pose room at once would take 270 MB. Outdoor scenes, where
 # most candidates die at the sphere reject, ran fastest on two threads at this
 # size: at 2048 a chunk's short numpy calls left the two threads handing the
-# GIL back and forth, and 16384 gained nothing. A batch whose pairs all fit in
-# one chunk skips the grid.
+# GIL back and forth, and 16384 gained nothing.
 _CHUNK_PAIRS = 8192
 
 # The separation reject drops a candidate only when its frustum corners fall
@@ -264,7 +272,6 @@ class _FrustumBatch:
         self.quats, self.trans = quats, trans
         self.rot = geometry.quats_to_matrices(self.quats)  # (N, 3, 3)
         rot_t = np.transpose(self.rot, (0, 2, 1))
-        self.lattice = np.vstack([camera_grid(spec).T, np.ones(spec.n_points)])  # (4, n_points): x, y, z, 1
         n_cam, d_cam = camera_planes(spec)
         self.normals = np.matmul(n_cam, rot_t)  # (N, 6, 3)
         self.offsets = d_cam[None, :] - np.einsum("nij,nj->ni", self.normals, self.trans)
@@ -275,10 +282,7 @@ class _FrustumBatch:
         self.centers = self.trans + np.einsum("nij,j->ni", self.rot, c_cam)
         self.hull = np.matmul(inflated_corners(spec), rot_t) + self.trans[:, None, :]  # (N, 8, 3)
         self.margin = _SEPARATION_MARGIN * (1.0 + float(np.abs(self.hull).max()))
-        # the lattice's depths, and its columns' x/z and rows' y/z, ascending
-        ta, tb = spec.half_tangents
-        self.depths = np.linspace(spec.near, spec.far, spec.grid_nz)
-        self.slopes = ta * np.linspace(-1.0, 1.0, spec.grid_nx), tb * np.linspace(-1.0, 1.0, spec.grid_ny)
+        self.lattice, self.depths, *self.slopes = lattice_axes(spec)
         self.block = max(1, _BLOCK_POINTS // spec.n_points)
         self.n_points = spec.n_points
         self.max_rot = cfg.max_relative_rotation_deg
@@ -297,21 +301,17 @@ class _FrustumBatch:
         low = self.centers.min(axis=0)
         side = max(self.reach * (1.0 + 1e-6), float(np.max(self.centers.max(axis=0) - low)) / _MAX_CELLS)
         cell = ((self.centers - low) / side).astype(np.int64) + 1  # truncation floors the values >= 0
-        dims = cell.max(axis=0) + 2
-        keys = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+        _, ny, nz = (cell.max(axis=0) + 2).tolist()  # cells along y and z
+        keys = cell @ np.array([ny * nz, nz, 1])
         order = np.argsort(keys)
-        steps = (np.arange(-1, 2)[:, None] * dims[1] + np.arange(-1, 2)[None, :]).ravel() * dims[2]
+        steps = np.array([(i * ny + j) * nz for i in (-1, 0, 1) for j in (-1, 0, 1)])
         return order, keys[order], keys, steps
 
     def grid_candidates(self, lo: int, hi: int):
         """Candidate queries of anchors lo..hi-1 as (order, starts, stops):
         anchor lo + k's candidates are order[starts[k, r]:stops[k, r]] over r,
         the poses in the 27 grid cells around its sphere centre (9 runs of 3
-        cells adjacent along z), so every pair `spheres_meet` keeps is
-        listed. A batch whose pairs all fit in one chunk gets one run of
-        every pose instead."""
-        if self.n * self.n <= _CHUNK_PAIRS:
-            return np.arange(self.n), np.zeros((hi - lo, 1), dtype=np.int64), np.full((hi - lo, 1), self.n)
+        cells adjacent along z), so every pair `spheres_meet` keeps is listed."""
         order, sorted_keys, keys, steps = self._grid
         middle = keys[lo:hi, None] + steps  # the middle cell of each run
         return (order, np.searchsorted(sorted_keys, middle - 1, side="left"),
@@ -427,18 +427,10 @@ class _FrustumBatch:
 
     def score_range(self, lo: int, hi: int):
         """Nonzero directional counts of anchors lo..hi-1 as (anchors, queries,
-        counts), sorted by (anchor, query). Anchors are taken in groups whose
-        candidate runs, 9 an anchor, fit in one chunk."""
+        counts), sorted by (anchor, query). The anchors' grid candidates, in
+        anchor order, pass the rejects and the point test _CHUNK_PAIRS at a
+        time, and the range's nonzero counts are sorted once."""
         work = _BlockArrays(self)
-        group = max(1, _CHUNK_PAIRS // 9)
-        out = [self._score_group(a, min(a + group, hi), work) for a in range(lo, hi, group)]
-        return tuple(np.concatenate(col) for col in zip(*out))
-
-    def _score_group(self, lo: int, hi: int, work: "_BlockArrays"):
-        """score_range's (anchors, queries, counts) for anchors lo..hi-1: the
-        anchors' grid candidates, in anchor order, pass the rejects and the
-        point test _CHUNK_PAIRS at a time, and the group's nonzero counts are
-        sorted once."""
         order, starts, stops = self.grid_candidates(lo, hi)
         width = stops.shape[1]
         ends = np.cumsum(stops - starts)
@@ -468,47 +460,46 @@ class _BlockArrays:
         self.inside = np.empty((batch.block, batch.n_points), dtype=bool)
 
 
-def _score_pairs(batch: _FrustumBatch, threads: int):
-    """Nonzero directional counts as (anchors, queries, counts), sorted by
-    (anchor, query). Each worker scores one contiguous range of anchor rows."""
-    if threads <= 1 or batch.n < 4:
-        parts = [batch.score_range(0, batch.n)]
-    else:
-        step = -(-batch.n // threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda lo: batch.score_range(lo, min(lo + step, batch.n)),
-                                  range(0, batch.n, step)))
-    return tuple(np.concatenate(col) for col in zip(*parts))
-
-
 def pair_keys(anchors, queries, n_ids: int) -> np.ndarray:
     """One int64 key per row of indices into a sorted vocabulary of n_ids
     ids; the keys ascend as the rows' (anchor_id, query_id) do."""
     return np.asarray(anchors, dtype=np.int64) * n_ids + queries
 
 
-def _reverse_counts(anchors, queries, counts, n: int) -> np.ndarray:
-    """The (j, i) count of each (i, j) entry; 0 where (j, i) is absent."""
-    keys = pair_keys(anchors, queries, n)  # ascending
-    rev = pair_keys(queries, anchors, n)
-    pos = np.minimum(np.searchsorted(keys, rev), keys.size - 1)
-    return np.where(keys[pos] == rev, counts[pos], 0)
+def score_pairs(quats: np.ndarray, trans: np.ndarray, cfg: OverlapConfig, min_overlap: float = 0.0,
+                threads: int = 1):
+    """(anchors, queries, counts) of the ordered pairs of (N, 4) wxyz and (N, 3)
+    camera-to-world rows, sorted by (anchor, query): directional counts, or the
+    minimum of both directions with cfg.symmetric. Every pair above
+    min_overlap is listed and those at or below it may be. Each of `threads`
+    workers scores a contiguous anchor range; the output never depends on it."""
+    batch = _FrustumBatch(quats, trans, cfg, min_overlap)
+    if threads <= 1:
+        parts = [batch.score_range(0, batch.n)]
+    else:
+        step = -(-batch.n // threads)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda lo: batch.score_range(lo, min(lo + step, batch.n)),
+                                  range(0, batch.n, step)))
+    anchors, queries, counts = (np.concatenate(col) for col in zip(*parts))
+    if cfg.symmetric:
+        # the (j, i) count of each (i, j) entry, 0 where (j, i) is absent
+        keys = pair_keys(anchors, queries, batch.n)  # ascending
+        rev = pair_keys(queries, anchors, batch.n)
+        pos = np.minimum(np.searchsorted(keys, rev), keys.size - 1)
+        counts = np.minimum(counts, np.where(keys[pos] == rev, counts[pos], 0))
+    return anchors, queries, counts
 
 
 def overlap_score(anchor: Pose, other: Pose, cfg: OverlapConfig) -> float:
     """Fraction of `other`'s probe points inside `anchor`'s frustum, in [0, 1].
 
     Returns 0 outright when the relative rotation exceeds the gate. With
-    cfg.symmetric the minimum of the two directional scores is returned.
-    A two-pose batch through the kernel `generate_pairs` uses, so a pair's
-    score here equals its row there: the sphere reject, the gate, the
-    separation reject and the point test, in that order. Two poses fit in one
-    reject chunk, so the batch skips the grid, and the camera-frame lattice,
-    planes and sphere come from a per-spec cache rather than being rebuilt.
+    cfg.symmetric the minimum of the two directional scores is returned. A
+    two-pose `score_pairs` call, so a pair's score here equals its row in
+    `generate_pairs`.
     """
-    batch = _FrustumBatch(np.stack([anchor.rotation.as_array(), other.rotation.as_array()]),
-                          np.stack([anchor.translation.as_array(), other.translation.as_array()]), cfg)
-    anchors, queries, counts = _score_pairs(batch, 1)
-    if cfg.symmetric:
-        counts = np.minimum(counts, _reverse_counts(anchors, queries, counts, batch.n))
-    return int(counts[anchors == 0].sum()) / batch.n_points
+    anchors, queries, counts = score_pairs(
+        np.stack([anchor.rotation.as_array(), other.rotation.as_array()]),
+        np.stack([anchor.translation.as_array(), other.translation.as_array()]), cfg)
+    return int(counts[anchors == 0].sum()) / cfg.frustum.n_points

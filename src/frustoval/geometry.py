@@ -329,9 +329,9 @@ def relative_rows(quats: np.ndarray, trans: np.ndarray, anchors: np.ndarray, que
     """inverse(a) * b for each (anchors[k], queries[k]) index pair into
     (N, 4) wxyz and (N, 3) pose rows: ((M, 4) rotations, (M, 3) translations).
 
-    Rotations are elementwise. The pairs of one anchor must be adjacent:
-    their translations are one (tb - ta) @ R_a product, with R_a built once
-    per anchor.
+    Rotations are elementwise. Adjacent pairs of one anchor share one
+    (tb - ta) @ R_a product, with R_a built once per run of them; adjacency
+    saves time and is not required.
     """
     q_rel = quat_mul_rows(quat_conj_rows(quats[anchors]), quats[queries])
     t_rel = np.empty((len(anchors), 3))

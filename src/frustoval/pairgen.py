@@ -1,11 +1,9 @@
 """All-pairs overlap scoring, overlap histograms, and subspace statistics.
 
-`generate_pairs` runs the frustum module's scoring kernel over every ordered
-pair of a trajectory, joins each entry with its reverse for symmetric scores,
-keeps an overlap window and attaches each pair's ground-truth relative pose.
-The kernel gets the window's lower end and skips the point test of pairs
-whose count bound cannot clear it; a pair it skips would score at or below
-the window in either direction, so symmetric scores keep their rows too.
+`generate_pairs` scores every ordered pair of a trajectory with
+`frustum.score_pairs`, keeps an overlap window and attaches each pair's
+ground-truth relative pose. The kernel gets the window's lower end and may
+leave out pairs scoring at or below it, which the window drops anyway.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import numpy as np
 
 from . import dataset, geometry
 from .dataset import PairTable, PoseSet
-from .frustum import _CHUNK_PAIRS, OverlapConfig, _FrustumBatch, _reverse_counts, _score_pairs
+from .frustum import _CHUNK_PAIRS, OverlapConfig, score_pairs
 
 DEFAULT_BIN_EDGES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -32,10 +30,10 @@ class OverlapBinning:
         e = np.asarray(self.edges, dtype=float)
         if e.ndim != 1 or e.size < 2:
             raise ValueError("need at least two bin edges")
-        if np.any(np.diff(e) <= 0):
-            raise ValueError("bin edges must be strictly ascending")
-        if e[0] < 0.0 or e[-1] > 1.0:
-            raise ValueError("bin edges must lie within [0, 1]")
+        if not np.all(np.diff(e) > 0):
+            raise ValueError(f"bin edges must be strictly ascending, got {tuple(e.tolist())}")
+        if not (0.0 <= e[0] and e[-1] <= 1.0):
+            raise ValueError(f"bin edges must lie within [0, 1], got {tuple(e.tolist())}")
 
     @property
     def n_bins(self) -> int:
@@ -82,30 +80,25 @@ def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
     holds each pair's ground-truth relative pose and the configuration digest.
     Rows are sorted by (anchor_id, query_id) and independent of `threads`.
     """
-    if not (0.0 <= min_overlap < max_overlap <= 1.0):
-        raise ValueError("require 0 <= min_overlap < max_overlap <= 1")
+    dataset.check_window(min_overlap, max_overlap)
     if unordered and not cfg.symmetric:
         raise ValueError("unordered pair generation uses the symmetric score; set cfg.symmetric=True")
     digest = dataset.config_digest(cfg)
     if len(poses) < 2:
         warnings.warn("fewer than 2 poses; no pairs can be generated", stacklevel=2)
         return PairTable([], [], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), digest)
-    batch = _FrustumBatch(poses.rotations, poses.translations, cfg, min_overlap)
-    anchors, queries, counts = _score_pairs(batch, threads)
-    if cfg.symmetric:
-        counts = np.minimum(counts, _reverse_counts(anchors, queries, counts, batch.n))
-    scores = counts / batch.n_points
+    anchors, queries, counts = score_pairs(poses.rotations, poses.translations, cfg, min_overlap, threads)
+    scores = counts / cfg.frustum.n_points
     keep = (scores > min_overlap) & (scores <= max_overlap)
     if unordered:
         keep &= queries > anchors
     anchors, queries, scores = anchors[keep], queries[keep], scores[keep]
     rotations = np.empty((scores.size, 4))
     translations = np.empty((scores.size, 3))
-    # chunks of about _CHUNK_PAIRS pairs, cut where an anchor's pairs begin
-    cuts = sorted(set(np.searchsorted(anchors, anchors[::_CHUNK_PAIRS]).tolist()))
-    for lo, hi in zip(cuts, [*cuts[1:], scores.size]):
-        rotations[lo:hi], translations[lo:hi] = geometry.relative_rows(
-            batch.quats, batch.trans, anchors[lo:hi], queries[lo:hi])
+    for lo in range(0, scores.size, _CHUNK_PAIRS):
+        cut = slice(lo, lo + _CHUNK_PAIRS)
+        rotations[cut], translations[cut] = geometry.relative_rows(
+            poses.rotations, poses.translations, anchors[cut], queries[cut])
     return PairTable(poses.frame_ids, anchors, queries, rotations, translations, scores, digest)
 
 

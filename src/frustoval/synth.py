@@ -44,12 +44,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.extents) != 3 or any(e < 0 for e in self.extents):
-            raise ValueError("extents must be three non-negative lengths")
+        if len(self.extents) != 3 or not all(0.0 <= e < np.inf for e in self.extents):
+            raise ValueError(f"extents must be three finite non-negative lengths, got {tuple(self.extents)!r}")
         if self.n_poses < 2:
             raise ValueError("n_poses must be >= 2")
         if not (0.0 <= self.max_tilt_deg <= 180.0):
-            raise ValueError("max_tilt_deg must be in [0, 180]")
+            raise ValueError(f"max_tilt_deg must be in [0, 180], got {self.max_tilt_deg!r}")
 
 
 def _random_axes(rng, n):
@@ -99,16 +99,16 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.extents) != 3 or any(e < 0 for e in self.extents):
-            raise ValueError("extents must be three non-negative lengths")
+        if len(self.extents) != 3 or not all(0.0 <= e < np.inf for e in self.extents):
+            raise ValueError(f"extents must be three finite non-negative lengths, got {tuple(self.extents)!r}")
         if self.n_poses < 2:
             raise ValueError("n_poses must be >= 2")
-        if self.step_m < 0 or self.turn_deg < 0:
-            raise ValueError("step sizes must be >= 0")
+        if not (0.0 <= self.step_m < np.inf and 0.0 <= self.turn_deg < np.inf):
+            raise ValueError(f"step sizes must be finite and >= 0, got {self.step_m!r} m, {self.turn_deg!r} deg")
         if not (0.0 <= self.dwell_fraction <= 1.0):
-            raise ValueError("dwell_fraction must be in [0, 1]")
+            raise ValueError(f"dwell_fraction must be in [0, 1], got {self.dwell_fraction!r}")
         if not (0.0 <= self.max_tilt_deg <= 180.0):
-            raise ValueError("max_tilt_deg must be in [0, 180]")
+            raise ValueError(f"max_tilt_deg must be in [0, 180], got {self.max_tilt_deg!r}")
 
 
 def generate_walk(cfg: WalkConfig) -> PoseSet:
@@ -172,8 +172,9 @@ class SynthPredictor:
     def __post_init__(self):
         if self.kind not in ("perfect", "naive", "noisy", "constant"):
             raise ValueError(f"unknown predictor kind {self.kind!r}")
-        if self.sigma_t < 0 or self.sigma_q_deg < 0:
-            raise ValueError("noise scales must be >= 0")
+        if not (0.0 <= self.sigma_t < np.inf and 0.0 <= self.sigma_q_deg < np.inf):
+            raise ValueError(f"noise scales must be finite and >= 0, got sigma_t={self.sigma_t!r}, "
+                             f"sigma_q_deg={self.sigma_q_deg!r}")
         if self.kind == "constant" and self.constant is None:
             raise ValueError("constant predictor needs a relative pose")
 

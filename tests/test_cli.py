@@ -74,11 +74,56 @@ class TestBasics:
         assert rc == 2
         assert "missing input file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["pairs", "--poses", "p"], ["curve", "--poses", "p", "--pred", "q"]],
+                             ids=["pairs", "curve"])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, argv, threads):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--threads", threads, "--out", str(tmp_path / "out")])
+        assert e.value.code == 1
+        assert f"argument --threads: must be a whole number of at least 1, got '{threads}'" in capsys.readouterr().err
+
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "frustoval.cli", "--version"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "frustoval" in proc.stdout
+
+
+class TestNonFiniteFlags:
+    """A non-finite number in a flag is a usage error (exit 1) whose message
+    names it, before any output is written."""
+
+    @pytest.mark.parametrize("args, needle", [
+        pytest.param(["pairs", "--poses", "{poses}", "--epsilon", "inf"],
+                     "boundary_epsilon must be finite and >= 0, got inf", id="pairs --epsilon inf"),
+        pytest.param(["pairs", "--poses", "{poses}", "--epsilon", "nan"],
+                     "got nan", id="pairs --epsilon nan"),
+        pytest.param(["pairs", "--poses", "{poses}", "--far", "inf"],
+                     "got near=0.1, far=inf", id="pairs --far inf"),
+        pytest.param(["curve", "--poses", "{poses}", "--pred", "{pred}", "--far", "inf"],
+                     "far=inf", id="curve --far inf"),
+        pytest.param(["histogram", "--pairs", "{pairs}", "--bins", "0,nan,1"],
+                     "bad --bins '0,nan,1'", id="histogram --bins 0,nan,1"),
+        pytest.param(["histogram", "--pairs", "{pairs}", "--bins", "0:inf:0.1"],
+                     "bad --bins '0:inf:0.1'", id="histogram --bins 0:inf:0.1"),
+        pytest.param(["synth", "--extents", "nanx1x1"],
+                     "got (nan, 1.0, 1.0)", id="synth --extents nanx1x1"),
+        pytest.param(["synth", "--pairs", "{pairs}", "--predictor", "noisy", "--sigma-t", "nan"],
+                     "sigma_t=nan", id="synth --predictor noisy --sigma-t nan"),
+        pytest.param(["synth", "--pairs", "{pairs}", "--predictor", "noisy", "--sigma-q", "inf"],
+                     "sigma_q_deg=inf", id="synth --predictor noisy --sigma-q inf"),
+        pytest.param(["diameter", "--pairs", "{pairs}", "--thresholds", "0.2,nan"],
+                     "bad --thresholds '0.2,nan'", id="diameter --thresholds 0.2,nan"),
+        pytest.param(["eval", "--pairs", "{pairs}", "--pred", "{pred}", "--subspace-threshold", "nan"],
+                     "bad --subspace-threshold nan", id="eval --subspace-threshold nan"),
+    ])
+    def test_refused(self, tmp_path, poses_file, pairs_file, pred_file, capsys, args, needle):
+        argv = [a.format(poses=poses_file, pairs=pairs_file, pred=pred_file) for a in args]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIngest:
@@ -432,6 +477,15 @@ class TestRecordValidation:
         lines[k:k + 1] = [] if value is None else [f"# {key}={value}"]
         path.write_text("\n".join(lines) + "\n")
         return k + 1
+
+    @pytest.mark.parametrize("key, value", [("boundary_epsilon_m", "inf"), ("far_m", "inf"), ("hfov_deg", "nan"),
+                                            ("max_relative_rotation_deg", "nan"), ("min_overlap", "nan"),
+                                            ("max_overlap", "inf")])
+    def test_non_finite_header_value(self, tmp_path, pairs_file, capsys, key, value):
+        self.set_header(pairs_file, key, value)
+        assert main(self.histogram(pairs_file, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"{pairs_file}: " in err and value in err, err
 
     def test_unreadable_header_number(self, tmp_path, pairs_file, capsys):
         lineno = self.set_header(pairs_file, "min_overlap", "abc")

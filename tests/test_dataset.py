@@ -329,6 +329,22 @@ class TestPairSerialization:
         with pytest.raises(ValueError, match="overlap"):
             dataset.write_pairs(tmp_path / "a.pairs", pairs, cfg, min_overlap=0.99, max_overlap=1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(-0.1, 1.0), (0.0, 1.5), (0.5, 0.5), (0.6, 0.4), (float("nan"), 1.0)])
+    def test_window_outside_unit_interval_refused(self, tmp_path, lo, hi):
+        # refused at write time, even with no pairs to check it against, and
+        # refused in a header written by hand
+        cfg = OverlapConfig()
+        empty = PairTable.from_ids([], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), config_digest(cfg))
+        f = tmp_path / "a.pairs"
+        with pytest.raises(ValueError, match="min_overlap < max_overlap"):
+            dataset.write_pairs(f, empty, cfg, min_overlap=lo, max_overlap=hi)
+        assert not f.exists()
+        dataset.write_pairs(f, empty, cfg, min_overlap=0.0, max_overlap=1.0)
+        text = f.read_text().replace("# min_overlap=0\n", f"# min_overlap={lo}\n")
+        f.write_text(text.replace("# max_overlap=1\n", f"# max_overlap={hi}\n"))
+        with pytest.raises(FormatError, match="min_overlap < max_overlap"):
+            dataset.read_pairs(f)
+
     def test_self_pair_rejected(self, tmp_path):
         cfg = OverlapConfig()
         pairs = PairTable.from_ids(["x"], ["x"], [[1, 0, 0, 0]], [[0, 0, 0]], [0.5], config_digest(cfg))

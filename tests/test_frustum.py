@@ -18,7 +18,7 @@ from frustoval import (
     generate_pairs,
     overlap_score,
 )
-from frustoval.frustum import _FrustumBatch, _score_pairs, camera_grid
+from frustoval.frustum import _FrustumBatch, camera_grid, score_pairs
 from frustoval.geometry import quat_rows, translation_rows
 
 from conftest import random_pose, street_poses, without_rejects, world_lattice
@@ -116,6 +116,13 @@ class TestFrustumSpec:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FrustumSpec(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["hfov_deg", "vfov_deg", "near", "far", "boundary_epsilon"])
+    def test_non_finite_refused(self, name, value):
+        # boundary_epsilon = inf used to pass and score a pose 0 against itself
+        with pytest.raises(ValueError, match=f"got .*{value!r}"):
+            FrustumSpec(**{name: value})
 
 
 class TestPlaneFrustum:
@@ -351,9 +358,8 @@ class TestQueryFrameExactness:
         spec = FrustumSpec(boundary_epsilon=eps)
         cfg = OverlapConfig(frustum=spec, max_relative_rotation_deg=180.0)
         poses = self.scene(rng, spec, np.array(origin))
-        batch = _FrustumBatch(quat_rows(p.rotation for p in poses),
-                              translation_rows(p.translation for p in poses), cfg)
-        anchors, queries, counts = _score_pairs(batch, 1)
+        anchors, queries, counts = score_pairs(quat_rows(p.rotation for p in poses),
+                                               translation_rows(p.translation for p in poses), cfg)
         got = np.zeros((len(poses), len(poses)), dtype=np.int64)
         got[anchors, queries] = counts
         lattices = world_lattice(*poses, spec=spec)
@@ -395,13 +401,13 @@ class TestWindowReject:
         n = len(poses)
         ps = PoseSet("window", "train", [f"p{k:02d}" for k in range(n)], quat_rows(p.rotation for p in poses),
                      translation_rows(p.translation for p in poses))
-        batch = _FrustumBatch(ps.rotations, ps.translations, OverlapConfig(frustum=spec, max_relative_rotation_deg=180.0))
+        cfg = OverlapConfig(frustum=spec, max_relative_rotation_deg=180.0)
         with without_rejects():
-            anchors, queries, counts = _score_pairs(batch, 1)
+            anchors, queries, counts = score_pairs(ps.rotations, ps.translations, cfg)
         got = np.zeros((n, n), dtype=np.int64)
         got[anchors, queries] = counts
         a, q = np.nonzero(~np.eye(n, dtype=bool))
-        bound = batch.count_bounds(a, q)
+        bound = _FrustumBatch(ps.rotations, ps.translations, cfg).count_bounds(a, q)
         assert np.all(got[a, q] <= bound), np.flatnonzero(got[a, q] > bound)
         assert np.count_nonzero(bound < spec.n_points) > 0
         for symmetric in (False, True):

@@ -152,9 +152,10 @@ class TestGeneratePairs:
     def test_early_reject_changes_nothing(self, monkeypatch, no_rejects):
         # spread poses so the grid, the bounding-sphere reject and the
         # plane-separation reject all fire, and count how many pairs each one
-        # drops; small chunks make these 24 poses use the grid
+        # drops; small chunks split these 24 poses' candidates across several
+        # reject chunks and the pieces cut from each
         monkeypatch.setattr(frustum, "_CHUNK_PAIRS", 64)
-        dropped = {"grid_candidates": 0, "spheres_meet": 0, "separated": 0}
+        dropped ={"grid_candidates": 0, "spheres_meet": 0, "separated": 0}
 
         def counting(name, keeps):
             orig = getattr(frustum._FrustumBatch, name)
@@ -338,10 +339,8 @@ class TestCandidateGrid:
     def test_grid_holds_every_sphere_pair(self, scene):
         quats, trans = scene
         n = len(quats)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(frustum, "_CHUNK_PAIRS", 1)  # no all-pairs shortcut
-            batch = frustum._FrustumBatch(quats, trans, OverlapConfig(frustum=GRID_SPEC))
-            order, starts, stops = batch.grid_candidates(0, n)
+        batch = frustum._FrustumBatch(quats, trans, OverlapConfig(frustum=GRID_SPEC))
+        order, starts, stops = batch.grid_candidates(0, n)
         listed = [order[lo:hi] for k in range(n) for lo, hi in zip(starts[k], stops[k])]
         anchors = np.repeat(np.arange(n), [sum(stops[k] - starts[k]) for k in range(n)])
         queries = np.concatenate(listed)
@@ -351,7 +350,8 @@ class TestCandidateGrid:
         assert set(every[meet].tolist()) <= set((anchors * n + queries).tolist())
 
     @settings(max_examples=60, deadline=None)
-    @given(grid_scenes(), st.sampled_from([1, 7, 64]), st.sampled_from([110.0, 180.0]), st.booleans())
+    @given(grid_scenes(), st.sampled_from([1, 7, 64, frustum._CHUNK_PAIRS]), st.sampled_from([110.0, 180.0]),
+           st.booleans())
     def test_chunked_grid_scoring_equals_all_pairs(self, scene, chunk, gate, symmetric):
         quats, trans = scene
         ps = PoseSet("grid", "train", [f"p{k:02d}" for k in range(len(quats))], quats, trans)
@@ -364,7 +364,7 @@ class TestCandidateGrid:
             assert generate_pairs(ps, cfg) == want
             assert generate_pairs(ps, cfg, threads=2) == want
             # the kernel's own order, which the symmetric join relies on
-            anchors, queries, _ = frustum._score_pairs(frustum._FrustumBatch(quats, trans, cfg), 1)
+            anchors, queries, _ = frustum.score_pairs(quats, trans, cfg)
             assert np.all(np.diff(anchors * len(quats) + queries) > 0)
 
 
@@ -381,6 +381,12 @@ class TestBinning:
             OverlapBinning(edges=(0.0, 1.2))
         with pytest.raises(ValueError):
             OverlapBinning(edges=(0.5,))
+
+    @pytest.mark.parametrize("edges", [(0.0, float("nan"), 1.0), (float("nan"), 1.0), (0.0, float("nan")),
+                                       (0.0, 0.5, float("inf")), (float("-inf"), 0.5)])
+    def test_non_finite_edges_refused(self, edges):
+        with pytest.raises(ValueError, match="got"):
+            OverlapBinning(edges=edges)
 
     def test_left_open_right_closed(self):
         b = OverlapBinning()

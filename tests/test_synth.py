@@ -1,6 +1,8 @@
 """Synthetic trajectories and predictors: determinism, noise behaviour, and
 the overlap/accuracy tradeoff they must reproduce."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,12 @@ class TestGenerateTrajectory:
         with pytest.raises(ValueError):
             SynthConfig(max_tilt_deg=-1)
 
+    @pytest.mark.parametrize("kwargs", [dict(extents=(math.nan, 1.0, 1.0)), dict(extents=(1.0, math.inf, 1.0)),
+                                        dict(extents=(1.0, 1.0, -math.inf)), dict(max_tilt_deg=math.nan)])
+    def test_non_finite_refused(self, kwargs):
+        with pytest.raises(ValueError, match="got"):
+            SynthConfig(**kwargs)
+
 
 class TestGenerateWalk:
     def test_deterministic_and_inside_box(self):
@@ -92,6 +100,14 @@ class TestGenerateWalk:
         ps = generate_walk(WalkConfig(n_poses=200, max_tilt_deg=20, seed=7))
         for p in pose_rows(ps):
             assert rotation_error(p.rotation, Quaternion.identity()) <= 20 + 1e-6
+
+    @pytest.mark.parametrize("kwargs", [dict(extents=(math.nan, 1.0, 1.0)), dict(extents=(1.0, 1.0, math.inf)),
+                                        dict(step_m=math.nan), dict(step_m=math.inf), dict(turn_deg=math.nan),
+                                        dict(turn_deg=math.inf), dict(dwell_fraction=math.nan),
+                                        dict(max_tilt_deg=math.inf)])
+    def test_non_finite_refused(self, kwargs):
+        with pytest.raises(ValueError, match="got"):
+            WalkConfig(**kwargs)
 
 
 class TestSynthPredict:
@@ -147,6 +163,12 @@ class TestSynthPredict:
             SynthPredictor(kind="noisy", sigma_t=-1)
         with pytest.raises(ValueError):
             SynthPredictor(kind="constant")
+
+    @pytest.mark.parametrize("kwargs", [dict(sigma_t=math.nan), dict(sigma_t=math.inf), dict(sigma_q_deg=math.nan),
+                                        dict(sigma_q_deg=math.inf)])
+    def test_non_finite_refused(self, kwargs):
+        with pytest.raises(ValueError, match="got"):
+            SynthPredictor(kind="noisy", **kwargs)
 
 
 class TestTradeoffReproduction:
