@@ -8,7 +8,6 @@ atomically. Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -150,8 +149,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--max-tilt", type=float, default=30.0, help="rotation cone, degrees")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--pairs", help="predict for this pair file instead of sampling poses")
-    sp.add_argument("--predictor", choices=("perfect", "naive", "noisy", "constant"),
-                    default="perfect")
+    sp.add_argument("--predictor", choices=("perfect", "noisy", "constant"), default="perfect",
+                    help="the naive baseline is the `naive` command")
     sp.add_argument("--sigma-t", type=float, default=0.0, help="translation noise, meters")
     sp.add_argument("--sigma-q", type=float, default=0.0, help="rotation noise, degrees")
     sp.add_argument("--relative-noise", action=argparse.BooleanOptionalAction, default=False,
@@ -275,10 +274,11 @@ def _info(msg):
 def _source_pairs(path, pf) -> dataset.PairTable:
     """The --source-pairs table; warns when its digest differs from the
     evaluated pair file's."""
-    sf = dataset.read_pairs(path)
-    if sf.digest != pf.digest:
-        _info(f"warning: source pairs digest {sf.digest} differs from eval pairs digest {pf.digest}")
-    return sf.pairs
+    source = dataset.read_pairs(path).pairs
+    if source.config_digest != pf.pairs.config_digest:
+        _info(f"warning: source pairs digest {source.config_digest} differs from eval pairs digest "
+              f"{pf.pairs.config_digest}")
+    return source
 
 
 def cmd_ingest(args) -> int:
@@ -306,7 +306,7 @@ def cmd_synth(args) -> int:
             raise UsageError(str(e)) from None
         preds = synth.synth_predict(pf.pairs, predictor, seed=args.seed)
         dataset.write_predictions(
-            args.out, preds, config_digest=pf.digest, predictor=predictor.describe(),
+            args.out, preds, config_digest=pf.pairs.config_digest, predictor=predictor.describe(),
             extra={"rng": RNG_KIND, "seed": args.seed},
         )
         _info(f"wrote {len(preds)} {predictor.describe()} predictions to {args.out}")
@@ -352,7 +352,7 @@ def cmd_histogram(args) -> int:
     counts = pairgen.bin_histogram(pf.pairs, binning)
     dataset.write_histogram(
         args.out, binning.edges, counts,
-        extra={"config_digest": pf.digest, **dataset.config_header_entries(pf.cfg),
+        extra={"config_digest": pf.pairs.config_digest, **dataset.config_header_entries(pf.cfg),
                **dataset.convention_entries(), "n_pairs": len(pf.pairs)},
     )
     _info(f"wrote {binning.n_bins}-bin histogram of {len(pf.pairs)} pairs to {args.out}")
@@ -363,14 +363,14 @@ def cmd_diameter(args) -> int:
     pf = dataset.read_pairs(args.pairs)
     try:
         thresholds = [float(v) for v in args.thresholds.split(",")]
-        if not all(map(math.isfinite, thresholds)):
+        if not all(0.0 <= t <= 1.0 for t in thresholds):  # NaN fails the test too
             raise ValueError
     except ValueError:
         raise UsageError(f"bad --thresholds {args.thresholds!r}") from None
     rows = [pairgen.subspace_stats(pf.pairs, t) for t in thresholds]
     dataset.write_subspace_table(
         args.out, rows,
-        extra={"config_digest": pf.digest, **dataset.config_header_entries(pf.cfg),
+        extra={"config_digest": pf.pairs.config_digest, **dataset.config_header_entries(pf.cfg),
                **dataset.convention_entries(), "n_pairs": len(pf.pairs)},
     )
     _info(f"wrote subspace statistics at {len(rows)} thresholds to {args.out}")
@@ -385,7 +385,7 @@ def cmd_naive(args) -> int:
         source, source_kind = pf.pairs, "eval_pairs"
     preds = metrics.naive_predictor(source).predict(pf.pairs)
     dataset.write_predictions(
-        args.out, preds, config_digest=pf.digest, predictor="naive",
+        args.out, preds, config_digest=pf.pairs.config_digest, predictor="naive",
         extra={"naive_source": source_kind},
     )
     _info(f"wrote {len(preds)} naive predictions to {args.out}")
@@ -394,9 +394,9 @@ def cmd_naive(args) -> int:
 
 def cmd_eval(args) -> int:
     pf = dataset.read_pairs(args.pairs)
-    pd = dataset.read_predictions(args.pred)
-    dataset.check_digest_match(pf.digest, pd.digest)
-    orphans = metrics.unmatched_predictions(pf.pairs, pd.predictions)
+    preds = dataset.read_predictions(args.pred)
+    dataset.check_digest_match(pf.pairs.config_digest, preds.config_digest)
+    orphans = metrics.unmatched_predictions(pf.pairs, preds)
     if orphans:
         raise EvaluationError(
             f"predictions reference pair keys absent from the pair file: {orphans[:10]}"
@@ -410,9 +410,9 @@ def cmd_eval(args) -> int:
     naive_source_pairs = _source_pairs(args.source_pairs, pf) if args.source_pairs else None
     cfg = MetricConfig(norm=args.norm, statistics=statistics, euler_gimbal_policy=args.gimbal)
     threshold = pf.min_overlap if args.subspace_threshold is None else args.subspace_threshold
-    if not math.isfinite(threshold):
-        raise UsageError(f"bad --subspace-threshold {threshold!r}, expected a finite number")
-    report = metrics.evaluate(pf.pairs, pd.predictions, cfg, naive_source_pairs=naive_source_pairs,
+    if not 0.0 <= threshold <= 1.0:
+        raise UsageError(f"bad --subspace-threshold {threshold!r}, expected an overlap in [0, 1]")
+    report = metrics.evaluate(pf.pairs, preds, cfg, naive_source_pairs=naive_source_pairs,
                               subspace_threshold=threshold, include=include)
     dataset.write_report(
         args.out, report.to_items(),
@@ -424,16 +424,16 @@ def cmd_eval(args) -> int:
 
 def cmd_curve(args) -> int:
     ps = dataset.read_poses(args.poses)
-    pd = dataset.read_predictions(args.pred)
+    preds = dataset.read_predictions(args.pred)
     cfg = _overlap_config(args)
     digest = dataset.config_digest(cfg)
-    dataset.check_digest_match(digest, pd.digest)
+    dataset.check_digest_match(digest, preds.config_digest)
     binning = _parse_bins(args.bins)
     pairs = pairgen.generate_pairs(
         ps, cfg, min_overlap=binning.edges[0], max_overlap=binning.edges[-1],
         threads=args.threads,
     )
-    curve = metrics.error_curve(pairs, pd.predictions, binning, stat=args.stat, norm=args.norm)
+    curve = metrics.error_curve(pairs, preds, binning, stat=args.stat, norm=args.norm)
     dataset.write_curve(
         args.out, curve,
         extra={"config_digest": digest, **dataset.config_header_entries(cfg),

@@ -637,12 +637,12 @@ def check_window(min_overlap: float, max_overlap: float, error=ValueError):
 
 @dataclass
 class PairFileData:
+    """A read pair file; its digest is `pairs.config_digest`."""
+
     pairs: PairTable
     cfg: OverlapConfig
-    digest: str
     min_overlap: float
     max_overlap: float
-    ordered: bool
     header: dict
 
 
@@ -704,8 +704,7 @@ def read_pairs(path) -> PairFileData:
         _check_keys(frame_ids, anchors, queries, "pair")
         pairs = PairTable(frame_ids, anchors, queries, _parsed_quats(values[:, 1:5]), values[:, 5:8],
                           overlaps=overlaps, config_digest=digest)
-    return PairFileData(pairs=pairs, cfg=cfg, digest=digest, min_overlap=lo, max_overlap=hi,
-                        ordered=header.get("ordered", "true") == "true", header=header)
+    return PairFileData(pairs=pairs, cfg=cfg, min_overlap=lo, max_overlap=hi, header=header)
 
 
 # ---------------------------------------------------------------------------
@@ -713,13 +712,6 @@ def read_pairs(path) -> PairFileData:
 # ---------------------------------------------------------------------------
 
 _PRED_COLUMNS = "anchor_id query_id qw qx qy qz tx ty tz"
-
-
-@dataclass
-class PredictionFileData:
-    predictions: PairTable
-    digest: str
-    header: dict
 
 
 def write_predictions(path, predictions: PairTable, *, config_digest: str, predictor: str = "external",
@@ -738,15 +730,16 @@ def write_predictions(path, predictions: PairTable, *, config_digest: str, predi
                    (*predictions.rotations.T, *predictions.translations.T))
 
 
-def read_predictions(path) -> PredictionFileData:
+def read_predictions(path) -> PairTable:
+    """The prediction table of a file, carrying the digest of the pairs it was
+    made for ('' when the header names none)."""
     header, (anchor_ids, query_ids), values, lines = _read_records(path, "predictions", _PRED_COLUMNS)
-    digest = header.get("config_digest", "")
     with _located(path, lines):
         frame_ids, anchors, queries = _encode_ids(anchor_ids, query_ids)
         _check_keys(frame_ids, anchors, queries, "prediction")
         rotations = _parsed_quats(values[:, 0:4])
-    predictions = PairTable(frame_ids, anchors, queries, rotations, values[:, 4:7], config_digest=digest)
-    return PredictionFileData(predictions=predictions, digest=digest, header=header)
+    return PairTable(frame_ids, anchors, queries, rotations, values[:, 4:7],
+                     config_digest=header.get("config_digest", ""))
 
 
 def check_digest_match(pairs_digest: str, predictions_digest: str):
@@ -881,18 +874,15 @@ def _sevenscenes_sequence_dirs(scene_dir: Path, split: str):
     return dirs
 
 
-def parse_sevenscenes(scene_dir, split: str = "train", scene_name: str | None = None,
-                      collect_errors: list | None = None) -> PoseSet:
+def parse_sevenscenes(scene_dir, split: str = "train", scene_name: str | None = None) -> PoseSet:
     """Ingest a 7-Scenes style scene directory.
 
     The directory may either hold `frame-NNNNNN.pose.txt` files directly, or
     contain sequence folders plus TrainSplit.txt / TestSplit.txt naming them.
     Each pose file is a whitespace-separated 4x4 camera-to-world matrix; the
     rotation block is snapped to the nearest rotation before conversion.
-
-    Malformed files raise ParseError naming the first of them, or, when
-    `collect_errors` is a list, are skipped with their messages appended to
-    it in file order.
+    A malformed file raises ParseError naming the first of them in file
+    order.
     """
     scene_dir = Path(scene_dir)
     if not scene_dir.is_dir():
@@ -918,32 +908,26 @@ def parse_sevenscenes(scene_dir, split: str = "train", scene_name: str | None = 
     rot, problems = _snap_pose_matrices(m)
     errors.update((read[j], f"{pose_files[read[j]]}: {msg}") for j, msg in problems.items())
     if errors:
-        messages = [errors[k] for k in sorted(errors)]
-        if collect_errors is None:
-            raise ParseError(messages[0])
-        collect_errors.extend(messages)
-    keep = [j for j in range(len(read)) if j not in problems]
+        raise ParseError(errors[min(errors)])
     return PoseSet(
         scene_name=scene_name or scene_dir.name,
         split=split,
-        frame_ids=[pose_files[read[j]].relative_to(scene_dir).as_posix()[: -len(".pose.txt")]
-                   for j in keep],
-        rotations=round9_array(geometry.matrix_to_quat_rows(rot[keep])),
-        translations=round9_array(m[keep, :3, 3]),
+        frame_ids=[pf.relative_to(scene_dir).as_posix()[: -len(".pose.txt")] for pf in pose_files],
+        rotations=round9_array(geometry.matrix_to_quat_rows(rot)),
+        translations=round9_array(m[:, :3, 3]),
         source_format="sevenscenes",
         convention_note="4x4 camera-to-world matrices; rotation orthonormalized by polar decomposition",
     )
 
 
-def parse_cambridge(dataset_file, scene_name: str | None = None, split: str | None = None,
-                    collect_errors: list | None = None) -> PoseSet:
+def parse_cambridge(dataset_file, scene_name: str | None = None, split: str | None = None) -> PoseSet:
     """Ingest a Cambridge-Landmarks dataset_train.txt / dataset_test.txt file.
 
     Lines carry `image-path x y z w p q r` after three header lines, where the
     position is the camera center in world coordinates and the quaternion is
     the world-to-camera rotation. Both are converted to the toolkit's
     camera-to-world convention here, so no other layer needs to know the
-    difference.
+    difference. A malformed line raises ParseError naming the first of them.
     """
     dataset_file = Path(dataset_file)
     if split is None:
@@ -979,17 +963,14 @@ def parse_cambridge(dataset_file, scene_name: str | None = None, split: str | No
         values.append(row)
     values = np.reshape(values, (-1, 7))
     norms = geometry.vector_norms(values[:, 3:], "l2")
-    keep = norms != 0.0
-    errors += [(lineno, "zero quaternion") for lineno, k in zip(linenos, keep) if not k]
+    errors += [(lineno, "zero quaternion") for lineno, n in zip(linenos, norms) if n == 0.0]
     if errors:
-        messages = [f"{dataset_file}:{lineno}: {msg}" for lineno, msg in sorted(errors)]
-        if collect_errors is None:
-            raise ParseError(messages[0])
-        collect_errors.extend(messages)
-    bad_norms = int(np.sum(np.abs(norms[keep] - 1.0) > 1e-3))
+        lineno, msg = min(errors)
+        raise ParseError(f"{dataset_file}:{lineno}: {msg}")
+    bad_norms = int(np.sum(np.abs(norms - 1.0) > 1e-3))
     # file stores world-to-camera rotation; camera-to-world is its conjugate
     q_c2w = geometry.normalize_quat_rows(
-        geometry.quat_conj_rows(geometry.normalize_quat_rows(values[keep, 3:])))
+        geometry.quat_conj_rows(geometry.normalize_quat_rows(values[:, 3:])))
     if bad_norms:
         warnings.warn(
             f"{dataset_file}: {bad_norms} quaternions deviated from unit norm by more "
@@ -999,9 +980,9 @@ def parse_cambridge(dataset_file, scene_name: str | None = None, split: str | No
     return PoseSet(
         scene_name=scene_name or dataset_file.parent.name,
         split=split,
-        frame_ids=[f for f, k in zip(ids, keep) if k],
+        frame_ids=ids,
         rotations=round9_array(q_c2w),
-        translations=round9_array(values[keep, :3]),
+        translations=round9_array(values[:, :3]),
         source_format="cambridge",
         convention_note="camera centers kept; world-to-camera rotations conjugated to camera-to-world",
     )

@@ -5,6 +5,9 @@ A camera's viewing volume is modelled two ways: as six inward-facing planes
 The overlap of an (anchor, other) pair is the fraction of the other camera's
 probe points inside the anchor's plane frustum, tested in the other camera's
 frame, forced to zero when the relative rotation exceeds a configurable gate.
+The anchor's planes are placed about its own position, so a score reads only
+the difference of the two positions and a pair scores the same wherever in
+the world it lies.
 
 One kernel, `score_pairs`, scores every ordered pair of a trajectory;
 `overlap_score` (two poses) and `pairgen.generate_pairs` call it. Scoring
@@ -49,9 +52,9 @@ class FrustumSpec:
     Defaults approximate a Kinect-style indoor sensor. The lattice includes
     the cross-section corners at every depth, so the outer probe points lie
     on the frustum's own planes. With boundary_epsilon > 0 a frustum
-    contains all of its probe points and self-overlap is exactly 1; at
-    boundary_epsilon = 0 rounding decides each boundary point, and a pose
-    can score well below 1 against itself.
+    contains all of its probe points and self-overlap is exactly 1, at any
+    world position; at boundary_epsilon = 0 rounding decides each boundary
+    point, and a pose can score well below 1 against itself.
     """
 
     hfov_deg: float = 58.0
@@ -231,10 +234,11 @@ _BLOCK_POINTS = 16384
 _CHUNK_PAIRS = 8192
 
 # The separation reject drops a candidate only when its frustum corners fall
-# this far (relative to the scene's coordinate scale) below an anchor plane's
-# threshold, far more than the rounding between a probe point and the convex
-# combination of corners it lies on. The window reject widens its bound's
-# ranges by the same margin.
+# this far outside an anchor plane, relative to the largest coordinate a pair
+# past the sphere reject reaches about the anchor (the reach plus twice the
+# largest inflated corner coordinate): far more than the rounding between a
+# probe point and the convex combination of corners it lies on. The window
+# reject widens its bound's ranges by the same margin.
 _SEPARATION_MARGIN = 1e-9
 
 # Grid cells per axis at most: coarser cells beyond that keep a cell key far
@@ -261,10 +265,10 @@ def _by_piece(method):
 
 
 class _FrustumBatch:
-    """Per-pose rotations, world-space planes, corners and sphere centres of
-    (N, 4) wxyz and (N, 3) camera-to-world pose rows, for scoring in anchor
-    chunks; every pose's probe points are the spec's one camera-frame lattice.
-    Pairs scoring no higher than min_overlap may be left out."""
+    """Per-pose rotations, planes and corners (about the pose's position) and
+    sphere centres of (N, 4) wxyz and (N, 3) camera-to-world pose rows, for
+    scoring in anchor chunks; every pose's probe points are the spec's one
+    camera-frame lattice. Pairs scoring no higher than min_overlap may be left out."""
 
     def __init__(self, quats: np.ndarray, trans: np.ndarray, cfg: OverlapConfig, min_overlap: float = 0.0):
         spec = cfg.frustum
@@ -274,14 +278,13 @@ class _FrustumBatch:
         rot_t = np.transpose(self.rot, (0, 2, 1))
         n_cam, d_cam = camera_planes(spec)
         self.normals = np.matmul(n_cam, rot_t)  # (N, 6, 3)
-        self.offsets = d_cam[None, :] - np.einsum("nij,nj->ni", self.normals, self.trans)
-        # containment as n.p >= threshold, one contiguous row per plane
-        self.thresholds = -self.offsets - spec.boundary_epsilon
+        # a world point x lies inside pose a's plane k when n.(x - t_a) + cut_k >= 0
+        self.cut = d_cam + spec.boundary_epsilon
         c_cam, self.sphere_radius = camera_sphere(spec)
         self.reach = 2.0 * self.sphere_radius + 1e-6  # sphere centres further apart cannot overlap
         self.centers = self.trans + np.einsum("nij,j->ni", self.rot, c_cam)
-        self.hull = np.matmul(inflated_corners(spec), rot_t) + self.trans[:, None, :]  # (N, 8, 3)
-        self.margin = _SEPARATION_MARGIN * (1.0 + float(np.abs(self.hull).max()))
+        self.hull = np.matmul(inflated_corners(spec), rot_t)  # (N, 8, 3), about the pose's own position
+        self.margin = _SEPARATION_MARGIN * (1.0 + self.reach + 2.0 * float(np.abs(inflated_corners(spec)).max()))
         self.lattice, self.depths, *self.slopes = lattice_axes(spec)
         self.block = max(1, _BLOCK_POINTS // spec.n_points)
         self.n_points = spec.n_points
@@ -326,12 +329,12 @@ class _FrustumBatch:
 
     def query_planes(self, anchors: np.ndarray, queries: np.ndarray) -> np.ndarray:
         """(pairs, 6, 4): each anchor plane's normal n in the query's camera
-        frame, n R, and n.t, so that a world point R p + t of the query's
-        lattice lies n.(R p + t) = (n R).p + n.t along it."""
+        frame, n R, and n.(t - t_a), so that a point R p + t of the query's
+        lattice lies (n R).p + n.(t - t_a) along n from the anchor's position."""
         normals = self.normals[anchors]
         planes = np.empty((anchors.size, 6, 4))
         np.matmul(normals, self.rot[queries], out=planes[..., :3])
-        np.matmul(normals, self.trans[queries][:, :, None], out=planes[..., 3:])
+        np.matmul(normals, (self.trans[queries] - self.trans[anchors])[:, :, None], out=planes[..., 3:])
         return planes
 
     @_by_piece
@@ -341,12 +344,12 @@ class _FrustumBatch:
 
     @_by_piece
     def separated(self, anchors: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        """Mask of (anchor, query) pairs whose query frustum lies wholly below
-        one of the anchor's plane thresholds. With the plane's normal n in the
-        query's camera frame as m = n R, the query's corners (+-z ta, +-z tb,
-        z) at z = near and far reach at most n.t + max(near s, far s) along n,
-        s = ta |m_x| + tb |m_y| + m_z; every probe point is a convex
-        combination of those corners, so none of them can pass that plane."""
+        """Mask of (anchor, query) pairs whose query frustum lies wholly outside
+        one of the anchor's planes. With the plane's normal n in the query's
+        camera frame as m = n R, the query's corners (+-z ta, +-z tb, z) at
+        z = near and far reach at most n.(t - t_a) + max(near s, far s) along
+        n, s = ta |m_x| + tb |m_y| + m_z; every probe point is a convex
+        combination of those corners, so none of them can reach -cut."""
         planes = self.query_planes(anchors, queries)
         m = np.abs(planes[..., :2])
         s = m[..., 0] * self.slopes[0][-1]
@@ -354,7 +357,7 @@ class _FrustumBatch:
         s += planes[..., 2]
         top = np.maximum(s * self.depths[0], s * self.depths[-1])
         top += planes[..., 3]
-        return np.any(top < self.thresholds[anchors] - self.margin, axis=1)
+        return np.any(top < -self.cut - self.margin, axis=1)
 
     @_by_piece
     def count_bounds(self, anchors: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -369,7 +372,7 @@ class _FrustumBatch:
         margin, which is far more than the rounding of either side.
         """
         c = self.hull[anchors]
-        c -= self.trans[queries][:, None, :]
+        c += (self.trans[anchors] - self.trans[queries])[:, None, :]
         c = np.matmul(c, self.rot[queries])  # (pairs, 8, 3) in the query's camera frame
         z = c[..., 2]
         zlo = z.min(axis=1)
@@ -406,14 +409,14 @@ class _FrustumBatch:
         """Probe points of each query inside its anchor, for flat (anchor,
         query) pairs. The planes of a piece's pairs are built at once; the
         gemm, compare, and-reduce and count then run over blocks of pairs."""
-        # the anchor's planes in the query's camera frame: n.(R p + t) >= thr
-        # is (n R).p + (n.t - thr) >= 0, with p a point of the camera lattice.
-        # The gemm adds the fourth term last (as OpenBLAS does), and a rounded
-        # difference has the exact sign, so this decides as (n R).p >= thr - n.t
-        # does; a compare with 0 runs several times faster than one with a
-        # column of cuts.
+        # the anchor's planes in the query's camera frame: n.(R p + t - t_a) +
+        # cut >= 0 is (n R).p + (n.(t - t_a) + cut) >= 0, with p a point of the
+        # camera lattice. The gemm adds the fourth term last (as OpenBLAS
+        # does), and a rounded sum has the exact sign, so this decides as
+        # (n R).p >= -(n.(t - t_a) + cut) does; a compare with 0 runs several
+        # times faster than one with a column of cuts.
         planes = self.query_planes(anchors, queries)
-        planes[..., 3] -= self.thresholds[anchors]
+        planes[..., 3] += self.cut
         planes = planes.reshape(-1, 4)
         counts = np.empty(anchors.size, dtype=np.int64)
         for lo in range(0, anchors.size, self.block):
@@ -473,6 +476,8 @@ def score_pairs(quats: np.ndarray, trans: np.ndarray, cfg: OverlapConfig, min_ov
     minimum of both directions with cfg.symmetric. Every pair above
     min_overlap is listed and those at or below it may be. Each of `threads`
     workers scores a contiguous anchor range; the output never depends on it."""
+    if not len(quats):  # no pairs, and no grid to build
+        return (np.empty(0, dtype=np.int64),) * 3
     batch = _FrustumBatch(quats, trans, cfg, min_overlap)
     if threads <= 1:
         parts = [batch.score_range(0, batch.n)]

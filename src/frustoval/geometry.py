@@ -22,9 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# |w^2+x^2+y^2+z^2 - 1| stays below this after any normalizing operation.
-UNIT_NORM_TOL = 1e-9
-
 # |pitch| within this many degrees of 90 is reported as gimbal-locked.
 GIMBAL_TOL_DEG = 1e-6
 

@@ -443,34 +443,6 @@ class MetricReport:
             "subspace_diameter_m": s.diameter,
         }
 
-    @classmethod
-    def from_items(cls, items: dict) -> "MetricReport":
-        return cls(
-            n_pairs=int(items["n_pairs"]),
-            norm=str(items["norm"]),
-            statistics=tuple(str(items["statistics"]).split(",")),
-            euler_gimbal_policy=str(items["euler_gimbal_policy"]),
-            naive_source=str(items["naive_source"]),
-            config_digest=str(items["config_digest"]),
-            subspace=SubspaceStats(
-                threshold=float(items["subspace_threshold"]),
-                count=int(items["subspace_count"]),
-                mean_norm=items["subspace_mean_norm_m"],
-                std_norm=items["subspace_std_norm_m"],
-                diameter=items["subspace_diameter_m"],
-            ),
-            t_mean=items.get("t_mean_m"),
-            t_median=items.get("t_median_m"),
-            q_mean=items.get("q_mean_deg"),
-            q_median=items.get("q_median_deg"),
-            t_mape=items.get("t_mape"),
-            t_mase=items.get("t_mase"),
-            t_mapse=items.get("t_mapse"),
-            r_mape=items.get("r_mape"),
-            mape_excluded_zero_norm=int(items.get("mape_excluded_zero_norm", 0)),
-            rmape_excluded=int(items.get("rmape_excluded", 0)),
-        )
-
 
 def evaluate(pairs: PairTable, predictions: PairTable, cfg: MetricConfig = MetricConfig(), *,
              naive_source_pairs: PairTable | None = None, subspace_threshold: float | None = None,

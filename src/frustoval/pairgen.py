@@ -86,7 +86,6 @@ def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
     digest = dataset.config_digest(cfg)
     if len(poses) < 2:
         warnings.warn("fewer than 2 poses; no pairs can be generated", stacklevel=2)
-        return PairTable([], [], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), digest)
     anchors, queries, counts = score_pairs(poses.rotations, poses.translations, cfg, min_overlap, threads)
     scores = counts / cfg.frustum.n_points
     keep = (scores > min_overlap) & (scores <= max_overlap)

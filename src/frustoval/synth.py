@@ -2,9 +2,9 @@
 
 These make the overlap/accuracy tradeoff demonstrable at desk scale: a box
 trajectory stands in for a scanned scene, and the predictor family (perfect,
-naive, noisy, constant) spans the behaviours the metrics must separate. All
-sampling is driven by numpy's PCG64 stream, so a seed pins every output
-bit-for-bit across runs and platforms.
+noisy, constant; the naive baseline is `metrics.naive_predictor`) spans the
+behaviours the metrics must separate. All sampling is driven by numpy's PCG64
+stream, so a seed pins every output bit-for-bit across runs and platforms.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
 from .dataset import PairTable, PoseSet, round9_array
 from .geometry import (
     RelativePose,
@@ -151,10 +150,9 @@ def generate_walk(cfg: WalkConfig) -> PoseSet:
 
 @dataclass(frozen=True)
 class SynthPredictor:
-    """A synthetic predictor of one of four kinds.
+    """A synthetic predictor of one of three kinds.
 
     perfect   ground truth back unchanged
-    naive     the mean relative pose of the evaluated pairs (the baseline)
     noisy     ground truth plus zero-mean noise; sigma_t meters on
               translation components and sigma_q_deg on the rotation angle.
               With relative_noise the translation scale is sigma_t times the
@@ -170,7 +168,7 @@ class SynthPredictor:
     constant: RelativePose | None = None
 
     def __post_init__(self):
-        if self.kind not in ("perfect", "naive", "noisy", "constant"):
+        if self.kind not in ("perfect", "noisy", "constant"):
             raise ValueError(f"unknown predictor kind {self.kind!r}")
         if not (0.0 <= self.sigma_t < np.inf and 0.0 <= self.sigma_q_deg < np.inf):
             raise ValueError(f"noise scales must be finite and >= 0, got sigma_t={self.sigma_t!r}, "
@@ -190,8 +188,6 @@ class SynthPredictor:
 
 def synth_predict(pairs: PairTable, predictor: SynthPredictor, seed: int = 0) -> PairTable:
     """Predictions for every pair, in pair order; deterministic for a seed."""
-    if predictor.kind == "naive":
-        return metrics.naive_predictor(pairs).predict(pairs)
     n = len(pairs)
     if predictor.kind == "perfect":
         q_hat, t_hat = pairs.rotations, pairs.translations

@@ -288,7 +288,7 @@ def test_criterion_10_auc(tmp_path):
     ps = dataset.read_poses(poses_f)
     curve_binning = OverlapBinning(edges=tuple(round(0.1 + 0.1 * k, 12) for k in range(9)))
     lib_pairs = generate_pairs(ps, cfg, curve_binning.edges[0], curve_binning.edges[-1])
-    lib_curve = error_curve(lib_pairs, dataset.read_predictions(preds_f).predictions,
+    lib_curve = error_curve(lib_pairs, dataset.read_predictions(preds_f),
                             curve_binning, stat="median", norm="l1")
     expected_f = tmp_path / "expected.csv"
     dataset.write_curve(

@@ -91,8 +91,9 @@ class TestBasics:
 
 
 class TestNonFiniteFlags:
-    """A non-finite number in a flag is a usage error (exit 1) whose message
-    names it, before any output is written."""
+    """A non-finite number in a flag, or an overlap threshold outside [0, 1],
+    is a usage error (exit 1) whose message names it, before any output is
+    written."""
 
     @pytest.mark.parametrize("args, needle", [
         pytest.param(["pairs", "--poses", "{poses}", "--epsilon", "inf"],
@@ -115,8 +116,16 @@ class TestNonFiniteFlags:
                      "sigma_q_deg=inf", id="synth --predictor noisy --sigma-q inf"),
         pytest.param(["diameter", "--pairs", "{pairs}", "--thresholds", "0.2,nan"],
                      "bad --thresholds '0.2,nan'", id="diameter --thresholds 0.2,nan"),
+        pytest.param(["diameter", "--pairs", "{pairs}", "--thresholds", "5,-1"],
+                     "bad --thresholds '5,-1'", id="diameter --thresholds 5,-1"),
         pytest.param(["eval", "--pairs", "{pairs}", "--pred", "{pred}", "--subspace-threshold", "nan"],
-                     "bad --subspace-threshold nan", id="eval --subspace-threshold nan"),
+                     "bad --subspace-threshold nan, expected an overlap in [0, 1]",
+                     id="eval --subspace-threshold nan"),
+        pytest.param(["eval", "--pairs", "{pairs}", "--pred", "{pred}", "--subspace-threshold", "1.5"],
+                     "bad --subspace-threshold 1.5, expected an overlap in [0, 1]",
+                     id="eval --subspace-threshold 1.5"),
+        pytest.param(["eval", "--pairs", "{pairs}", "--pred", "{pred}", "--subspace-threshold", "-0.1"],
+                     "bad --subspace-threshold -0.1", id="eval --subspace-threshold -0.1"),
     ])
     def test_refused(self, tmp_path, poses_file, pairs_file, pred_file, capsys, args, needle):
         argv = [a.format(poses=poses_file, pairs=pairs_file, pred=pred_file) for a in args]
@@ -230,14 +239,23 @@ class TestReadme:
             ran.append(argv[0])
         assert ran[0] == "synth" and ran[-1] == "curve" and len(ran) == 8
 
+    def test_library_quick_start_runs(self, capsys):
+        # the README's first python block as written: it prints the median
+        # translation error, the MASE and the subspace diameter
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"## Library quick start.*?```python\n(.*?)```", readme, re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
+        printed = capsys.readouterr().out.split()
+        assert len(printed) == 3 and all(float(v) > 0 for v in printed), printed
+
 
 class TestPredictAndEval:
     def test_naive_predictions(self, tmp_path, pairs_file):
         out = tmp_path / "naive.pred"
         assert main(["naive", "--pairs", str(pairs_file), "--out", str(out)]) == 0
-        data = dataset.read_predictions(out)
-        assert data.digest == dataset.read_pairs(pairs_file).digest
-        rels = {(p.rel.rotation, p.rel.translation) for p in data.predictions}
+        preds = dataset.read_predictions(out)
+        assert preds.config_digest == dataset.read_pairs(pairs_file).pairs.config_digest
+        rels = {(p.rel.rotation, p.rel.translation) for p in preds}
         assert len(rels) == 1  # one mean pose for every pair
 
     def test_eval_report_matches_library(self, tmp_path, pairs_file, pred_file):
@@ -248,9 +266,8 @@ class TestPredictAndEval:
         assert rc == 0
         got = dataset.read_report(out)
         pf = dataset.read_pairs(pairs_file)
-        pd = dataset.read_predictions(pred_file)
         want = metrics.evaluate(
-            pf.pairs, pd.predictions, MetricConfig(norm="l1"),
+            pf.pairs, dataset.read_predictions(pred_file), MetricConfig(norm="l1"),
             subspace_threshold=pf.min_overlap, include=("mape", "mase", "mapse"),
         )
         assert got["t_mean_m"] == float(dataset.fnum(want.t_mean))
@@ -272,8 +289,8 @@ class TestPredictAndEval:
         main(["pairs", "--poses", str(poses_file), "--hfov", "70", "--grid", GRID,
               "--out", str(source)])
         capsys.readouterr()
-        warning = (f"warning: source pairs digest {dataset.read_pairs(source).digest} differs "
-                   f"from eval pairs digest {dataset.read_pairs(pairs_file).digest}\n")
+        warning = (f"warning: source pairs digest {dataset.read_pairs(source).pairs.config_digest} differs "
+                   f"from eval pairs digest {dataset.read_pairs(pairs_file).pairs.config_digest}\n")
         for argv in (["naive", "--pairs", str(pairs_file)],
                      ["eval", "--pairs", str(pairs_file), "--pred", str(pred_file)]):
             rc = main([*argv, "--source-pairs", str(source), "--out", str(tmp_path / "out")])
@@ -281,9 +298,9 @@ class TestPredictAndEval:
             assert capsys.readouterr().err.startswith(warning)
 
     def test_missing_prediction_key_refused(self, tmp_path, pairs_file, pred_file, capsys):
-        pd = dataset.read_predictions(pred_file)
+        t = dataset.read_predictions(pred_file)
         short = tmp_path / "short.pred"
-        dataset.write_predictions(short, pd.predictions[:-12], config_digest=pd.digest)
+        dataset.write_predictions(short, t[:-12], config_digest=t.config_digest)
         rc = main(["eval", "--pairs", str(pairs_file), "--pred", str(short),
                    "--out", str(tmp_path / "r.report")])
         assert rc == 2
@@ -294,8 +311,7 @@ class TestPredictAndEval:
         assert listed.startswith("('pose-000029', 'pose-000017'), ('pose-000029', 'pose-000018'), ")
 
     def test_orphan_prediction_key_refused(self, tmp_path, pairs_file, pred_file, capsys):
-        pd = dataset.read_predictions(pred_file)
-        t = pd.predictions
+        t = dataset.read_predictions(pred_file)
         # 12 more rows, copies of the first under keys no pair holds
         stray = [(f"no-such-{k:02d}", "pair") for k in range(12)]
         anchor_ids, query_ids = t.id_columns()
@@ -304,7 +320,7 @@ class TestPredictAndEval:
                                         np.vstack([t.rotations, *[t.rotations[:1]] * 12]),
                                         np.vstack([t.translations, *[t.translations[:1]] * 12]))
         padded = tmp_path / "padded.pred"
-        dataset.write_predictions(padded, with_stray, config_digest=pd.digest)
+        dataset.write_predictions(padded, with_stray, config_digest=t.config_digest)
         rc = main(["eval", "--pairs", str(pairs_file), "--pred", str(padded),
                    "--out", str(tmp_path / "r.report")])
         assert rc == 2
@@ -366,7 +382,7 @@ class TestCurve:
         cfg = OverlapConfig(frustum=SPEC)
         binning = OverlapBinning(edges=tuple(round(0.1 + 0.1 * k, 12) for k in range(9)))
         pairs = pairgen.generate_pairs(ps, cfg, binning.edges[0], binning.edges[-1], threads=2)
-        preds = dataset.read_predictions(pred_file).predictions
+        preds = dataset.read_predictions(pred_file)
         curve = metrics.error_curve(pairs, preds, binning, stat="median", norm="l1")
         expected = tmp_path / "expected.csv"
         dataset.write_curve(
@@ -561,15 +577,14 @@ class TestRecordValidation:
             assert not out.exists()
 
     def test_prediction_writer_refuses_bad_ids(self, tmp_path, pred_file):
-        pd = dataset.read_predictions(pred_file)
-        t = pd.predictions
+        t = dataset.read_predictions(pred_file)
         for bad in ("a\tb", "#"):
             anchor_ids, query_ids = t.id_columns()
             table = PairTable.from_ids(anchor_ids, [bad, *query_ids[1:]], t.rotations, t.translations,
                                        config_digest=t.config_digest)
             out = tmp_path / "bad.pred"
             with pytest.raises(ValueError, match="frame id"):
-                dataset.write_predictions(out, table, config_digest=pd.digest)
+                dataset.write_predictions(out, table, config_digest=t.config_digest)
             assert not out.exists()
 
     def test_bad_grid_is_usage_error(self, tmp_path, poses_file, capsys):

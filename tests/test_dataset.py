@@ -165,22 +165,20 @@ class TestSevenScenes:
         with pytest.raises(ParseError, match="orthogonal"):
             parse_sevenscenes(tmp_path)
 
-    def test_collect_errors_accounts_for_every_file(self, tmp_path):
-        # a good matrix, then an unreadable file; a bad matrix, then an
-        # unreadable file: one message per bad file, in file order
+    def test_first_bad_file_named_in_file_order(self, tmp_path):
+        # a good matrix, then an unreadable file; a bad matrix (found after
+        # every file is read), then an unreadable file: the first bad file
+        # in file order is named
         good, bad_matrix = "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 2\n"
-        for first, want in ((good, ["frame-000001.pose.txt: non-numeric"]),
-                            (bad_matrix, ["frame-000000.pose.txt: bottom row [0.0, 0.0, 0.0, 2.0]",
-                                          "frame-000001.pose.txt: non-numeric"])):
-            scene = tmp_path / str(len(want))
+        for k, (first, want) in enumerate(((good, "frame-000001.pose.txt: non-numeric"),
+                                           (bad_matrix, "frame-000000.pose.txt: bottom row [0.0, 0.0, 0.0, 2.0]"))):
+            scene = tmp_path / str(k)
             scene.mkdir()
             (scene / "frame-000000.pose.txt").write_text(first)
             (scene / "frame-000001.pose.txt").write_text("garbage\n")
-            errors = []
-            ps = parse_sevenscenes(scene, collect_errors=errors)
-            assert len(ps) + len(errors) == 2
-            assert len(errors) == len(want)
-            assert [e.startswith(f"{scene}/{w}") for e, w in zip(errors, want)] == [True] * len(want), errors
+            with pytest.raises(ParseError) as e:
+                parse_sevenscenes(scene)
+            assert str(e.value).startswith(f"{scene}/{want}"), e.value
 
 
 class TestCambridge:
@@ -220,17 +218,17 @@ class TestCambridge:
             parse_cambridge(f)
 
     def test_bad_lines_reported_in_line_order(self, tmp_path):
+        # each kind of bad line first in turn, the others after it: the zero
+        # quaternion is found after every line is read, the rest while reading
         f = tmp_path / "dataset_train.txt"
-        f.write_text("h\nh\nh\nok.png 0 0 0 1 0 0 0\nzero.png 0 0 0 0 0 0 0\nshort.png 1 2\n"
-                     "nan.png 0 nan 0 1 0 0 0\ntext.png 0 0 x 1 0 0 0\n")
-        with pytest.raises(ParseError, match=r"dataset_train\.txt:5: zero quaternion"):
-            parse_cambridge(f)
-        errors = []
-        ps = parse_cambridge(f, collect_errors=errors)
-        assert ps.frame_ids == ["ok"]
-        assert [e.split(f"{f}:", 1)[1] for e in errors] == [
-            "5: zero quaternion", "6: expected 'path x y z w p q r', got 3 fields",
-            "7: non-finite pose entry", "8: non-numeric pose entry"]
+        bad = ["zero.png 0 0 0 0 0 0 0", "short.png 1 2", "nan.png 0 nan 0 1 0 0 0", "text.png 0 0 x 1 0 0 0"]
+        why = ["zero quaternion", "expected 'path x y z w p q r', got 3 fields", "non-finite pose entry",
+               "non-numeric pose entry"]
+        for k in range(len(bad)):
+            f.write_text("h\nh\nh\nok.png 0 0 0 1 0 0 0\n" + "".join(ln + "\n" for ln in bad[k:] + bad[:k]))
+            with pytest.raises(ParseError) as e:
+                parse_cambridge(f)
+            assert str(e.value) == f"{f}:5: {why[k]}"
 
     def test_round_trip_identical_poseset(self, tmp_path):
         ps = parse_cambridge(SHOP_MINI / "dataset_train.txt")
@@ -357,11 +355,11 @@ class TestPredictionSerialization:
         preds = random_predictions(rng, 20)
         f = tmp_path / "p.pred"
         dataset.write_predictions(f, preds, config_digest="abc", predictor="external")
-        data = dataset.read_predictions(f)
-        assert data.digest == "abc"
-        assert len(data.predictions) == 20
+        got = dataset.read_predictions(f)
+        assert got.config_digest == "abc"
+        assert len(got) == 20
         f2 = tmp_path / "p2.pred"
-        dataset.write_predictions(f2, data.predictions, config_digest="abc", predictor="external")
+        dataset.write_predictions(f2, got, config_digest="abc", predictor="external")
         assert f.read_bytes() == f2.read_bytes()
 
     def test_duplicate_keys_rejected(self, tmp_path):
@@ -502,7 +500,7 @@ class TestRecordParsing:
                      "a b 2 0 0 0 1 2 3\n"
                      "a c -0.5 0.5 -0.5 0.5 0 0 0\n"
                      "b a 0 -3 4 0 0 0 0\n")
-        got = dataset.read_predictions(f).predictions
+        got = dataset.read_predictions(f)
         want = [Quaternion(2, 0, 0, 0).normalized(), Quaternion(-0.5, 0.5, -0.5, 0.5).normalized(),
                 Quaternion(0, -3, 4, 0).normalized()]
         assert [p.rel.rotation for p in got] == want
@@ -566,7 +564,7 @@ class TestRecordReader:
         first = _first_record(lines)
         spaced = [*lines[:first + 1], "", "  \t", *lines[first + 1:first + 4], "", *lines[first + 4:], ""]
         _rewrite(f, spaced)
-        got = dataset.read_predictions(f).predictions
+        got = dataset.read_predictions(f)
         assert [r.key for r in got] == [r.key for r in preds]
         np.testing.assert_array_equal(got.translations, round9_array(preds.translations))
         # the 6th record now repeats the 5th; three blank lines come before it
@@ -604,7 +602,7 @@ class TestRecordReader:
         for f in (fp, fq):
             f.write_text(f.read_text() + "\n  \n")  # blank lines only after the header
         assert dataset.read_pairs(fp).pairs == pairs
-        got = dataset.read_predictions(fq).predictions
+        got = dataset.read_predictions(fq)
         assert len(got) == 0 and got.rotations.shape == (0, 4) and got.translations.shape == (0, 3)
 
     def test_a_refusal_reads_the_file_once(self, tmp_path, rng, monkeypatch):

@@ -1,6 +1,7 @@
 """Frustum construction and overlap scoring against camera-frame oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from frustoval import (
     generate_pairs,
     overlap_score,
 )
-from frustoval.frustum import _FrustumBatch, camera_grid, score_pairs
+from frustoval.frustum import _FrustumBatch, camera_grid, camera_planes, score_pairs
 from frustoval.geometry import quat_rows, translation_rows
 
 from conftest import random_pose, street_poses, without_rejects, world_lattice
@@ -32,14 +33,14 @@ def batch_of(*poses, spec=FrustumSpec()):
                          OverlapConfig(frustum=spec))
 
 
-def plane_distances(batch, k, points):
+def plane_distances(batch, k, points, spec=FrustumSpec()):
     """Signed distance of each point to each of pose k's planes, shape (..., 6)."""
-    return np.asarray(points, dtype=float) @ batch.normals[k].T + batch.offsets[k]
+    return (np.asarray(points, dtype=float) - batch.trans[k]) @ batch.normals[k].T + camera_planes(spec)[1]
 
 
 def kernel_contains(batch, k, points):
-    """Pose k's containment verdicts in the kernel's form, n.p >= threshold."""
-    return np.all(np.atleast_2d(points) @ batch.normals[k].T >= batch.thresholds[k], axis=-1)
+    """Pose k's containment verdicts in the kernel's form, n.(p - t) + cut >= 0."""
+    return np.all((np.atleast_2d(points) - batch.trans[k]) @ batch.normals[k].T + batch.cut >= 0.0, axis=-1)
 
 
 # -----------------------------------------------------------------------
@@ -132,7 +133,7 @@ class TestPlaneFrustum:
         f = batch_of(IDENT, spec=spec)
         for sx in (-2, 2):
             for sy in (-2, 2):
-                d = plane_distances(f, 0, [sx, sy, 2.0])
+                d = plane_distances(f, 0, [sx, sy, 2.0], spec)
                 # far plane and the two touching side planes are at 0
                 assert abs(d[1]) < 1e-9
                 assert np.sort(np.abs(d))[:3].max() < 1e-9
@@ -379,13 +380,50 @@ class TestQueryFrameExactness:
         assert unsure < 0.25 * got.sum()
 
 
+class TestWorldOffset:
+    """A score reads only the difference of the two positions: the anchor's
+    planes sit about its own position. So a pose far from the world origin
+    scores as it does near it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(1e-9, 1.0), st.floats(0.0, 1e7),
+           st.sampled_from([FrustumSpec(), FrustumSpec(far=30.0, grid_nx=10, grid_ny=10, grid_nz=10)]))
+    def test_twins_score_one_at_any_offset(self, seed, eps, offset, spec):
+        # at 3e6 to 1e7 m a plane offset taken as n.t_q - n.t_a, a difference
+        # of two products of the position's size, rounds by more than epsilon
+        rng = np.random.default_rng(seed)
+        p = random_pose(rng)
+        t = p.translation.as_array() + rng.choice([-1.0, 1.0], size=3) * offset
+        twin = Pose(p.rotation, Translation(*t))
+        for symmetric in (False, True):
+            cfg = OverlapConfig(frustum=replace(spec, boundary_epsilon=eps), symmetric=symmetric)
+            assert overlap_score(twin, twin, cfg) == 1.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 1e-9, 0.03]),
+           st.tuples(*[st.integers(-10 ** 7 * 2 ** 20, 10 ** 7 * 2 ** 20)] * 3))
+    def test_exact_shift_changes_no_count(self, seed, eps, steps):
+        # positions and shift on a 2^-20 m grid, so that every shifted position
+        # and every difference of two positions is exact: the counts must be
+        # equal bit for bit, at epsilon 0 too
+        spec = FrustumSpec(boundary_epsilon=eps)
+        poses = TestQueryFrameExactness.scene(np.random.default_rng(seed), spec, np.zeros(3))
+        quats = quat_rows(p.rotation for p in poses)
+        trans = np.round(translation_rows(p.translation for p in poses) * 2 ** 20) / 2 ** 20
+        for symmetric in (False, True):
+            cfg = OverlapConfig(frustum=spec, max_relative_rotation_deg=180.0, symmetric=symmetric)
+            want = score_pairs(quats, trans, cfg)
+            got = score_pairs(quats, trans + np.array(steps) / 2 ** 20, cfg)
+            assert want[0].size > 0 and all(map(np.array_equal, got, want))
+
+
 class TestWindowReject:
     """The window reject drops a candidate only when its count bound B gives
     B / n_points <= min_overlap, so it never drops a pair the window keeps."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 1e-9, 0.03]),
-           st.sampled_from([(0.0, 0.0, 0.0), (600.0, -600.0, 529.2)]))
+           st.sampled_from([(0.0, 0.0, 0.0), (600.0, -600.0, 529.2), (1e7, -1e7, 1e7)]))
     def test_bound_covers_every_count(self, seed, eps, origin):
         # twins and whole-lattice-step copies put many probe points on the
         # anchor's planes and the bound's corners on lattice depths, columns

@@ -413,14 +413,6 @@ class TestEvaluate:
         assert report.n_pairs == len(pairs)
         assert report.subspace.count == len(pairs)
 
-    def test_round_trips_through_items(self, rng):
-        from frustoval.metrics import MetricReport
-
-        pairs, preds = random_problem(rng)
-        report = evaluate(pairs, preds)
-        again = MetricReport.from_items(report.to_items())
-        assert again == report
-
     def test_scale_behavior(self, rng):
         # mean/median scale linearly; the volume-aware metrics do not move
         pairs, preds = random_problem(rng)

@@ -54,6 +54,21 @@ class TestGeneratePairs:
         with pytest.warns(UserWarning, match="fewer than 2"):
             assert len(generate_pairs(ps, OverlapConfig())) == 0
 
+    def test_no_poses_score_nothing(self):
+        # the kernel returns three empty arrays at any thread count, and
+        # generate_pairs warns and builds the same empty table as for one pose
+        for symmetric in (False, True):
+            cfg = OverlapConfig(symmetric=symmetric)
+            for threads in (1, 2):
+                got = frustum.score_pairs(np.empty((0, 4)), np.empty((0, 3)), cfg, threads=threads)
+                assert [a.size for a in got] == [0, 0, 0]
+        empty = PairTable([], [], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), config_digest(cfg))
+        one = small_poses(n=2)
+        for n in (0, 1):
+            ps = PoseSet("few", "train", one.frame_ids[:n], one.rotations[:n], one.translations[:n])
+            with pytest.warns(UserWarning, match="fewer than 2"):
+                assert generate_pairs(ps, cfg, threads=2) == empty
+
     def test_two_identical_poses(self):
         p = Pose(Quaternion.identity(), Translation(0, 0, 0), "a")
         q = Pose(Quaternion.identity(), Translation(0, 0, 0), "b")
@@ -179,24 +194,26 @@ class TestGeneratePairs:
         # every third camera turned 150 degrees, so the two gates differ
         turn = Quaternion.from_axis_angle([0, 1, 0], 150.0)
         base = small_poses(n=24)
-        spread = [
-            Pose(p.rotation * turn if i % 3 == 0 else p.rotation,
-                 Translation(p.translation.x + 6.0 * (i % 4), p.translation.y, p.translation.z), p.frame_id)
-            for i, p in enumerate(pose_rows(base))
-        ]
-        ps = pose_set("spread", "train", spread, "synthetic")
-        for eps in (1e-9, 0.03, 0.1):
-            for gate in (110.0, 180.0):
-                for symmetric in (False, True):
-                    spec = FrustumSpec(grid_nx=4, grid_ny=4, grid_nz=4, boundary_epsilon=eps)
-                    cfg = OverlapConfig(frustum=spec, max_relative_rotation_deg=gate, symmetric=symmetric)
-                    dropped.update(grid_candidates=0, spheres_meet=0, separated=0)
-                    with_reject = generate_pairs(ps, cfg)
-                    assert min(dropped.values()) > 0, (dropped, eps, gate, symmetric)
-                    with no_rejects():
-                        without = generate_pairs(ps, cfg)
-                    assert with_reject == without, (eps, gate, symmetric)
-                    assert with_reject
+        # the same placement near the world origin and 1e7 m from it
+        for origin in (np.zeros(3), np.array([1e7, -1e7, 1e7])):
+            spread = [
+                Pose(p.rotation * turn if i % 3 == 0 else p.rotation,
+                     Translation(*(p.translation.as_array() + [6.0 * (i % 4), 0.0, 0.0] + origin)), p.frame_id)
+                for i, p in enumerate(pose_rows(base))
+            ]
+            ps = pose_set("spread", "train", spread, "synthetic")
+            for eps in (1e-9, 0.03, 0.1):
+                for gate in (110.0, 180.0):
+                    for symmetric in (False, True):
+                        spec = FrustumSpec(grid_nx=4, grid_ny=4, grid_nz=4, boundary_epsilon=eps)
+                        cfg = OverlapConfig(frustum=spec, max_relative_rotation_deg=gate, symmetric=symmetric)
+                        dropped.update(grid_candidates=0, spheres_meet=0, separated=0)
+                        with_reject = generate_pairs(ps, cfg)
+                        assert min(dropped.values()) > 0, (dropped, origin, eps, gate, symmetric)
+                        with no_rejects():
+                            without = generate_pairs(ps, cfg)
+                        assert with_reject == without, (origin, eps, gate, symmetric)
+                        assert with_reject
 
     def test_inflated_frustum_reject_regression(self, no_rejects):
         # an eps-inflated far corner meets the other camera's far corner tip

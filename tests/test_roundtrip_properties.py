@@ -77,7 +77,7 @@ def write(path, table):
         dataset.write_pairs(path, table, CFG, min_overlap=0.0, max_overlap=1.0)
         return dataset.read_pairs(path).pairs
     dataset.write_predictions(path, table, config_digest=table.config_digest)
-    return dataset.read_predictions(path).predictions
+    return dataset.read_predictions(path)
 
 
 def kept_verbatim(rotations) -> bool:

@@ -128,8 +128,7 @@ class TestSynthPredict:
         pairs = self.pairs()
         mean_rel = naive_predictor(pairs).mean_rel
         const = synth_predict(pairs, SynthPredictor(kind="constant", constant=mean_rel))
-        naive = synth_predict(pairs, SynthPredictor(kind="naive"))
-        assert const == naive
+        assert const == naive_predictor(pairs).predict(pairs)
 
     def test_noisy_error_grows_with_sigma(self):
         pairs = self.pairs()
@@ -157,8 +156,9 @@ class TestSynthPredict:
         assert synth_predict(pairs, spec, seed=5) != synth_predict(pairs, spec, seed=6)
 
     def test_invalid_predictors(self):
-        with pytest.raises(ValueError):
-            SynthPredictor(kind="oracle")
+        for kind in ("oracle", "naive"):  # the naive baseline is metrics.naive_predictor
+            with pytest.raises(ValueError, match="unknown predictor kind"):
+                SynthPredictor(kind=kind)
         with pytest.raises(ValueError):
             SynthPredictor(kind="noisy", sigma_t=-1)
         with pytest.raises(ValueError):
