@@ -11,10 +11,14 @@ significant digits and records are sorted by their ids, so identical logical
 content serializes byte-identically and write -> read -> write is a fixed
 point.
 
-Pose, pair and prediction files are read once and their records parsed by
-one structured `np.loadtxt` call, so numbers take the syntax loadtxt reads.
-A refusal names `path:LINE:` when one line is at fault and `path:` otherwise;
-the line is looked up only after a check fails.
+Pose, pair and prediction files are read and written `_CHUNK_ROWS` lines at
+a time, so the memory they take beyond the table's own columns does not grow
+with the file. A reader parses each chunk of lines with one structured
+`np.loadtxt` call, so numbers take the syntax loadtxt reads, and encodes the
+chunk's ids into one growing frame-id vocabulary; a writer gathers, checks
+and %-formats one chunk of rows at a time. A refusal names `path:LINE:` when
+one line is at fault and `path:` otherwise; only after a check fails is the
+file read again to find that line.
 
 Ingested poses (public datasets, synthetic trajectories) are rounded to the
 same 9-significant-digit precision (`round9_array`) before they become a
@@ -24,6 +28,7 @@ PoseSet, which makes parse -> serialize -> parse an exact identity as well.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import operator
 import os
@@ -48,6 +53,9 @@ RELATIVE_CONVENTION = "inverse(anchor)*query"
 # parsed quaternions are kept verbatim when this close to unit norm, so that
 # canonical files survive read/write cycles byte-exactly
 _PARSE_NORM_SLACK = 1e-8
+
+# record files are parsed, and formatted, this many lines at a time
+_CHUNK_ROWS = 1024
 
 
 class FormatError(Exception):
@@ -384,51 +392,59 @@ def _write_header(fh, kind: str, entries: dict):
         fh.write("# {}={}\n".format(k, str(v).replace("\n", " ")))
 
 
-def _read_lines(path):
+def _open(path):
     try:
-        text = Path(path).read_text()
+        return open(path)
     except FileNotFoundError:
         raise FormatError(f"missing input file: {path}") from None
-    return text.splitlines()
+
+
+def _read_lines(path):
+    """Every line of a file, split where iterating the open file splits it."""
+    try:
+        return Path(path).read_text().split("\n")
+    except FileNotFoundError:
+        raise FormatError(f"missing input file: {path}") from None
 
 
 def _header_block(path, lines, expected: str | None = None):
-    """(kind, header dict, index of the first record line): the magic line,
-    then the consecutive `# key=value` lines. Blank lines among them are
-    skipped and a repeated key keeps its last value. A kind other than
-    `expected`, when given, is refused."""
-    if not lines or lines[0] != FORMAT_LINE:
+    """(kind, header dict, the lines from the first record line on): reads the
+    magic line, then the consecutive `# key=value` lines, from the iterator
+    `lines`. Blank lines among them are skipped and a repeated key keeps its
+    last value. A kind other than `expected`, when given, is refused."""
+    if next(lines, "").rstrip("\n") != FORMAT_LINE:
         raise FormatError(
             f"{path}: not a frustoval v1 file (expected first line {FORMAT_LINE!r})"
         )
-    header = {}
-    for end in range(1, len(lines)):
-        ln = lines[end]
+    header, first = {}, ()
+    for lineno, ln in enumerate(lines, start=2):
+        ln = ln.rstrip("\n")
         if ln.startswith("# "):
             key, sep, value = ln[2:].partition("=")
             if not sep:
-                raise FormatError(f"{path}:{end + 1}: malformed header line {ln!r}")
+                raise FormatError(f"{path}:{lineno}: malformed header line {ln!r}")
             header[key] = value
         elif ln.strip():
+            first = (ln,)
             break
-    else:
-        end = len(lines)
     kind = header.pop("kind", None)
     if kind is None:
         raise FormatError(f"{path}: header has no kind entry")
     if expected not in (None, kind):
         raise FormatError(f"{path}: expected a {expected} file, found kind={kind}")
-    return kind, header, end
+    return kind, header, itertools.chain(first, lines)
 
 
 def read_header(path):
     """Return (kind, header dict, record lines) of a canonical file."""
     lines = _read_lines(path)
-    kind, header, start = _header_block(path, lines)
-    late = next((i for i in range(start, len(lines)) if lines[i].startswith("# ")), None)
+    kind, header, records = _header_block(path, iter(lines))
+    records = list(records)
+    late = next((i for i, ln in enumerate(records) if ln.startswith("# ")), None)
     if late is not None:
-        raise FormatError(f"{path}:{late + 1}: header line {lines[late]!r} after the first record")
-    return kind, header, [ln for ln in lines[start:] if ln.strip()]
+        lineno = len(lines) - len(records) + late + 1
+        raise FormatError(f"{path}:{lineno}: header line {records[late]!r} after the first record")
+    return kind, header, [ln for ln in records if ln.strip()]
 
 
 def _record_lineno(lines, k: int) -> int:
@@ -440,12 +456,14 @@ def _record_lineno(lines, k: int) -> int:
 
 
 @contextmanager
-def _located(path, lines):
+def _located(path):
     """Prefix a FormatError raised inside with the file and, for a _Refused,
-    its line: the record's, or the header entry's last (the one kept)."""
+    its line: the record's, or the header entry's last (the one kept). The
+    file is read again to find that line."""
     try:
         yield
     except _Refused as e:
+        lines = _read_lines(path)
         if e.key is None:
             lineno = _record_lineno(lines, e.row)
         else:
@@ -477,6 +495,7 @@ def _first_refused(body, dtype) -> int:
 
 def _refusal(line: str, names, n_ids: int, record: str) -> str:
     """Why a record line was refused, found on that line alone."""
+    line = line.rstrip("\n")
     tokens = line.split()
     if tokens[:1] == ["#"]:
         return f"header line {line!r} after the first record"
@@ -492,33 +511,57 @@ def _refusal(line: str, names, n_ids: int, record: str) -> str:
 
 
 def _read_records(path, kind: str, columns: str):
-    """Read a record file once: (header, id columns as lists of str, (M,
-    fields) float64 array of the numbers, lines). One structured np.loadtxt
-    parses every line after the header block, skipping blank ones; the line
-    of a refused record is looked up only then."""
-    lines = _read_lines(path)
-    _, header, start = _header_block(path, lines, kind)
+    """Read a record file: (header, the sorted frame ids its records use, per
+    id column an int32 array of indices into them, (M, fields) float64 array
+    of the numbers).
+
+    The records are parsed _CHUNK_ROWS lines at a time, each chunk by one
+    structured np.loadtxt call that skips blank lines, and each chunk's ids
+    are encoded into one growing id -> index dict, so no line or per-row id
+    string outlives its chunk. The first line np.loadtxt refuses is refused; failing
+    that, the first record with a non-finite number or read from a late
+    header line is."""
     names = columns.split()
     n_ids = sum(name.endswith("_id") for name in names)
     dtype = np.dtype([*((name, object) for name in names[:n_ids]),
                       ("values", np.float64, (len(names) - n_ids,))])
-    try:
-        table = _loadtxt(lines[start:], dtype)
-    except ValueError:
-        i = start + _first_refused(lines[start:], dtype)
-    else:
-        ids, values = [table[name].tolist() for name in names[:n_ids]], table["values"]
-        bad = ~np.isfinite(values).all(axis=1)
-        if "#" in ids[0]:  # a header line with as many fields as a record
-            bad[ids[0].index("#")] = True
-        if not bad.any():
-            with _located(path, lines):
-                declared = _entry(header, "count", int, len(values))
-                if declared != len(values):
-                    raise FormatError(f"header declares {declared} records, found {len(values)}")
-            return header, ids, values, lines
-        i = _record_lineno(lines, int(np.argmax(bad))) - 1
-    raise FormatError(f"{path}:{i + 1}: {_refusal(lines[i], names, n_ids, kind[:-1])}")
+    index, codes, values, rows, pending = {}, [[] for _ in range(n_ids)], [], 0, None
+    with _open(path) as fh:
+        _, header, records = _header_block(path, fh, kind)
+        with _located(path):
+            while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
+                try:
+                    table = _loadtxt(chunk, dtype)
+                except ValueError:
+                    i = _first_refused(chunk, dtype)
+                    raise _Refused(_refusal(chunk[i], names, n_ids, kind[:-1]),
+                                   row=rows + sum(1 for ln in chunk[:i] if ln.strip())) from None
+                ids = [table[name].tolist() for name in names[:n_ids]]
+                bad = ~np.isfinite(table["values"]).all(axis=1)
+                if "#" in ids[0]:  # a header line with as many fields as a record
+                    bad[ids[0].index("#")] = True
+                if pending is None and bad.any():
+                    k = int(np.argmax(bad))
+                    line = [ln for ln in chunk if ln.strip()][k]
+                    pending = _Refused(_refusal(line, names, n_ids, kind[:-1]), row=rows + k)
+                for column, chunk_ids in zip(codes, ids):
+                    new = set(chunk_ids).difference(index)
+                    index.update(zip(new, range(len(index), len(index) + len(new))))
+                    column.append(np.fromiter(map(index.__getitem__, chunk_ids), np.int32, len(chunk_ids)))
+                values.append(table["values"].copy())  # a view would keep the chunk's id strings
+                rows += len(table)
+            if pending is not None:
+                raise pending
+            values = np.concatenate([np.empty((0, dtype["values"].shape[0])), *values])
+            declared = _entry(header, "count", int, len(values))
+            if declared != len(values):
+                raise FormatError(f"header declares {declared} records, found {len(values)}")
+    frame_ids = list(index)
+    order = sorted(range(len(frame_ids)), key=frame_ids.__getitem__)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return (header, [frame_ids[k] for k in order],
+            tuple(rank[np.concatenate([np.empty(0, np.int32), *column])] for column in codes), values)
 
 
 def _parsed_quats(q: np.ndarray) -> np.ndarray:
@@ -567,16 +610,24 @@ def _write_table(path, kind: str, entries: dict, columns: str, count: int, lines
         fh.writelines(lines)
 
 
-def _write_records(path, kind: str, entries: dict, columns: str, ids, numbers):
-    """Write a record file: one line per row of the id columns and the numeric
-    columns, each number as fnum prints it, through one %-format per row. A
-    non-finite number is refused."""
-    values = np.column_stack(numbers) + 0.0  # + 0.0 turns -0 into 0, as fnum does
-    if not np.isfinite(values).all():
-        raise ValueError(f"cannot serialize non-finite number {float(values[~np.isfinite(values)][0])!r}")
-    line = " ".join(["%s"] * len(ids) + ["%.9g"] * values.shape[1]) + "\n"
-    _write_table(path, kind, entries, columns, len(values),
-                 (line % row for row in zip(*ids, *values.T.tolist())))
+def _write_records(path, kind: str, entries: dict, columns: str, frame_ids, id_columns, numbers):
+    """Write a record file: one line per row of the id columns (indices into
+    `frame_ids`) and the numeric columns, each number as fnum prints it,
+    through one %-format per row. Rows are gathered, checked and formatted
+    _CHUNK_ROWS at a time; a non-finite number is refused."""
+    ids = np.array(frame_ids, dtype=object)
+    line = " ".join(["%s"] * len(id_columns) + ["%.9g"] * len(numbers)) + "\n"
+
+    def chunks():
+        for lo in range(0, len(id_columns[0]), _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            values = np.column_stack([c[rows] for c in numbers]) + 0.0  # + 0.0 turns -0 into 0, as fnum does
+            if not np.isfinite(values).all():
+                raise ValueError(f"cannot serialize non-finite number {float(values[~np.isfinite(values)][0])!r}")
+            yield "".join(map(line.__mod__, zip(*(ids[c[rows]].tolist() for c in id_columns),
+                                                *values.T.tolist())))
+
+    _write_table(path, kind, entries, columns, len(id_columns[0]), chunks())
 
 
 # ---------------------------------------------------------------------------
@@ -596,25 +647,25 @@ def write_poses(path, ps: PoseSet, extra: dict | None = None):
         **(extra or {}),
     }
     _check_ids(ps.frame_ids)
-    _write_records(path, "poses", entries, _POSE_COLUMNS, (ps.frame_ids,),
+    _write_records(path, "poses", entries, _POSE_COLUMNS, ps.frame_ids, (np.arange(len(ps)),),
                    (*ps.rotations.T, *ps.translations.T))
 
 
 def read_poses(path) -> PoseSet:
-    header, (ids,), values, lines = _read_records(path, "poses", _POSE_COLUMNS)
-    with _located(path, lines):
+    header, frame_ids, (codes,), values = _read_records(path, "poses", _POSE_COLUMNS)
+    with _located(path):
         split = header.get("split", "train")
         if split not in ("train", "test"):
             raise _Refused(f"split must be 'train' or 'test', got {split!r}", key="split")
-        if len(set(ids)) != len(ids):
-            seen = set()
-            k = next(k for k, f in enumerate(ids) if f in seen or seen.add(f))
-            raise _Refused(f"duplicate frame id {ids[k]!r}", row=k)
+        if len(frame_ids) != len(codes):
+            order = np.argsort(codes, kind="stable")
+            k = int(order[1:][np.diff(codes[order]) == 0].min())  # the first row of an id seen before
+            raise _Refused(f"duplicate frame id {frame_ids[codes[k]]!r}", row=k)
         rotations = _parsed_quats(values[:, 0:4])
     return PoseSet(
         scene_name=header.get("scene", ""),
         split=split,
-        frame_ids=ids,
+        frame_ids=[frame_ids[k] for k in codes.tolist()],
         rotations=rotations,
         translations=values[:, 4:7],
         source_format=header.get("source_format", "canonical"),
@@ -676,13 +727,13 @@ def write_pairs(path, pairs: PairTable, cfg: OverlapConfig, *, min_overlap: floa
         **convention_entries(),
         **(extra or {}),
     }
-    _write_records(path, "pairs", entries, _PAIR_COLUMNS, pairs.id_columns(),
+    _write_records(path, "pairs", entries, _PAIR_COLUMNS, pairs.frame_ids, (pairs.anchors, pairs.queries),
                    (pairs.overlaps, *pairs.rotations.T, *pairs.translations.T))
 
 
 def read_pairs(path) -> PairFileData:
-    header, (anchor_ids, query_ids), values, lines = _read_records(path, "pairs", _PAIR_COLUMNS)
-    with _located(path, lines):
+    header, frame_ids, (anchors, queries), values = _read_records(path, "pairs", _PAIR_COLUMNS)
+    with _located(path):
         cfg = config_from_header(header)
         lo = _entry(header, "min_overlap", default="0")
         hi = _entry(header, "max_overlap", default="1")
@@ -690,11 +741,10 @@ def read_pairs(path) -> PairFileData:
         digest = header.get("config_digest", "")
         if config_digest(cfg) != digest:
             raise FormatError(f"stored config_digest {digest} does not match the header configuration")
-        frame_ids, anchors, queries = _encode_ids(anchor_ids, query_ids)
         same = anchors == queries
         if same.any():
             k = int(np.argmax(same))
-            raise _Refused(f"pair must join two distinct frames, got {anchor_ids[k]!r} twice", row=k)
+            raise _Refused(f"pair must join two distinct frames, got {frame_ids[anchors[k]]!r} twice", row=k)
         overlaps = values[:, 0]
         inside = (overlaps > lo) & (overlaps <= hi)
         if not inside.all():
@@ -726,16 +776,16 @@ def write_predictions(path, predictions: PairTable, *, config_digest: str, predi
         **convention_entries(),
         **(extra or {}),
     }
-    _write_records(path, "predictions", entries, _PRED_COLUMNS, predictions.id_columns(),
+    _write_records(path, "predictions", entries, _PRED_COLUMNS, predictions.frame_ids,
+                   (predictions.anchors, predictions.queries),
                    (*predictions.rotations.T, *predictions.translations.T))
 
 
 def read_predictions(path) -> PairTable:
     """The prediction table of a file, carrying the digest of the pairs it was
     made for ('' when the header names none)."""
-    header, (anchor_ids, query_ids), values, lines = _read_records(path, "predictions", _PRED_COLUMNS)
-    with _located(path, lines):
-        frame_ids, anchors, queries = _encode_ids(anchor_ids, query_ids)
+    header, frame_ids, (anchors, queries), values = _read_records(path, "predictions", _PRED_COLUMNS)
+    with _located(path):
         _check_keys(frame_ids, anchors, queries, "prediction")
         rotations = _parsed_quats(values[:, 0:4])
     return PairTable(frame_ids, anchors, queries, rotations, values[:, 4:7],
@@ -784,7 +834,8 @@ def _report_value(v: str):
 
 
 def read_report(path) -> dict:
-    _, header, _ = _header_block(path, _read_lines(path), "report")
+    with _open(path) as fh:
+        _, header, _ = _header_block(path, fh, "report")
     return {k: _report_value(v) for k, v in header.items()}
 
 
@@ -882,7 +933,7 @@ def parse_sevenscenes(scene_dir, split: str = "train", scene_name: str | None = 
     Each pose file is a whitespace-separated 4x4 camera-to-world matrix; the
     rotation block is snapped to the nearest rotation before conversion.
     A malformed file raises ParseError naming the first of them in file
-    order.
+    order, and so does a split with no pose file.
     """
     scene_dir = Path(scene_dir)
     if not scene_dir.is_dir():
@@ -892,6 +943,8 @@ def parse_sevenscenes(scene_dir, split: str = "train", scene_name: str | None = 
     pose_files = []
     for root in roots:
         pose_files.extend(sorted(root.glob("frame-*.pose.txt")))
+    if not pose_files:
+        raise ParseError(f"{scene_dir}: no frame-*.pose.txt files for the {split} split")
     errors, read, values = {}, [], []
     for k, pf in enumerate(pose_files):
         try:
@@ -927,7 +980,8 @@ def parse_cambridge(dataset_file, scene_name: str | None = None, split: str | No
     position is the camera center in world coordinates and the quaternion is
     the world-to-camera rotation. Both are converted to the toolkit's
     camera-to-world convention here, so no other layer needs to know the
-    difference. A malformed line raises ParseError naming the first of them.
+    difference. A malformed line raises ParseError naming the first of them;
+    a file with no pose line raises ParseError too.
     """
     dataset_file = Path(dataset_file)
     if split is None:
@@ -967,6 +1021,8 @@ def parse_cambridge(dataset_file, scene_name: str | None = None, split: str | No
     if errors:
         lineno, msg = min(errors)
         raise ParseError(f"{dataset_file}:{lineno}: {msg}")
+    if not ids:
+        raise ParseError(f"{dataset_file}: no pose lines after the three header lines")
     bad_norms = int(np.sum(np.abs(norms - 1.0) > 1e-3))
     # file stores world-to-camera rotation; camera-to-world is its conjugate
     q_c2w = geometry.normalize_quat_rows(

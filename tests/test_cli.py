@@ -24,6 +24,19 @@ FRUSTUM_FLAGS = ["--hfov", "58", "--vfov", "45", "--near", "0.1", "--far", "4.0"
                  "--grid", GRID, "--max-rot", "110"]
 
 
+def peak_rss_mb(*argv) -> float:
+    """Peak RSS, in MB, of `frustoval argv` run in a child process that must exit 0."""
+    # a process started straight from this one would count this process's
+    # pages in its ru_maxrss, so a small launcher starts and measures it
+    launcher = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
+                "_, s, ru = os.wait4(p.pid, 0); print(os.waitstatus_to_exitcode(s), ru.ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-S", "-c", launcher, sys.executable, "-m", "frustoval.cli", *argv],
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True)
+    code, max_rss_kb = map(int, proc.stdout.split())  # ru_maxrss is in kB on Linux
+    assert code == 0, proc.stderr
+    return max_rss_kb / 1024
+
+
 @pytest.fixture
 def poses_file(tmp_path):
     out = tmp_path / "poses.txt"
@@ -154,6 +167,24 @@ class TestIngest:
         ps = dataset.read_poses(out)
         assert len(ps) == 2 and ps.split == "test"
 
+    def test_sevenscenes_without_pose_files_refused(self, tmp_path, capsys):
+        scene = tmp_path / "typo"
+        scene.mkdir()
+        out = tmp_path / "x.poses"
+        rc = main(["ingest", "--format", "sevenscenes", "--input", str(scene), "--out", str(out)])
+        assert rc == 2
+        assert f"{scene}: no frame-*.pose.txt files for the train split" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cambridge_without_pose_lines_refused(self, tmp_path, capsys):
+        f = tmp_path / "dataset_train.txt"
+        f.write_text("Visual Landmark Dataset V1\nImageFile, Camera Position [X Y Z W P Q R]\n\n")
+        out = tmp_path / "x.poses"
+        rc = main(["ingest", "--format", "cambridge", "--input", str(f), "--out", str(out)])
+        assert rc == 2
+        assert f"{f}: no pose lines after the three header lines" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPairs:
     def test_header_echoes_all_flags(self, pairs_file):
@@ -206,17 +237,33 @@ class TestPairs:
         # while per-pose rotations, planes and corners take about 12 MB
         poses = tmp_path / "street.poses"
         dataset.write_poses(poses, street_poses(20_000))
-        # a process started straight from this one would count this process's
-        # pages in its ru_maxrss, so a small launcher starts and measures it
-        launcher = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
-                    "_, s, ru = os.wait4(p.pid, 0); print(os.waitstatus_to_exitcode(s), ru.ru_maxrss)")
-        proc = subprocess.run([sys.executable, "-S", "-c", launcher, sys.executable, "-m", "frustoval.cli",
-                               "pairs", "--poses", str(poses), "--far", "30", "--grid", "10x10x10",
-                               "--min-overlap", "0.3", "--threads", "2", "--out", str(tmp_path / "street.pairs")],
-                              stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True)
-        code, max_rss_kb = map(int, proc.stdout.split())  # ru_maxrss is in kB on Linux
-        assert code == 0, proc.stderr
-        assert max_rss_kb < 200 * 1024
+        assert peak_rss_mb("pairs", "--poses", str(poses), "--far", "30", "--grid", "10x10x10",
+                           "--min-overlap", "0.3", "--threads", "2", "--out", str(tmp_path / "street.pairs")) < 200
+
+
+class TestRecordFileMemory:
+    def test_memory_bounded_at_246k_pair_rows(self, tmp_path):
+        # the pair file of 500 poses at a (0, 1] window, 30 MB of text: a
+        # reader holding the whole file, its lines and their id strings, or a
+        # writer holding every row as Python objects, took naive, eval and
+        # histogram to 154-187 MB; read and written a chunk of rows at a time
+        # they take 76-123 MB, most of it numpy and the columns
+        n, m = 500, 246_426
+        anchors, queries = np.divmod(np.arange(n * n), n)
+        distinct = anchors != queries
+        anchors, queries = anchors[distinct][:m], queries[distinct][:m]
+        rng = np.random.default_rng(5)
+        rotations = rng.normal(size=(m, 4))
+        rotations /= np.linalg.norm(rotations, axis=1, keepdims=True)
+        cfg = OverlapConfig()
+        pairs = PairTable([f"seq-01/frame-{k:06d}" for k in range(n)], anchors, queries, rotations,
+                          rng.normal(size=(m, 3)), rng.uniform(0.01, 1.0, m), config_digest(cfg))
+        pairs_file, pred = tmp_path / "all.pairs", tmp_path / "naive.pred"
+        dataset.write_pairs(pairs_file, pairs, cfg, min_overlap=0.0, max_overlap=1.0)
+        assert peak_rss_mb("naive", "--pairs", str(pairs_file), "--out", str(pred)) < 110
+        assert peak_rss_mb("eval", "--pairs", str(pairs_file), "--pred", str(pred),
+                           "--out", str(tmp_path / "r.report")) < 150
+        assert peak_rss_mb("histogram", "--pairs", str(pairs_file), "--out", str(tmp_path / "h.csv")) < 110
 
 
 class TestReadme:

@@ -19,7 +19,7 @@ from frustoval import (
     parse_sevenscenes,
     rotation_error,
 )
-from frustoval import dataset
+from frustoval import dataset, geometry
 from frustoval.dataset import (
     DigestMismatchError,
     FormatError,
@@ -630,3 +630,140 @@ class TestRecordReader:
             with pytest.raises(FormatError, match=r"a\.pairs:\d+: "):
                 dataset.read_pairs(f)
             assert reads == [f]
+
+
+def _earlier_key(t, earlier):
+    """The record's numbers under the key of a record before it."""
+    return [*earlier[:2], *t[2:]]
+
+
+class TestChunkBoundaries:
+    """Records are parsed a chunk of lines at a time. A refusal past the first
+    chunk, after blank lines, keeps its message and names its line, whether the
+    refused line ends the first chunk, starts the second or sits inside it."""
+
+    BLANKS = ["", "  \t", ""]
+    OFFSETS = ("last of the first chunk", "first of the second chunk", "inside the second chunk")
+
+    @staticmethod
+    def offset(where) -> int:
+        """Line offset of the refused line from the first record line."""
+        n = dataset._CHUNK_ROWS
+        return {"last of the first chunk": n - 1, "first of the second chunk": n,
+                "inside the second chunk": n + n // 2}[where]
+
+    def spoil(self, f, lines, where, edit):
+        """Put the blank lines before the record at `where` and replace that
+        record by edit(fields, fields of the record two before); return the
+        refused line's number and its new text."""
+        i = _first_record(lines) + self.offset(where) - len(self.BLANKS)
+        new = edit(lines[i].split(), lines[i - 2].split())
+        new = new if isinstance(new, str) else " ".join(new)
+        _rewrite(f, [*lines[:i], *self.BLANKS, new, *lines[i + 1:]])
+        return i + len(self.BLANKS) + 1, new
+
+    def pair_file(self, tmp_path, lo=0.0):
+        cfg = OverlapConfig()
+        f = tmp_path / "a.pairs"
+        pairs = random_pairs(np.random.default_rng(7), 2 * dataset._CHUNK_ROWS + 50, config_digest(cfg),
+                             lo=max(lo, 0.05))
+        dataset.write_pairs(f, pairs, cfg, min_overlap=lo, max_overlap=1.0)
+        return f, f.read_text().splitlines()
+
+    PAIR_SPOILS = {
+        "bad field": (lambda t, _: [*t[:6], "0.5x", *t[7:]], lambda t: "bad qz value '0.5x'"),
+        "field count": (lambda t, _: t[:-1], lambda t: f"pair record needs 10 fields, got 9: {' '.join(t)!r}"),
+        "non-finite": (lambda t, _: [*t[:3], "inf", *t[4:]], lambda t: "non-finite qw value 'inf'"),
+        "late header": (lambda t, _: "# note=late", lambda t: "header line '# note=late' after the first record"),
+        "late header with record fields": (
+            lambda t, _: "# b-9999 0.5 1 0 0 0 0 0 0",
+            lambda t: "header line '# b-9999 0.5 1 0 0 0 0 0 0' after the first record"),
+        "unsorted key": (_earlier_key, lambda t: f"unsorted pair key ('{t[0]}', '{t[1]}'): records must be sorted "
+                                              "by (anchor_id, query_id) without repeats"),
+        "self pair": (lambda t, _: [t[0], t[0], *t[2:]], lambda t: f"pair must join two distinct frames, "
+                                                                   f"got '{t[0]}' twice"),
+        "zero quaternion": (lambda t, _: [*t[:3], "0", "0", "0", "0", *t[7:]],
+                            lambda t: "zero quaternion cannot be normalized"),
+        "overflowing quaternion": (lambda t, _: [*t[:3], "1e200", *t[4:]],
+                                   lambda t: "quaternion's squared norm overflows"),
+    }
+
+    @pytest.mark.parametrize("where", OFFSETS)
+    @pytest.mark.parametrize("spoil", PAIR_SPOILS)
+    def test_pair_refusal(self, tmp_path, spoil, where):
+        f, lines = self.pair_file(tmp_path)
+        edit, message = self.PAIR_SPOILS[spoil]
+        lineno, new = self.spoil(f, lines, where, edit)
+        with pytest.raises(FormatError) as e:
+            dataset.read_pairs(f)
+        assert str(e.value) == f"{f}:{lineno}: {message(new.split())}"
+
+    @pytest.mark.parametrize("where", OFFSETS)
+    def test_duplicate_key(self, tmp_path, where):
+        f, lines = self.pair_file(tmp_path)
+        i = _first_record(lines) + self.offset(where) - len(self.BLANKS)
+        _rewrite(f, [*lines[:i], *self.BLANKS, lines[i - 1], *lines[i + 1:]])
+        a, q = lines[i - 1].split()[:2]
+        with pytest.raises(FormatError) as e:
+            dataset.read_pairs(f)
+        assert str(e.value) == (f"{f}:{i + len(self.BLANKS) + 1}: duplicate pair key ('{a}', '{q}'): "
+                                "records must be sorted by (anchor_id, query_id) without repeats")
+
+    @pytest.mark.parametrize("where", OFFSETS)
+    def test_overlap_outside_the_window(self, tmp_path, where):
+        f, lines = self.pair_file(tmp_path, lo=0.3)
+        lineno, _ = self.spoil(f, lines, where, lambda t, _: [*t[:2], "0.25", *t[3:]])
+        with pytest.raises(FormatError) as e:
+            dataset.read_pairs(f)
+        assert str(e.value) == f"{f}:{lineno}: overlap 0.25 outside the header's (0.3, 1]"
+
+    @pytest.mark.parametrize("where", OFFSETS)
+    def test_duplicate_frame_id(self, tmp_path, where):
+        f = tmp_path / "p.poses"
+        n = 2 * dataset._CHUNK_ROWS + 50
+        rng = np.random.default_rng(3)
+        dataset.write_poses(f, PoseSet("s", "train", [f"f{k:05d}" for k in range(n)],
+                                       geometry.normalize_quat_rows(rng.normal(size=(n, 4))),
+                                       rng.normal(size=(n, 3))))
+        lineno, new = self.spoil(f, f.read_text().splitlines(), where, lambda t, prev: [prev[0], *t[1:]])
+        with pytest.raises(FormatError) as e:
+            dataset.read_poses(f)
+        assert str(e.value) == f"{f}:{lineno}: duplicate frame id '{new.split()[0]}'"
+
+    @pytest.mark.parametrize("where", OFFSETS)
+    def test_count_mismatch(self, tmp_path, where):
+        f, lines = self.pair_file(tmp_path)
+        i = _first_record(lines) + self.offset(where) - len(self.BLANKS)
+        _rewrite(f, [*lines[:i], *self.BLANKS, *lines[i + 1:]])
+        n = len(lines) - _first_record(lines)
+        with pytest.raises(FormatError) as e:
+            dataset.read_pairs(f)
+        assert str(e.value) == f"{f}: header declares {n} records, found {n - 1}"
+
+    def test_unreadable_line_in_a_later_chunk_named_before_an_earlier_non_finite(self, tmp_path):
+        # as for a file parsed whole: a line np.loadtxt refuses comes first
+        f, lines = self.pair_file(tmp_path)
+        first = _first_record(lines)
+        lines[first + 2] = " ".join([*lines[first + 2].split()[:3], "nan", *lines[first + 2].split()[4:]])
+        lineno, _ = self.spoil(f, lines, "inside the second chunk", lambda t, _: [*t[:7], "1.2.3", *t[8:]])
+        with pytest.raises(FormatError) as e:
+            dataset.read_pairs(f)
+        assert str(e.value) == f"{f}:{lineno}: bad tx value '1.2.3'"
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_chunk_size_changes_no_byte_and_no_table(self, tmp_path, monkeypatch, chunk):
+        f, _ = self.pair_file(tmp_path)
+        pairs = dataset.read_pairs(f).pairs
+        preds = random_predictions(np.random.default_rng(2), 200, digest="d")
+        g = tmp_path / "a.pred"
+        dataset.write_predictions(g, preds, config_digest="d")
+        preds = dataset.read_predictions(g)
+        monkeypatch.setattr(dataset, "_CHUNK_ROWS", chunk)
+        assert dataset.read_pairs(f).pairs == pairs
+        assert dataset.read_predictions(g) == preds
+        for write, path, table, kw in ((dataset.write_pairs, f, pairs, dict(cfg=OverlapConfig(), min_overlap=0.0,
+                                                                           max_overlap=1.0)),
+                                       (dataset.write_predictions, g, preds, dict(config_digest="d"))):
+            again = tmp_path / ("again" + path.suffix)
+            write(again, table, **kw)
+            assert again.read_bytes() == path.read_bytes()
