@@ -396,7 +396,8 @@ def cmd_eval(args) -> int:
     pf = dataset.read_pairs(args.pairs)
     preds = dataset.read_predictions(args.pred)
     dataset.check_digest_match(pf.pairs.config_digest, preds.config_digest)
-    orphans = metrics.unmatched_predictions(pf.pairs, preds)
+    rows = metrics.align_predictions(pf.pairs, preds)
+    orphans = metrics.unmatched_predictions(pf.pairs, preds, rows)
     if orphans:
         raise EvaluationError(
             f"predictions reference pair keys absent from the pair file: {orphans[:10]}"
@@ -413,7 +414,7 @@ def cmd_eval(args) -> int:
     if not 0.0 <= threshold <= 1.0:
         raise UsageError(f"bad --subspace-threshold {threshold!r}, expected an overlap in [0, 1]")
     report = metrics.evaluate(pf.pairs, preds, cfg, naive_source_pairs=naive_source_pairs,
-                              subspace_threshold=threshold, include=include)
+                              subspace_threshold=threshold, include=include, rows=rows)
     dataset.write_report(
         args.out, report.to_items(),
         extra={**dataset.config_header_entries(pf.cfg), **dataset.convention_entries()},

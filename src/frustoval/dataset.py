@@ -510,23 +510,36 @@ def _refusal(line: str, names, n_ids: int, record: str) -> str:
     return f"unreadable {record} record {line!r}"
 
 
-def _read_records(path, kind: str, columns: str):
+def _line_count(path) -> int:
+    """At least as many as the lines iterating the open file yields: one more
+    than its CR and LF characters together."""
+    with open(path, "rb") as fh:
+        return 1 + sum(block.count(b"\n") + block.count(b"\r") for block in iter(lambda: fh.read(1 << 16), b""))
+
+
+def _read_records(path, kind: str, columns: str, widths):
     """Read a record file: (header, the sorted frame ids its records use, per
-    id column an int32 array of indices into them, (M, fields) float64 array
-    of the numbers).
+    id column an int32 array of indices into them, per entry of `widths` an
+    (M, width) float64 array of the next `width` numbers of each record).
 
     The records are parsed _CHUNK_ROWS lines at a time, each chunk by one
     structured np.loadtxt call that skips blank lines, and each chunk's ids
     are encoded into one growing id -> index dict, so no line or per-row id
-    string outlives its chunk. The first line np.loadtxt refuses is refused; failing
-    that, the first record with a non-finite number or read from a late
-    header line is."""
+    string outlives its chunk. Each chunk's id codes and numbers are written
+    into columns made once, as long as the file has lines, so the reader
+    holds every column once and never joins or copies it. The first line
+    np.loadtxt refuses is refused; failing that, the first record with a
+    non-finite number or read from a late header line is."""
     names = columns.split()
     n_ids = sum(name.endswith("_id") for name in names)
     dtype = np.dtype([*((name, object) for name in names[:n_ids]),
                       ("values", np.float64, (len(names) - n_ids,))])
-    index, codes, values, rows, pending = {}, [[] for _ in range(n_ids)], [], 0, None
+    bounds = list(itertools.accumulate(widths, initial=0))
+    index, rows, pending = {}, 0, None
     with _open(path) as fh:
+        size = _line_count(path)
+        codes = [np.empty(size, np.int32) for _ in range(n_ids)]
+        groups = [np.empty((size, width)) for width in widths]
         _, header, records = _header_block(path, fh, kind)
         with _located(path):
             while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
@@ -544,44 +557,45 @@ def _read_records(path, kind: str, columns: str):
                     k = int(np.argmax(bad))
                     line = [ln for ln in chunk if ln.strip()][k]
                     pending = _Refused(_refusal(line, names, n_ids, kind[:-1]), row=rows + k)
+                cut = slice(rows, rows + len(table))
                 for column, chunk_ids in zip(codes, ids):
                     new = set(chunk_ids).difference(index)
                     index.update(zip(new, range(len(index), len(index) + len(new))))
-                    column.append(np.fromiter(map(index.__getitem__, chunk_ids), np.int32, len(chunk_ids)))
-                values.append(table["values"].copy())  # a view would keep the chunk's id strings
+                    column[cut] = np.fromiter(map(index.__getitem__, chunk_ids), np.int32, len(chunk_ids))
+                for group, lo, hi in zip(groups, bounds, bounds[1:]):
+                    group[cut] = table["values"][:, lo:hi]
                 rows += len(table)
             if pending is not None:
                 raise pending
-            values = np.concatenate([np.empty((0, dtype["values"].shape[0])), *values])
-            declared = _entry(header, "count", int, len(values))
-            if declared != len(values):
-                raise FormatError(f"header declares {declared} records, found {len(values)}")
+            declared = _entry(header, "count", int, rows)
+            if declared != rows:
+                raise FormatError(f"header declares {declared} records, found {rows}")
     frame_ids = list(index)
     order = sorted(range(len(frame_ids)), key=frame_ids.__getitem__)
     rank = np.empty(len(order), dtype=np.int32)
     rank[order] = np.arange(len(order), dtype=np.int32)
-    return (header, [frame_ids[k] for k in order],
-            tuple(rank[np.concatenate([np.empty(0, np.int32), *column])] for column in codes), values)
+    return (header, [frame_ids[k] for k in order], tuple(rank[column[:rows]] for column in codes),
+            tuple(group[:rows] for group in groups))
 
 
 def _parsed_quats(q: np.ndarray) -> np.ndarray:
-    """(M, 4) parsed wxyz rows, each kept verbatim when within
-    _PARSE_NORM_SLACK of unit norm with w >= 0, otherwise normalized to the
-    canonical hemisphere, so canonical files survive read/write cycles
-    byte-exactly."""
-    w, x, y, z = q.T
-    with np.errstate(over="ignore"):
-        nsq = w * w + x * x + y * y + z * z
-    q = np.array(q)
-    redo = ~((np.abs(nsq - 1.0) <= _PARSE_NORM_SLACK) & (w >= 0.0))
-    if redo.any():
-        rows = np.flatnonzero(redo)
-        bad = rows[(nsq[rows] == 0.0) | ~np.isfinite(nsq[rows])]
-        if bad.size:
-            k = int(bad[0])
-            raise _Refused("zero quaternion cannot be normalized" if nsq[k] == 0.0
-                           else "quaternion's squared norm overflows", row=k)
-        q[rows] = geometry.normalize_quat_rows(q[rows])
+    """The (M, 4) parsed wxyz rows `q`, each kept verbatim when within
+    _PARSE_NORM_SLACK of unit norm with w >= 0, otherwise normalized, in
+    place, to the canonical hemisphere, so canonical files survive read/write
+    cycles byte-exactly. Rows are checked _CHUNK_ROWS at a time."""
+    for lo in range(0, len(q), _CHUNK_ROWS):
+        part = q[lo:lo + _CHUNK_ROWS]
+        w, x, y, z = part.T
+        with np.errstate(over="ignore"):
+            nsq = w * w + x * x + y * y + z * z
+        rows = np.flatnonzero(~((np.abs(nsq - 1.0) <= _PARSE_NORM_SLACK) & (w >= 0.0)))
+        if rows.size:
+            bad = rows[(nsq[rows] == 0.0) | ~np.isfinite(nsq[rows])]
+            if bad.size:
+                k = int(bad[0])
+                raise _Refused("zero quaternion cannot be normalized" if nsq[k] == 0.0
+                               else "quaternion's squared norm overflows", row=lo + k)
+            part[rows] = geometry.normalize_quat_rows(part[rows])
     return q
 
 
@@ -652,7 +666,8 @@ def write_poses(path, ps: PoseSet, extra: dict | None = None):
 
 
 def read_poses(path) -> PoseSet:
-    header, frame_ids, (codes,), values = _read_records(path, "poses", _POSE_COLUMNS)
+    header, frame_ids, (codes,), (rotations, translations) = _read_records(
+        path, "poses", _POSE_COLUMNS, (4, 3))
     with _located(path):
         split = header.get("split", "train")
         if split not in ("train", "test"):
@@ -661,13 +676,13 @@ def read_poses(path) -> PoseSet:
             order = np.argsort(codes, kind="stable")
             k = int(order[1:][np.diff(codes[order]) == 0].min())  # the first row of an id seen before
             raise _Refused(f"duplicate frame id {frame_ids[codes[k]]!r}", row=k)
-        rotations = _parsed_quats(values[:, 0:4])
+        _parsed_quats(rotations)
     return PoseSet(
         scene_name=header.get("scene", ""),
         split=split,
         frame_ids=[frame_ids[k] for k in codes.tolist()],
         rotations=rotations,
-        translations=values[:, 4:7],
+        translations=translations,
         source_format=header.get("source_format", "canonical"),
         convention_note=header.get("convention_note", ""),
     )
@@ -732,7 +747,9 @@ def write_pairs(path, pairs: PairTable, cfg: OverlapConfig, *, min_overlap: floa
 
 
 def read_pairs(path) -> PairFileData:
-    header, frame_ids, (anchors, queries), values = _read_records(path, "pairs", _PAIR_COLUMNS)
+    header, frame_ids, (anchors, queries), (overlaps, rotations, translations) = _read_records(
+        path, "pairs", _PAIR_COLUMNS, (1, 4, 3))
+    overlaps = overlaps[:, 0]
     with _located(path):
         cfg = config_from_header(header)
         lo = _entry(header, "min_overlap", default="0")
@@ -745,14 +762,13 @@ def read_pairs(path) -> PairFileData:
         if same.any():
             k = int(np.argmax(same))
             raise _Refused(f"pair must join two distinct frames, got {frame_ids[anchors[k]]!r} twice", row=k)
-        overlaps = values[:, 0]
         inside = (overlaps > lo) & (overlaps <= hi)
         if not inside.all():
             k = int(np.argmin(inside))
             raise _Refused(f"overlap {float(overlaps[k])} outside the header's "
                            f"({header.get('min_overlap', '0')}, {header.get('max_overlap', '1')}]", row=k)
         _check_keys(frame_ids, anchors, queries, "pair")
-        pairs = PairTable(frame_ids, anchors, queries, _parsed_quats(values[:, 1:5]), values[:, 5:8],
+        pairs = PairTable(frame_ids, anchors, queries, _parsed_quats(rotations), translations,
                           overlaps=overlaps, config_digest=digest)
     return PairFileData(pairs=pairs, cfg=cfg, min_overlap=lo, max_overlap=hi, header=header)
 
@@ -784,11 +800,12 @@ def write_predictions(path, predictions: PairTable, *, config_digest: str, predi
 def read_predictions(path) -> PairTable:
     """The prediction table of a file, carrying the digest of the pairs it was
     made for ('' when the header names none)."""
-    header, frame_ids, (anchors, queries), values = _read_records(path, "predictions", _PRED_COLUMNS)
+    header, frame_ids, (anchors, queries), (rotations, translations) = _read_records(
+        path, "predictions", _PRED_COLUMNS, (4, 3))
     with _located(path):
         _check_keys(frame_ids, anchors, queries, "prediction")
-        rotations = _parsed_quats(values[:, 0:4])
-    return PairTable(frame_ids, anchors, queries, rotations, values[:, 4:7],
+        _parsed_quats(rotations)
+    return PairTable(frame_ids, anchors, queries, rotations, translations,
                      config_digest=header.get("config_digest", ""))
 
 

@@ -19,13 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .dataset import PairTable, pair_keys
+from .dataset import PairTable
 from .geometry import Quaternion, RelativePose, Translation
 from .pairgen import OverlapBinning, SubspaceStats, subspace_stats
 
 _METRIC_NAMES = ("mape", "mase", "mapse", "rmape")
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+# per-pair errors are computed this many pairs at a time
+_CHUNK_PAIRS = 4096
 
 
 class EvaluationError(Exception):
@@ -64,52 +67,112 @@ class LossWeights:
             raise ValueError("loss weights must be finite")
 
 
-def _align(pairs: PairTable, predictions: PairTable) -> np.ndarray:
-    """Row of `predictions` holding each pair's key, or -1 where none does.
+def align_predictions(pairs: PairTable, predictions: PairTable) -> np.ndarray:
+    """Row of `predictions` holding each pair's key, or -1 where none does;
+    refuses repeated prediction keys.
 
-    The prediction ids are mapped onto the pair vocabulary. Both are sorted,
-    so the mapped keys stay ascending and a binary search joins them to the
-    pair keys; a prediction with an id no pair uses matches nothing."""
+    The pair ids are mapped onto the prediction vocabulary. Both are sorted,
+    so a binary search finds each mapped pair key among the ascending
+    prediction keys; a pair with an id no prediction uses matches nothing."""
     dupes = predictions.repeated_keys()
     if dupes:
         raise EvaluationError(f"duplicate prediction keys: {dupes[:10]}")
-    index = {f: i for i, f in enumerate(pairs.frame_ids)}
-    onto = np.array([index.get(f, -1) for f in predictions.frame_ids], dtype=np.int64)
-    anchors, queries = onto[predictions.anchors], onto[predictions.queries]
-    rows = np.flatnonzero((anchors >= 0) & (queries >= 0))
-    keys = pair_keys(anchors[rows], queries[rows], len(pairs.frame_ids))
-    want = pairs.key()
-    at = np.searchsorted(keys, want)
-    # a -1 past the end stands for "no such key": pair keys are never negative
-    return np.where(np.append(keys, -1)[at] == want, np.append(rows, -1)[at], -1)
+    if not len(predictions):
+        return np.full(len(pairs), -1, dtype=np.int64)
+    index = {f: i for i, f in enumerate(predictions.frame_ids)}
+    onto = np.array([index.get(f, -1) for f in pairs.frame_ids], dtype=np.int64)
+    have = predictions.key()
+    want = onto[pairs.anchors]
+    want *= len(index)
+    want += onto[pairs.queries]
+    rows = np.searchsorted(have, want)
+    # a key past the last prediction key compares unequal to that key
+    np.minimum(rows, len(have) - 1, out=rows)
+    hit = have[rows] == want
+    known = onto >= 0
+    hit &= known[pairs.anchors]
+    hit &= known[pairs.queries]
+    rows[~hit] = -1
+    return rows
 
 
-def match_predictions(pairs: PairTable, predictions: PairTable) -> np.ndarray:
+def match_predictions(pairs: PairTable, predictions: PairTable, rows=None) -> np.ndarray:
     """Row of `predictions` for each pair, in pair order; refuses on missing or
-    duplicate keys.
+    duplicate keys. `rows`, when given, is align_predictions' result for the
+    same tables.
 
     Extra predictions (covering pairs not under evaluation) are ignored.
     """
-    idx = _align(pairs, predictions)
-    if (idx < 0).any():
-        missing = pairs.id_pairs(np.flatnonzero(idx < 0)[:10])
+    if rows is None:
+        rows = align_predictions(pairs, predictions)
+    if (rows < 0).any():
+        missing = pairs.id_pairs(np.flatnonzero(rows < 0)[:10])
         raise EvaluationError(f"predictions missing for pair keys: {missing}")
-    return idx
+    return rows
 
 
-def unmatched_predictions(pairs: PairTable, predictions: PairTable) -> list:
-    """Keys of predictions that no pair holds."""
+def unmatched_predictions(pairs: PairTable, predictions: PairTable, rows=None) -> list:
+    """Keys of predictions that no pair holds. `rows`, when given, is
+    align_predictions' result for the same tables."""
+    if rows is None:
+        rows = align_predictions(pairs, predictions)
     hit = np.zeros(len(predictions), dtype=bool)
-    idx = _align(pairs, predictions)
-    hit[idx[idx >= 0]] = True
+    hit[rows[rows >= 0]] = True
     return predictions.id_pairs(~hit)
 
 
-def _paired_arrays(pairs: PairTable, predictions: PairTable):
-    """(t, t_hat, q, q_hat) columns, predictions aligned to the pair rows."""
-    idx = match_predictions(pairs, predictions)
-    return (pairs.translations, predictions.translations[idx], pairs.rotations,
-            predictions.rotations[idx])
+def _per_pair(pairs: PairTable, predictions: PairTable, rows, terms):
+    """The (M,) arrays terms(t, t_hat, q, q_hat) gives for the pairs, filled
+    _CHUNK_PAIRS pairs at a time; `rows` holds each pair's prediction row.
+
+    Each array holds one value per pair, computed from that pair's row alone,
+    so the chunk size changes no value, and the gathered prediction rows and
+    every temporary of `terms` live for one chunk only."""
+    m = len(pairs)
+    out = None
+    # with no pairs, one empty chunk still gives every array its dtype
+    for lo in range(0, max(m, 1), _CHUNK_PAIRS):
+        cut = slice(lo, lo + _CHUNK_PAIRS)
+        at = rows[cut]
+        values = terms(pairs.translations[cut], predictions.translations[at],
+                       pairs.rotations[cut], predictions.rotations[at])
+        if out is None:
+            out = tuple(np.empty(m, v.dtype) for v in values)
+        for column, v in zip(out, values):
+            column[cut] = v
+    return out
+
+
+def _pose_errors(pairs: PairTable, predictions: PairTable, norm: str):
+    """(M,) translation errors under `norm` and rotation angles in degrees."""
+    rows = match_predictions(pairs, predictions)
+    return _per_pair(pairs, predictions, rows, lambda t, t_hat, q, q_hat: (
+        geometry.vector_norms(t - t_hat, norm), geometry.quat_angle_deg_rows(q, q_hat)))
+
+
+def _translation_terms(t, t_hat, norm: str, naive=None):
+    """Per row: ||t - t_hat||, ||t||, their ratio (not finite where ||t|| is
+    0) and, given the naive mean translation, ||t - naive||."""
+    t_err = geometry.vector_norms(t - t_hat, norm)
+    gt = geometry.vector_norms(t, norm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = t_err / gt
+    if naive is None:
+        return t_err, gt, ratio
+    return t_err, gt, ratio, geometry.vector_norms(t - naive, norm)
+
+
+def _rotation_terms(q, q_hat):
+    """Per row: |r - r_hat|_1 / |r|_1 over Euler triples, whether that ratio
+    counts (neither side gimbal-locked and |r|_1 > 0), and whether either side
+    is gimbal-locked."""
+    r, locked = geometry.euler_zyx_deg_rows(q)
+    r_hat, locked_hat = geometry.euler_zyx_deg_rows(q_hat)
+    bad = locked | locked_hat
+    denom = geometry.vector_norms(r, "l1")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = geometry.vector_norms(r - r_hat, "l1") / denom
+    return ratio, ~bad & (denom > 0.0), bad
 
 
 @dataclass(frozen=True)
@@ -120,9 +183,7 @@ class StandardErrors:
     q_median: float | None
 
 
-def _standard_errors(t, t_hat, q, q_hat, cfg: MetricConfig) -> StandardErrors:
-    t_err = geometry.vector_norms(t - t_hat, cfg.norm)
-    q_err = geometry.quat_angle_deg_rows(q, q_hat)
+def _standard_errors(t_err, q_err, cfg: MetricConfig) -> StandardErrors:
     want_mean = "mean" in cfg.statistics
     want_median = "median" in cfg.statistics
     return StandardErrors(
@@ -138,16 +199,13 @@ def standard_errors(pairs: PairTable, predictions: PairTable,
     """Mean/median of the per-pair translation and rotation errors."""
     if not len(pairs):
         raise EvaluationError("cannot evaluate an empty pair set")
-    return _standard_errors(*_paired_arrays(pairs, predictions), cfg)
+    return _standard_errors(*_pose_errors(pairs, predictions, cfg.norm), cfg)
 
 
-def _mape(t, t_hat, norm: str) -> float | None:
-    gt = geometry.vector_norms(t, norm)
-    keep = gt > 0.0
+def _mape(ratio, keep) -> float | None:
     if not np.any(keep):
         return None
-    ratios = geometry.vector_norms((t - t_hat)[keep], norm) / gt[keep]
-    return float(ratios.mean())
+    return float(ratio[keep].mean())
 
 
 def mape_translation(pairs: PairTable, predictions: PairTable, norm: str = "l1") -> float | None:
@@ -155,13 +213,10 @@ def mape_translation(pairs: PairTable, predictions: PairTable, norm: str = "l1")
 
     Returns None when every pair is excluded.
     """
-    t, t_hat, _, _ = _paired_arrays(pairs, predictions)
-    return _mape(t, t_hat, norm)
-
-
-def mape_zero_excluded(pairs: PairTable, norm: str = "l1") -> int:
-    """How many pairs a percentage metric drops for zero ground-truth norm."""
-    return int(np.sum(geometry.vector_norms(pairs.translations, norm) == 0.0))
+    rows = match_predictions(pairs, predictions)
+    _, gt, ratio = _per_pair(pairs, predictions, rows,
+                             lambda t, t_hat, q, q_hat: _translation_terms(t, t_hat, norm))
+    return _mape(ratio, gt > 0.0)
 
 
 def naive_mean_translation(source_pairs: PairTable) -> Translation:
@@ -171,9 +226,17 @@ def naive_mean_translation(source_pairs: PairTable) -> Translation:
     return Translation.from_array(source_pairs.translations.mean(axis=0))
 
 
-def _mase(t, t_hat, naive_mean: Translation, norm: str) -> float | None:
-    num = float(geometry.vector_norms(t - t_hat, norm).sum())
-    den = float(geometry.vector_norms(t - naive_mean.as_array(), norm).sum())
+def _naive_terms(pairs: PairTable, predictions: PairTable, naive_mean: Translation, norm: str):
+    """_translation_terms of every pair, with the naive deviations."""
+    rows = match_predictions(pairs, predictions)
+    naive = naive_mean.as_array()
+    return _per_pair(pairs, predictions, rows,
+                     lambda t, t_hat, q, q_hat: _translation_terms(t, t_hat, norm, naive))
+
+
+def _mase(t_err, dev) -> float | None:
+    num = float(t_err.sum())
+    den = float(dev.sum())
     if den == 0.0:
         return None
     return num / den
@@ -187,17 +250,15 @@ def mase_translation(pairs: PairTable, predictions: PairTable, naive_mean: Trans
     is zero (every ground truth equals the naive mean), which leaves the ratio
     undefined.
     """
-    t, t_hat, _, _ = _paired_arrays(pairs, predictions)
-    return _mase(t, t_hat, naive_mean, norm)
+    t_err, _, _, dev = _naive_terms(pairs, predictions, naive_mean, norm)
+    return _mase(t_err, dev)
 
 
-def _mapse(t, t_hat, naive_mean: Translation, norm: str) -> float | None:
-    gt = geometry.vector_norms(t, norm)
-    keep = gt > 0.0
+def _mapse(ratio, gt, dev, keep) -> float | None:
     if not np.any(keep):
         return None
-    mape = float((geometry.vector_norms((t - t_hat)[keep], norm) / gt[keep]).mean())
-    naive_dev = float(geometry.vector_norms(t[keep] - naive_mean.as_array(), norm).sum())
+    mape = float(ratio[keep].mean())
+    naive_dev = float(dev[keep].sum())
     if naive_dev == 0.0:
         return None
     naive_relative = naive_dev / float(gt[keep].sum())
@@ -215,26 +276,20 @@ def mapse_translation(pairs: PairTable, predictions: PairTable, naive_mean: Tran
     On a single pair this reduces to ||t - t_hat|| / ||t - naive||. Zero-norm
     ground truths are dropped throughout, as in MAPE.
     """
-    t, t_hat, _, _ = _paired_arrays(pairs, predictions)
-    return _mapse(t, t_hat, naive_mean, norm)
+    _, gt, ratio, dev = _naive_terms(pairs, predictions, naive_mean, norm)
+    return _mapse(ratio, gt, dev, gt > 0.0)
 
 
-def _mape_rotation(q, q_hat, gimbal_policy: str):
-    r, locked = geometry.euler_zyx_deg_rows(q)
-    r_hat, locked_hat = geometry.euler_zyx_deg_rows(q_hat)
-    bad = locked | locked_hat
+def _mape_rotation(ratio, keep, bad, gimbal_policy: str):
     if gimbal_policy == "error":
         if np.any(bad):
             raise EvaluationError(f"{int(bad.sum())} pairs are gimbal-locked")
     elif gimbal_policy != "exclude":
         raise ValueError(f"unknown gimbal policy {gimbal_policy!r}")
-    denom = geometry.vector_norms(r, "l1")
-    keep = ~bad & (denom > 0.0)
     n_excluded = int(np.sum(~keep))
     if not np.any(keep):
         return None, n_excluded
-    ratios = geometry.vector_norms((r - r_hat)[keep], "l1") / denom[keep]
-    return float(ratios.mean()), n_excluded
+    return float(ratio[keep].mean()), n_excluded
 
 
 def mape_rotation(pairs: PairTable, predictions: PairTable, gimbal_policy: str = "exclude"):
@@ -245,8 +300,9 @@ def mape_rotation(pairs: PairTable, predictions: PairTable, gimbal_policy: str =
     (|r|_1 == 0) are always dropped and counted. Returns (value, n_excluded);
     value is None when nothing remains.
     """
-    _, _, q, q_hat = _paired_arrays(pairs, predictions)
-    return _mape_rotation(q, q_hat, gimbal_policy)
+    rows = match_predictions(pairs, predictions)
+    terms = _per_pair(pairs, predictions, rows, lambda t, t_hat, q, q_hat: _rotation_terms(q, q_hat))
+    return _mape_rotation(*terms, gimbal_policy)
 
 
 @dataclass(frozen=True)
@@ -341,9 +397,7 @@ def error_curve(pairs: PairTable, predictions: PairTable, binning: OverlapBinnin
         raise ValueError(f"unknown statistic {stat!r}")
     if not len(pairs):
         raise EvaluationError("cannot build an error curve from an empty pair set")
-    t, t_hat, q, q_hat = _paired_arrays(pairs, predictions)
-    t_err = geometry.vector_norms(t - t_hat, norm)
-    q_err = geometry.quat_angle_deg_rows(q, q_hat)
+    t_err, q_err = _pose_errors(pairs, predictions, norm)
     idx = binning.indices(pairs.overlaps)
     reduce = np.mean if stat == "mean" else np.median
     edges = binning.edges
@@ -379,15 +433,18 @@ def combined_loss(pairs: PairTable, predictions: PairTable,
     Returns the (M,) losses in pair order. Diagnostic only; nothing in the
     toolkit trains on it.
     """
-    t, t_hat, q, q_hat = _paired_arrays(pairs, predictions)
-    n = geometry.vector_norms(q_hat, "l2")
-    if not n.all():
-        raise EvaluationError("predicted quaternion has zero norm and cannot be renormalized")
-    l_t = geometry.vector_norms(t - t_hat, "l2")
-    l_q = geometry.vector_norms(q - q_hat / n[:, None], "l2")
     a2 = weights.alpha ** 2
     b2 = weights.beta ** 2
-    return a2 + b2 + math.exp(-a2) * l_t + math.exp(-b2) * l_q
+
+    def loss(t, t_hat, q, q_hat):
+        n = geometry.vector_norms(q_hat, "l2")
+        if not n.all():
+            raise EvaluationError("predicted quaternion has zero norm and cannot be renormalized")
+        l_t = geometry.vector_norms(t - t_hat, "l2")
+        l_q = geometry.vector_norms(q - q_hat / n[:, None], "l2")
+        return (a2 + b2 + math.exp(-a2) * l_t + math.exp(-b2) * l_q,)
+
+    return _per_pair(pairs, predictions, match_predictions(pairs, predictions), loss)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,26 +503,34 @@ class MetricReport:
 
 def evaluate(pairs: PairTable, predictions: PairTable, cfg: MetricConfig = MetricConfig(), *,
              naive_source_pairs: PairTable | None = None, subspace_threshold: float | None = None,
-             include=_METRIC_NAMES) -> MetricReport:
+             include=_METRIC_NAMES, rows=None) -> MetricReport:
     """Run every configured criterion over one pair/prediction set.
 
     The naive baseline is fit on `naive_source_pairs` when given (the
     report's naive_source reads 'train_pairs'), otherwise on the evaluated
     pairs themselves ('eval_pairs'). The subspace statistics default to the
-    evaluated set at its own minimum overlap.
+    evaluated set at its own minimum overlap. `rows`, when given, is
+    align_predictions' result for the same tables.
     """
     if not len(pairs):
         raise EvaluationError("cannot evaluate an empty pair set")
     unknown = set(include) - set(_METRIC_NAMES)
     if unknown:
         raise ValueError(f"unknown metrics requested: {sorted(unknown)}")
-    t, t_hat, q, q_hat = _paired_arrays(pairs, predictions)
-    std = _standard_errors(t, t_hat, q, q_hat, cfg)
+    rows = match_predictions(pairs, predictions, rows)
     source = pairs if naive_source_pairs is None else naive_source_pairs
-    naive_mean = naive_mean_translation(source)
+    naive = naive_mean_translation(source).as_array()
     threshold = subspace_threshold
     if threshold is None:
         threshold = float(pairs.overlaps.min())
+    # its temporaries come and go before the per-pair arrays are made
+    subspace = subspace_stats(pairs, threshold)
+    rmape = "rmape" in include
+    t_err, gt, ratio, dev, q_err, *rotation = _per_pair(
+        pairs, predictions, rows, lambda t, t_hat, q, q_hat: (
+            *_translation_terms(t, t_hat, cfg.norm, naive), geometry.quat_angle_deg_rows(q, q_hat),
+            *(_rotation_terms(q, q_hat) if rmape else ())))
+    std = _standard_errors(t_err, q_err, cfg)
     report = MetricReport(
         n_pairs=len(pairs),
         norm=cfg.norm,
@@ -473,19 +538,20 @@ def evaluate(pairs: PairTable, predictions: PairTable, cfg: MetricConfig = Metri
         euler_gimbal_policy=cfg.euler_gimbal_policy,
         naive_source="eval_pairs" if naive_source_pairs is None else "train_pairs",
         config_digest=pairs.config_digest,
-        subspace=subspace_stats(pairs, threshold),
+        subspace=subspace,
         t_mean=std.t_mean,
         t_median=std.t_median,
         q_mean=std.q_mean,
         q_median=std.q_median,
     )
+    keep = gt > 0.0
     if "mape" in include:
-        report.t_mape = _mape(t, t_hat, cfg.norm)
-        report.mape_excluded_zero_norm = mape_zero_excluded(pairs, cfg.norm)
+        report.t_mape = _mape(ratio, keep)
+        report.mape_excluded_zero_norm = int(np.sum(gt == 0.0))
     if "mase" in include:
-        report.t_mase = _mase(t, t_hat, naive_mean, cfg.norm)
+        report.t_mase = _mase(t_err, dev)
     if "mapse" in include:
-        report.t_mapse = _mapse(t, t_hat, naive_mean, cfg.norm)
-    if "rmape" in include:
-        report.r_mape, report.rmape_excluded = _mape_rotation(q, q_hat, cfg.euler_gimbal_policy)
+        report.t_mapse = _mapse(ratio, gt, dev, keep)
+    if rmape:
+        report.r_mape, report.rmape_excluded = _mape_rotation(*rotation, cfg.euler_gimbal_policy)
     return report

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -241,29 +242,69 @@ class TestPairs:
                            "--min-overlap", "0.3", "--threads", "2", "--out", str(tmp_path / "street.pairs")) < 200
 
 
+@pytest.fixture(scope="class")
+def pairs_246k(tmp_path_factory):
+    """The pair file of 500 poses at a (0, 1] window, 246,426 rows and 30 MB
+    of text, written by write_pairs from a synthetic table."""
+    n, m = 500, 246_426
+    anchors, queries = np.divmod(np.arange(n * n), n)
+    distinct = anchors != queries
+    anchors, queries = anchors[distinct][:m], queries[distinct][:m]
+    rng = np.random.default_rng(5)
+    rotations = rng.normal(size=(m, 4))
+    rotations /= np.linalg.norm(rotations, axis=1, keepdims=True)
+    cfg = OverlapConfig()
+    pairs = PairTable([f"seq-01/frame-{k:06d}" for k in range(n)], anchors, queries, rotations,
+                      rng.normal(size=(m, 3)), rng.uniform(0.01, 1.0, m), config_digest(cfg))
+    out = tmp_path_factory.mktemp("big") / "all.pairs"
+    dataset.write_pairs(out, pairs, cfg, min_overlap=0.0, max_overlap=1.0)
+    return out
+
+
 class TestRecordFileMemory:
-    def test_memory_bounded_at_246k_pair_rows(self, tmp_path):
-        # the pair file of 500 poses at a (0, 1] window, 30 MB of text: a
-        # reader holding the whole file, its lines and their id strings, or a
+    def test_memory_bounded_at_246k_pair_rows(self, tmp_path, pairs_246k):
+        # a reader holding the whole file, its lines and their id strings, or a
         # writer holding every row as Python objects, took naive, eval and
-        # histogram to 154-187 MB; read and written a chunk of rows at a time
-        # they take 76-123 MB, most of it numpy and the columns
-        n, m = 500, 246_426
-        anchors, queries = np.divmod(np.arange(n * n), n)
-        distinct = anchors != queries
-        anchors, queries = anchors[distinct][:m], queries[distinct][:m]
-        rng = np.random.default_rng(5)
-        rotations = rng.normal(size=(m, 4))
-        rotations /= np.linalg.norm(rotations, axis=1, keepdims=True)
-        cfg = OverlapConfig()
-        pairs = PairTable([f"seq-01/frame-{k:06d}" for k in range(n)], anchors, queries, rotations,
-                          rng.normal(size=(m, 3)), rng.uniform(0.01, 1.0, m), config_digest(cfg))
-        pairs_file, pred = tmp_path / "all.pairs", tmp_path / "naive.pred"
-        dataset.write_pairs(pairs_file, pairs, cfg, min_overlap=0.0, max_overlap=1.0)
-        assert peak_rss_mb("naive", "--pairs", str(pairs_file), "--out", str(pred)) < 110
-        assert peak_rss_mb("eval", "--pairs", str(pairs_file), "--pred", str(pred),
-                           "--out", str(tmp_path / "r.report")) < 150
-        assert peak_rss_mb("histogram", "--pairs", str(pairs_file), "--out", str(tmp_path / "h.csv")) < 110
+        # histogram to 154-187 MB; a reader that joined its chunks, and eval's
+        # whole-table temporaries, to 82-123 MB; holding each column once and
+        # computing per-pair errors a chunk at a time, they take 59-104 MB,
+        # most of it numpy and the columns
+        pred = tmp_path / "naive.pred"
+        assert peak_rss_mb("naive", "--pairs", str(pairs_246k), "--out", str(pred)) < 105
+        assert peak_rss_mb("eval", "--pairs", str(pairs_246k), "--pred", str(pred),
+                           "--out", str(tmp_path / "r.report")) < 115
+        assert peak_rss_mb("histogram", "--pairs", str(pairs_246k), "--out", str(tmp_path / "h.csv")) < 90
+        assert peak_rss_mb("synth", "--pairs", str(pairs_246k), "--predictor", "noisy",
+                           "--out", str(tmp_path / "noisy.pred")) < 135
+
+    def test_readers_and_metrics_hold_each_table_once(self, tmp_path, pairs_246k):
+        # traced in-process: a reader takes its table plus the checks' key
+        # columns (it took 2.1-2.2 times the table while it joined its
+        # chunks); evaluate and error_curve take a few per-pair arrays above
+        # their tables (they took 176 and 112 bytes a pair)
+        def traced(fn, *args):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = fn(*args)
+                return out, tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        def size(table):
+            return sum(c.nbytes for c in (table.anchors, table.queries, table.rotations, table.translations,
+                                          table.overlaps) if c is not None)
+
+        pred = tmp_path / "naive.pred"
+        pf, peak = traced(dataset.read_pairs, pairs_246k)
+        assert peak < 1.5 * size(pf.pairs)
+        dataset.write_predictions(pred, metrics.naive_predictor(pf.pairs).predict(pf.pairs),
+                                  config_digest=pf.pairs.config_digest)
+        preds, peak = traced(dataset.read_predictions, pred)
+        assert peak < 1.5 * size(preds)
+        m = len(pf.pairs)
+        assert traced(metrics.evaluate, pf.pairs, preds)[1] < 86 * m
+        assert traced(metrics.error_curve, pf.pairs, preds, OverlapBinning())[1] < 56 * m
 
 
 class TestReadme:

@@ -767,3 +767,72 @@ class TestChunkBoundaries:
             again = tmp_path / ("again" + path.suffix)
             write(again, table, **kw)
             assert again.read_bytes() == path.read_bytes()
+
+    @staticmethod
+    def scramble(f):
+        """Rewrite some quaternions of a record file off the canonical form:
+        doubled, on the w < 0 hemisphere, or off unit norm by less than the
+        parse slack. Return the file's lines and the rows that must be
+        normalized."""
+        lines = f.read_text().splitlines()
+        first = _first_record(lines)
+        q0 = len(lines[first].split()) - 7  # the first quaternion field
+        redo = []
+        for k in range(len(lines) - first):
+            t = lines[first + k].split()
+            q = [float(v) for v in t[q0:q0 + 4]]
+            if k % 97 == 5:
+                q, _ = [2 * v for v in q], redo.append(k)
+            elif k % 89 == 7:
+                q, _ = [-v for v in q], redo.append(k)
+            elif k % 83 == 3:
+                q = [v * (1 + 2e-9) for v in q]
+            lines[first + k] = " ".join([*t[:q0], *(format(v, ".17g") for v in q), *t[q0 + 4:]])
+        _rewrite(f, lines)
+        return lines, redo
+
+    @staticmethod
+    def parsed(lines, redo):
+        """The quaternion and translation rows of the records, normalized where `redo` says."""
+        values = np.array([[float(v) for v in ln.split()[-7:]] for ln in lines[_first_record(lines):]])
+        q = values[:, :4].copy()
+        q[redo] = geometry.normalize_quat_rows(q[redo])
+        return q, values[:, 4:]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1024])
+    def test_chunk_size_changes_no_parsed_table(self, tmp_path, monkeypatch, chunk):
+        # rows that need normalizing sit in every chunk; the others are kept verbatim
+        monkeypatch.setattr(dataset, "_CHUNK_ROWS", chunk)
+        n = 2 * 1024 + 50
+        rng = np.random.default_rng(4)
+        cfg = OverlapConfig()
+        f, g, h = tmp_path / "a.pairs", tmp_path / "a.pred", tmp_path / "a.poses"
+        pairs = random_pairs(rng, n, config_digest(cfg))
+        dataset.write_pairs(f, pairs, cfg, min_overlap=0.0, max_overlap=1.0)
+        dataset.write_predictions(g, random_predictions(rng, n, digest="d"), config_digest="d")
+        dataset.write_poses(h, PoseSet("s", "train", [f"f{k:05d}" for k in range(n)],
+                                       geometry.normalize_quat_rows(rng.normal(size=(n, 4))),
+                                       rng.normal(size=(n, 3))))
+        got = dataset.read_pairs(f).pairs
+        lines, redo = self.scramble(f)
+        q, t = self.parsed(lines, redo)
+        assert dataset.read_pairs(f).pairs == PairTable(got.frame_ids, got.anchors, got.queries, q, t,
+                                                        got.overlaps, got.config_digest)
+        got = dataset.read_predictions(g)
+        lines, redo = self.scramble(g)
+        q, t = self.parsed(lines, redo)
+        assert dataset.read_predictions(g) == PairTable(got.frame_ids, got.anchors, got.queries, q, t)
+        got = dataset.read_poses(h)
+        lines, redo = self.scramble(h)
+        q, t = self.parsed(lines, redo)
+        assert dataset.read_poses(h) == PoseSet("s", "train", got.frame_ids, q, t)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_line_ends_read_as_newlines(self, tmp_path, monkeypatch, newline):
+        # a file iterates into lines at CR and CRLF too; its columns are made
+        # long enough for every such line
+        monkeypatch.setattr(dataset, "_CHUNK_ROWS", 3)
+        f, _ = self.pair_file(tmp_path)
+        pairs = dataset.read_pairs(f).pairs
+        f.write_bytes(f.read_bytes().replace(b"\n", newline.encode()))
+        assert dataset.read_pairs(f).pairs == pairs

@@ -22,6 +22,7 @@ from frustoval import (
     naive_predictor,
     standard_errors,
 )
+from frustoval import metrics
 from frustoval.dataset import PairTable
 from frustoval.geometry import quat_rows
 from frustoval.metrics import (
@@ -459,3 +460,71 @@ class TestEvaluate:
         pairs, preds = random_problem(rng, n=4)
         with pytest.raises(AttributeError):
             evaluate(list(pairs), list(preds))
+
+
+class TestChunkSize:
+    """Per-pair errors are computed a chunk of pairs at a time; the chunk size
+    changes no bit of any report, curve or loss."""
+
+    CHUNKS = (1, 7, metrics._CHUNK_PAIRS)
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(11)
+        pairs, preds = random_problem(rng, n=60, rot_scale=60.0)
+        t, q = pairs.translations.copy(), pairs.rotations.copy()
+        t[::9] = 0.0  # zero-norm ground truths
+        q[3::10] = quat_rows([from_euler(30, 90, 0)])  # gimbal-locked ground truths
+        q[5::13] = [1.0, 0.0, 0.0, 0.0]  # identity rotations: |r|_1 == 0
+        # overlaps in three of ten bins leave the others empty
+        overlaps = rng.choice([0.15, 0.45, 0.95], len(pairs))
+        pairs = PairTable(pairs.frame_ids, pairs.anchors, pairs.queries, q, t, overlaps, pairs.config_digest)
+        q_hat = preds.rotations.copy()
+        q_hat[7::11] = quat_rows([from_euler(-40, -90, 0)])  # gimbal-locked predictions
+        # a prediction no pair holds sorts first, so pair k takes prediction row k + 1
+        preds = PairTable.from_ids(["a-", *preds.id_columns()[0]], ["q-0000", *preds.id_columns()[1]],
+                                   np.vstack([[1.0, 0.0, 0.0, 0.0], q_hat]),
+                                   np.vstack([[0.0, 0.0, 0.0], preds.translations]))
+        return pairs, preds
+
+    def outputs(self, monkeypatch, chunk):
+        monkeypatch.setattr(metrics, "_CHUNK_PAIRS", chunk)
+        pairs, preds = self.problem()
+        out = []
+        for norm in ("l1", "l2"):
+            for statistics in (("mean", "median"), ("mean",), ("median",)):
+                cfg = MetricConfig(norm=norm, statistics=statistics)
+                for include in (("mape", "mase", "mapse", "rmape"), (), ("mase",), ("mape", "rmape")):
+                    out.append(evaluate(pairs, preds, cfg, include=include).to_items())
+                out.append(evaluate(pairs, preds, cfg, naive_source_pairs=pairs[::4],
+                                    subspace_threshold=0.4).to_items())
+            for stat in ("mean", "median"):
+                c = error_curve(pairs, preds, stat=stat, norm=norm)
+                out.append((c.bins, c.auc_t, c.auc_q, c.raw_area_t, c.raw_area_q))
+            naive = naive_mean_translation(pairs)
+            out.append((standard_errors(pairs, preds, MetricConfig(norm=norm)), mape_translation(pairs, preds, norm),
+                        mase_translation(pairs, preds, naive, norm), mapse_translation(pairs, preds, naive, norm)))
+        out.append(mape_rotation(pairs, preds))
+        out.append(combined_loss(pairs, preds, LossWeights(0.3, -0.7)).tolist())
+        return out
+
+    @pytest.mark.parametrize("chunk", CHUNKS[:-1])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, chunk):
+        want = self.outputs(monkeypatch, self.CHUNKS[-1])
+        assert want[0]["mape_excluded_zero_norm"] > 0 and want[0]["rmape_excluded"] > 0
+        assert any(b.n == 0 for b in error_curve(*self.problem()).bins)
+        assert self.outputs(monkeypatch, chunk) == want
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_refusals_keep_their_text(self, monkeypatch, chunk):
+        monkeypatch.setattr(metrics, "_CHUNK_PAIRS", chunk)
+        pairs, preds = self.problem()
+        with pytest.raises(EvaluationError) as e:
+            evaluate(pairs, preds, MetricConfig(euler_gimbal_policy="error"))
+        assert str(e.value) == "11 pairs are gimbal-locked"
+        with pytest.raises(EvaluationError) as e:
+            evaluate(pairs, preds[np.arange(len(preds)) != 1])
+        assert str(e.value) == "predictions missing for pair keys: [('a-0000', 'q-0000')]"
+        zero = make_preds(pairs, pairs.translations, [Quaternion(1, 0, 0, 0)] * 20 + [Quaternion(0, 0, 0, 0)] * 40)
+        with pytest.raises(EvaluationError, match="zero norm"):
+            combined_loss(pairs, zero)
