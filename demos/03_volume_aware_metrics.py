@@ -24,7 +24,7 @@ hard = pairs[(0.1 < pairs.overlaps) & (pairs.overlaps <= 0.4)]
 print(f"easy set (overlap > 0.7):      {len(easy):6d} pairs")
 print(f"hard set (0.1 < overlap <= 0.4): {len(hard):6d} pairs\n")
 
-naive_preds = naive_predictor(easy).predict(easy)
+naive_preds = synth_predict(easy, naive_predictor(easy))
 noisy_preds = synth_predict(hard, SynthPredictor(kind="noisy", sigma_t=0.15, sigma_q_deg=5.0),
                             seed=5)
 

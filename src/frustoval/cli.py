@@ -8,6 +8,7 @@ atomically. Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -70,14 +71,11 @@ def _parse_bins(text: str) -> OverlapBinning:
 def _parse_constant(text: str) -> RelativePose:
     try:
         vals = [float(v) for v in text.split()]
-        if len(vals) != 7:
-            raise ValueError("need 7 numbers: qw qx qy qz tx ty tz")
+        if len(vals) != 7 or not all(map(math.isfinite, vals)):  # normalizing inf would give nan
+            raise ValueError("need 7 finite numbers: qw qx qy qz tx ty tz")
+        return RelativePose(rotation=Quaternion.unit(*vals[:4]), translation=Translation(*vals[4:]))
     except ValueError as e:
         raise UsageError(f"bad --constant {text!r}: {e}") from None
-    return RelativePose(
-        rotation=Quaternion.unit(*vals[:4]),
-        translation=Translation(*vals[4:]),
-    )
 
 
 def _overlap_config(args) -> OverlapConfig:
@@ -305,10 +303,8 @@ def cmd_synth(args) -> int:
         except ValueError as e:
             raise UsageError(str(e)) from None
         preds = synth.synth_predict(pf.pairs, predictor, seed=args.seed)
-        dataset.write_predictions(
-            args.out, preds, config_digest=pf.pairs.config_digest, predictor=predictor.describe(),
-            extra={"rng": RNG_KIND, "seed": args.seed},
-        )
+        dataset.write_predictions(args.out, preds, predictor=predictor.describe(),
+                                  extra={"rng": RNG_KIND, "seed": args.seed})
         _info(f"wrote {len(preds)} {predictor.describe()} predictions to {args.out}")
         return 0
     try:
@@ -383,11 +379,8 @@ def cmd_naive(args) -> int:
         source, source_kind = _source_pairs(args.source_pairs, pf), "train_pairs"
     else:
         source, source_kind = pf.pairs, "eval_pairs"
-    preds = metrics.naive_predictor(source).predict(pf.pairs)
-    dataset.write_predictions(
-        args.out, preds, config_digest=pf.pairs.config_digest, predictor="naive",
-        extra={"naive_source": source_kind},
-    )
+    preds = synth.synth_predict(pf.pairs, metrics.naive_predictor(source))
+    dataset.write_predictions(args.out, preds, predictor="naive", extra={"naive_source": source_kind})
     _info(f"wrote {len(preds)} naive predictions to {args.out}")
     return 0
 

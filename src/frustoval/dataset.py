@@ -175,7 +175,8 @@ class PairTable:
     was made for ('' when unknown). Construction sorts the rows and drops
     the ids no row uses; repeated keys are kept, for writers and evaluation
     to refuse. `from_ids` builds a table from id strings. Tables are not
-    modified in place.
+    modified in place, so a table keeps the arrays it is given, read-only
+    broadcasts included, and copies only columns it must convert or sort.
 
     `table[rows]` selects rows by a slice, a boolean mask or an integer index
     array and returns a table with the same digest. Iterating yields
@@ -191,11 +192,11 @@ class PairTable:
         self.frame_ids = list(frame_ids)
         if any(map(operator.ge, self.frame_ids, self.frame_ids[1:])):
             raise ValueError("pair table frame ids must be sorted and unique")
-        self.anchors = np.ascontiguousarray(anchors, dtype=np.int32).reshape(-1)
-        self.queries = np.ascontiguousarray(queries, dtype=np.int32).reshape(-1)
-        self.rotations = np.ascontiguousarray(rotations, dtype=float).reshape(-1, 4)
-        self.translations = np.ascontiguousarray(translations, dtype=float).reshape(-1, 3)
-        self.overlaps = None if overlaps is None else np.ascontiguousarray(overlaps, dtype=float).reshape(-1)
+        self.anchors = np.asarray(anchors, dtype=np.int32).reshape(-1)
+        self.queries = np.asarray(queries, dtype=np.int32).reshape(-1)
+        self.rotations = np.asarray(rotations, dtype=float).reshape(-1, 4)
+        self.translations = np.asarray(translations, dtype=float).reshape(-1, 3)
+        self.overlaps = None if overlaps is None else np.asarray(overlaps, dtype=float).reshape(-1)
         self.config_digest = config_digest
         columns = (self.queries, self.rotations, self.translations, self.overlaps)
         if {len(c) for c in columns if c is not None} != {len(self.anchors)}:
@@ -512,9 +513,11 @@ def _refusal(line: str, names, n_ids: int, record: str) -> str:
 
 def _line_count(path) -> int:
     """At least as many as the lines iterating the open file yields: one more
-    than its CR and LF characters together."""
+    than its line ends, a CR LF counted once (twice when it straddles two
+    read blocks)."""
     with open(path, "rb") as fh:
-        return 1 + sum(block.count(b"\n") + block.count(b"\r") for block in iter(lambda: fh.read(1 << 16), b""))
+        return 1 + sum(block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+                       for block in iter(lambda: fh.read(1 << 16), b""))
 
 
 def _read_records(path, kind: str, columns: str, widths):
@@ -780,14 +783,14 @@ def read_pairs(path) -> PairFileData:
 _PRED_COLUMNS = "anchor_id query_id qw qx qy qz tx ty tz"
 
 
-def write_predictions(path, predictions: PairTable, *, config_digest: str, predictor: str = "external",
-                      extra: dict | None = None):
+def write_predictions(path, predictions: PairTable, *, predictor: str = "external", extra: dict | None = None):
+    """Write a prediction table under the digest of the pairs it was made for."""
     _check_ids(predictions.frame_ids)
     dupes = predictions.repeated_keys()
     if dupes:
         raise ValueError(f"duplicate prediction keys: {dupes[:5]}")
     entries = {
-        "config_digest": config_digest,
+        "config_digest": predictions.config_digest,
         "predictor": predictor,
         **convention_entries(),
         **(extra or {}),
@@ -1013,33 +1016,27 @@ def parse_cambridge(dataset_file, scene_name: str | None = None, split: str | No
         lines = dataset_file.read_text().splitlines()
     except FileNotFoundError:
         raise ParseError(f"missing input file: {dataset_file}") from None
-    errors, linenos, ids, values = [], [], [], []
+    ids, values = [], []
     for lineno, ln in enumerate(lines[3:], start=4):
-        if not ln.strip():
-            continue
         toks = ln.split()
-        if len(toks) != 8:
-            errors.append((lineno, f"expected 'path x y z w p q r', got {len(toks)} fields"))
+        if not toks:
             continue
+        if len(toks) != 8:
+            raise ParseError(f"{dataset_file}:{lineno}: expected 'path x y z w p q r', got {len(toks)} fields")
         try:
             row = [float(v) for v in toks[1:]]
         except ValueError:
-            errors.append((lineno, "non-numeric pose entry"))
-            continue
-        if not all(math.isfinite(v) for v in row):
-            errors.append((lineno, "non-finite pose entry"))
-            continue
-        linenos.append(lineno)
+            raise ParseError(f"{dataset_file}:{lineno}: non-numeric pose entry") from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"{dataset_file}:{lineno}: non-finite pose entry")
+        if not any(v * v for v in row[3:]):  # the rows whose vector_norms l2 norm is 0
+            raise ParseError(f"{dataset_file}:{lineno}: zero quaternion")
         ids.append(toks[0].rsplit(".", 1)[0])
         values.append(row)
-    values = np.reshape(values, (-1, 7))
-    norms = geometry.vector_norms(values[:, 3:], "l2")
-    errors += [(lineno, "zero quaternion") for lineno, n in zip(linenos, norms) if n == 0.0]
-    if errors:
-        lineno, msg = min(errors)
-        raise ParseError(f"{dataset_file}:{lineno}: {msg}")
     if not ids:
         raise ParseError(f"{dataset_file}: no pose lines after the three header lines")
+    values = np.array(values)
+    norms = geometry.vector_norms(values[:, 3:], "l2")
     bad_norms = int(np.sum(np.abs(norms - 1.0) > 1e-3))
     # file stores world-to-camera rotation; camera-to-world is its conjugate
     q_c2w = geometry.normalize_quat_rows(

@@ -22,6 +22,7 @@ from . import geometry
 from .dataset import PairTable
 from .geometry import Quaternion, RelativePose, Translation
 from .pairgen import OverlapBinning, SubspaceStats, subspace_stats
+from .synth import SynthPredictor
 
 _METRIC_NAMES = ("mape", "mase", "mapse", "rmape")
 
@@ -305,24 +306,9 @@ def mape_rotation(pairs: PairTable, predictions: PairTable, gimbal_policy: str =
     return _mape_rotation(*terms, gimbal_policy)
 
 
-@dataclass(frozen=True)
-class NaivePredictor:
-    """Baseline that answers every query with the source set's mean relative pose."""
-
-    mean_rel: RelativePose
-
-    def predict(self, pairs: PairTable) -> PairTable:
-        m = len(pairs)
-        return PairTable(
-            pairs.frame_ids, pairs.anchors, pairs.queries,
-            np.broadcast_to(self.mean_rel.rotation.as_array(), (m, 4)),
-            np.broadcast_to(self.mean_rel.translation.as_array(), (m, 3)),
-            config_digest=pairs.config_digest,
-        )
-
-
-def naive_predictor(source_pairs: PairTable) -> NaivePredictor:
-    """Fit the mean-returning baseline on a pair set.
+def naive_predictor(source_pairs: PairTable) -> SynthPredictor:
+    """Fit the mean-returning baseline on a pair set: a constant predictor
+    for `synth.synth_predict` that answers every pair with the mean pose.
 
     Translation is the componentwise mean; rotation is the normalized
     componentwise quaternion mean after aligning every sample to the first
@@ -336,12 +322,8 @@ def naive_predictor(source_pairs: PairTable) -> NaivePredictor:
     if geometry.vector_norms(q_mean, "l2") < 1e-12:
         raise EvaluationError("rotation mean is degenerate (cancels to zero)")
     q_mean = geometry.normalize_quat_rows(q_mean[None, :])[0]
-    return NaivePredictor(
-        mean_rel=RelativePose(
-            rotation=Quaternion(*q_mean),
-            translation=naive_mean_translation(source_pairs),
-        )
-    )
+    return SynthPredictor(kind="constant", constant=RelativePose(
+        rotation=Quaternion(*q_mean), translation=naive_mean_translation(source_pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 These make the overlap/accuracy tradeoff demonstrable at desk scale: a box
 trajectory stands in for a scanned scene, and the predictor family (perfect,
-noisy, constant; the naive baseline is `metrics.naive_predictor`) spans the
-behaviours the metrics must separate. All sampling is driven by numpy's PCG64
-stream, so a seed pins every output bit-for-bit across runs and platforms.
+noisy, constant) spans the behaviours the metrics must separate. The naive
+baseline is the constant predictor that `metrics.naive_predictor` fits, and
+`synth_predict` makes every prediction table; a constant one holds its pose
+once, broadcast read-only to every pair. All sampling is driven by numpy's
+PCG64 stream, so a seed pins every output bit-for-bit across runs and
+platforms.
 """
 
 from __future__ import annotations
@@ -175,6 +178,10 @@ class SynthPredictor:
                              f"sigma_q_deg={self.sigma_q_deg!r}")
         if self.kind == "constant" and self.constant is None:
             raise ValueError("constant predictor needs a relative pose")
+        if self.constant is not None:
+            values = [*self.constant.rotation.as_array(), *self.constant.translation.as_array()]
+            if not np.isfinite(values).all():
+                raise ValueError(f"constant pose must be finite, got {' '.join(format(v, 'g') for v in values)}")
 
     def describe(self) -> str:
         if self.kind == "noisy":

@@ -199,7 +199,7 @@ def test_criterion_07_metric_scale_behavior(walk_pairs):
 
 def test_criterion_08_naive_baseline_identities(walk_pairs):
     pairs = walk_pairs[::11][:2000]
-    naive_preds = naive_predictor(pairs).predict(pairs)
+    naive_preds = synth_predict(pairs, naive_predictor(pairs))
     mase = mase_translation(pairs, naive_preds, naive_mean_translation(pairs), "l1")
     assert abs(mase - 1.0) <= 1e-12
     perfect = dataset.PairTable(pairs.frame_ids, pairs.anchors, pairs.queries, pairs.rotations,
@@ -337,7 +337,7 @@ def test_criterion_12_pitfall_demo(walk_pairs):
     easy = walk_pairs[overlaps > 0.7]
     hard = walk_pairs[(0.1 < overlaps) & (overlaps <= 0.4)]
     assert len(easy) > 100 and len(hard) > 1000
-    naive_preds = naive_predictor(easy).predict(easy)
+    naive_preds = synth_predict(easy, naive_predictor(easy))
     noisy_preds = synth_predict(hard, SynthPredictor(kind="noisy", sigma_t=0.15, sigma_q_deg=5.0),
                                 seed=5)
     cfg = MetricConfig(norm="l2")

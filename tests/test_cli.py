@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frustoval import FrustumSpec, MetricConfig, OverlapConfig, PairTable, config_digest
-from frustoval import dataset, metrics, pairgen
+from frustoval import (FrustumSpec, MetricConfig, OverlapConfig, PairTable, RelativePose, SynthPredictor,
+                       config_digest)
+from frustoval import dataset, metrics, pairgen, synth
 from frustoval.cli import main
 from frustoval.pairgen import OverlapBinning
 
@@ -105,9 +106,9 @@ class TestBasics:
 
 
 class TestNonFiniteFlags:
-    """A non-finite number in a flag, or an overlap threshold outside [0, 1],
-    is a usage error (exit 1) whose message names it, before any output is
-    written."""
+    """A non-finite number in a flag, an overlap threshold outside [0, 1] or
+    a zero --constant quaternion is a usage error (exit 1) whose message
+    names it, before any output is written."""
 
     @pytest.mark.parametrize("args, needle", [
         pytest.param(["pairs", "--poses", "{poses}", "--epsilon", "inf"],
@@ -128,6 +129,13 @@ class TestNonFiniteFlags:
                      "sigma_t=nan", id="synth --predictor noisy --sigma-t nan"),
         pytest.param(["synth", "--pairs", "{pairs}", "--predictor", "noisy", "--sigma-q", "inf"],
                      "sigma_q_deg=inf", id="synth --predictor noisy --sigma-q inf"),
+        pytest.param(["synth", "--pairs", "{pairs}", "--predictor", "constant", "--constant", "0 0 0 0 0 0 0"],
+                     "bad --constant '0 0 0 0 0 0 0': cannot normalize a zero quaternion",
+                     id="synth --constant zero quaternion"),
+        pytest.param(["synth", "--pairs", "{pairs}", "--predictor", "constant", "--constant", "nan 0 0 0 0 0 0"],
+                     "bad --constant 'nan 0 0 0 0 0 0': need 7 finite numbers", id="synth --constant nan"),
+        pytest.param(["synth", "--pairs", "{pairs}", "--predictor", "constant", "--constant", "1 0 0 0 inf 0 0"],
+                     "bad --constant '1 0 0 0 inf 0 0': need 7 finite numbers", id="synth --constant inf"),
         pytest.param(["diameter", "--pairs", "{pairs}", "--thresholds", "0.2,nan"],
                      "bad --thresholds '0.2,nan'", id="diameter --thresholds 0.2,nan"),
         pytest.param(["diameter", "--pairs", "{pairs}", "--thresholds", "5,-1"],
@@ -268,43 +276,61 @@ class TestRecordFileMemory:
         # histogram to 154-187 MB; a reader that joined its chunks, and eval's
         # whole-table temporaries, to 82-123 MB; holding each column once and
         # computing per-pair errors a chunk at a time, they take 59-104 MB,
-        # most of it numpy and the columns
+        # most of it numpy and the columns; naive took 70 MB while its table
+        # held the mean pose once per pair, 63 MB holding it once
         pred = tmp_path / "naive.pred"
-        assert peak_rss_mb("naive", "--pairs", str(pairs_246k), "--out", str(pred)) < 105
+        assert peak_rss_mb("naive", "--pairs", str(pairs_246k), "--out", str(pred)) < 97
         assert peak_rss_mb("eval", "--pairs", str(pairs_246k), "--pred", str(pred),
                            "--out", str(tmp_path / "r.report")) < 115
         assert peak_rss_mb("histogram", "--pairs", str(pairs_246k), "--out", str(tmp_path / "h.csv")) < 90
         assert peak_rss_mb("synth", "--pairs", str(pairs_246k), "--predictor", "noisy",
                            "--out", str(tmp_path / "noisy.pred")) < 135
 
-    def test_readers_and_metrics_hold_each_table_once(self, tmp_path, pairs_246k):
-        # traced in-process: a reader takes its table plus the checks' key
-        # columns (it took 2.1-2.2 times the table while it joined its
-        # chunks); evaluate and error_curve take a few per-pair arrays above
-        # their tables (they took 176 and 112 bytes a pair)
-        def traced(fn, *args):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                out = fn(*args)
-                return out, tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+    @staticmethod
+    def traced(fn, *args):
+        """fn(*args), and the bytes it allocated at its peak and still holds
+        when it returns, traced in-process."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn(*args)
+            current, peak = tracemalloc.get_traced_memory()
+            return out, peak - base, current - base
+        finally:
+            tracemalloc.stop()
 
+    def test_readers_and_metrics_hold_each_table_once(self, tmp_path, pairs_246k):
+        # a reader takes its table plus the checks' key columns (it took
+        # 2.1-2.2 times the table while it joined its chunks) and keeps the
+        # table (a CRLF file kept 1.89 times it while each CR LF counted as two
+        # lines); evaluate and error_curve take a few per-pair arrays above
+        # their tables (they took 176 and 112 bytes a pair)
         def size(table):
             return sum(c.nbytes for c in (table.anchors, table.queries, table.rotations, table.translations,
                                           table.overlaps) if c is not None)
 
+        crlf = tmp_path / "crlf.pairs"
+        crlf.write_bytes(pairs_246k.read_bytes().replace(b"\n", b"\r\n"))
+        for path in (pairs_246k, crlf):
+            pf, peak, kept = self.traced(dataset.read_pairs, path)
+            assert peak < 1.5 * size(pf.pairs) and kept < 1.05 * size(pf.pairs), path.name
         pred = tmp_path / "naive.pred"
-        pf, peak = traced(dataset.read_pairs, pairs_246k)
-        assert peak < 1.5 * size(pf.pairs)
-        dataset.write_predictions(pred, metrics.naive_predictor(pf.pairs).predict(pf.pairs),
-                                  config_digest=pf.pairs.config_digest)
-        preds, peak = traced(dataset.read_predictions, pred)
-        assert peak < 1.5 * size(preds)
+        dataset.write_predictions(pred, synth.synth_predict(pf.pairs, metrics.naive_predictor(pf.pairs)))
+        preds, peak, kept = self.traced(dataset.read_predictions, pred)
+        assert peak < 1.5 * size(preds) and kept < 1.05 * size(preds)
         m = len(pf.pairs)
-        assert traced(metrics.evaluate, pf.pairs, preds)[1] < 86 * m
-        assert traced(metrics.error_curve, pf.pairs, preds, OverlapBinning())[1] < 56 * m
+        assert self.traced(metrics.evaluate, pf.pairs, preds)[1] < 86 * m
+        assert self.traced(metrics.error_curve, pf.pairs, preds, OverlapBinning())[1] < 56 * m
+
+    def test_constant_predictions_hold_one_pose(self, pairs_246k):
+        # a naive or constant prediction table holds its one pose broadcast
+        # to every pair; materialized, it kept 56 bytes a pair
+        pairs = dataset.read_pairs(pairs_246k).pairs
+        constant = SynthPredictor(kind="constant", constant=RelativePose.identity())
+        for make in (lambda: synth.synth_predict(pairs, metrics.naive_predictor(pairs)),
+                     lambda: synth.synth_predict(pairs, constant)):
+            preds, _, kept = self.traced(make)
+            assert len(preds) == len(pairs) and kept < len(pairs)
 
 
 class TestReadme:
@@ -388,7 +414,7 @@ class TestPredictAndEval:
     def test_missing_prediction_key_refused(self, tmp_path, pairs_file, pred_file, capsys):
         t = dataset.read_predictions(pred_file)
         short = tmp_path / "short.pred"
-        dataset.write_predictions(short, t[:-12], config_digest=t.config_digest)
+        dataset.write_predictions(short, t[:-12])
         rc = main(["eval", "--pairs", str(pairs_file), "--pred", str(short),
                    "--out", str(tmp_path / "r.report")])
         assert rc == 2
@@ -406,9 +432,10 @@ class TestPredictAndEval:
         with_stray = PairTable.from_ids([*anchor_ids, *(a for a, _ in stray)],
                                         [*query_ids, *(q for _, q in stray)],
                                         np.vstack([t.rotations, *[t.rotations[:1]] * 12]),
-                                        np.vstack([t.translations, *[t.translations[:1]] * 12]))
+                                        np.vstack([t.translations, *[t.translations[:1]] * 12]),
+                                        config_digest=t.config_digest)
         padded = tmp_path / "padded.pred"
-        dataset.write_predictions(padded, with_stray, config_digest=t.config_digest)
+        dataset.write_predictions(padded, with_stray)
         rc = main(["eval", "--pairs", str(pairs_file), "--pred", str(padded),
                    "--out", str(tmp_path / "r.report")])
         assert rc == 2
@@ -672,7 +699,7 @@ class TestRecordValidation:
                                        config_digest=t.config_digest)
             out = tmp_path / "bad.pred"
             with pytest.raises(ValueError, match="frame id"):
-                dataset.write_predictions(out, table, config_digest=t.config_digest)
+                dataset.write_predictions(out, table)
             assert not out.exists()
 
     def test_bad_grid_is_usage_error(self, tmp_path, poses_file, capsys):

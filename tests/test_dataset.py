@@ -104,7 +104,7 @@ class TestNumberFormat:
                 q, t = spoiled(preds, c, bad)
                 with pytest.raises(ValueError):
                     dataset.write_predictions(out, PairTable(preds.frame_ids, preds.anchors, preds.queries,
-                                                             q, t), config_digest="")
+                                                             q, t))
             overlaps = pairs.overlaps.copy()
             overlaps[1] = bad
             with pytest.raises(ValueError):
@@ -218,8 +218,8 @@ class TestCambridge:
             parse_cambridge(f)
 
     def test_bad_lines_reported_in_line_order(self, tmp_path):
-        # each kind of bad line first in turn, the others after it: the zero
-        # quaternion is found after every line is read, the rest while reading
+        # each kind of bad line first in turn, the others after it: each line
+        # is checked as it is read, so the first bad one is named
         f = tmp_path / "dataset_train.txt"
         bad = ["zero.png 0 0 0 0 0 0 0", "short.png 1 2", "nan.png 0 nan 0 1 0 0 0", "text.png 0 0 x 1 0 0 0"]
         why = ["zero quaternion", "expected 'path x y z w p q r', got 3 fields", "non-finite pose entry",
@@ -352,20 +352,20 @@ class TestPairSerialization:
 
 class TestPredictionSerialization:
     def test_round_trip(self, tmp_path, rng):
-        preds = random_predictions(rng, 20)
+        preds = random_predictions(rng, 20, digest="abc")
         f = tmp_path / "p.pred"
-        dataset.write_predictions(f, preds, config_digest="abc", predictor="external")
+        dataset.write_predictions(f, preds, predictor="external")
         got = dataset.read_predictions(f)
         assert got.config_digest == "abc"
         assert len(got) == 20
         f2 = tmp_path / "p2.pred"
-        dataset.write_predictions(f2, got, config_digest="abc", predictor="external")
+        dataset.write_predictions(f2, got, predictor="external")
         assert f.read_bytes() == f2.read_bytes()
 
     def test_duplicate_keys_rejected(self, tmp_path):
         p = PairTable.from_ids(["a", "a"], ["b", "b"], [[1, 0, 0, 0]] * 2, [[0, 0, 0]] * 2)
         with pytest.raises(ValueError) as e:
-            dataset.write_predictions(tmp_path / "never-written.pred", p, config_digest="x")
+            dataset.write_predictions(tmp_path / "never-written.pred", p)
         assert str(e.value) == "duplicate prediction keys: [('a', 'b')]"
         # each repeated key once, in key order, at most 5 of them
         cfg = OverlapConfig()
@@ -547,7 +547,7 @@ class TestRecordReader:
 
     def test_first_of_two_refused_lines_named(self, tmp_path, rng):
         f = tmp_path / "p.pred"
-        dataset.write_predictions(f, random_predictions(rng, 40), config_digest="")
+        dataset.write_predictions(f, random_predictions(rng, 40))
         lines = f.read_text().splitlines()
         i = _first_record(lines) + 7
         lines[i + 20] += " 1"
@@ -558,8 +558,8 @@ class TestRecordReader:
 
     def test_blank_lines_skipped_and_later_lines_still_named(self, tmp_path, rng):
         f = tmp_path / "p.pred"
-        preds = random_predictions(rng, 8)
-        dataset.write_predictions(f, preds, config_digest="d")
+        preds = random_predictions(rng, 8, digest="d")
+        dataset.write_predictions(f, preds)
         lines = f.read_text().splitlines()
         first = _first_record(lines)
         spaced = [*lines[:first + 1], "", "  \t", *lines[first + 1:first + 4], "", *lines[first + 4:], ""]
@@ -598,7 +598,7 @@ class TestRecordReader:
         pairs = PairTable([], [], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), config_digest(cfg))
         fp, fq = tmp_path / "a.pairs", tmp_path / "a.pred"
         dataset.write_pairs(fp, pairs, cfg, min_overlap=0.0, max_overlap=1.0)
-        dataset.write_predictions(fq, pairs[:0], config_digest=pairs.config_digest)
+        dataset.write_predictions(fq, pairs[:0])
         for f in (fp, fq):
             f.write_text(f.read_text() + "\n  \n")  # blank lines only after the header
         assert dataset.read_pairs(fp).pairs == pairs
@@ -756,14 +756,14 @@ class TestChunkBoundaries:
         pairs = dataset.read_pairs(f).pairs
         preds = random_predictions(np.random.default_rng(2), 200, digest="d")
         g = tmp_path / "a.pred"
-        dataset.write_predictions(g, preds, config_digest="d")
+        dataset.write_predictions(g, preds)
         preds = dataset.read_predictions(g)
         monkeypatch.setattr(dataset, "_CHUNK_ROWS", chunk)
         assert dataset.read_pairs(f).pairs == pairs
         assert dataset.read_predictions(g) == preds
         for write, path, table, kw in ((dataset.write_pairs, f, pairs, dict(cfg=OverlapConfig(), min_overlap=0.0,
                                                                            max_overlap=1.0)),
-                                       (dataset.write_predictions, g, preds, dict(config_digest="d"))):
+                                       (dataset.write_predictions, g, preds, {})):
             again = tmp_path / ("again" + path.suffix)
             write(again, table, **kw)
             assert again.read_bytes() == path.read_bytes()
@@ -809,7 +809,7 @@ class TestChunkBoundaries:
         f, g, h = tmp_path / "a.pairs", tmp_path / "a.pred", tmp_path / "a.poses"
         pairs = random_pairs(rng, n, config_digest(cfg))
         dataset.write_pairs(f, pairs, cfg, min_overlap=0.0, max_overlap=1.0)
-        dataset.write_predictions(g, random_predictions(rng, n, digest="d"), config_digest="d")
+        dataset.write_predictions(g, random_predictions(rng, n, digest="d"))
         dataset.write_poses(h, PoseSet("s", "train", [f"f{k:05d}" for k in range(n)],
                                        geometry.normalize_quat_rows(rng.normal(size=(n, 4))),
                                        rng.normal(size=(n, 3))))

@@ -88,7 +88,7 @@ def test_chain_builds_no_row_objects(tmp_path, monkeypatch):
     dataset.write_pairs(tmp_path / "lib.pairs", pairs, cfg, min_overlap=0.1, max_overlap=0.9)
     pairs = dataset.read_pairs(tmp_path / "lib.pairs").pairs
     preds = synth_predict(pairs, SynthPredictor("noisy", sigma_t=0.05, sigma_q_deg=2.0), seed=3)
-    naive = naive_predictor(pairs).predict(pairs)
+    naive = synth_predict(pairs, naive_predictor(pairs))
     assert len(pairs) == len(preds) == len(naive) > 0
     assert bin_histogram(pairs).sum() == len(pairs)
     assert subspace_stats(pairs, 0.5).count == int((pairs.overlaps >= 0.5).sum())

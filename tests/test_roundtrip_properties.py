@@ -76,7 +76,7 @@ def write(path, table):
     if table.is_pairs:
         dataset.write_pairs(path, table, CFG, min_overlap=0.0, max_overlap=1.0)
         return dataset.read_pairs(path).pairs
-    dataset.write_predictions(path, table, config_digest=table.config_digest)
+    dataset.write_predictions(path, table)
     return dataset.read_predictions(path)
 
 

@@ -13,11 +13,11 @@ from frustoval import (
     evaluate,
     generate_pairs,
     generate_trajectory,
-    naive_predictor,
     subspace_stats,
     synth_predict,
 )
 from frustoval import dataset
+from frustoval.geometry import Quaternion, RelativePose, Translation
 from frustoval.metrics import (
     mapse_translation,
     mase_translation,
@@ -124,12 +124,6 @@ class TestSynthPredict:
         assert report.t_mean == 0 and report.t_mape == 0 and report.t_mase == 0
         assert report.t_mapse == 0 and report.r_mape == 0
 
-    def test_constant_at_mean_equals_naive(self):
-        pairs = self.pairs()
-        mean_rel = naive_predictor(pairs).mean_rel
-        const = synth_predict(pairs, SynthPredictor(kind="constant", constant=mean_rel))
-        assert const == naive_predictor(pairs).predict(pairs)
-
     def test_noisy_error_grows_with_sigma(self):
         pairs = self.pairs()
         means = []
@@ -169,6 +163,14 @@ class TestSynthPredict:
     def test_non_finite_refused(self, kwargs):
         with pytest.raises(ValueError, match="got"):
             SynthPredictor(kind="noisy", **kwargs)
+
+    @pytest.mark.parametrize("rotation, translation", [((math.nan, 0, 0, 0), (0, 0, 0)),
+                                                       ((1, 0, 0, 0), (0, math.inf, 0))])
+    def test_non_finite_constant_refused(self, rotation, translation):
+        # a writer would refuse its predictions only after building all of them
+        constant = RelativePose(Quaternion(*rotation), Translation(*translation))
+        with pytest.raises(ValueError, match="constant pose must be finite, got"):
+            SynthPredictor(kind="constant", constant=constant)
 
 
 class TestTradeoffReproduction:
