@@ -27,7 +27,6 @@ PoseSet, which makes parse -> serialize -> parse an exact identity as well.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import operator
@@ -207,8 +206,10 @@ class PairTable:
             self.frame_ids = [self.frame_ids[k] for k in np.flatnonzero(used).tolist()]
             index = np.cumsum(used, dtype=np.int32) - 1
             self.anchors, self.queries = index[self.anchors], index[self.queries]
-        if (np.diff(self.key()) < 0).any():
-            order = np.argsort(self.key(), kind="stable")
+        key = self.key()
+        if (key[1:] < key[:-1]).any():
+            order = np.argsort(key, kind="stable")
+            del key
             for name in ("anchors", "queries", "rotations", "translations", "overlaps"):
                 column = getattr(self, name)
                 setattr(self, name, None if column is None else column[order])
@@ -313,7 +314,51 @@ def config_digest(cfg: OverlapConfig) -> str:
     """
     entries = {**convention_entries(), **config_header_entries(cfg)}
     blob = "|".join(f"{k}={v}" for k, v in sorted(entries.items()))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return _sha256_hex(blob.encode())[:16]
+
+
+# SHA-256's round constants and initial hash value (FIPS 180-4, 4.2.2 and
+# 5.3.3): the first 32 bits of the fractional parts of the cube roots of the
+# first 64 primes and of the square roots of the first 8
+_SHA256_K = (
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+)
+_SHA256_H0 = (0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19)
+
+
+def _rotr(x: int, n: int) -> int:
+    return (x >> n | x << (32 - n)) & 0xFFFFFFFF
+
+
+def _sha256_hex(data: bytes) -> str:
+    """SHA-256 of `data` as 64 hex digits (FIPS 180-4), in plain Python.
+    hashlib's SHA-256 loads OpenSSL's libcrypto, 3.6 MB of every process's
+    peak RSS, while the few hundred bytes of a configuration hash in well
+    under a millisecond here."""
+    mask = 0xFFFFFFFF
+    # pad to a whole number of 64-byte blocks: 0x80, zeros, the bit length
+    data = bytes(data) + b"\x80" + bytes((55 - len(data)) % 64) + (8 * len(data)).to_bytes(8, "big")
+    h = _SHA256_H0
+    for block in range(0, len(data), 64):
+        w = [int.from_bytes(data[i:i + 4], "big") for i in range(block, block + 64, 4)]
+        for t in range(16, 64):
+            s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ w[t - 15] >> 3
+            s1 = _rotr(w[t - 2], 17) ^ _rotr(w[t - 2], 19) ^ w[t - 2] >> 10
+            w.append((w[t - 16] + s0 + w[t - 7] + s1) & mask)
+        a, b, c, d, e, f, g, k = h
+        for kt, wt in zip(_SHA256_K, w):
+            t1 = k + (_rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)) + (e & f ^ ~e & g) + kt + wt
+            t2 = (_rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)) + (a & b ^ a & c ^ b & c)
+            a, b, c, d, e, f, g, k = (t1 + t2) & mask, a, b, c, (d + t1) & mask, e, f, g
+        h = tuple((x + y) & mask for x, y in zip(h, (a, b, c, d, e, f, g, k)))
+    return "".join(f"{x:08x}" for x in h)
 
 
 def parse_grid(text: str):

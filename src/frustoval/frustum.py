@@ -364,7 +364,8 @@ class _FrustumBatch:
         """Upper bound on each (anchor, query) pair's count: the query's probe
         points whose depth lies within the depth range of the anchor's
         inflated corners in the query's camera frame, and, when all eight lie
-        in front of that camera, whose x/z and y/z lie within their ranges.
+        more than the separation margin in front of that camera, whose x/z and
+        y/z lie within their ranges.
 
         The inflated frustum is the convex hull of those corners, and x/z and
         y/z take their extremes over it at corners, so every point the point
@@ -377,12 +378,13 @@ class _FrustumBatch:
         z = c[..., 2]
         zlo = z.min(axis=1)
         counts = _within(self.depths, zlo - self.margin, z.max(axis=1) + self.margin)
-        front = zlo > 0.0
+        # a corner within the margin of the camera plane would make x/z, y/z
+        # and the pad overflow; such pairs keep the depth-only bound
+        front = zlo > self.margin
         counts[~front] *= self.slopes[0].size * self.slopes[1].size
         slopes = c[front, :, :2] / z[front, :, None]  # (front pairs, 8, 2): x/z and y/z
         # |p/p_z - h/h_z| <= d (1 + |h/h_z|) / p_z for p within d of h, and the
-        # lattice's depths start at near; a corner within rounding of the
-        # camera plane makes this pad wider than the field of view
+        # lattice's depths start at near
         pad = self.margin * (1.0 + np.abs(slopes).max(axis=(1, 2))) * (1.0 / self.depths[0] + 1.0 / zlo[front])
         lo, hi = slopes.min(axis=1), slopes.max(axis=1)
         for k, lattice in enumerate(self.slopes):
@@ -446,7 +448,7 @@ class _FrustumBatch:
             anchors, queries = self.rejects(lo + run // width, order[pos + shift[run]])
             counts = self.point_counts(anchors, queries, work)
             keep = counts > 0
-            out.append((anchors[keep], queries[keep], counts[keep]))
+            out.append((anchors[keep].astype(np.int32), queries[keep].astype(np.int32), counts[keep]))
         anchors, queries, counts = (np.concatenate(col) for col in zip(*out))
         sort = np.argsort(pair_keys(anchors, queries, self.n))
         return anchors[sort], queries[sort], counts[sort]
@@ -472,12 +474,13 @@ def pair_keys(anchors, queries, n_ids: int) -> np.ndarray:
 def score_pairs(quats: np.ndarray, trans: np.ndarray, cfg: OverlapConfig, min_overlap: float = 0.0,
                 threads: int = 1):
     """(anchors, queries, counts) of the ordered pairs of (N, 4) wxyz and (N, 3)
-    camera-to-world rows, sorted by (anchor, query): directional counts, or the
-    minimum of both directions with cfg.symmetric. Every pair above
+    camera-to-world rows, sorted by (anchor, query): int32 row indices, and
+    directional int64 counts or the minimum of both directions with
+    cfg.symmetric. Every pair above
     min_overlap is listed and those at or below it may be. Each of `threads`
     workers scores a contiguous anchor range; the output never depends on it."""
     if not len(quats):  # no pairs, and no grid to build
-        return (np.empty(0, dtype=np.int64),) * 3
+        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)
     batch = _FrustumBatch(quats, trans, cfg, min_overlap)
     if threads <= 1:
         parts = [batch.score_range(0, batch.n)]

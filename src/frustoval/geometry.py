@@ -225,13 +225,26 @@ def dot_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1))
 
 
+# below this norm the squared norm is subnormal and has lost precision
+_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
+
+
 def normalize_quat_rows(rows: np.ndarray) -> np.ndarray:
     """Unit-normalize rows and flip them to the w >= 0 hemisphere, with a
-    lexicographic tie-break at w == 0."""
+    lexicographic tie-break at w == 0. A row whose squared norm overflows or
+    falls below float64's smallest normal number is divided by its largest
+    component first; every other row is divided by its norm alone."""
     rows = np.asarray(rows, dtype=float)
-    n = vector_norms(rows, "l2")[:, None]
-    if np.any(n == 0.0):
-        raise ValueError("cannot normalize a zero quaternion")
+    with np.errstate(over="ignore"):
+        n = vector_norms(rows, "l2")[:, None]
+    outside = np.flatnonzero(~((n[:, 0] >= _SQRT_TINY) & np.isfinite(n[:, 0])))
+    if outside.size:
+        big = np.abs(rows[outside]).max(axis=1, keepdims=True)
+        if np.any(big == 0.0):
+            raise ValueError("cannot normalize a zero quaternion")
+        rows = rows.copy()
+        rows[outside] /= big
+        n[outside] = vector_norms(rows[outside], "l2")[:, None]
     rows = rows / n
     w, x, y, z = rows.T
     flip = (w < 0) | ((w == 0) & ((x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0))))))

@@ -88,7 +88,9 @@ def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
         warnings.warn("fewer than 2 poses; no pairs can be generated", stacklevel=2)
     anchors, queries, counts = score_pairs(poses.rotations, poses.translations, cfg, min_overlap, threads)
     scores = counts / cfg.frustum.n_points
-    keep = (scores > min_overlap) & (scores <= max_overlap)
+    del counts
+    keep = scores > min_overlap
+    keep &= scores <= max_overlap
     if unordered:
         keep &= queries > anchors
     anchors, queries, scores = anchors[keep], queries[keep], scores[keep]

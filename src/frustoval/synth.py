@@ -12,11 +12,13 @@ platforms.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import PairTable, PoseSet, round9_array
+from .frustum import _CHUNK_PAIRS
 from .geometry import (
     RelativePose,
     axis_angle_rows,
@@ -193,8 +195,23 @@ class SynthPredictor:
         return self.kind
 
 
+def _skip_normals(rng, count: int):
+    """`rng` moved past `count` standard normals, drawn and dropped a chunk at a time."""
+    for lo in range(0, count, _CHUNK_PAIRS):
+        rng.normal(size=min(_CHUNK_PAIRS, count - lo))
+    return rng
+
+
 def synth_predict(pairs: PairTable, predictor: SynthPredictor, seed: int = 0) -> PairTable:
-    """Predictions for every pair, in pair order; deterministic for a seed."""
+    """Predictions for every pair, in pair order; deterministic for a seed.
+
+    The noisy predictor fills its output _CHUNK_PAIRS pairs at a time, so its
+    temporaries do not grow with the table. It draws the numbers one
+    whole-table draw of each part would: 3n translation normals, then 3n
+    axis normals, then, when sigma_q_deg > 0, n angle normals. A first pass
+    reads the translation normals; a second reads the axis normals with the
+    same generator and the angle normals with a copy moved past the axes.
+    """
     n = len(pairs)
     if predictor.kind == "perfect":
         q_hat, t_hat = pairs.rotations, pairs.translations
@@ -204,14 +221,19 @@ def synth_predict(pairs: PairTable, predictor: SynthPredictor, seed: int = 0) ->
         t_hat = np.broadcast_to(rel.translation.as_array(), (n, 3))
     else:
         rng = np.random.default_rng(seed)
-        t, q = pairs.translations, pairs.rotations
-        dt = rng.normal(size=(n, 3)) * predictor.sigma_t
-        if predictor.relative_noise:
-            dt *= vector_norms(t, "l2")[:, None]
-        t_hat = t + dt
-        axes = _random_axes(rng, n)
-        angles = rng.normal(0.0, predictor.sigma_q_deg, size=n) if predictor.sigma_q_deg > 0 else np.zeros(n)
-        q_noise = axis_angle_rows(axes, angles)
-        q_hat = normalize_quat_rows(quat_mul_rows(q_noise, q))
+        t_hat, q_hat = np.empty((n, 3)), np.empty((n, 4))
+        for lo in range(0, n, _CHUNK_PAIRS):
+            t = pairs.translations[lo:lo + _CHUNK_PAIRS]
+            dt = rng.normal(size=t.shape) * predictor.sigma_t
+            if predictor.relative_noise:
+                dt *= vector_norms(t, "l2")[:, None]
+            np.add(t, dt, out=t_hat[lo:lo + _CHUNK_PAIRS])
+        # rng now stands at the axis normals; a copy moved past them reads the angles
+        angle_rng = _skip_normals(copy.deepcopy(rng), 3 * n) if predictor.sigma_q_deg > 0 else None
+        for lo in range(0, n, _CHUNK_PAIRS):
+            q = pairs.rotations[lo:lo + _CHUNK_PAIRS]
+            axes = _random_axes(rng, len(q))
+            angles = np.zeros(len(q)) if angle_rng is None else angle_rng.normal(0.0, predictor.sigma_q_deg, len(q))
+            q_hat[lo:lo + _CHUNK_PAIRS] = normalize_quat_rows(quat_mul_rows(axis_angle_rows(axes, angles), q))
     return PairTable(pairs.frame_ids, pairs.anchors, pairs.queries, q_hat, t_hat,
                      config_digest=pairs.config_digest)

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline: exit codes, header echoes, determinism,
 and byte-equality with direct library calls."""
 
+import json
 import re
 import shlex
 import subprocess
@@ -98,6 +99,29 @@ class TestBasics:
         assert e.value.code == 1
         assert f"argument --threads: must be a whole number of at least 1, got '{threads}'" in capsys.readouterr().err
 
+    def test_stages_load_no_openssl(self, tmp_path, pairs_file, pred_file, poses_file):
+        # hashlib's SHA-256 loads OpenSSL's libcrypto into every process that
+        # checks a digest; the digest is computed in Python instead
+        stages = [["ingest", "--format", "sevenscenes", "--input", str(FIXTURES / "sevenscenes" / "chess_mini"),
+                   "--split", "train", "--out", str(tmp_path / "chess.txt")],
+                  ["pairs", "--poses", str(poses_file), *FRUSTUM_FLAGS, "--out", str(tmp_path / "p.pairs")],
+                  ["histogram", "--pairs", str(pairs_file), "--out", str(tmp_path / "h.csv")],
+                  ["diameter", "--pairs", str(pairs_file), "--out", str(tmp_path / "d.csv")],
+                  ["naive", "--pairs", str(pairs_file), "--out", str(tmp_path / "n.pred")],
+                  ["eval", "--pairs", str(pairs_file), "--pred", str(pred_file), "--out", str(tmp_path / "r")],
+                  ["curve", "--poses", str(poses_file), "--pred", str(pred_file), *FRUSTUM_FLAGS,
+                   "--bins", "0:1:0.25", "--out", str(tmp_path / "c.csv")]]
+        code = ("import json, sys\nimport numpy\nprint('_hashlib' in sys.modules)\n"
+                "from frustoval.cli import main\n"
+                "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0, argv\n"
+                "print('_hashlib' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(stages)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        by_numpy, by_stages = proc.stdout.split()
+        if by_numpy == "True":
+            pytest.skip("this numpy imports numpy.random, and with it OpenSSL, on import")
+        assert by_stages == "False"
+
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "frustoval.cli", "--version"],
                               capture_output=True, text=True)
@@ -155,6 +179,18 @@ class TestNonFiniteFlags:
         assert main([*argv, "--out", str(out)]) == 1
         assert needle in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("c", ["1e200", "1e-200", "1e-160", "2e-162"])
+    def test_constant_quaternion_beyond_float_range(self, tmp_path, pairs_file, c):
+        # its squared norm overflows or underflows float64; the quaternion was
+        # written as 0 0 0 0, which eval refused, refused as zero, or written
+        # off unit length from a subnormal squared norm
+        pred = tmp_path / "c.pred"
+        assert main(["synth", "--pairs", str(pairs_file), "--predictor", "constant",
+                     "--constant", f"{c} {c} 0 0 0 0 0", "--out", str(pred)]) == 0
+        assert np.all(dataset.read_predictions(pred).rotations == [0.707106781, 0.707106781, 0.0, 0.0])
+        assert main(["eval", "--pairs", str(pairs_file), "--pred", str(pred),
+                     "--out", str(tmp_path / "r.report")]) == 0
 
 
 class TestIngest:
@@ -277,14 +313,15 @@ class TestRecordFileMemory:
         # whole-table temporaries, to 82-123 MB; holding each column once and
         # computing per-pair errors a chunk at a time, they take 59-104 MB,
         # most of it numpy and the columns; naive took 70 MB while its table
-        # held the mean pose once per pair, 63 MB holding it once
+        # held the mean pose once per pair, 63 MB holding it once; the noisy
+        # synth took 104 MB with whole-table temporaries, 72 a chunk at a time
         pred = tmp_path / "naive.pred"
         assert peak_rss_mb("naive", "--pairs", str(pairs_246k), "--out", str(pred)) < 97
         assert peak_rss_mb("eval", "--pairs", str(pairs_246k), "--pred", str(pred),
                            "--out", str(tmp_path / "r.report")) < 115
         assert peak_rss_mb("histogram", "--pairs", str(pairs_246k), "--out", str(tmp_path / "h.csv")) < 90
         assert peak_rss_mb("synth", "--pairs", str(pairs_246k), "--predictor", "noisy",
-                           "--out", str(tmp_path / "noisy.pred")) < 135
+                           "--out", str(tmp_path / "noisy.pred")) < 105
 
     @staticmethod
     def traced(fn, *args):
@@ -321,6 +358,14 @@ class TestRecordFileMemory:
         m = len(pf.pairs)
         assert self.traced(metrics.evaluate, pf.pairs, preds)[1] < 86 * m
         assert self.traced(metrics.error_curve, pf.pairs, preds, OverlapBinning())[1] < 56 * m
+
+    def test_noisy_predictions_a_chunk_at_a_time(self, pairs_246k):
+        # the noisy predictor's temporaries are a chunk's; whole-table draws,
+        # axes and quaternion products took 192 bytes a pair at their peak
+        pairs = dataset.read_pairs(pairs_246k).pairs
+        noisy = SynthPredictor(kind="noisy", sigma_t=0.05, sigma_q_deg=2.0, relative_noise=True)
+        preds, peak, kept = self.traced(synth.synth_predict, pairs, noisy)
+        assert len(preds) == len(pairs) and peak < 80 * len(pairs) and kept < 57 * len(pairs)
 
     def test_constant_predictions_hold_one_pose(self, pairs_246k):
         # a naive or constant prediction table holds its one pose broadcast

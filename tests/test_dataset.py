@@ -1,5 +1,6 @@
 """Parsers and the canonical file formats: round trips, digests, error paths."""
 
+import hashlib
 import math
 import sys
 from dataclasses import replace
@@ -460,6 +461,12 @@ class TestConfigDigest:
 
     def test_stable_across_runs(self):
         assert config_digest(OverlapConfig()) == config_digest(OverlapConfig())
+
+    def test_sha256_matches_hashlib(self):
+        # lengths 0-200 cross the padding edges at 55, 56 and 64 bytes
+        data = bytes(range(256))
+        for n in range(201):
+            assert dataset._sha256_hex(data[:n]) == hashlib.sha256(data[:n]).hexdigest(), n
 
     def test_convention_change_changes_digest(self, monkeypatch):
         before = config_digest(OverlapConfig())

@@ -12,7 +12,7 @@ dict keyed by (anchor_id, query_id) tuples, whatever ids each table holds.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frustoval import (
@@ -138,6 +138,10 @@ pose = st.tuples(quat, st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
 @settings(max_examples=100, deadline=None)
 @given(st.lists(pose, min_size=2, max_size=4), st.sampled_from([1e-9, 0.03, 0.1]),
        st.sampled_from([110.0, 180.0]))
+# a corner of the anchor's inflated frustum just in front of the query's
+# camera plane: the window reject's x/z and y/z overflowed
+@example([([0.0, 0.0, 1.0, -4.03e-210], [0.0, 0.0, 0.0]), ([0.0, 0.0, 1.0, -4.03e-210], [0.0, 1.0, 0.0])],
+         0.1, 110.0)
 def test_unordered_score_is_min_of_directions(drawn, eps, gate):
     poses = [Pose(Quaternion.unit(*q), Translation(*t), f"p{k}") for k, (q, t) in enumerate(drawn)]
     spec = FrustumSpec(grid_nx=4, grid_ny=4, grid_nz=4, boundary_epsilon=eps)

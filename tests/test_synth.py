@@ -17,7 +17,16 @@ from frustoval import (
     synth_predict,
 )
 from frustoval import dataset
-from frustoval.geometry import Quaternion, RelativePose, Translation
+from frustoval.dataset import PairTable
+from frustoval.frustum import _CHUNK_PAIRS
+from frustoval.geometry import (
+    Quaternion,
+    RelativePose,
+    Translation,
+    axis_angle_rows,
+    normalize_quat_rows,
+    quat_mul_rows,
+)
 from frustoval.metrics import (
     mapse_translation,
     mase_translation,
@@ -163,6 +172,37 @@ class TestSynthPredict:
     def test_non_finite_refused(self, kwargs):
         with pytest.raises(ValueError, match="got"):
             SynthPredictor(kind="noisy", **kwargs)
+
+    @staticmethod
+    def one_draw_noisy(pairs, predictor, seed):
+        """The noisy predictions as one whole-table draw of each part."""
+        n = len(pairs)
+        rng = np.random.default_rng(seed)
+        dt = rng.normal(size=(n, 3)) * predictor.sigma_t
+        if predictor.relative_noise:
+            dt *= np.linalg.norm(pairs.translations, axis=-1)[:, None]
+        axes = rng.normal(size=(n, 3))
+        axes /= np.linalg.norm(axes, axis=-1)[:, None]
+        angles = rng.normal(0.0, predictor.sigma_q_deg, size=n) if predictor.sigma_q_deg > 0 else np.zeros(n)
+        noise = axis_angle_rows(axes, angles)
+        return normalize_quat_rows(quat_mul_rows(noise, pairs.rotations)), pairs.translations + dt
+
+    @pytest.mark.parametrize("sigma_q_deg", [0.0, 2.0])
+    @pytest.mark.parametrize("relative_noise", [False, True])
+    def test_noisy_chunks_draw_as_one_table(self, relative_noise, sigma_q_deg):
+        # the table is filled a chunk at a time, with the numbers of one draw
+        rng = np.random.default_rng(4)
+        predictor = SynthPredictor(kind="noisy", sigma_t=0.05, sigma_q_deg=sigma_q_deg,
+                                   relative_noise=relative_noise)
+        for n in (_CHUNK_PAIRS - 1, _CHUNK_PAIRS, _CHUNK_PAIRS + 1):
+            anchors, queries = np.divmod(np.arange(n), 100)
+            pairs = PairTable([f"f{k:03d}" for k in range(100)], anchors, queries,
+                              normalize_quat_rows(rng.normal(size=(n, 4))), rng.normal(size=(n, 3)),
+                              np.full(n, 0.5), "d")
+            preds = synth_predict(pairs, predictor, seed=7)
+            q_want, t_want = self.one_draw_noisy(pairs, predictor, seed=7)
+            assert preds.rotations.tobytes() == q_want.tobytes()
+            assert preds.translations.tobytes() == t_want.tobytes()
 
     @pytest.mark.parametrize("rotation, translation", [((math.nan, 0, 0, 0), (0, 0, 0)),
                                                        ((1, 0, 0, 0), (0, math.inf, 0))])
