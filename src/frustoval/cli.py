@@ -11,6 +11,9 @@ import argparse
 import math
 import os
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from . import FORMAT_VERSION, __version__, dataset, metrics, pairgen, synth
 from .frustum import FrustumSpec, OverlapConfig
@@ -224,7 +227,7 @@ def build_parser() -> _Parser:
 
 def _config_file_argv(path) -> list[str]:
     try:
-        text = open(path).read()
+        text = Path(path).read_text()
     except FileNotFoundError:
         raise dataset.FormatError(f"missing config file: {path}") from None
     out = []
@@ -293,19 +296,24 @@ def cmd_ingest(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.pairs:
-        pf = dataset.read_pairs(args.pairs)
-        constant = _parse_constant(args.constant) if args.constant else None
-        try:
-            predictor = SynthPredictor(
-                kind=args.predictor, sigma_t=args.sigma_t, sigma_q_deg=args.sigma_q,
-                relative_noise=args.relative_noise, constant=constant,
-            )
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-        preds = synth.synth_predict(pf.pairs, predictor, seed=args.seed)
-        dataset.write_predictions(args.out, preds, predictor=predictor.describe(),
-                                  extra={"rng": RNG_KIND, "seed": args.seed})
-        _info(f"wrote {len(preds)} {predictor.describe()} predictions to {args.out}")
+        chunks = dataset.stream_pairs(args.pairs)
+        pf = next(chunks)
+        with dataset.refusals_first(chunks):
+            constant = _parse_constant(args.constant) if args.constant else None
+            try:
+                predictor = SynthPredictor(
+                    kind=args.predictor, sigma_t=args.sigma_t, sigma_q_deg=args.sigma_q,
+                    relative_noise=args.relative_noise, constant=constant,
+                )
+            except ValueError as e:
+                raise UsageError(str(e)) from None
+            n = dataset.pair_count(args.pairs, pf.header)
+            predict = synth.chunk_predictor(predictor, n, seed=args.seed)
+            dataset.write_prediction_chunks(
+                args.out, pf.pairs.config_digest, n,
+                (((c.anchor_ids, c.query_ids), predict(c.rotations, c.translations)) for c in chunks),
+                predictor=predictor.describe(), extra={"rng": RNG_KIND, "seed": args.seed})
+        _info(f"wrote {n} {predictor.describe()} predictions to {args.out}")
         return 0
     try:
         cfg = SynthConfig(
@@ -343,15 +351,21 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_histogram(args) -> int:
-    pf = dataset.read_pairs(args.pairs)
-    binning = _parse_bins(args.bins)
-    counts = pairgen.bin_histogram(pf.pairs, binning)
+    chunks = dataset.stream_pairs(args.pairs)
+    pf = next(chunks)
+    n = 0
+    with dataset.refusals_first(chunks):
+        binning = _parse_bins(args.bins)
+        counts = np.zeros(binning.n_bins, dtype=np.int64)
+        for chunk in chunks:
+            counts += pairgen.bin_histogram(chunk, binning)
+            n += len(chunk)
     dataset.write_histogram(
         args.out, binning.edges, counts,
         extra={"config_digest": pf.pairs.config_digest, **dataset.config_header_entries(pf.cfg),
-               **dataset.convention_entries(), "n_pairs": len(pf.pairs)},
+               **dataset.convention_entries(), "n_pairs": n},
     )
-    _info(f"wrote {binning.n_bins}-bin histogram of {len(pf.pairs)} pairs to {args.out}")
+    _info(f"wrote {binning.n_bins}-bin histogram of {n} pairs to {args.out}")
     return 0
 
 

@@ -12,13 +12,17 @@ content serializes byte-identically and write -> read -> write is a fixed
 point.
 
 Pose, pair and prediction files are read and written `_CHUNK_ROWS` lines at
-a time, so the memory they take beyond the table's own columns does not grow
-with the file. A reader parses each chunk of lines with one structured
-`np.loadtxt` call, so numbers take the syntax loadtxt reads, and encodes the
-chunk's ids into one growing frame-id vocabulary; a writer gathers, checks
-and %-formats one chunk of rows at a time. A refusal names `path:LINE:` when
-one line is at fault and `path:` otherwise; only after a check fails is the
-file read again to find that line.
+a time. One record stream parses each chunk of lines with one structured
+`np.loadtxt` call, so numbers take the syntax loadtxt reads, and checks it;
+a writer gathers, checks and %-formats one chunk of rows at a time. The
+table readers (`read_poses`, `read_pairs`, `read_predictions`) fill each
+column once from the stream, encoding the ids into one growing frame-id
+vocabulary, so they hold their table and one chunk. `stream_pairs` hands
+the checked chunks of a pair file out one at a time, so `synth --pairs` and
+`histogram` hold one chunk whatever the file's size; `naive`, `diameter`,
+`eval` and `curve` still hold whole tables. A refusal names `path:LINE:`
+when one line is at fault and `path:` otherwise; only after a check fails
+is the file read again to find that line.
 
 Ingested poses (public datasets, synthetic trajectories) are rounded to the
 same 9-significant-digit precision (`round9_array`) before they become a
@@ -565,31 +569,43 @@ def _line_count(path) -> int:
                        for block in iter(lambda: fh.read(1 << 16), b""))
 
 
-def _read_records(path, kind: str, columns: str, widths):
-    """Read a record file: (header, the sorted frame ids its records use, per
-    id column an int32 array of indices into them, per entry of `widths` an
-    (M, width) float64 array of the next `width` numbers of each record).
+def _read_records(path, kind: str, columns: str, widths, check=None):
+    """Read a record file as a stream: its header dict, then per chunk of
+    records (row, ids, groups): the row number of the chunk's first record,
+    per id column a list of the id strings, and per entry of `widths` an
+    (M, width) float64 array of the next `width` numbers of each record.
 
     The records are parsed _CHUNK_ROWS lines at a time, each chunk by one
-    structured np.loadtxt call that skips blank lines, and each chunk's ids
-    are encoded into one growing id -> index dict, so no line or per-row id
-    string outlives its chunk. Each chunk's id codes and numbers are written
-    into columns made once, as long as the file has lines, so the reader
-    holds every column once and never joins or copies it. The first line
-    np.loadtxt refuses is refused; failing that, the first record with a
-    non-finite number or read from a late header line is."""
+    structured np.loadtxt call that skips blank lines, so no line or id
+    string outlives its chunk unless the consumer keeps it. `check`, when
+    given, checks the header (`check.header`) and each chunk's records
+    (`check.records`, which may rewrite the numbers in place).
+
+    Once a defect is found the stream hands out no more chunks. It reads on
+    only to find the refusal a reader of the whole file would raise first,
+    then raises it. That is, in this order: the first line np.loadtxt
+    refuses; the first record with a non-finite number or read from a late
+    header line; a record count other than the header's; the header check's
+    refusal; the refusal `check.records` ranks first (rank, then row)."""
     names = columns.split()
     n_ids = sum(name.endswith("_id") for name in names)
     dtype = np.dtype([*((name, object) for name in names[:n_ids]),
                       ("values", np.float64, (len(names) - n_ids,))])
     bounds = list(itertools.accumulate(widths, initial=0))
-    index, rows, pending = {}, 0, None
     with _open(path) as fh:
-        size = _line_count(path)
-        codes = [np.empty(size, np.int32) for _ in range(n_ids)]
-        groups = [np.empty((size, width)) for width in widths]
         _, header, records = _header_block(path, fh, kind)
         with _located(path):
+            # (rank, row, refusal) of the refusal to raise, as far as read; rank
+            # -2 is an unreadable record, -1 the header check, 0 on check.records'
+            found = None
+            if check is not None:
+                try:
+                    check.header(header)
+                except FormatError as e:
+                    found = (-1, 0, e)
+            if found is None:
+                yield header
+            rows = 0
             while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
                 try:
                     table = _loadtxt(chunk, dtype)
@@ -601,23 +617,51 @@ def _read_records(path, kind: str, columns: str, widths):
                 bad = ~np.isfinite(table["values"]).all(axis=1)
                 if "#" in ids[0]:  # a header line with as many fields as a record
                     bad[ids[0].index("#")] = True
-                if pending is None and bad.any():
+                if bad.any() and (found is None or found[0] != -2):
                     k = int(np.argmax(bad))
                     line = [ln for ln in chunk if ln.strip()][k]
-                    pending = _Refused(_refusal(line, names, n_ids, kind[:-1]), row=rows + k)
-                cut = slice(rows, rows + len(table))
-                for column, chunk_ids in zip(codes, ids):
-                    new = set(chunk_ids).difference(index)
-                    index.update(zip(new, range(len(index), len(index) + len(new))))
-                    column[cut] = np.fromiter(map(index.__getitem__, chunk_ids), np.int32, len(chunk_ids))
-                for group, lo, hi in zip(groups, bounds, bounds[1:]):
-                    group[cut] = table["values"][:, lo:hi]
+                    found = (-2, rows + k, _Refused(_refusal(line, names, n_ids, kind[:-1]), row=rows + k))
+                del chunk  # parsed: the lines need not outlive the yield below
+                groups = [table["values"][:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+                if check is not None and (found is None or found[0] >= 0):
+                    first = check.records(rows, ids, groups)
+                    if first is not None and (found is None or first[:2] < found[:2]):
+                        found = first
+                if found is None:
+                    yield rows, ids, groups
                 rows += len(table)
-            if pending is not None:
-                raise pending
+            if found is not None and found[0] == -2:
+                raise found[2]
             declared = _entry(header, "count", int, rows)
             if declared != rows:
                 raise FormatError(f"header declares {declared} records, found {rows}")
+            if found is not None:
+                raise found[2]
+
+
+def _read_columns(path, kind: str, columns: str, widths, check=None):
+    """Read a record file whole: (header, the sorted frame ids its records
+    use, per id column an int32 array of indices into them, per entry of
+    `widths` an (M, width) float64 array).
+
+    Each chunk of the record stream is written into columns made once, as
+    long as the file has lines, so the reader holds every column once and
+    never joins or copies it; each chunk's ids are encoded into one growing
+    id -> index dict as they arrive."""
+    records = _read_records(path, kind, columns, widths, check)
+    header = next(records)
+    size = _line_count(path)
+    codes = [np.empty(size, np.int32) for name in columns.split() if name.endswith("_id")]
+    groups = [np.empty((size, width)) for width in widths]
+    index, rows = {}, 0
+    for row, ids, values in records:
+        rows = row + len(ids[0])
+        for column, chunk_ids in zip(codes, ids):
+            new = set(chunk_ids).difference(index)
+            index.update(zip(new, range(len(index), len(index) + len(new))))
+            column[row:rows] = np.fromiter(map(index.__getitem__, chunk_ids), np.int32, len(chunk_ids))
+        for group, chunk_values in zip(groups, values):
+            group[row:rows] = chunk_values
     frame_ids = list(index)
     order = sorted(range(len(frame_ids)), key=frame_ids.__getitem__)
     rank = np.empty(len(order), dtype=np.int32)
@@ -626,11 +670,12 @@ def _read_records(path, kind: str, columns: str, widths):
             tuple(group[:rows] for group in groups))
 
 
-def _parsed_quats(q: np.ndarray) -> np.ndarray:
+def _parsed_quats(q: np.ndarray, row: int = 0) -> np.ndarray:
     """The (M, 4) parsed wxyz rows `q`, each kept verbatim when within
     _PARSE_NORM_SLACK of unit norm with w >= 0, otherwise normalized, in
     place, to the canonical hemisphere, so canonical files survive read/write
-    cycles byte-exactly. Rows are checked _CHUNK_ROWS at a time."""
+    cycles byte-exactly. Rows are checked _CHUNK_ROWS at a time; a refusal
+    names its record as `row` plus its index in `q`."""
     for lo in range(0, len(q), _CHUNK_ROWS):
         part = q[lo:lo + _CHUNK_ROWS]
         w, x, y, z = part.T
@@ -642,19 +687,72 @@ def _parsed_quats(q: np.ndarray) -> np.ndarray:
             if bad.size:
                 k = int(bad[0])
                 raise _Refused("zero quaternion cannot be normalized" if nsq[k] == 0.0
-                               else "quaternion's squared norm overflows", row=lo + k)
+                               else "quaternion's squared norm overflows", row=row + lo + k)
             part[rows] = geometry.normalize_quat_rows(part[rows])
     return q
 
 
-def _check_keys(frame_ids, anchors, queries, kind: str):
-    """Refuse keys that repeat or are out of order."""
-    step = np.diff(pair_keys(anchors, queries, len(frame_ids)))
-    if (step <= 0).any():
-        k = int(np.argmax(step <= 0)) + 1
-        problem = "duplicate" if step[k - 1] == 0 else "unsorted"
-        raise _Refused(f"{problem} {kind} key {(frame_ids[anchors[k]], frame_ids[queries[k]])}: "
-                       "records must be sorted by (anchor_id, query_id) without repeats", row=k)
+class _KeyedRecordCheck:
+    """The checks of pair or prediction records (`kind` "pair" or
+    "prediction"), a chunk at a time, for `_read_records`.
+
+    `header` reads a pair file's configuration and overlap window, refusing
+    them as a reader of the whole file would, and the digest of either kind.
+    `records` returns the first refusal among a chunk's records as (rank,
+    row, refusal), ranked as a whole-file reader checks them: a self pair,
+    an overlap outside the window, a repeated or unsorted key (keys compare
+    across chunk boundaries), a quaternion that cannot be normalized. It
+    normalizes the others in place (`_parsed_quats`)."""
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.last_key = None
+
+    def header(self, header: dict):
+        self.digest = header.get("config_digest", "")
+        if self.kind == "pair":
+            self.cfg = config_from_header(header)
+            self.lo = _entry(header, "min_overlap", default="0")
+            self.hi = _entry(header, "max_overlap", default="1")
+            self.window = f"({header.get('min_overlap', '0')}, {header.get('max_overlap', '1')}]"
+            check_window(self.lo, self.hi, FormatError)
+            if config_digest(self.cfg) != self.digest:
+                raise FormatError(f"stored config_digest {self.digest} does not match the header configuration")
+
+    def records(self, row: int, ids, groups):
+        anchors, queries = ids
+        found = []
+        if self.kind == "pair":
+            overlaps, rotations, _ = groups
+            same = list(map(operator.eq, anchors, queries))
+            if True in same:
+                k = same.index(True)
+                found.append((0, row + k, _Refused(f"pair must join two distinct frames, got {anchors[k]!r} twice",
+                                                   row=row + k)))
+            inside = (overlaps[:, 0] > self.lo) & (overlaps[:, 0] <= self.hi)
+            if not inside.all():
+                k = int(np.argmin(inside))
+                found.append((1, row + k, _Refused(f"overlap {float(overlaps[k, 0])} outside the header's "
+                                                   f"{self.window}", row=row + k)))
+        else:
+            rotations, _ = groups
+        keys = list(zip(anchors, queries))
+        if self.last_key is not None:
+            keys.insert(0, self.last_key)
+        ordered = list(map(operator.lt, keys, keys[1:]))
+        if False in ordered:
+            j = ordered.index(False)
+            k = row + j + (self.last_key is None)
+            problem = "duplicate" if keys[j] == keys[j + 1] else "unsorted"
+            found.append((2, k, _Refused(f"{problem} {self.kind} key {keys[j + 1]}: records must be sorted "
+                                         "by (anchor_id, query_id) without repeats", row=k)))
+        if keys:
+            self.last_key = keys[-1]
+        try:
+            _parsed_quats(rotations, row)
+        except _Refused as e:
+            found.append((3, e.row, e))
+        return min(found, key=lambda f: f[:2], default=None)
 
 
 def _check_ids(frame_ids):
@@ -672,24 +770,33 @@ def _write_table(path, kind: str, entries: dict, columns: str, count: int, lines
         fh.writelines(lines)
 
 
-def _write_records(path, kind: str, entries: dict, columns: str, frame_ids, id_columns, numbers):
-    """Write a record file: one line per row of the id columns (indices into
-    `frame_ids`) and the numeric columns, each number as fnum prints it,
-    through one %-format per row. Rows are gathered, checked and formatted
-    _CHUNK_ROWS at a time; a non-finite number is refused."""
-    ids = np.array(frame_ids, dtype=object)
-    line = " ".join(["%s"] * len(id_columns) + ["%.9g"] * len(numbers)) + "\n"
+def _write_records(path, kind: str, entries: dict, columns: str, count: int, chunks):
+    """Write a record file of `count` rows, given as an iterable of row
+    chunks (ids, numbers): per id column a list of id strings, and the
+    numeric columns, (M,) or (M, width) arrays. Each number is printed as
+    fnum prints it, through one %-format per row, and a non-finite number is
+    refused; only one chunk is formatted at a time."""
+    names = columns.split()
+    n_ids = sum(name.endswith("_id") for name in names)
+    line = " ".join(["%s"] * n_ids + ["%.9g"] * (len(names) - n_ids)) + "\n"
 
-    def chunks():
-        for lo in range(0, len(id_columns[0]), _CHUNK_ROWS):
-            rows = slice(lo, lo + _CHUNK_ROWS)
-            values = np.column_stack([c[rows] for c in numbers]) + 0.0  # + 0.0 turns -0 into 0, as fnum does
+    def lines():
+        for ids, numbers in chunks:
+            values = np.column_stack(numbers) + 0.0  # + 0.0 turns -0 into 0, as fnum does
             if not np.isfinite(values).all():
                 raise ValueError(f"cannot serialize non-finite number {float(values[~np.isfinite(values)][0])!r}")
-            yield "".join(map(line.__mod__, zip(*(ids[c[rows]].tolist() for c in id_columns),
-                                                *values.T.tolist())))
+            yield "".join(map(line.__mod__, zip(*ids, *values.T.tolist())))
 
-    _write_table(path, kind, entries, columns, len(id_columns[0]), chunks())
+    _write_table(path, kind, entries, columns, count, lines())
+
+
+def _table_chunks(table: PairTable, *numbers):
+    """The row chunks of a pair table for _write_records: its anchor and
+    query ids and the given columns, _CHUNK_ROWS rows at a time."""
+    ids = np.array(table.frame_ids, dtype=object)
+    for lo in range(0, len(table), _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        yield (ids[table.anchors[rows]].tolist(), ids[table.queries[rows]].tolist()), [c[rows] for c in numbers]
 
 
 # ---------------------------------------------------------------------------
@@ -709,12 +816,14 @@ def write_poses(path, ps: PoseSet, extra: dict | None = None):
         **(extra or {}),
     }
     _check_ids(ps.frame_ids)
-    _write_records(path, "poses", entries, _POSE_COLUMNS, ps.frame_ids, (np.arange(len(ps)),),
-                   (*ps.rotations.T, *ps.translations.T))
+    _write_records(path, "poses", entries, _POSE_COLUMNS, len(ps),
+                   (([ps.frame_ids[lo:lo + _CHUNK_ROWS]],
+                     (ps.rotations[lo:lo + _CHUNK_ROWS], ps.translations[lo:lo + _CHUNK_ROWS]))
+                    for lo in range(0, len(ps), _CHUNK_ROWS)))
 
 
 def read_poses(path) -> PoseSet:
-    header, frame_ids, (codes,), (rotations, translations) = _read_records(
+    header, frame_ids, (codes,), (rotations, translations) = _read_columns(
         path, "poses", _POSE_COLUMNS, (4, 3))
     with _located(path):
         split = header.get("split", "train")
@@ -790,35 +899,82 @@ def write_pairs(path, pairs: PairTable, cfg: OverlapConfig, *, min_overlap: floa
         **convention_entries(),
         **(extra or {}),
     }
-    _write_records(path, "pairs", entries, _PAIR_COLUMNS, pairs.frame_ids, (pairs.anchors, pairs.queries),
-                   (pairs.overlaps, *pairs.rotations.T, *pairs.translations.T))
+    try:  # values a reader refuses once printed with 9 digits, such as a FOV of 179.9999999999
+        _KeyedRecordCheck("pair").header(entries)
+    except FormatError as e:
+        raise ValueError(f"header refused at file precision: {e}") from None
+    _write_records(path, "pairs", entries, _PAIR_COLUMNS, len(pairs),
+                   _table_chunks(pairs, pairs.overlaps, pairs.rotations, pairs.translations))
 
 
 def read_pairs(path) -> PairFileData:
-    header, frame_ids, (anchors, queries), (overlaps, rotations, translations) = _read_records(
-        path, "pairs", _PAIR_COLUMNS, (1, 4, 3))
-    overlaps = overlaps[:, 0]
-    with _located(path):
-        cfg = config_from_header(header)
-        lo = _entry(header, "min_overlap", default="0")
-        hi = _entry(header, "max_overlap", default="1")
-        check_window(lo, hi, FormatError)
-        digest = header.get("config_digest", "")
-        if config_digest(cfg) != digest:
-            raise FormatError(f"stored config_digest {digest} does not match the header configuration")
-        same = anchors == queries
-        if same.any():
-            k = int(np.argmax(same))
-            raise _Refused(f"pair must join two distinct frames, got {frame_ids[anchors[k]]!r} twice", row=k)
-        inside = (overlaps > lo) & (overlaps <= hi)
-        if not inside.all():
-            k = int(np.argmin(inside))
-            raise _Refused(f"overlap {float(overlaps[k])} outside the header's "
-                           f"({header.get('min_overlap', '0')}, {header.get('max_overlap', '1')}]", row=k)
-        _check_keys(frame_ids, anchors, queries, "pair")
-        pairs = PairTable(frame_ids, anchors, queries, _parsed_quats(rotations), translations,
-                          overlaps=overlaps, config_digest=digest)
-    return PairFileData(pairs=pairs, cfg=cfg, min_overlap=lo, max_overlap=hi, header=header)
+    check = _KeyedRecordCheck("pair")
+    header, frame_ids, (anchors, queries), (overlaps, rotations, translations) = _read_columns(
+        path, "pairs", _PAIR_COLUMNS, (1, 4, 3), check)
+    pairs = PairTable(frame_ids, anchors, queries, rotations, translations, overlaps[:, 0], check.digest)
+    return PairFileData(pairs=pairs, cfg=check.cfg, min_overlap=check.lo, max_overlap=check.hi, header=header)
+
+
+class PairChunk:
+    """Consecutive records of a pair file, as `stream_pairs` hands them out:
+    their anchor and query id strings, (M,) overlaps, (M, 4) wxyz rotations
+    and (M, 3) translations. A plain class: a frozen dataclass would cost
+    every process 0.7 ms at import."""
+
+    __slots__ = ("anchor_ids", "query_ids", "overlaps", "rotations", "translations")
+
+    def __init__(self, anchor_ids: list, query_ids: list, overlaps, rotations, translations):
+        self.anchor_ids, self.query_ids = anchor_ids, query_ids
+        self.overlaps, self.rotations, self.translations = overlaps, rotations, translations
+
+    def __len__(self):
+        return len(self.overlaps)
+
+
+def stream_pairs(path):
+    """Read a pair file a chunk of records at a time: yield its PairFileData
+    with no rows (`pairs` is empty and carries the digest), then a PairChunk
+    per _CHUNK_ROWS records, so no more than one chunk is held.
+
+    The records pass the checks of `read_pairs` and a defect is refused as
+    `read_pairs` refuses it, with its message and line, after the stream has
+    read on to find it; no chunk is handed out from the first defect on."""
+    check = _KeyedRecordCheck("pair")
+    records = _read_records(path, "pairs", _PAIR_COLUMNS, (1, 4, 3), check)
+    header = next(records)
+    empty = PairTable([], [], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), check.digest)
+    yield PairFileData(pairs=empty, cfg=check.cfg, min_overlap=check.lo, max_overlap=check.hi, header=header)
+    for _, (anchor_ids, query_ids), (overlaps, rotations, translations) in records:
+        yield PairChunk(anchor_ids, query_ids, overlaps[:, 0], rotations, translations)
+
+
+def pair_count(path, header: dict) -> int:
+    """The records a pair file with this header holds if it is valid: its
+    declared count, or, when it declares none or more than its size allows
+    (every field takes two bytes), its non-blank lines after the header,
+    counted in a pass over the file."""
+    try:
+        declared = int(header["count"])
+    except (KeyError, ValueError):
+        declared = -1
+    if 0 <= declared <= os.path.getsize(path) // (2 * len(_PAIR_COLUMNS.split())):
+        return declared
+    with _open(path) as fh:
+        return sum(1 for ln in _header_block(path, fh)[2] if ln.strip())
+
+
+@contextmanager
+def refusals_first(stream):
+    """Run a block that consumes the record stream `stream`. When the block
+    raises, the rest of the stream is read first, so that a refusal of the
+    file, which reading it whole before the block would have raised, is
+    raised instead of the block's own error."""
+    try:
+        yield
+    except Exception:
+        for _ in stream:
+            pass
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -834,27 +990,37 @@ def write_predictions(path, predictions: PairTable, *, predictor: str = "externa
     dupes = predictions.repeated_keys()
     if dupes:
         raise ValueError(f"duplicate prediction keys: {dupes[:5]}")
-    entries = {
-        "config_digest": predictions.config_digest,
-        "predictor": predictor,
-        **convention_entries(),
-        **(extra or {}),
-    }
-    _write_records(path, "predictions", entries, _PRED_COLUMNS, predictions.frame_ids,
-                   (predictions.anchors, predictions.queries),
-                   (*predictions.rotations.T, *predictions.translations.T))
+    write_prediction_chunks(path, predictions.config_digest, len(predictions),
+                            _table_chunks(predictions, predictions.rotations, predictions.translations),
+                            predictor=predictor, extra=extra)
+
+
+def write_prediction_chunks(path, config_digest: str, count: int, chunks, *, predictor: str = "external",
+                            extra: dict | None = None):
+    """Write `count` predictions in key order under the digest of the pairs
+    they were made for, given a chunk at a time as ((anchor ids, query ids),
+    ((M, 4) rotations, (M, 3) translations)). Ids `write_predictions` would
+    refuse are refused."""
+    seen = set()
+
+    def checked():
+        for ids, numbers in chunks:
+            new = set(ids[0]).union(ids[1]).difference(seen)
+            _check_ids(new)
+            seen.update(new)
+            yield ids, numbers
+
+    entries = {"config_digest": config_digest, "predictor": predictor, **convention_entries(), **(extra or {})}
+    _write_records(path, "predictions", entries, _PRED_COLUMNS, count, checked())
 
 
 def read_predictions(path) -> PairTable:
     """The prediction table of a file, carrying the digest of the pairs it was
     made for ('' when the header names none)."""
-    header, frame_ids, (anchors, queries), (rotations, translations) = _read_records(
-        path, "predictions", _PRED_COLUMNS, (4, 3))
-    with _located(path):
-        _check_keys(frame_ids, anchors, queries, "prediction")
-        _parsed_quats(rotations)
-    return PairTable(frame_ids, anchors, queries, rotations, translations,
-                     config_digest=header.get("config_digest", ""))
+    check = _KeyedRecordCheck("prediction")
+    _, frame_ids, (anchors, queries), (rotations, translations) = _read_columns(
+        path, "predictions", _PRED_COLUMNS, (4, 3), check)
+    return PairTable(frame_ids, anchors, queries, rotations, translations, config_digest=check.digest)
 
 
 def check_digest_match(pairs_digest: str, predictions_digest: str):

@@ -104,7 +104,8 @@ def generate_pairs(poses: PoseSet, cfg: OverlapConfig, min_overlap: float = 0.0,
 
 
 def bin_histogram(pairs: PairTable, binning: OverlapBinning = OverlapBinning()) -> np.ndarray:
-    """Pair counts per overlap bin; the counts partition the pair set."""
+    """Pair counts per overlap bin; the counts partition the pair set. Only
+    `pairs.overlaps` is read, so a `dataset.PairChunk` is counted alike."""
     return np.bincount(binning.indices(pairs.overlaps), minlength=binning.n_bins)
 
 

@@ -5,9 +5,10 @@ trajectory stands in for a scanned scene, and the predictor family (perfect,
 noisy, constant) spans the behaviours the metrics must separate. The naive
 baseline is the constant predictor that `metrics.naive_predictor` fits, and
 `synth_predict` makes every prediction table; a constant one holds its pose
-once, broadcast read-only to every pair. All sampling is driven by numpy's
-PCG64 stream, so a seed pins every output bit-for-bit across runs and
-platforms.
+once, broadcast read-only to every pair. `chunk_predictor` makes the same
+predictions a chunk of rows at a time, for a pair file that is never held
+whole. All sampling is driven by numpy's PCG64 stream, so a seed pins every
+output bit-for-bit across runs and platforms.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PairTable, PoseSet, round9_array
-from .frustum import _CHUNK_PAIRS
+from .dataset import _CHUNK_ROWS, PairTable, PoseSet, round9_array
 from .geometry import (
     RelativePose,
     axis_angle_rows,
@@ -197,43 +197,60 @@ class SynthPredictor:
 
 def _skip_normals(rng, count: int):
     """`rng` moved past `count` standard normals, drawn and dropped a chunk at a time."""
-    for lo in range(0, count, _CHUNK_PAIRS):
-        rng.normal(size=min(_CHUNK_PAIRS, count - lo))
+    for lo in range(0, count, _CHUNK_ROWS):
+        rng.normal(size=min(_CHUNK_ROWS, count - lo))
     return rng
+
+
+def chunk_predictor(predictor: SynthPredictor, n: int, seed: int = 0):
+    """predict(rotations, translations) -> (q_hat, t_hat): the predictions of
+    the next rows of a table of `n` pairs, given the rows' (M, 4) and (M, 3)
+    ground truth. Call it on consecutive chunks of rows, in row order, of
+    any size; a noisy predictor then draws what `synth_predict` draws."""
+    if predictor.kind == "perfect":
+        return lambda q, t: (q, t)
+    if predictor.kind == "constant":
+        rel = predictor.constant
+        return lambda q, t: (np.broadcast_to(rel.rotation.as_array(), (len(q), 4)),
+                             np.broadcast_to(rel.translation.as_array(), (len(t), 3)))
+    # three cursors into one stream: translations from normal 0, axes from 3n, angles from 6n
+    t_rng = np.random.default_rng(seed)
+    axis_rng = _skip_normals(copy.deepcopy(t_rng), 3 * n)
+    angle_rng = _skip_normals(copy.deepcopy(axis_rng), 3 * n) if predictor.sigma_q_deg > 0 else None
+
+    def predict(q, t):
+        dt = t_rng.normal(size=t.shape) * predictor.sigma_t
+        if predictor.relative_noise:
+            dt *= vector_norms(t, "l2")[:, None]
+        axes = _random_axes(axis_rng, len(q))
+        angles = np.zeros(len(q)) if angle_rng is None else angle_rng.normal(0.0, predictor.sigma_q_deg, len(q))
+        return normalize_quat_rows(quat_mul_rows(axis_angle_rows(axes, angles), q)), t + dt
+
+    return predict
 
 
 def synth_predict(pairs: PairTable, predictor: SynthPredictor, seed: int = 0) -> PairTable:
     """Predictions for every pair, in pair order; deterministic for a seed.
 
-    The noisy predictor fills its output _CHUNK_PAIRS pairs at a time, so its
-    temporaries do not grow with the table. It draws the numbers one
-    whole-table draw of each part would: 3n translation normals, then 3n
-    axis normals, then, when sigma_q_deg > 0, n angle normals. A first pass
-    reads the translation normals; a second reads the axis normals with the
-    same generator and the angle normals with a copy moved past the axes.
+    Perfect predictions share the table's columns and constant ones hold
+    their pose once, broadcast read-only. The noisy predictor draws the
+    numbers one whole-table draw of each part would: 3n translation normals,
+    then 3n axis normals, then, when sigma_q_deg > 0, n angle normals. It
+    reads them through three cursors into the stream, copies of the
+    generator moved forward by drawing and dropping: translations from
+    normal 0, axes from normal 3n, angles from normal 6n. So it can fill its
+    output _CHUNK_ROWS pairs at a time (`chunk_predictor`, which `synth
+    --pairs` runs on a pair file read a chunk at a time), and its
+    temporaries do not grow with the table.
     """
     n = len(pairs)
-    if predictor.kind == "perfect":
-        q_hat, t_hat = pairs.rotations, pairs.translations
-    elif predictor.kind == "constant":
-        rel = predictor.constant
-        q_hat = np.broadcast_to(rel.rotation.as_array(), (n, 4))
-        t_hat = np.broadcast_to(rel.translation.as_array(), (n, 3))
+    predict = chunk_predictor(predictor, n, seed)
+    if predictor.kind != "noisy":
+        q_hat, t_hat = predict(pairs.rotations, pairs.translations)
     else:
-        rng = np.random.default_rng(seed)
-        t_hat, q_hat = np.empty((n, 3)), np.empty((n, 4))
-        for lo in range(0, n, _CHUNK_PAIRS):
-            t = pairs.translations[lo:lo + _CHUNK_PAIRS]
-            dt = rng.normal(size=t.shape) * predictor.sigma_t
-            if predictor.relative_noise:
-                dt *= vector_norms(t, "l2")[:, None]
-            np.add(t, dt, out=t_hat[lo:lo + _CHUNK_PAIRS])
-        # rng now stands at the axis normals; a copy moved past them reads the angles
-        angle_rng = _skip_normals(copy.deepcopy(rng), 3 * n) if predictor.sigma_q_deg > 0 else None
-        for lo in range(0, n, _CHUNK_PAIRS):
-            q = pairs.rotations[lo:lo + _CHUNK_PAIRS]
-            axes = _random_axes(rng, len(q))
-            angles = np.zeros(len(q)) if angle_rng is None else angle_rng.normal(0.0, predictor.sigma_q_deg, len(q))
-            q_hat[lo:lo + _CHUNK_PAIRS] = normalize_quat_rows(quat_mul_rows(axis_angle_rows(axes, angles), q))
+        q_hat, t_hat = np.empty((n, 4)), np.empty((n, 3))
+        for lo in range(0, n, _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            q_hat[rows], t_hat[rows] = predict(pairs.rotations[rows], pairs.translations[rows])
     return PairTable(pairs.frame_ids, pairs.anchors, pairs.queries, q_hat, t_hat,
                      config_digest=pairs.config_digest)

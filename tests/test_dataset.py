@@ -1,5 +1,6 @@
 """Parsers and the canonical file formats: round trips, digests, error paths."""
 
+import gc
 import hashlib
 import math
 import sys
@@ -30,6 +31,8 @@ from frustoval.dataset import (
     fnum,
     round9_array,
 )
+from frustoval.cli import main
+from frustoval.pairgen import OverlapBinning, bin_histogram
 
 from conftest import FIXTURES, pose_rows, pose_set, random_pose, random_quat
 
@@ -647,7 +650,25 @@ def _earlier_key(t, earlier):
 class TestChunkBoundaries:
     """Records are parsed a chunk of lines at a time. A refusal past the first
     chunk, after blank lines, keeps its message and names its line, whether the
-    refused line ends the first chunk, starts the second or sits inside it."""
+    refused line ends the first chunk, starts the second or sits inside it. A
+    pair file is refused alike by read_pairs and by the commands that stream
+    it a chunk at a time, `synth --pairs` and `histogram`."""
+
+    @staticmethod
+    def refusals(f, tmp_path, capsys) -> list:
+        """The refusal of the pair file `f` by read_pairs, `synth --pairs` and
+        `histogram`. Each command exits 2 and leaves no output file."""
+        with pytest.raises(FormatError) as e:
+            dataset.read_pairs(f)
+        got = [str(e.value)]
+        for argv in (["synth", "--pairs", str(f), "--predictor", "noisy", "--sigma-t", "0.1", "--sigma-q", "1"],
+                     ["histogram", "--pairs", str(f)]):
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 2, argv
+            assert list(tmp_path.glob("out*")) == [], argv
+            err = capsys.readouterr().err
+            assert err.startswith("frustoval: error: ") and err.endswith("\n"), err
+            got.append(err[len("frustoval: error: "):-1])
+        return got
 
     BLANKS = ["", "  \t", ""]
     OFFSETS = ("last of the first chunk", "first of the second chunk", "inside the second chunk")
@@ -697,32 +718,27 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("where", OFFSETS)
     @pytest.mark.parametrize("spoil", PAIR_SPOILS)
-    def test_pair_refusal(self, tmp_path, spoil, where):
+    def test_pair_refusal(self, tmp_path, capsys, spoil, where):
         f, lines = self.pair_file(tmp_path)
         edit, message = self.PAIR_SPOILS[spoil]
         lineno, new = self.spoil(f, lines, where, edit)
-        with pytest.raises(FormatError) as e:
-            dataset.read_pairs(f)
-        assert str(e.value) == f"{f}:{lineno}: {message(new.split())}"
+        assert self.refusals(f, tmp_path, capsys) == [f"{f}:{lineno}: {message(new.split())}"] * 3
 
     @pytest.mark.parametrize("where", OFFSETS)
-    def test_duplicate_key(self, tmp_path, where):
+    def test_duplicate_key(self, tmp_path, capsys, where):
         f, lines = self.pair_file(tmp_path)
         i = _first_record(lines) + self.offset(where) - len(self.BLANKS)
         _rewrite(f, [*lines[:i], *self.BLANKS, lines[i - 1], *lines[i + 1:]])
         a, q = lines[i - 1].split()[:2]
-        with pytest.raises(FormatError) as e:
-            dataset.read_pairs(f)
-        assert str(e.value) == (f"{f}:{i + len(self.BLANKS) + 1}: duplicate pair key ('{a}', '{q}'): "
-                                "records must be sorted by (anchor_id, query_id) without repeats")
+        assert self.refusals(f, tmp_path, capsys) == [
+            f"{f}:{i + len(self.BLANKS) + 1}: duplicate pair key ('{a}', '{q}'): "
+            "records must be sorted by (anchor_id, query_id) without repeats"] * 3
 
     @pytest.mark.parametrize("where", OFFSETS)
-    def test_overlap_outside_the_window(self, tmp_path, where):
+    def test_overlap_outside_the_window(self, tmp_path, capsys, where):
         f, lines = self.pair_file(tmp_path, lo=0.3)
         lineno, _ = self.spoil(f, lines, where, lambda t, _: [*t[:2], "0.25", *t[3:]])
-        with pytest.raises(FormatError) as e:
-            dataset.read_pairs(f)
-        assert str(e.value) == f"{f}:{lineno}: overlap 0.25 outside the header's (0.3, 1]"
+        assert self.refusals(f, tmp_path, capsys) == [f"{f}:{lineno}: overlap 0.25 outside the header's (0.3, 1]"] * 3
 
     @pytest.mark.parametrize("where", OFFSETS)
     def test_duplicate_frame_id(self, tmp_path, where):
@@ -738,24 +754,96 @@ class TestChunkBoundaries:
         assert str(e.value) == f"{f}:{lineno}: duplicate frame id '{new.split()[0]}'"
 
     @pytest.mark.parametrize("where", OFFSETS)
-    def test_count_mismatch(self, tmp_path, where):
+    def test_count_mismatch(self, tmp_path, capsys, where):
         f, lines = self.pair_file(tmp_path)
         i = _first_record(lines) + self.offset(where) - len(self.BLANKS)
         _rewrite(f, [*lines[:i], *self.BLANKS, *lines[i + 1:]])
         n = len(lines) - _first_record(lines)
-        with pytest.raises(FormatError) as e:
-            dataset.read_pairs(f)
-        assert str(e.value) == f"{f}: header declares {n} records, found {n - 1}"
+        assert self.refusals(f, tmp_path, capsys) == [f"{f}: header declares {n} records, found {n - 1}"] * 3
 
-    def test_unreadable_line_in_a_later_chunk_named_before_an_earlier_non_finite(self, tmp_path):
+    def test_digest_mismatch(self, tmp_path, capsys):
+        f, lines = self.pair_file(tmp_path)
+        digest = next(ln for ln in lines if ln.startswith("# config_digest="))[len("# config_digest="):]
+        _rewrite(f, ["# hfov_deg=70" if ln.startswith("# hfov_deg=") else ln for ln in lines])
+        assert self.refusals(f, tmp_path, capsys) == [
+            f"{f}: stored config_digest {digest} does not match the header configuration"] * 3
+
+    def test_unreadable_line_in_a_later_chunk_named_before_an_earlier_non_finite(self, tmp_path, capsys):
         # as for a file parsed whole: a line np.loadtxt refuses comes first
         f, lines = self.pair_file(tmp_path)
         first = _first_record(lines)
         lines[first + 2] = " ".join([*lines[first + 2].split()[:3], "nan", *lines[first + 2].split()[4:]])
         lineno, _ = self.spoil(f, lines, "inside the second chunk", lambda t, _: [*t[:7], "1.2.3", *t[8:]])
+        assert self.refusals(f, tmp_path, capsys) == [f"{f}:{lineno}: bad tx value '1.2.3'"] * 3
+
+    @classmethod
+    def defect(cls, name, lines, i):
+        """Put the defect `name` into `lines` at the record line `i`, or into
+        the header for "digest"."""
+        t = lines[i].split()
+        if name == "digest":
+            lines[next(k for k, ln in enumerate(lines) if ln.startswith("# hfov_deg="))] = "# hfov_deg=70"
+        elif name == "count":
+            del lines[i]
+        elif name == "overlap":
+            lines[i] = " ".join([*t[:2], "0.25", *t[3:]])
+        else:
+            lines[i] = " ".join(cls.PAIR_SPOILS[name][0](t, lines[i - 2].split()))
+
+    @pytest.mark.parametrize("early, late, wins", [
+        # a header defect waits for the record defects a whole-file reader raises first
+        ("digest", "non-finite", "late"), ("digest", "count", "late"), ("self pair", "digest", "late"),
+        # a later record's defect of a kind checked first wins over an earlier record's
+        ("unsorted key", "self pair", "late"), ("zero quaternion", "overlap", "late"),
+        ("non-finite", "bad field", "late"), ("self pair", "unsorted key", "early"),
+    ])
+    def test_refusal_precedence_across_chunks(self, tmp_path, capsys, early, late, wins):
+        f, lines = self.pair_file(tmp_path, lo=0.3)
+        rows = {"early": _first_record(lines) + 5, "late": _first_record(lines) + dataset._CHUNK_ROWS + 7}
+        names = {"early": early, "late": late}
+
+        def spoil(*which):
+            spoiled = list(lines)
+            for when in sorted(which, key=rows.get, reverse=True):  # a deleted line moves no other
+                self.defect(names[when], spoiled, rows[when])
+            _rewrite(f, spoiled)
+
+        spoil(wins)
         with pytest.raises(FormatError) as e:
             dataset.read_pairs(f)
-        assert str(e.value) == f"{f}:{lineno}: bad tx value '1.2.3'"
+        spoil("early", "late")
+        assert self.refusals(f, tmp_path, capsys) == [str(e.value)] * 3
+
+    def test_file_refused_before_the_command_s_own_error(self, tmp_path, capsys):
+        # whole-file readers refused the file before parsing --bins or
+        # --constant, or binning the overlaps; a stream reads on first
+        f, lines = self.pair_file(tmp_path, lo=0.3)
+        lineno, _ = self.spoil(f, lines, "inside the second chunk", lambda t, _: [*t[:3], "0", "0", "0", "0", *t[7:]])
+        want = f"frustoval: error: {f}:{lineno}: zero quaternion cannot be normalized\n"
+        for argv in (["histogram", "--pairs", str(f), "--bins", "0,nan,1"],
+                     ["histogram", "--pairs", str(f), "--bins", "0.5:1:0.1"],
+                     ["synth", "--pairs", str(f), "--predictor", "constant", "--constant", "0 0 0 0 0 0 0"],
+                     ["synth", "--pairs", str(f), "--predictor", "noisy", "--sigma-t", "nan"]):
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 2, argv
+            assert capsys.readouterr().err == want
+            assert list(tmp_path.glob("out*")) == []
+
+    def test_abandoned_stream_closes_its_file(self, tmp_path):
+        # an open file left to the garbage collector warns, which fails the suite
+        f, _ = self.pair_file(tmp_path)
+        chunks = dataset.stream_pairs(f)
+        head = next(chunks)
+        assert len(head.pairs) == 0 and head.pairs.config_digest == config_digest(head.cfg)
+        assert [len(next(chunks)) for _ in range(2)] == [dataset._CHUNK_ROWS] * 2
+        del chunks
+        gc.collect()
+        chunks = dataset.stream_pairs(f)
+        next(chunks)
+        with pytest.raises(ValueError, match="outside binning range"):
+            with dataset.refusals_first(chunks):
+                for chunk in chunks:
+                    bin_histogram(chunk, OverlapBinning((0.5, 1.0)))
+        assert next(chunks, None) is None  # read to its end
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_chunk_size_changes_no_byte_and_no_table(self, tmp_path, monkeypatch, chunk):

@@ -9,10 +9,15 @@ both poses of a pair by one rigid motion leaves their relative pose
 unchanged up to rounding, and their score up to one probe point. Matching
 predictions to pairs gives the rows, and the refusals, of a join through a
 dict keyed by (anchor_id, query_id) tuples, whatever ids each table holds.
+Across the whole configuration space, pair generation agrees with the
+brute-force oracle, with itself without rejects and at any thread count, and
+its pair file is a write -> read -> write fixed point.
 """
 
+import math
+
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frustoval import (
@@ -28,10 +33,12 @@ from frustoval import (
     overlap_score,
     relative,
 )
+from frustoval import dataset
 from frustoval.dataset import PairTable
 from frustoval.metrics import EvaluationError, match_predictions, unmatched_predictions
 
-from conftest import assert_transform_close, pose_set
+from conftest import assert_transform_close, pose_set, without_rejects
+from test_frustum import oracle_overlap
 
 # magnitudes kept well away from overflow and from the subnormal range, where
 # a power-of-two scale would stop being exact
@@ -163,3 +170,77 @@ def test_rigid_invariance(a, b, g):
     assert_transform_close(relative(ga, gb), relative(a, b), tol=1e-9)
     cfg = OverlapConfig()
     assert abs(overlap_score(ga, gb, cfg) - overlap_score(a, b, cfg)) <= 1.0 / cfg.frustum.n_points
+
+
+@st.composite
+def configurations(draw):
+    """An overlap configuration and window from anywhere in their valid range."""
+    fov = st.floats(0.0, 180.0, exclude_min=True, exclude_max=True)
+    near = draw(st.floats(1e-3, 10.0))
+    far = near * draw(st.floats(1.0, 1000.0, exclude_min=True))
+    grid = st.integers(2, 6)
+    spec = FrustumSpec(hfov_deg=draw(fov), vfov_deg=draw(fov), near=near, far=far, grid_nx=draw(grid),
+                       grid_ny=draw(grid), grid_nz=draw(grid), boundary_epsilon=draw(st.floats(1e-9, 0.1)))
+    cfg = OverlapConfig(frustum=spec, max_relative_rotation_deg=draw(st.floats(0.0, 180.0, exclude_min=True)),
+                        symmetric=draw(st.booleans()))
+    lo = draw(st.sampled_from([0.0, 0.1, 0.5]) | st.floats(0.0, 0.95))
+    return cfg, lo, draw(st.sampled_from([1.0]) | st.floats(lo, 1.0, exclude_min=True))
+
+
+# quaternion components: ordinary, zero, and far below float64's precision
+component = st.floats(-1.0, 1.0) | st.sampled_from([0.0, 1e-200, -4.03e-210, 5e-324])
+
+
+@st.composite
+def scenes(draw):
+    """A configuration and window, and two to five poses up to 1.5 far-plane
+    depths apart; some are near-twins of the pose before: the same pose,
+    moved by a tiny step or not at all."""
+    cfg, lo, hi = draw(configurations())
+    rows = []
+    for k in range(draw(st.integers(2, 5))):
+        if rows and draw(st.booleans()):
+            q, t = rows[-1]
+            t = t + draw(st.sampled_from([0.0, 1e-12, 1e-6])) * cfg.frustum.far
+        else:
+            q = np.array(draw(st.lists(component, min_size=4, max_size=4).filter(lambda v: any(v))))
+            t = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3))) * cfg.frustum.far
+        rows.append((q, t))
+    return cfg, lo, hi, [Pose(Quaternion.unit(*q), Translation(*t), f"p{k}") for k, (q, t) in enumerate(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenes())
+# near and far 1e-10 apart print as the same number: the file was written
+# and then refused by every reader
+@example((OverlapConfig(frustum=FrustumSpec(near=1.0, far=1.0000000001, boundary_epsilon=1e-6)), 0.0, 1.0,
+          [Pose(Quaternion.identity(), Translation(0.0, 0.0, 0.0), "p0"),
+           Pose(Quaternion.identity(), Translation(0.0, 0.0, 0.5), "p1")]))
+def test_pair_generation_holds_across_configurations(tmp_path_factory, scene):
+    cfg, lo, hi, poses = scene
+    spec = cfg.frustum
+    # float64 places the lattice to about 1e-16 of its extent: where that
+    # reaches the slack (a FOV within 1e-13 degrees of 180, say), twins no
+    # longer score 1 and the kernel and the oracle round boundary points
+    # differently
+    extent = spec.far * max(1.0, math.tan(math.radians(max(spec.hfov_deg, spec.vfov_deg)) / 2))
+    assume(extent * 1e-13 < spec.boundary_epsilon)
+    ps = pose_set("drawn", "test", poses, "synthetic")
+    pairs = generate_pairs(ps, cfg, lo, hi, threads=1)
+    want = {(a.frame_id, b.frame_id): s for a in poses for b in poses if a is not b
+            for s in [oracle_overlap(a, b, cfg)] if lo < s <= hi}
+    assert {r.key: r.overlap for r in pairs} == want
+    with without_rejects():
+        assert generate_pairs(ps, cfg, lo, hi, threads=1) == pairs
+    assert generate_pairs(ps, cfg, lo, hi, threads=3) == pairs
+    first, again = (tmp_path_factory.getbasetemp() / name for name in ("net.pairs", "again.pairs"))
+    first.unlink(missing_ok=True)
+    try:
+        dataset.write_pairs(first, pairs, cfg, min_overlap=lo, max_overlap=hi)
+    except ValueError as e:
+        # a value that 9 digits round onto the edge of its range, such as a
+        # FOV of 179.9999999999 or near and far 1e-10 apart, is refused
+        assert str(e).startswith("header refused at file precision: ") and not first.exists()
+        return
+    dataset.write_pairs(again, dataset.read_pairs(first).pairs, cfg, min_overlap=lo, max_overlap=hi)
+    assert again.read_bytes() == first.read_bytes()

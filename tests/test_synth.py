@@ -17,8 +17,8 @@ from frustoval import (
     synth_predict,
 )
 from frustoval import dataset
+from frustoval.cli import main
 from frustoval.dataset import PairTable
-from frustoval.frustum import _CHUNK_PAIRS
 from frustoval.geometry import (
     Quaternion,
     RelativePose,
@@ -194,7 +194,8 @@ class TestSynthPredict:
         rng = np.random.default_rng(4)
         predictor = SynthPredictor(kind="noisy", sigma_t=0.05, sigma_q_deg=sigma_q_deg,
                                    relative_noise=relative_noise)
-        for n in (_CHUNK_PAIRS - 1, _CHUNK_PAIRS, _CHUNK_PAIRS + 1):
+        c = dataset._CHUNK_ROWS
+        for n in (c - 1, c, c + 1):
             anchors, queries = np.divmod(np.arange(n), 100)
             pairs = PairTable([f"f{k:03d}" for k in range(100)], anchors, queries,
                               normalize_quat_rows(rng.normal(size=(n, 4))), rng.normal(size=(n, 3)),
@@ -203,6 +204,53 @@ class TestSynthPredict:
             q_want, t_want = self.one_draw_noisy(pairs, predictor, seed=7)
             assert preds.rotations.tobytes() == q_want.tobytes()
             assert preds.translations.tobytes() == t_want.tobytes()
+
+    STREAMED = {
+        "noisy absolute": (["--predictor", "noisy", "--sigma-t", "0.05", "--sigma-q", "2"],
+                           dict(kind="noisy", sigma_t=0.05, sigma_q_deg=2.0)),
+        "noisy relative": (["--predictor", "noisy", "--sigma-t", "0.05", "--sigma-q", "2", "--relative-noise"],
+                           dict(kind="noisy", sigma_t=0.05, sigma_q_deg=2.0, relative_noise=True)),
+        "noisy, sigma_q 0": (["--predictor", "noisy", "--sigma-t", "0.05"], dict(kind="noisy", sigma_t=0.05)),
+        "perfect": (["--predictor", "perfect"], dict(kind="perfect")),
+        "constant": (["--predictor", "constant", "--constant", "2 0 0 1 0.1 -0.2 0.3"],
+                     dict(kind="constant", constant=RelativePose(Quaternion.unit(2, 0, 0, 1),
+                                                                 Translation(0.1, -0.2, 0.3)))),
+    }
+
+    @pytest.mark.parametrize("declared", [True, False], ids=["count", "no count"])
+    def test_streamed_predictions_equal_a_whole_table_draw(self, tmp_path, declared):
+        # `synth --pairs` reads, predicts and writes a chunk of records at a
+        # time; it writes the file of a whole-table draw in the same order, with
+        # or without the header's record count
+        c = dataset._CHUNK_ROWS
+        rng = np.random.default_rng(6)
+        cfg = OverlapConfig()
+        for n in (c - 1, c, c + 1, 2 * c + 3):
+            anchors, queries = np.divmod(np.arange(n), 100)
+            queries += queries >= anchors  # 101 frames, no self pair
+            table = PairTable([f"f{k:03d}" for k in range(101)], anchors, queries,
+                              normalize_quat_rows(rng.normal(size=(n, 4))), rng.normal(size=(n, 3)),
+                              rng.uniform(0.1, 1.0, n), dataset.config_digest(cfg))
+            f = tmp_path / "a.pairs"
+            dataset.write_pairs(f, table, cfg, min_overlap=0.0, max_overlap=1.0)
+            pairs = dataset.read_pairs(f).pairs
+            if not declared:
+                f.write_text("".join(ln for ln in f.read_text().splitlines(True) if not ln.startswith("# count=")))
+            for name, (flags, kwargs) in self.STREAMED.items():
+                predictor = SynthPredictor(**kwargs)
+                if predictor.kind == "noisy":
+                    q, t = self.one_draw_noisy(pairs, predictor, seed=7)
+                elif predictor.kind == "perfect":
+                    q, t = pairs.rotations, pairs.translations
+                else:
+                    q = np.tile(predictor.constant.rotation.as_array(), (n, 1))
+                    t = np.tile(predictor.constant.translation.as_array(), (n, 1))
+                want, got = tmp_path / "want.pred", tmp_path / "got.pred"
+                dataset.write_predictions(want, PairTable(pairs.frame_ids, pairs.anchors, pairs.queries, q, t,
+                                                          config_digest=pairs.config_digest),
+                                          predictor=predictor.describe(), extra={"rng": "pcg64", "seed": 7})
+                assert main(["synth", "--pairs", str(f), *flags, "--seed", "7", "--out", str(got)]) == 0
+                assert got.read_bytes() == want.read_bytes(), (n, name)
 
     @pytest.mark.parametrize("rotation, translation", [((math.nan, 0, 0, 0), (0, 0, 0)),
                                                        ((1, 0, 0, 0), (0, math.inf, 0))])
