@@ -12,13 +12,7 @@ Run: python3 demos/04_error_curves.py
 
 import numpy as np
 
-from frustoval import FrustumSpec, MetricConfig, OverlapConfig, error_curve, generate_pairs
-from frustoval.metrics import (
-    mapse_translation,
-    mase_translation,
-    naive_mean_translation,
-    standard_errors,
-)
+from frustoval import FrustumSpec, MetricConfig, OverlapConfig, error_curve, evaluate, generate_pairs
 from frustoval.pairgen import OverlapBinning
 from frustoval.synth import SynthPredictor, WalkConfig, generate_walk, synth_predict
 
@@ -39,10 +33,8 @@ medians, mases, mapses = [], [], []
 for lo, hi in zip(edges[:-1], edges[1:]):
     sel = (lo < pairs.overlaps) & (pairs.overlaps <= hi)
     sub, sp = pairs[sel], preds[sel]
-    nm = naive_mean_translation(sub)
-    med = standard_errors(sub, sp, MetricConfig(norm="l1")).t_median
-    mase = mase_translation(sub, sp, nm, "l1")
-    mapse = mapse_translation(sub, sp, nm, "l1")
+    r = evaluate(sub, sp, MetricConfig(norm="l1"))
+    med, mase, mapse = r.t_median, r.t_mase, r.t_mapse
     medians.append(med)
     mases.append(mase)
     mapses.append(mapse)

@@ -57,12 +57,7 @@ from .metrics import (  # noqa: E402
     combined_loss,
     error_curve,
     evaluate,
-    mape_rotation,
-    mape_translation,
-    mapse_translation,
-    mase_translation,
     naive_predictor,
-    standard_errors,
 )
 from .synth import SynthConfig, SynthPredictor, generate_trajectory, synth_predict  # noqa: E402
 
@@ -78,8 +73,6 @@ __all__ = [
     "OverlapBinning", "SubspaceStats", "bin_histogram", "generate_pairs",
     "subspace_stats",
     "ErrorCurve", "LossWeights", "MetricConfig", "MetricReport",
-    "combined_loss", "error_curve", "evaluate", "mape_rotation",
-    "mape_translation", "mapse_translation", "mase_translation",
-    "naive_predictor", "standard_errors",
+    "combined_loss", "error_curve", "evaluate", "naive_predictor",
     "SynthConfig", "SynthPredictor", "generate_trajectory", "synth_predict",
 ]

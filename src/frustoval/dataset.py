@@ -60,6 +60,10 @@ _PARSE_NORM_SLACK = 1e-8
 # record files are parsed, and formatted, this many lines at a time
 _CHUNK_ROWS = 1024
 
+# why writers, and readers, refuse a frame id; an id "#" would start a record
+# line that reads back as a header line
+_ID_REFUSAL = "frame id {!r} must be non-empty, whitespace-free and not '#'"
+
 
 class FormatError(Exception):
     """A toolkit file is malformed, truncated, or of an unsupported version."""
@@ -551,6 +555,8 @@ def _refusal(line: str, names, n_ids: int, record: str) -> str:
         return f"header line {line!r} after the first record"
     if len(tokens) != len(names):
         return f"{record} record needs {len(names)} fields, got {len(tokens)}: {line!r}"
+    if "#" in tokens[:n_ids]:
+        return _ID_REFUSAL.format("#")
     for name, tok in zip(names[n_ids:], tokens[n_ids:]):
         try:
             if not np.isfinite(_loadtxt([tok], np.float64)).all():
@@ -584,8 +590,8 @@ def _read_records(path, kind: str, columns: str, widths, check=None):
     Once a defect is found the stream hands out no more chunks. It reads on
     only to find the refusal a reader of the whole file would raise first,
     then raises it. That is, in this order: the first line np.loadtxt
-    refuses; the first record with a non-finite number or read from a late
-    header line; a record count other than the header's; the header check's
+    refuses; the first record with a non-finite number or a frame id "#", or
+    read from a late header line; a record count other than the header's; the header check's
     refusal; the refusal `check.records` ranks first (rank, then row)."""
     names = columns.split()
     n_ids = sum(name.endswith("_id") for name in names)
@@ -615,8 +621,10 @@ def _read_records(path, kind: str, columns: str, widths, check=None):
                                    row=rows + sum(1 for ln in chunk[:i] if ln.strip())) from None
                 ids = [table[name].tolist() for name in names[:n_ids]]
                 bad = ~np.isfinite(table["values"]).all(axis=1)
-                if "#" in ids[0]:  # a header line with as many fields as a record
-                    bad[ids[0].index("#")] = True
+                # no frame id is "#"; first on a line it starts a header line
+                for column in ids:
+                    if "#" in column:
+                        bad[column.index("#")] = True
                 if bad.any() and (found is None or found[0] != -2):
                     k = int(np.argmax(bad))
                     line = [ln for ln in chunk if ln.strip()][k]
@@ -757,10 +765,9 @@ class _KeyedRecordCheck:
 
 def _check_ids(frame_ids):
     """Refuse ids a record line cannot hold; `frame_ids` are unique."""
-    # an id "#" would start a record line that reads back as a header line
     for frame_id in frame_ids:
         if not frame_id or frame_id == "#" or any(c.isspace() for c in frame_id):
-            raise ValueError(f"frame id {frame_id!r} must be non-empty, whitespace-free and not '#'")
+            raise ValueError(_ID_REFUSAL.format(frame_id))
 
 
 def _write_table(path, kind: str, entries: dict, columns: str, count: int, lines):

@@ -55,6 +55,13 @@ class FrustumSpec:
     contains all of its probe points and self-overlap is exactly 1, at any
     world position; at boundary_epsilon = 0 rounding decides each boundary
     point, and a pose can score well below 1 against itself.
+
+    That holds only while the rounding of the lattice, about
+    far * tan(fov / 2) * 2**-52 for either field of view, stays well below
+    boundary_epsilon, which fails for fields of view within about 1e-13
+    degrees of 180: with hfov_deg=1, vfov_deg=179.99999999999997, near=1,
+    far=2, a 2x2x2 grid and boundary_epsilon=0.0625, the pose (0.8, 0.6, 0, 0)
+    at the origin scores 0.5 against itself.
     """
 
     hfov_deg: float = 58.0

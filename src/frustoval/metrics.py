@@ -9,6 +9,10 @@ summary, and the weighted training-loss value as a diagnostic score.
 The scaled metrics are dimensionless and invariant to rescaling the scene,
 which is exactly what the raw mean/median errors are not: those scale
 linearly with the spanned volume of the relative-pose targets.
+
+Two functions compute the criteria: `evaluate` joins the predictions to the
+pairs once and fills a `MetricReport` with every configured criterion, and
+`error_curve` reduces the per-pair errors inside each overlap bin.
 """
 
 from __future__ import annotations
@@ -144,22 +148,13 @@ def _per_pair(pairs: PairTable, predictions: PairTable, rows, terms):
     return out
 
 
-def _pose_errors(pairs: PairTable, predictions: PairTable, norm: str):
-    """(M,) translation errors under `norm` and rotation angles in degrees."""
-    rows = match_predictions(pairs, predictions)
-    return _per_pair(pairs, predictions, rows, lambda t, t_hat, q, q_hat: (
-        geometry.vector_norms(t - t_hat, norm), geometry.quat_angle_deg_rows(q, q_hat)))
-
-
-def _translation_terms(t, t_hat, norm: str, naive=None):
+def _translation_terms(t, t_hat, norm: str, naive):
     """Per row: ||t - t_hat||, ||t||, their ratio (not finite where ||t|| is
-    0) and, given the naive mean translation, ||t - naive||."""
+    0) and ||t - naive||, the deviation from the naive mean translation."""
     t_err = geometry.vector_norms(t - t_hat, norm)
     gt = geometry.vector_norms(t, norm)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = t_err / gt
-    if naive is None:
-        return t_err, gt, ratio
     return t_err, gt, ratio, geometry.vector_norms(t - naive, norm)
 
 
@@ -176,48 +171,12 @@ def _rotation_terms(q, q_hat):
     return ratio, ~bad & (denom > 0.0), bad
 
 
-@dataclass(frozen=True)
-class StandardErrors:
-    t_mean: float | None
-    t_median: float | None
-    q_mean: float | None
-    q_median: float | None
-
-
-def _standard_errors(t_err, q_err, cfg: MetricConfig) -> StandardErrors:
-    want_mean = "mean" in cfg.statistics
-    want_median = "median" in cfg.statistics
-    return StandardErrors(
-        t_mean=float(t_err.mean()) if want_mean else None,
-        t_median=float(np.median(t_err)) if want_median else None,
-        q_mean=float(q_err.mean()) if want_mean else None,
-        q_median=float(np.median(q_err)) if want_median else None,
-    )
-
-
-def standard_errors(pairs: PairTable, predictions: PairTable,
-                    cfg: MetricConfig = MetricConfig()) -> StandardErrors:
-    """Mean/median of the per-pair translation and rotation errors."""
-    if not len(pairs):
-        raise EvaluationError("cannot evaluate an empty pair set")
-    return _standard_errors(*_pose_errors(pairs, predictions, cfg.norm), cfg)
-
-
 def _mape(ratio, keep) -> float | None:
+    """MAPE: the mean of ||t - t_hat|| / ||t|| over the pairs in `keep`, those
+    whose ground truth has a non-zero norm; None when every pair is excluded."""
     if not np.any(keep):
         return None
     return float(ratio[keep].mean())
-
-
-def mape_translation(pairs: PairTable, predictions: PairTable, norm: str = "l1") -> float | None:
-    """Mean of ||t - t_hat|| / ||t||; pairs with exactly zero ||t|| are excluded.
-
-    Returns None when every pair is excluded.
-    """
-    rows = match_predictions(pairs, predictions)
-    _, gt, ratio = _per_pair(pairs, predictions, rows,
-                             lambda t, t_hat, q, q_hat: _translation_terms(t, t_hat, norm))
-    return _mape(ratio, gt > 0.0)
 
 
 def naive_mean_translation(source_pairs: PairTable) -> Translation:
@@ -227,15 +186,14 @@ def naive_mean_translation(source_pairs: PairTable) -> Translation:
     return Translation.from_array(source_pairs.translations.mean(axis=0))
 
 
-def _naive_terms(pairs: PairTable, predictions: PairTable, naive_mean: Translation, norm: str):
-    """_translation_terms of every pair, with the naive deviations."""
-    rows = match_predictions(pairs, predictions)
-    naive = naive_mean.as_array()
-    return _per_pair(pairs, predictions, rows,
-                     lambda t, t_hat, q, q_hat: _translation_terms(t, t_hat, norm, naive))
-
-
 def _mase(t_err, dev) -> float | None:
+    """MASE: the total model error over the total error of always predicting
+    the naive mean, sum ||t - t_hat|| / sum ||t - naive||.
+
+    1.0 means no better than the naive baseline. None when the baseline error
+    is zero (every ground truth equals the naive mean), which leaves the ratio
+    undefined.
+    """
     num = float(t_err.sum())
     den = float(dev.sum())
     if den == 0.0:
@@ -243,19 +201,17 @@ def _mase(t_err, dev) -> float | None:
     return num / den
 
 
-def mase_translation(pairs: PairTable, predictions: PairTable, naive_mean: Translation,
-                     norm: str = "l1") -> float | None:
-    """Total model error over the total error of always predicting `naive_mean`.
-
-    1.0 means no better than the naive baseline. None when the baseline error
-    is zero (every ground truth equals the naive mean), which leaves the ratio
-    undefined.
-    """
-    t_err, _, _, dev = _naive_terms(pairs, predictions, naive_mean, norm)
-    return _mase(t_err, dev)
-
-
 def _mapse(ratio, gt, dev, keep) -> float | None:
+    """MAPSE: percentage error scaled by the naive baseline's relative error.
+
+    MAPE of the model divided by the naive model's total deviation relative
+    to the total ground-truth magnitude (sum ||t - naive|| / sum ||t||). Both
+    factors are dimensionless, so the result is invariant to rescaling the
+    scene, and every sum stays bounded even when many ground truths are tiny.
+    On a single pair this reduces to ||t - t_hat|| / ||t - naive||. Zero-norm
+    ground truths (not in `keep`) are dropped throughout, as in MAPE; None
+    when every pair is dropped or the naive deviation is zero.
+    """
     if not np.any(keep):
         return None
     mape = float(ratio[keep].mean())
@@ -266,44 +222,21 @@ def _mapse(ratio, gt, dev, keep) -> float | None:
     return mape / naive_relative
 
 
-def mapse_translation(pairs: PairTable, predictions: PairTable, naive_mean: Translation,
-                      norm: str = "l1") -> float | None:
-    """Percentage error scaled by the naive baseline's relative error.
-
-    MAPE of the model divided by the naive model's total deviation relative
-    to the total ground-truth magnitude (sum ||t - naive|| / sum ||t||). Both
-    factors are dimensionless, so the result is invariant to rescaling the
-    scene, and every sum stays bounded even when many ground truths are tiny.
-    On a single pair this reduces to ||t - t_hat|| / ||t - naive||. Zero-norm
-    ground truths are dropped throughout, as in MAPE.
-    """
-    _, gt, ratio, dev = _naive_terms(pairs, predictions, naive_mean, norm)
-    return _mapse(ratio, gt, dev, gt > 0.0)
-
-
 def _mape_rotation(ratio, keep, bad, gimbal_policy: str):
-    if gimbal_policy == "error":
-        if np.any(bad):
-            raise EvaluationError(f"{int(bad.sum())} pairs are gimbal-locked")
-    elif gimbal_policy != "exclude":
-        raise ValueError(f"unknown gimbal policy {gimbal_policy!r}")
+    """Rotation MAPE over Euler triples, the mean of |r - r_hat|_1 / |r|_1:
+    (value, n_excluded).
+
+    Gimbal-locked pairs (ground truth or prediction) follow the policy:
+    'exclude' drops and counts them, 'error' raises. Identity ground truths
+    (|r|_1 == 0) are always dropped and counted. The value is None when
+    nothing remains.
+    """
+    if gimbal_policy == "error" and np.any(bad):
+        raise EvaluationError(f"{int(bad.sum())} pairs are gimbal-locked")
     n_excluded = int(np.sum(~keep))
     if not np.any(keep):
         return None, n_excluded
     return float(ratio[keep].mean()), n_excluded
-
-
-def mape_rotation(pairs: PairTable, predictions: PairTable, gimbal_policy: str = "exclude"):
-    """Rotation MAPE over Euler triples: mean of |r - r_hat|_1 / |r|_1.
-
-    Gimbal-locked pairs (ground truth or prediction) follow the policy:
-    'exclude' drops and counts them, 'error' raises. Identity ground truths
-    (|r|_1 == 0) are always dropped and counted. Returns (value, n_excluded);
-    value is None when nothing remains.
-    """
-    rows = match_predictions(pairs, predictions)
-    terms = _per_pair(pairs, predictions, rows, lambda t, t_hat, q, q_hat: _rotation_terms(q, q_hat))
-    return _mape_rotation(*terms, gimbal_policy)
 
 
 def naive_predictor(source_pairs: PairTable) -> SynthPredictor:
@@ -379,7 +312,9 @@ def error_curve(pairs: PairTable, predictions: PairTable, binning: OverlapBinnin
         raise ValueError(f"unknown statistic {stat!r}")
     if not len(pairs):
         raise EvaluationError("cannot build an error curve from an empty pair set")
-    t_err, q_err = _pose_errors(pairs, predictions, norm)
+    rows = match_predictions(pairs, predictions)
+    t_err, q_err = _per_pair(pairs, predictions, rows, lambda t, t_hat, q, q_hat: (
+        geometry.vector_norms(t - t_hat, norm), geometry.quat_angle_deg_rows(q, q_hat)))
     idx = binning.indices(pairs.overlaps)
     reduce = np.mean if stat == "mean" else np.median
     edges = binning.edges
@@ -436,7 +371,16 @@ def combined_loss(pairs: PairTable, predictions: PairTable,
 
 @dataclass
 class MetricReport:
-    """All criteria of one evaluation run plus the subspace they were run on."""
+    """All criteria of one evaluation run plus the subspace they were run on.
+
+    t_mean/t_median are the mean and median of ||t - t_hat|| under `norm`, in
+    meters, and q_mean/q_median those of the rotation angle error, in
+    degrees; each is None when `statistics` leaves it out. t_mape, t_mase,
+    t_mapse and r_mape are defined on `_mape`, `_mase`, `_mapse` and
+    `_mape_rotation`, and read None when not requested or undefined.
+    mape_excluded_zero_norm counts the zero-norm ground truths MAPE and
+    MAPSE drop; rmape_excluded the pairs rotation-MAPE drops.
+    """
 
     n_pairs: int
     norm: str
@@ -512,7 +456,8 @@ def evaluate(pairs: PairTable, predictions: PairTable, cfg: MetricConfig = Metri
         pairs, predictions, rows, lambda t, t_hat, q, q_hat: (
             *_translation_terms(t, t_hat, cfg.norm, naive), geometry.quat_angle_deg_rows(q, q_hat),
             *(_rotation_terms(q, q_hat) if rmape else ())))
-    std = _standard_errors(t_err, q_err, cfg)
+    want_mean = "mean" in cfg.statistics
+    want_median = "median" in cfg.statistics
     report = MetricReport(
         n_pairs=len(pairs),
         norm=cfg.norm,
@@ -521,10 +466,10 @@ def evaluate(pairs: PairTable, predictions: PairTable, cfg: MetricConfig = Metri
         naive_source="eval_pairs" if naive_source_pairs is None else "train_pairs",
         config_digest=pairs.config_digest,
         subspace=subspace,
-        t_mean=std.t_mean,
-        t_median=std.t_median,
-        q_mean=std.q_mean,
-        q_median=std.q_median,
+        t_mean=float(t_err.mean()) if want_mean else None,
+        t_median=float(np.median(t_err)) if want_median else None,
+        q_mean=float(q_err.mean()) if want_mean else None,
+        q_median=float(np.median(q_err)) if want_median else None,
     )
     keep = gt > 0.0
     if "mape" in include:

@@ -40,12 +40,6 @@ from frustoval import (
 )
 from frustoval import dataset
 from frustoval.cli import main as cli_main
-from frustoval.metrics import (
-    mapse_translation,
-    mase_translation,
-    naive_mean_translation,
-    standard_errors,
-)
 from frustoval.synth import SynthConfig, SynthPredictor, WalkConfig, generate_walk
 
 from conftest import FIXTURES, assert_transform_close, random_pose, random_quat
@@ -200,7 +194,7 @@ def test_criterion_07_metric_scale_behavior(walk_pairs):
 def test_criterion_08_naive_baseline_identities(walk_pairs):
     pairs = walk_pairs[::11][:2000]
     naive_preds = synth_predict(pairs, naive_predictor(pairs))
-    mase = mase_translation(pairs, naive_preds, naive_mean_translation(pairs), "l1")
+    mase = evaluate(pairs, naive_preds, MetricConfig(norm="l1")).t_mase
     assert abs(mase - 1.0) <= 1e-12
     perfect = dataset.PairTable(pairs.frame_ids, pairs.anchors, pairs.queries, pairs.rotations,
                                 pairs.translations, config_digest=pairs.config_digest)
@@ -233,10 +227,10 @@ def test_criterion_09_overlap_robustness():
             sel = (lo < pairs.overlaps) & (pairs.overlaps <= hi)
             sub, sp = pairs[sel], preds[sel]
             assert len(sub), f"empty bin ({lo}, {hi}]"
-            nm = naive_mean_translation(sub)
-            medians.append(standard_errors(sub, sp, MetricConfig(norm=norm)).t_median)
-            mases.append(mase_translation(sub, sp, nm, norm))
-            mapses.append(mapse_translation(sub, sp, nm, norm))
+            r = evaluate(sub, sp, MetricConfig(norm=norm))
+            medians.append(r.t_median)
+            mases.append(r.t_mase)
+            mapses.append(r.t_mapse)
         assert cv(mases) < cv(medians), f"{norm}: CV(MASE) {cv(mases)} vs {cv(medians)}"
         assert cv(mapses) < cv(medians), f"{norm}: CV(MAPSE) {cv(mapses)} vs {cv(medians)}"
         summary[norm] = (cv(medians), cv(mases), cv(mapses))
@@ -341,10 +335,10 @@ def test_criterion_12_pitfall_demo(walk_pairs):
     noisy_preds = synth_predict(hard, SynthPredictor(kind="noisy", sigma_t=0.15, sigma_q_deg=5.0),
                                 seed=5)
     cfg = MetricConfig(norm="l2")
-    naive_mean_err = standard_errors(easy, naive_preds, cfg).t_mean
-    noisy_mean_err = standard_errors(hard, noisy_preds, cfg).t_mean
-    naive_mase = mase_translation(easy, naive_preds, naive_mean_translation(easy), "l2")
-    noisy_mase = mase_translation(hard, noisy_preds, naive_mean_translation(hard), "l2")
+    naive_report = evaluate(easy, naive_preds, cfg)
+    noisy_report = evaluate(hard, noisy_preds, cfg)
+    naive_mean_err, naive_mase = naive_report.t_mean, naive_report.t_mase
+    noisy_mean_err, noisy_mase = noisy_report.t_mean, noisy_report.t_mase
     assert naive_mean_err < noisy_mean_err, "naive must look better on raw mean error"
     assert naive_mase > noisy_mase, "MASE must rank the informative predictor above naive"
     _report(12, f"naive {naive_mean_err:.3f}m beats noisy {noisy_mean_err:.3f}m on mean error "

@@ -400,15 +400,6 @@ class TestReadme:
             ran.append(argv[0])
         assert ran[0] == "synth" and ran[-1] == "curve" and len(ran) == 8
 
-    def test_library_quick_start_runs(self, capsys):
-        # the README's first python block as written: it prints the median
-        # translation error, the MASE and the subspace diameter
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        block = re.search(r"## Library quick start.*?```python\n(.*?)```", readme, re.S).group(1)
-        exec(compile(block, "README.md", "exec"), {})
-        printed = capsys.readouterr().out.split()
-        assert len(printed) == 3 and all(float(v) > 0 for v in printed), printed
-
 
 class TestPredictAndEval:
     def test_naive_predictions(self, tmp_path, pairs_file):
@@ -711,6 +702,14 @@ class TestRecordValidation:
         self.refused(capsys, ["eval", "--pairs", str(pairs_file), "--pred", str(pred_file),
                               "--out", str(tmp_path / "r.report")],
                      pred_file, recs[1] + 1, _key_refusal("unsorted", "prediction", pred_file, recs[1] + 1))
+
+    def test_hash_query_id_in_prediction_file(self, tmp_path, pairs_file, pred_file, capsys):
+        # the writers refuse the id "#"; so do the readers, in either id column
+        lineno = _edit_record(pred_file, 3, lambda f, prev: [f[0], "#", *f[2:]])
+        self.refused(capsys, ["eval", "--pairs", str(pairs_file), "--pred", str(pred_file),
+                              "--out", str(tmp_path / "r.report")],
+                     pred_file, lineno, "frame id '#' must be non-empty, whitespace-free and not '#'\n")
+        assert not (tmp_path / "r.report").exists()
 
     def test_duplicate_frame_id(self, tmp_path, poses_file, capsys):
         lineno = _edit_record(poses_file, 6, lambda f, prev: [prev[0], *f[1:]])

@@ -710,6 +710,8 @@ class TestChunkBoundaries:
                                               "by (anchor_id, query_id) without repeats"),
         "self pair": (lambda t, _: [t[0], t[0], *t[2:]], lambda t: f"pair must join two distinct frames, "
                                                                    f"got '{t[0]}' twice"),
+        "hash query id": (lambda t, _: [t[0], "#", *t[2:]],
+                          lambda t: "frame id '#' must be non-empty, whitespace-free and not '#'"),
         "zero quaternion": (lambda t, _: [*t[:3], "0", "0", "0", "0", *t[7:]],
                             lambda t: "zero quaternion cannot be normalized"),
         "overflowing quaternion": (lambda t, _: [*t[:3], "1e200", *t[4:]],

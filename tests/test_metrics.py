@@ -10,27 +10,17 @@ from frustoval import (
     MetricConfig,
     OverlapBinning,
     Quaternion,
-    Translation,
     combined_loss,
     error_curve,
     evaluate,
     from_euler,
-    mape_rotation,
-    mape_translation,
-    mapse_translation,
-    mase_translation,
     naive_predictor,
-    standard_errors,
     synth_predict,
 )
 from frustoval import metrics
 from frustoval.dataset import PairTable
 from frustoval.geometry import quat_rows
-from frustoval.metrics import (
-    EvaluationError,
-    match_predictions,
-    naive_mean_translation,
-)
+from frustoval.metrics import EvaluationError, match_predictions
 
 from conftest import random_quat
 
@@ -102,159 +92,156 @@ class TestStandardErrors:
     def test_perfect_is_zero(self, rng):
         rows = [(rng.normal(size=3), random_quat(rng)) for _ in range(10)]
         pairs = make_pairs([t for t, _ in rows], [q for _, q in rows])
-        se = standard_errors(pairs, perfect_preds(pairs))
-        assert se.t_mean == 0 and se.t_median == 0
+        r = evaluate(pairs, perfect_preds(pairs))
+        assert r.t_mean == 0 and r.t_median == 0
         # identical quaternions land within the acos noise floor (~2e-6 deg)
-        assert se.q_mean == pytest.approx(0, abs=1e-5)
-        assert se.q_median == pytest.approx(0, abs=1e-5)
+        assert r.q_mean == pytest.approx(0, abs=1e-5)
+        assert r.q_median == pytest.approx(0, abs=1e-5)
 
     def test_analytic_mean_median(self):
         pairs = make_pairs([(0, 0, 0), (0, 0, 0)])
         preds = make_preds(pairs, [(1, 0, 0), (3, 0, 0)])
-        se = standard_errors(pairs, preds, MetricConfig(norm="l2"))
-        assert se.t_mean == pytest.approx(2.0)
-        assert se.t_median == pytest.approx(2.0)
+        r = evaluate(pairs, preds, MetricConfig(norm="l2"))
+        assert r.t_mean == pytest.approx(2.0)
+        assert r.t_median == pytest.approx(2.0)
 
     def test_matches_sort_oracle(self, rng):
         pairs, preds = random_problem(rng)
-        cfg = MetricConfig(norm="l2")
-        se = standard_errors(pairs, preds, cfg)
+        r = evaluate(pairs, preds, MetricConfig(norm="l2"))
         t_errs = sorted(
             np.linalg.norm(t - t_hat) for t, t_hat in zip(pairs.translations, preds.translations)
         )
         n = len(t_errs)
         median = t_errs[n // 2] if n % 2 else 0.5 * (t_errs[n // 2 - 1] + t_errs[n // 2])
-        assert se.t_median == pytest.approx(median, abs=1e-12)
-        assert se.t_mean == pytest.approx(sum(t_errs) / n, abs=1e-12)
+        assert r.t_median == pytest.approx(median, abs=1e-12)
+        assert r.t_mean == pytest.approx(sum(t_errs) / n, abs=1e-12)
 
     def test_statistics_subset(self, rng):
         pairs, preds = random_problem(rng, n=5)
-        se = standard_errors(pairs, preds, MetricConfig(statistics=("median",)))
-        assert se.t_mean is None and se.q_mean is None
-        assert se.t_median is not None
+        r = evaluate(pairs, preds, MetricConfig(statistics=("median",)))
+        assert r.t_mean is None and r.q_mean is None
+        assert r.t_median is not None and r.q_median is not None
 
     def test_empty_refused(self):
         with pytest.raises(EvaluationError):
-            standard_errors(empty_pairs(), perfect_preds(empty_pairs()))
+            evaluate(empty_pairs(), perfect_preds(empty_pairs()))
 
 
 class TestMape:
     def test_perfect_is_zero(self, rng):
         pairs, _ = random_problem(rng, n=10)
-        assert mape_translation(pairs, perfect_preds(pairs)) == 0.0
+        assert evaluate(pairs, perfect_preds(pairs)).t_mape == 0.0
 
     def test_analytic_l1(self):
         pair = make_pairs([(1, 1, 0)])
         pred = make_preds(pair, [(1.1, 0.9, 0)])
-        assert mape_translation(pair, pred, "l1") == pytest.approx(0.1)
+        assert evaluate(pair, pred, MetricConfig(norm="l1")).t_mape == pytest.approx(0.1)
 
     def test_scale_equivariance(self, rng):
         pairs, preds = random_problem(rng)
-        v1 = mape_translation(pairs, preds, "l1")
-        v2 = mape_translation(scaled(pairs, 10), scaled(preds, 10), "l1")
+        v1 = evaluate(pairs, preds, MetricConfig(norm="l1")).t_mape
+        v2 = evaluate(scaled(pairs, 10), scaled(preds, 10), MetricConfig(norm="l1")).t_mape
         assert v2 == pytest.approx(v1, abs=1e-12)
 
     def test_zero_norm_excluded(self):
         pairs = make_pairs([(0, 0, 0), (1, 0, 0)])
         preds = make_preds(pairs, [(5, 0, 0), (1.5, 0, 0)])
         # the zero-norm pair would contribute an unbounded ratio; it must not
-        assert mape_translation(pairs, preds, "l2") == pytest.approx(0.5)
+        r = evaluate(pairs, preds, MetricConfig(norm="l2"))
+        assert r.t_mape == pytest.approx(0.5)
+        assert r.mape_excluded_zero_norm == 1
 
     def test_all_zero_norm_undefined(self):
         pairs = make_pairs([(0, 0, 0)])
-        assert mape_translation(pairs, perfect_preds(pairs)) is None
+        r = evaluate(pairs, perfect_preds(pairs))
+        assert r.t_mape is None and r.t_mapse is None
+        assert r.mape_excluded_zero_norm == 1
 
 
 class TestMase:
     def test_naive_scores_exactly_one(self, rng):
         pairs, _ = random_problem(rng)
         preds = synth_predict(pairs, naive_predictor(pairs))
-        value = mase_translation(pairs, preds, naive_mean_translation(pairs), "l1")
-        assert value == 1.0
+        assert evaluate(pairs, preds, MetricConfig(norm="l1")).t_mase == 1.0
 
     def test_perfect_is_zero(self, rng):
         pairs, _ = random_problem(rng)
-        nm = naive_mean_translation(pairs)
-        assert mase_translation(pairs, perfect_preds(pairs), nm, "l2") == 0.0
+        assert evaluate(pairs, perfect_preds(pairs), MetricConfig(norm="l2")).t_mase == 0.0
 
     def test_half_offset_ratio(self, rng):
         # predictor = truth + fixed offset of half the naive mean deviation
         pairs, _ = random_problem(rng)
-        nm = naive_mean_translation(pairs)
         t = pairs.translations
-        mean_dev = np.linalg.norm(t - nm.as_array(), axis=1).mean()
+        naive = t.mean(axis=0)
+        mean_dev = np.linalg.norm(t - naive, axis=1).mean()
         offset = np.array([0.5 * mean_dev, 0.0, 0.0])
         preds = make_preds(pairs, t + offset)
-        got = mase_translation(pairs, preds, nm, "l2")
+        got = evaluate(pairs, preds, MetricConfig(norm="l2")).t_mase
         # direct-summation oracle
         num = sum(np.linalg.norm(offset) for _ in range(len(pairs)))
-        den = sum(np.linalg.norm(row - nm.as_array()) for row in t)
+        den = sum(np.linalg.norm(row - naive) for row in t)
         assert got == pytest.approx(num / den, abs=1e-12)
         assert got == pytest.approx(0.5, abs=1e-9)
 
     def test_degenerate_denominator_undefined(self):
         pairs = make_pairs([(1, 0, 0), (1, 0, 0)])
-        nm = naive_mean_translation(pairs)
-        assert mase_translation(pairs, perfect_preds(pairs), nm, "l1") is None
+        r = evaluate(pairs, perfect_preds(pairs), MetricConfig(norm="l1"))
+        assert r.t_mase is None and r.t_mapse is None
 
 
 class TestMapse:
     def test_perfect_is_zero(self, rng):
         pairs, _ = random_problem(rng)
-        nm = naive_mean_translation(pairs)
-        assert mapse_translation(pairs, perfect_preds(pairs), nm, "l1") == 0.0
+        assert evaluate(pairs, perfect_preds(pairs), MetricConfig(norm="l1")).t_mapse == 0.0
 
     def test_single_pair_reduces_to_error_ratio(self, rng):
         pair = make_pairs([(1.0, 2.0, -0.5)])
         pred = make_preds(pair, [(1.2, 1.9, -0.5)])
-        nm = Translation(0.5, 0.5, 0.5)
-        got = mapse_translation(pair, pred, nm, "l2")
+        source = make_pairs([(0.5, 0.5, 0.5)])  # fits the naive mean (0.5, 0.5, 0.5)
+        got = evaluate(pair, pred, MetricConfig(norm="l2"), naive_source_pairs=source).t_mapse
         t, th = pair.translations[0], pred.translations[0]
-        expected = np.linalg.norm(t - th) / np.linalg.norm(t - nm.as_array())
+        expected = np.linalg.norm(t - th) / np.linalg.norm(t - [0.5, 0.5, 0.5])
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_matches_direct_summation_oracle(self, rng):
         pairs, preds = random_problem(rng)
-        nm = naive_mean_translation(pairs)
-        got = mapse_translation(pairs, preds, nm, "l1")
+        got = evaluate(pairs, preds, MetricConfig(norm="l1")).t_mapse
+        naive = pairs.translations.mean(axis=0)
         pct, dev, mag, n = 0.0, 0.0, 0.0, 0
         for t, t_hat in zip(pairs.translations, preds.translations):
             gt = np.abs(t).sum()
             if gt == 0.0:
                 continue
             pct += np.abs(t - t_hat).sum() / gt
-            dev += np.abs(t - nm.as_array()).sum()
+            dev += np.abs(t - naive).sum()
             mag += gt
             n += 1
         assert got == pytest.approx((pct / n) / (dev / mag), abs=1e-12)
 
     def test_scale_invariant(self, rng):
         pairs, preds = random_problem(rng)
-        nm = naive_mean_translation(pairs)
-        v1 = mapse_translation(pairs, preds, nm, "l2")
+        v1 = evaluate(pairs, preds, MetricConfig(norm="l2")).t_mapse
         s = 10.0
-        spairs = scaled(pairs, s)
-        v2 = mapse_translation(spairs, scaled(preds, s), naive_mean_translation(spairs), "l2")
+        v2 = evaluate(scaled(pairs, s), scaled(preds, s), MetricConfig(norm="l2")).t_mapse
         assert v2 == pytest.approx(v1, abs=1e-12)
 
 
 class TestMapeRotation:
     def test_perfect_is_zero(self, rng):
         pairs, _ = random_problem(rng)
-        value, excluded = mape_rotation(pairs, perfect_preds(pairs))
-        assert value == 0.0 and excluded == 0
+        r = evaluate(pairs, perfect_preds(pairs))
+        assert r.r_mape == 0.0 and r.rmape_excluded == 0
 
     def test_analytic_yaw(self):
         pair = make_pairs([(1, 0, 0)], [from_euler(90, 0, 0)])
         pred = make_preds(pair, [(1, 0, 0)], [from_euler(99, 0, 0)])
-        value, _ = mape_rotation(pair, pred)
-        assert value == pytest.approx(0.1, abs=1e-9)
+        assert evaluate(pair, pred).r_mape == pytest.approx(0.1, abs=1e-9)
 
     def test_matches_direct_recomputation(self, rng):
         from frustoval.geometry import to_euler
 
         pairs, preds = random_problem(rng, rot_scale=40.0)
-        got, excluded = mape_rotation(pairs, preds)
+        r = evaluate(pairs, preds)
         acc, n = 0.0, 0
         for q, q_hat in zip(pairs.rotations, preds.rotations):
             e = to_euler(Quaternion(*q))
@@ -267,25 +254,25 @@ class TestMapeRotation:
             num = abs(e.yaw - eh.yaw) + abs(e.pitch - eh.pitch) + abs(e.roll - eh.roll)
             acc += num / den
             n += 1
-        assert n + excluded == len(pairs)
-        assert got == pytest.approx(acc / n, abs=1e-12)
+        assert n + r.rmape_excluded == len(pairs)
+        assert r.r_mape == pytest.approx(acc / n, abs=1e-12)
 
     def test_gimbal_policy_error_raises(self):
         pair = make_pairs([(1, 0, 0)], [from_euler(10, 90, 0)])
         with pytest.raises(EvaluationError, match="gimbal"):
-            mape_rotation(pair, perfect_preds(pair), gimbal_policy="error")
+            evaluate(pair, perfect_preds(pair), MetricConfig(euler_gimbal_policy="error"))
 
     def test_gimbal_excluded_and_counted(self):
         # row 0 gimbal-locked, row 1 plain
         pairs = make_pairs([(1, 0, 0), (1, 0, 0)], [from_euler(10, 90, 0), from_euler(10, 20, 5)])
-        value, excluded = mape_rotation(pairs, perfect_preds(pairs))
-        assert excluded == 1
-        assert value == 0.0
+        r = evaluate(pairs, perfect_preds(pairs))
+        assert r.rmape_excluded == 1
+        assert r.r_mape == 0.0
 
     def test_all_excluded_undefined(self):
         pair = make_pairs([(1, 0, 0)], [Quaternion.identity()])  # |r|_1 == 0
-        value, excluded = mape_rotation(pair, perfect_preds(pair))
-        assert value is None and excluded == 1
+        r = evaluate(pair, perfect_preds(pair))
+        assert r.r_mape is None and r.rmape_excluded == 1
 
 
 class TestNaivePredictor:
@@ -438,8 +425,8 @@ class TestEvaluate:
 
     def test_norm_toggle_bounded(self, rng):
         pairs, preds = random_problem(rng)
-        m1 = mape_translation(pairs, preds, "l1")
-        m2 = mape_translation(pairs, preds, "l2")
+        m1 = evaluate(pairs, preds, MetricConfig(norm="l1")).t_mape
+        m2 = evaluate(pairs, preds, MetricConfig(norm="l2")).t_mape
         assert m1 <= math.sqrt(3) * m2 + 1e-12
         assert m2 <= math.sqrt(3) * m1 + 1e-12
 
@@ -450,9 +437,11 @@ class TestEvaluate:
         own = evaluate(pairs, preds, MetricConfig())
         other = evaluate(pairs, preds, MetricConfig(), naive_source_pairs=train)
         assert (own.naive_source, other.naive_source) == ("eval_pairs", "train_pairs")
-        assert own.t_mase == mase_translation(pairs, preds, naive_mean_translation(pairs))
-        assert other.t_mase == mase_translation(pairs, preds, naive_mean_translation(train))
-        assert other.t_mase != own.t_mase
+        t_err = np.abs(pairs.translations - preds.translations).sum()
+        for report, source in ((own, pairs), (other, train)):
+            dev = np.abs(pairs.translations - source.translations.mean(axis=0)).sum()
+            assert report.t_mase == pytest.approx(t_err / dev, rel=1e-12)
+        assert other.t_mase != pytest.approx(own.t_mase, rel=1e-6)
 
     def test_row_lists_refused(self, rng):
         # sets of pairs and predictions are tables; lists of rows are not converted
@@ -500,10 +489,6 @@ class TestChunkSize:
             for stat in ("mean", "median"):
                 c = error_curve(pairs, preds, stat=stat, norm=norm)
                 out.append((c.bins, c.auc_t, c.auc_q, c.raw_area_t, c.raw_area_q))
-            naive = naive_mean_translation(pairs)
-            out.append((standard_errors(pairs, preds, MetricConfig(norm=norm)), mape_translation(pairs, preds, norm),
-                        mase_translation(pairs, preds, naive, norm), mapse_translation(pairs, preds, naive, norm)))
-        out.append(mape_rotation(pairs, preds))
         out.append(combined_loss(pairs, preds, LossWeights(0.3, -0.7)).tolist())
         return out
 

@@ -13,7 +13,6 @@ from frustoval import (
     evaluate,
     generate_pairs,
     generate_trajectory,
-    subspace_stats,
     synth_predict,
 )
 from frustoval import dataset
@@ -26,12 +25,6 @@ from frustoval.geometry import (
     axis_angle_rows,
     normalize_quat_rows,
     quat_mul_rows,
-)
-from frustoval.metrics import (
-    mapse_translation,
-    mase_translation,
-    naive_mean_translation,
-    standard_errors,
 )
 from frustoval.synth import SynthConfig, SynthPredictor, WalkConfig, generate_walk
 
@@ -140,7 +133,7 @@ class TestSynthPredict:
             preds = synth_predict(
                 pairs, SynthPredictor(kind="noisy", sigma_t=sigma), seed=21
             )
-            means.append(standard_errors(pairs, preds, MetricConfig(norm="l2")).t_mean)
+            means.append(evaluate(pairs, preds, MetricConfig(norm="l2")).t_mean)
         assert means[0] < means[1] < means[2]
 
     def test_noisy_rotation_perturbs(self):
@@ -148,9 +141,9 @@ class TestSynthPredict:
         preds = synth_predict(
             pairs, SynthPredictor(kind="noisy", sigma_q_deg=5.0), seed=2
         )
-        se = standard_errors(pairs, preds)
-        assert se.q_mean > 1.0
-        assert se.t_mean == 0.0
+        r = evaluate(pairs, preds)
+        assert r.q_mean > 1.0
+        assert r.t_mean == 0.0
 
     def test_seeded_determinism(self):
         pairs = self.pairs()
@@ -278,10 +271,10 @@ class TestTradeoffReproduction:
             sel = pairs.overlaps >= th
             sub, sp = pairs[sel], preds[sel]
             assert len(sub), f"no pairs above {th}"
-            nm = naive_mean_translation(sub)
-            diameters.append(subspace_stats(sub, th).diameter)
-            mases.append(mase_translation(sub, sp, nm, "l1"))
-            mapses.append(mapse_translation(sub, sp, nm, "l1"))
+            r = evaluate(sub, sp, MetricConfig(norm="l1"), subspace_threshold=th)
+            diameters.append(r.subspace.diameter)
+            mases.append(r.t_mase)
+            mapses.append(r.t_mapse)
         for lo, hi in zip(diameters[1:], diameters[:-1]):
             assert lo <= hi * 1.05
         assert diameters[-1] < 0.6 * diameters[0]
