@@ -296,23 +296,22 @@ def cmd_ingest(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.pairs:
+        constant = _parse_constant(args.constant) if args.constant else None
+        try:
+            predictor = SynthPredictor(
+                kind=args.predictor, sigma_t=args.sigma_t, sigma_q_deg=args.sigma_q,
+                relative_noise=args.relative_noise, constant=constant,
+            )
+        except ValueError as e:
+            raise UsageError(str(e)) from None
         chunks = dataset.stream_pairs(args.pairs)
         pf = next(chunks)
-        with dataset.refusals_first(chunks):
-            constant = _parse_constant(args.constant) if args.constant else None
-            try:
-                predictor = SynthPredictor(
-                    kind=args.predictor, sigma_t=args.sigma_t, sigma_q_deg=args.sigma_q,
-                    relative_noise=args.relative_noise, constant=constant,
-                )
-            except ValueError as e:
-                raise UsageError(str(e)) from None
-            n = dataset.pair_count(args.pairs, pf.header)
-            predict = synth.chunk_predictor(predictor, n, seed=args.seed)
-            dataset.write_prediction_chunks(
-                args.out, pf.pairs.config_digest, n,
-                (((c.anchor_ids, c.query_ids), predict(c.rotations, c.translations)) for c in chunks),
-                predictor=predictor.describe(), extra={"rng": RNG_KIND, "seed": args.seed})
+        n = dataset.record_count(args.pairs, pf.header, dataset.PAIR_COLUMNS)
+        predict = synth.chunk_predictor(predictor, n, seed=args.seed)
+        dataset.write_prediction_chunks(
+            args.out, pf.pairs.config_digest, n,
+            (((c.anchor_ids, c.query_ids), predict(c.rotations, c.translations)) for c in chunks),
+            predictor=predictor.describe(), extra={"rng": RNG_KIND, "seed": args.seed})
         _info(f"wrote {n} {predictor.describe()} predictions to {args.out}")
         return 0
     try:
@@ -351,15 +350,14 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_histogram(args) -> int:
+    binning = _parse_bins(args.bins)
+    counts = np.zeros(binning.n_bins, dtype=np.int64)
     chunks = dataset.stream_pairs(args.pairs)
     pf = next(chunks)
     n = 0
-    with dataset.refusals_first(chunks):
-        binning = _parse_bins(args.bins)
-        counts = np.zeros(binning.n_bins, dtype=np.int64)
-        for chunk in chunks:
-            counts += pairgen.bin_histogram(chunk, binning)
-            n += len(chunk)
+    for chunk in chunks:
+        counts += pairgen.bin_histogram(chunk, binning)
+        n += len(chunk)
     dataset.write_histogram(
         args.out, binning.edges, counts,
         extra={"config_digest": pf.pairs.config_digest, **dataset.config_header_entries(pf.cfg),

@@ -15,14 +15,16 @@ Pose, pair and prediction files are read and written `_CHUNK_ROWS` lines at
 a time. One record stream parses each chunk of lines with one structured
 `np.loadtxt` call, so numbers take the syntax loadtxt reads, and checks it;
 a writer gathers, checks and %-formats one chunk of rows at a time. The
-table readers (`read_poses`, `read_pairs`, `read_predictions`) fill each
-column once from the stream, encoding the ids into one growing frame-id
-vocabulary, so they hold their table and one chunk. `stream_pairs` hands
-the checked chunks of a pair file out one at a time, so `synth --pairs` and
-`histogram` hold one chunk whatever the file's size; `naive`, `diameter`,
-`eval` and `curve` still hold whole tables. A refusal names `path:LINE:`
-when one line is at fault and `path:` otherwise; only after a check fails
-is the file read again to find that line.
+table readers (`read_poses`, `read_pairs`, `read_predictions`) fill columns
+sized from the header's `count` (`record_count`) from the stream, encoding
+the ids into one growing frame-id vocabulary, so they hold their table and
+one chunk and read the file once. `stream_pairs` hands the checked chunks of
+a pair file out one at a time, so `synth --pairs` and `histogram` hold one
+chunk whatever the file's size; `naive`, `diameter`, `eval` and `curve`
+still hold whole tables. A file is refused at its first defect in file
+order, and no chunk is handed out from there on. A refusal names
+`path:LINE:` when one line is at fault and `path:` otherwise; only after a
+check fails is the file read again to find that line.
 
 Ingested poses (public datasets, synthetic trajectories) are rounded to the
 same 9-significant-digit precision (`round9_array`) before they become a
@@ -63,6 +65,9 @@ _CHUNK_ROWS = 1024
 # why writers, and readers, refuse a frame id; an id "#" would start a record
 # line that reads back as a header line
 _ID_REFUSAL = "frame id {!r} must be non-empty, whitespace-free and not '#'"
+
+# why readers, and writers, refuse a quaternion
+_ZERO_QUATERNION = "zero quaternion cannot be normalized"
 
 
 class FormatError(Exception):
@@ -566,16 +571,7 @@ def _refusal(line: str, names, n_ids: int, record: str) -> str:
     return f"unreadable {record} record {line!r}"
 
 
-def _line_count(path) -> int:
-    """At least as many as the lines iterating the open file yields: one more
-    than its line ends, a CR LF counted once (twice when it straddles two
-    read blocks)."""
-    with open(path, "rb") as fh:
-        return 1 + sum(block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
-                       for block in iter(lambda: fh.read(1 << 16), b""))
-
-
-def _read_records(path, kind: str, columns: str, widths, check=None):
+def _read_records(path, kind: str, columns: str, widths, check):
     """Read a record file as a stream: its header dict, then per chunk of
     records (row, ids, groups): the row number of the chunk's first record,
     per id column a list of the id strings, and per entry of `widths` an
@@ -583,16 +579,16 @@ def _read_records(path, kind: str, columns: str, widths, check=None):
 
     The records are parsed _CHUNK_ROWS lines at a time, each chunk by one
     structured np.loadtxt call that skips blank lines, so no line or id
-    string outlives its chunk unless the consumer keeps it. `check`, when
-    given, checks the header (`check.header`) and each chunk's records
-    (`check.records`, which may rewrite the numbers in place).
+    string outlives its chunk unless the consumer keeps it. `check.header`
+    checks the header and `check.records` each chunk's records (it may
+    rewrite the numbers in place).
 
-    Once a defect is found the stream hands out no more chunks. It reads on
-    only to find the refusal a reader of the whole file would raise first,
-    then raises it. That is, in this order: the first line np.loadtxt
-    refuses; the first record with a non-finite number or a frame id "#", or
-    read from a late header line; a record count other than the header's; the header check's
-    refusal; the refusal `check.records` ranks first (rank, then row)."""
+    The stream raises at the first defect in file order and hands out no
+    chunk from there on: the header check's refusal comes before any
+    record's; on one line, a field np.loadtxt cannot read, a non-finite
+    number, a frame id "#" or a late header line (as `_refusal` names them)
+    come before the refusals of `check.records`; a record count other than
+    the header's comes after the last record."""
     names = columns.split()
     n_ids = sum(name.endswith("_id") for name in names)
     dtype = np.dtype([*((name, object) for name in names[:n_ids]),
@@ -601,69 +597,71 @@ def _read_records(path, kind: str, columns: str, widths, check=None):
     with _open(path) as fh:
         _, header, records = _header_block(path, fh, kind)
         with _located(path):
-            # (rank, row, refusal) of the refusal to raise, as far as read; rank
-            # -2 is an unreadable record, -1 the header check, 0 on check.records'
-            found = None
-            if check is not None:
-                try:
-                    check.header(header)
-                except FormatError as e:
-                    found = (-1, 0, e)
-            if found is None:
-                yield header
+            check.header(header)
+            yield header
             rows = 0
             while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
                 try:
-                    table = _loadtxt(chunk, dtype)
+                    table, end = _loadtxt(chunk, dtype), len(chunk)
                 except ValueError:
-                    i = _first_refused(chunk, dtype)
-                    raise _Refused(_refusal(chunk[i], names, n_ids, kind[:-1]),
-                                   row=rows + sum(1 for ln in chunk[:i] if ln.strip())) from None
+                    end = _first_refused(chunk, dtype)
+                    table = _loadtxt(chunk[:end], dtype)
                 ids = [table[name].tolist() for name in names[:n_ids]]
                 bad = ~np.isfinite(table["values"]).all(axis=1)
                 # no frame id is "#"; first on a line it starts a header line
                 for column in ids:
                     if "#" in column:
                         bad[column.index("#")] = True
-                if bad.any() and (found is None or found[0] != -2):
-                    k = int(np.argmax(bad))
+                k = int(np.argmax(bad)) if bad.any() else len(table)  # the records before the first at fault
+                ids = [column[:k] for column in ids]
+                groups = [table["values"][:k, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+                check.records(rows, ids, groups)
+                if k < len(table) or end < len(chunk):
                     line = [ln for ln in chunk if ln.strip()][k]
-                    found = (-2, rows + k, _Refused(_refusal(line, names, n_ids, kind[:-1]), row=rows + k))
+                    raise _Refused(_refusal(line, names, n_ids, kind[:-1]), row=rows + k)
                 del chunk  # parsed: the lines need not outlive the yield below
-                groups = [table["values"][:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-                if check is not None and (found is None or found[0] >= 0):
-                    first = check.records(rows, ids, groups)
-                    if first is not None and (found is None or first[:2] < found[:2]):
-                        found = first
-                if found is None:
-                    yield rows, ids, groups
-                rows += len(table)
-            if found is not None and found[0] == -2:
-                raise found[2]
+                yield rows, ids, groups
+                rows += k
             declared = _entry(header, "count", int, rows)
             if declared != rows:
                 raise FormatError(f"header declares {declared} records, found {rows}")
-            if found is not None:
-                raise found[2]
 
 
-def _read_columns(path, kind: str, columns: str, widths, check=None):
+def record_count(path, header: dict, columns: str) -> int:
+    """How many records of `columns` a file with this header holds if it is
+    valid: its declared count when the file's size allows that many (every
+    field takes two bytes), otherwise its non-blank lines after the header,
+    counted in a pass over the file."""
+    try:
+        declared = int(header["count"])
+    except (KeyError, ValueError):
+        declared = -1
+    if 0 <= declared <= os.path.getsize(path) // (2 * len(columns.split())):
+        return declared
+    with _open(path) as fh:
+        return sum(1 for ln in _header_block(path, fh)[2] if ln.strip())
+
+
+def _read_columns(path, kind: str, columns: str, widths, check):
     """Read a record file whole: (header, the sorted frame ids its records
     use, per id column an int32 array of indices into them, per entry of
     `widths` an (M, width) float64 array).
 
     Each chunk of the record stream is written into columns made once, as
-    long as the file has lines, so the reader holds every column once and
+    long as `record_count` says, so the reader holds every column once and
     never joins or copies it; each chunk's ids are encoded into one growing
-    id -> index dict as they arrive."""
+    id -> index dict as they arrive. A chunk past that length is checked
+    but not stored: the stream refuses the file's count at its end."""
     records = _read_records(path, kind, columns, widths, check)
     header = next(records)
-    size = _line_count(path)
+    size = record_count(path, header, columns)
     codes = [np.empty(size, np.int32) for name in columns.split() if name.endswith("_id")]
     groups = [np.empty((size, width)) for width in widths]
     index, rows = {}, 0
     for row, ids, values in records:
         rows = row + len(ids[0])
+        if rows > size:
+            continue
         for column, chunk_ids in zip(codes, ids):
             new = set(chunk_ids).difference(index)
             index.update(zip(new, range(len(index), len(index) + len(new))))
@@ -678,47 +676,31 @@ def _read_columns(path, kind: str, columns: str, widths, check=None):
             tuple(group[:rows] for group in groups))
 
 
-def _parsed_quats(q: np.ndarray, row: int = 0) -> np.ndarray:
-    """The (M, 4) parsed wxyz rows `q`, each kept verbatim when within
-    _PARSE_NORM_SLACK of unit norm with w >= 0, otherwise normalized, in
-    place, to the canonical hemisphere, so canonical files survive read/write
-    cycles byte-exactly. Rows are checked _CHUNK_ROWS at a time; a refusal
-    names its record as `row` plus its index in `q`."""
-    for lo in range(0, len(q), _CHUNK_ROWS):
-        part = q[lo:lo + _CHUNK_ROWS]
-        w, x, y, z = part.T
-        with np.errstate(over="ignore"):
-            nsq = w * w + x * x + y * y + z * z
-        rows = np.flatnonzero(~((np.abs(nsq - 1.0) <= _PARSE_NORM_SLACK) & (w >= 0.0)))
-        if rows.size:
-            bad = rows[(nsq[rows] == 0.0) | ~np.isfinite(nsq[rows])]
-            if bad.size:
-                k = int(bad[0])
-                raise _Refused("zero quaternion cannot be normalized" if nsq[k] == 0.0
-                               else "quaternion's squared norm overflows", row=row + lo + k)
-            part[rows] = geometry.normalize_quat_rows(part[rows])
-    return q
+class _RecordCheck:
+    """The checks of a pose, pair or prediction file (`kind` "pose", "pair"
+    or "prediction"), a chunk of records at a time, for `_read_records`.
 
-
-class _KeyedRecordCheck:
-    """The checks of pair or prediction records (`kind` "pair" or
-    "prediction"), a chunk at a time, for `_read_records`.
-
-    `header` reads a pair file's configuration and overlap window, refusing
-    them as a reader of the whole file would, and the digest of either kind.
-    `records` returns the first refusal among a chunk's records as (rank,
-    row, refusal), ranked as a whole-file reader checks them: a self pair,
-    an overlap outside the window, a repeated or unsorted key (keys compare
-    across chunk boundaries), a quaternion that cannot be normalized. It
-    normalizes the others in place (`_parsed_quats`)."""
+    `header` reads the digest of any kind, a pose file's split, and a pair
+    file's configuration and overlap window. `records` refuses the first
+    record at fault, naming on one record the first of: a repeated frame id
+    (at its second occurrence), a self pair, an overlap outside the window,
+    a repeated or unsorted key (keys compare across chunk boundaries), a
+    zero quaternion. It normalizes the other quaternions in place: a row
+    within _PARSE_NORM_SLACK of unit norm with w >= 0 is kept verbatim, any
+    other is normalized as `Quaternion.unit` normalizes it."""
 
     def __init__(self, kind: str):
         self.kind = kind
         self.last_key = None
+        self.seen = set()
 
     def header(self, header: dict):
         self.digest = header.get("config_digest", "")
-        if self.kind == "pair":
+        if self.kind == "pose":
+            self.split = header.get("split", "train")
+            if self.split not in ("train", "test"):
+                raise _Refused(f"split must be 'train' or 'test', got {self.split!r}", key="split")
+        elif self.kind == "pair":
             self.cfg = config_from_header(header)
             self.lo = _entry(header, "min_overlap", default="0")
             self.hi = _entry(header, "max_overlap", default="1")
@@ -728,39 +710,49 @@ class _KeyedRecordCheck:
                 raise FormatError(f"stored config_digest {self.digest} does not match the header configuration")
 
     def records(self, row: int, ids, groups):
-        anchors, queries = ids
-        found = []
-        if self.kind == "pair":
-            overlaps, rotations, _ = groups
-            same = list(map(operator.eq, anchors, queries))
-            if True in same:
-                k = same.index(True)
-                found.append((0, row + k, _Refused(f"pair must join two distinct frames, got {anchors[k]!r} twice",
-                                                   row=row + k)))
-            inside = (overlaps[:, 0] > self.lo) & (overlaps[:, 0] <= self.hi)
-            if not inside.all():
-                k = int(np.argmin(inside))
-                found.append((1, row + k, _Refused(f"overlap {float(overlaps[k, 0])} outside the header's "
-                                                   f"{self.window}", row=row + k)))
+        found = []  # (record in the chunk, refusal) per check, in the order one record's are named
+        if self.kind == "pose":
+            for k, frame_id in enumerate(ids[0]):
+                if frame_id in self.seen:
+                    found.append((k, f"duplicate frame id {frame_id!r}"))
+                    break
+                self.seen.add(frame_id)
         else:
-            rotations, _ = groups
-        keys = list(zip(anchors, queries))
-        if self.last_key is not None:
-            keys.insert(0, self.last_key)
-        ordered = list(map(operator.lt, keys, keys[1:]))
-        if False in ordered:
-            j = ordered.index(False)
-            k = row + j + (self.last_key is None)
-            problem = "duplicate" if keys[j] == keys[j + 1] else "unsorted"
-            found.append((2, k, _Refused(f"{problem} {self.kind} key {keys[j + 1]}: records must be sorted "
-                                         "by (anchor_id, query_id) without repeats", row=k)))
-        if keys:
-            self.last_key = keys[-1]
-        try:
-            _parsed_quats(rotations, row)
-        except _Refused as e:
-            found.append((3, e.row, e))
-        return min(found, key=lambda f: f[:2], default=None)
+            anchors, queries = ids
+            if self.kind == "pair":
+                same = list(map(operator.eq, anchors, queries))
+                if True in same:
+                    k = same.index(True)
+                    found.append((k, f"pair must join two distinct frames, got {anchors[k]!r} twice"))
+                overlaps = groups[0][:, 0]
+                inside = (overlaps > self.lo) & (overlaps <= self.hi)
+                if not inside.all():
+                    k = int(np.argmin(inside))
+                    found.append((k, f"overlap {float(overlaps[k])} outside the header's {self.window}"))
+            keys = list(zip(anchors, queries))
+            if self.last_key is not None:
+                keys.insert(0, self.last_key)
+            ordered = list(map(operator.lt, keys, keys[1:]))
+            if False in ordered:
+                j = ordered.index(False)
+                problem = "duplicate" if keys[j] == keys[j + 1] else "unsorted"
+                found.append((j + (self.last_key is None), f"{problem} {self.kind} key {keys[j + 1]}: records "
+                                                           "must be sorted by (anchor_id, query_id) without repeats"))
+            if keys:
+                self.last_key = keys[-1]
+        q = groups[-2]  # every kind's records end with the rotation, then the translation
+        zero = ~q.any(axis=1)
+        if zero.any():
+            found.append((int(np.argmax(zero)), _ZERO_QUATERNION))
+        if found:
+            k, refusal = min(found, key=operator.itemgetter(0))  # the first check listed wins a tie
+            raise _Refused(refusal, row=row + k)
+        w, x, y, z = q.T
+        with np.errstate(over="ignore"):
+            nsq = w * w + x * x + y * y + z * z
+        rows = np.flatnonzero(~((np.abs(nsq - 1.0) <= _PARSE_NORM_SLACK) & (w >= 0.0)))
+        if rows.size:
+            q[rows] = geometry.normalize_quat_rows(q[rows])
 
 
 def _check_ids(frame_ids):
@@ -781,17 +773,21 @@ def _write_records(path, kind: str, entries: dict, columns: str, count: int, chu
     """Write a record file of `count` rows, given as an iterable of row
     chunks (ids, numbers): per id column a list of id strings, and the
     numeric columns, (M,) or (M, width) arrays. Each number is printed as
-    fnum prints it, through one %-format per row, and a non-finite number is
-    refused; only one chunk is formatted at a time."""
+    fnum prints it, through one %-format per row; a non-finite number, and a
+    zero quaternion in the qw qx qy qz columns, are refused. Only one chunk
+    is formatted at a time."""
     names = columns.split()
     n_ids = sum(name.endswith("_id") for name in names)
     line = " ".join(["%s"] * n_ids + ["%.9g"] * (len(names) - n_ids)) + "\n"
+    qw = names.index("qw") - n_ids
 
     def lines():
         for ids, numbers in chunks:
             values = np.column_stack(numbers) + 0.0  # + 0.0 turns -0 into 0, as fnum does
             if not np.isfinite(values).all():
                 raise ValueError(f"cannot serialize non-finite number {float(values[~np.isfinite(values)][0])!r}")
+            if not values[:, qw:qw + 4].any(axis=1).all():
+                raise ValueError(_ZERO_QUATERNION)
             yield "".join(map(line.__mod__, zip(*ids, *values.T.tolist())))
 
     _write_table(path, kind, entries, columns, count, lines())
@@ -810,7 +806,7 @@ def _table_chunks(table: PairTable, *numbers):
 # pose sets
 # ---------------------------------------------------------------------------
 
-_POSE_COLUMNS = "frame_id qw qx qy qz tx ty tz"
+POSE_COLUMNS = "frame_id qw qx qy qz tx ty tz"
 
 
 def write_poses(path, ps: PoseSet, extra: dict | None = None):
@@ -823,27 +819,19 @@ def write_poses(path, ps: PoseSet, extra: dict | None = None):
         **(extra or {}),
     }
     _check_ids(ps.frame_ids)
-    _write_records(path, "poses", entries, _POSE_COLUMNS, len(ps),
+    _write_records(path, "poses", entries, POSE_COLUMNS, len(ps),
                    (([ps.frame_ids[lo:lo + _CHUNK_ROWS]],
                      (ps.rotations[lo:lo + _CHUNK_ROWS], ps.translations[lo:lo + _CHUNK_ROWS]))
                     for lo in range(0, len(ps), _CHUNK_ROWS)))
 
 
 def read_poses(path) -> PoseSet:
+    check = _RecordCheck("pose")
     header, frame_ids, (codes,), (rotations, translations) = _read_columns(
-        path, "poses", _POSE_COLUMNS, (4, 3))
-    with _located(path):
-        split = header.get("split", "train")
-        if split not in ("train", "test"):
-            raise _Refused(f"split must be 'train' or 'test', got {split!r}", key="split")
-        if len(frame_ids) != len(codes):
-            order = np.argsort(codes, kind="stable")
-            k = int(order[1:][np.diff(codes[order]) == 0].min())  # the first row of an id seen before
-            raise _Refused(f"duplicate frame id {frame_ids[codes[k]]!r}", row=k)
-        _parsed_quats(rotations)
+        path, "poses", POSE_COLUMNS, (4, 3), check)
     return PoseSet(
         scene_name=header.get("scene", ""),
-        split=split,
+        split=check.split,
         frame_ids=[frame_ids[k] for k in codes.tolist()],
         rotations=rotations,
         translations=translations,
@@ -856,7 +844,7 @@ def read_poses(path) -> PoseSet:
 # pair files
 # ---------------------------------------------------------------------------
 
-_PAIR_COLUMNS = "anchor_id query_id overlap qw qx qy qz tx ty tz"
+PAIR_COLUMNS = "anchor_id query_id overlap qw qx qy qz tx ty tz"
 
 
 def check_window(min_overlap: float, max_overlap: float, error=ValueError):
@@ -886,11 +874,6 @@ def write_pairs(path, pairs: PairTable, cfg: OverlapConfig, *, min_overlap: floa
         raise ValueError(
             f"pairs carry digest {pairs.config_digest}, file is being written under {digest}"
         )
-    outside = ~((pairs.overlaps > min_overlap) & (pairs.overlaps <= max_overlap))
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise ValueError(f"pair {pairs.id_pairs([k])[0]} overlap {pairs.overlaps[k]} outside "
-                         f"({min_overlap}, {max_overlap}]")
     if (pairs.anchors == pairs.queries).any():
         raise ValueError("pair must join two distinct frames")
     _check_ids(pairs.frame_ids)
@@ -906,18 +889,24 @@ def write_pairs(path, pairs: PairTable, cfg: OverlapConfig, *, min_overlap: floa
         **convention_entries(),
         **(extra or {}),
     }
+    check = _RecordCheck("pair")
     try:  # values a reader refuses once printed with 9 digits, such as a FOV of 179.9999999999
-        _KeyedRecordCheck("pair").header(entries)
+        check.header(entries)
     except FormatError as e:
         raise ValueError(f"header refused at file precision: {e}") from None
-    _write_records(path, "pairs", entries, _PAIR_COLUMNS, len(pairs),
+    outside = ~((pairs.overlaps > check.lo) & (pairs.overlaps <= check.hi))  # the window as printed
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"pair {pairs.id_pairs([k])[0]} overlap {pairs.overlaps[k]} outside the header's "
+                         f"{check.window}")
+    _write_records(path, "pairs", entries, PAIR_COLUMNS, len(pairs),
                    _table_chunks(pairs, pairs.overlaps, pairs.rotations, pairs.translations))
 
 
 def read_pairs(path) -> PairFileData:
-    check = _KeyedRecordCheck("pair")
+    check = _RecordCheck("pair")
     header, frame_ids, (anchors, queries), (overlaps, rotations, translations) = _read_columns(
-        path, "pairs", _PAIR_COLUMNS, (1, 4, 3), check)
+        path, "pairs", PAIR_COLUMNS, (1, 4, 3), check)
     pairs = PairTable(frame_ids, anchors, queries, rotations, translations, overlaps[:, 0], check.digest)
     return PairFileData(pairs=pairs, cfg=check.cfg, min_overlap=check.lo, max_overlap=check.hi, header=header)
 
@@ -943,11 +932,11 @@ def stream_pairs(path):
     with no rows (`pairs` is empty and carries the digest), then a PairChunk
     per _CHUNK_ROWS records, so no more than one chunk is held.
 
-    The records pass the checks of `read_pairs` and a defect is refused as
-    `read_pairs` refuses it, with its message and line, after the stream has
-    read on to find it; no chunk is handed out from the first defect on."""
-    check = _KeyedRecordCheck("pair")
-    records = _read_records(path, "pairs", _PAIR_COLUMNS, (1, 4, 3), check)
+    The records pass the checks of `read_pairs`, and the first defect in
+    file order is refused as `read_pairs` refuses it, with its message and
+    line, when the stream reaches it; no chunk is handed out from there on."""
+    check = _RecordCheck("pair")
+    records = _read_records(path, "pairs", PAIR_COLUMNS, (1, 4, 3), check)
     header = next(records)
     empty = PairTable([], [], [], np.empty((0, 4)), np.empty((0, 3)), np.empty(0), check.digest)
     yield PairFileData(pairs=empty, cfg=check.cfg, min_overlap=check.lo, max_overlap=check.hi, header=header)
@@ -955,40 +944,11 @@ def stream_pairs(path):
         yield PairChunk(anchor_ids, query_ids, overlaps[:, 0], rotations, translations)
 
 
-def pair_count(path, header: dict) -> int:
-    """The records a pair file with this header holds if it is valid: its
-    declared count, or, when it declares none or more than its size allows
-    (every field takes two bytes), its non-blank lines after the header,
-    counted in a pass over the file."""
-    try:
-        declared = int(header["count"])
-    except (KeyError, ValueError):
-        declared = -1
-    if 0 <= declared <= os.path.getsize(path) // (2 * len(_PAIR_COLUMNS.split())):
-        return declared
-    with _open(path) as fh:
-        return sum(1 for ln in _header_block(path, fh)[2] if ln.strip())
-
-
-@contextmanager
-def refusals_first(stream):
-    """Run a block that consumes the record stream `stream`. When the block
-    raises, the rest of the stream is read first, so that a refusal of the
-    file, which reading it whole before the block would have raised, is
-    raised instead of the block's own error."""
-    try:
-        yield
-    except Exception:
-        for _ in stream:
-            pass
-        raise
-
-
 # ---------------------------------------------------------------------------
 # prediction files
 # ---------------------------------------------------------------------------
 
-_PRED_COLUMNS = "anchor_id query_id qw qx qy qz tx ty tz"
+PRED_COLUMNS = "anchor_id query_id qw qx qy qz tx ty tz"
 
 
 def write_predictions(path, predictions: PairTable, *, predictor: str = "external", extra: dict | None = None):
@@ -1018,15 +978,15 @@ def write_prediction_chunks(path, config_digest: str, count: int, chunks, *, pre
             yield ids, numbers
 
     entries = {"config_digest": config_digest, "predictor": predictor, **convention_entries(), **(extra or {})}
-    _write_records(path, "predictions", entries, _PRED_COLUMNS, count, checked())
+    _write_records(path, "predictions", entries, PRED_COLUMNS, count, checked())
 
 
 def read_predictions(path) -> PairTable:
     """The prediction table of a file, carrying the digest of the pairs it was
     made for ('' when the header names none)."""
-    check = _KeyedRecordCheck("prediction")
+    check = _RecordCheck("prediction")
     _, frame_ids, (anchors, queries), (rotations, translations) = _read_columns(
-        path, "predictions", _PRED_COLUMNS, (4, 3), check)
+        path, "predictions", PRED_COLUMNS, (4, 3), check)
     return PairTable(frame_ids, anchors, queries, rotations, translations, config_digest=check.digest)
 
 

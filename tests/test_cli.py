@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frustoval import (FrustumSpec, MetricConfig, OverlapConfig, PairTable, RelativePose, SynthPredictor,
-                       config_digest)
+from frustoval import (FrustumSpec, MetricConfig, OverlapConfig, PairTable, Quaternion, RelativePose,
+                       SynthPredictor, config_digest)
 from frustoval import dataset, metrics, pairgen, synth
 from frustoval.cli import main
 from frustoval.pairgen import OverlapBinning
@@ -622,12 +622,20 @@ class TestRecordValidation:
         lineno = _edit_record(pairs_file, 11, lambda f, prev: [*f[:3], "nan", *f[4:]])
         self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, lineno, "non-finite qw value")
 
-    def test_overflowing_pose_quaternion(self, tmp_path, poses_file, capsys):
-        # 1e200 squared overflows: the row cannot be normalized, not even to zero
-        lineno = _edit_record(poses_file, 3, lambda f, prev: [f[0], "1e200", *f[2:]])
-        self.refused(capsys, ["pairs", "--poses", str(poses_file), *FRUSTUM_FLAGS,
-                              "--out", str(tmp_path / "x.pairs")],
-                     poses_file, lineno, "squared norm overflows")
+    # a quaternion whose squared norm overflows, or underflows, float64 reads
+    # as Quaternion.unit normalizes it
+    BEYOND_RANGE = ("1e200", "1e-200")
+
+    @staticmethod
+    def unit(c):
+        return Quaternion.unit(float(c), float(c), 0.0, 0.0).as_array().tolist()
+
+    def test_overflowing_pose_quaternion(self, tmp_path, poses_file):
+        for c in self.BEYOND_RANGE:
+            _edit_record(poses_file, 3, lambda f, prev: [f[0], c, c, "0", "0", *f[5:]])
+            assert dataset.read_poses(poses_file).rotations[3].tolist() == self.unit(c)
+            assert main(["pairs", "--poses", str(poses_file), *FRUSTUM_FLAGS,
+                         "--out", str(tmp_path / "x.pairs")]) == 0
 
     def test_unknown_split(self, tmp_path, poses_file, capsys):
         lines = poses_file.read_text().splitlines()
@@ -678,16 +686,18 @@ class TestRecordValidation:
         assert main(self.histogram(pairs_file, tmp_path)) == 2
         assert f"{pairs_file}: header is missing configuration key 'grid'" in capsys.readouterr().err
 
-    def test_overflowing_pair_quaternion(self, tmp_path, pairs_file, capsys):
-        lineno = _edit_record(pairs_file, 6, lambda f, prev: [*f[:4], "-1e200", *f[5:]])
-        self.refused(capsys, self.histogram(pairs_file, tmp_path), pairs_file, lineno,
-                     "squared norm overflows")
+    def test_overflowing_pair_quaternion(self, tmp_path, pairs_file):
+        for c in self.BEYOND_RANGE:
+            _edit_record(pairs_file, 6, lambda f, prev: [*f[:3], c, c, "0", "0", *f[7:]])
+            assert dataset.read_pairs(pairs_file).pairs.rotations[6].tolist() == self.unit(c)
+            assert main(self.histogram(pairs_file, tmp_path)) == 0
 
-    def test_overflowing_prediction_quaternion(self, tmp_path, pairs_file, pred_file, capsys):
-        lineno = _edit_record(pred_file, 2, lambda f, prev: [*f[:2], "1e200", *f[3:]])
-        self.refused(capsys, ["eval", "--pairs", str(pairs_file), "--pred", str(pred_file),
-                              "--out", str(tmp_path / "r.report")],
-                     pred_file, lineno, "squared norm overflows")
+    def test_overflowing_prediction_quaternion(self, tmp_path, pairs_file, pred_file):
+        for c in self.BEYOND_RANGE:
+            _edit_record(pred_file, 2, lambda f, prev: [*f[:2], c, c, "0", "0", *f[6:]])
+            assert dataset.read_predictions(pred_file).rotations[2].tolist() == self.unit(c)
+            assert main(["eval", "--pairs", str(pairs_file), "--pred", str(pred_file),
+                         "--out", str(tmp_path / "r.report")]) == 0
 
     def test_duplicate_prediction_key(self, tmp_path, pairs_file, pred_file, capsys):
         lineno = _edit_record(pred_file, 4, lambda f, prev: prev)
@@ -747,6 +757,40 @@ class TestRecordValidation:
             with pytest.raises(ValueError, match="frame id"):
                 dataset.write_predictions(out, table)
             assert not out.exists()
+
+    def test_writers_refuse_a_zero_quaternion(self, tmp_path, poses_file, pairs_file, pred_file):
+        # as their readers do; -0 is a zero too
+        def zeroed(q):
+            q = q.copy()
+            q[1] = [-0.0, 0.0, 0.0, 0.0]
+            return q
+
+        ps, pf = dataset.read_poses(poses_file), dataset.read_pairs(pairs_file)
+        pairs, preds = pf.pairs, dataset.read_predictions(pred_file)
+        writes = {
+            "a.poses": lambda out: dataset.write_poses(out, replace(ps, rotations=zeroed(ps.rotations))),
+            "a.pairs": lambda out: dataset.write_pairs(
+                out, PairTable(pairs.frame_ids, pairs.anchors, pairs.queries, zeroed(pairs.rotations),
+                               pairs.translations, pairs.overlaps, pairs.config_digest),
+                pf.cfg, min_overlap=0.0, max_overlap=1.0),
+            "a.pred": lambda out: dataset.write_predictions(
+                out, PairTable(preds.frame_ids, preds.anchors, preds.queries, zeroed(preds.rotations),
+                               preds.translations, config_digest=preds.config_digest)),
+        }
+        for name, write in writes.items():
+            with pytest.raises(ValueError, match="^zero quaternion cannot be normalized$"):
+                write(tmp_path / name)
+            assert not (tmp_path / name).exists()
+
+    def test_pair_window_checked_as_the_header_prints_it(self, tmp_path, capsys):
+        # --min-overlap 0.29999999999 prints as 0.3, and pairs of overlap 0.3
+        # lie outside the header's window: no reader would take the file
+        poses, out = tmp_path / "w.poses", tmp_path / "w.pairs"
+        assert main(["synth", "--n-poses", "60", "--seed", "2", "--out", str(poses)]) == 0
+        assert main(["pairs", "--poses", str(poses), "--grid", "10x10x10", "--min-overlap", "0.29999999999",
+                     "--out", str(out)]) == 2
+        assert "overlap 0.3 outside the header's (0.3, 1]\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_grid_is_usage_error(self, tmp_path, poses_file, capsys):
         rc = main(["pairs", "--poses", str(poses_file), "--grid", "8x8", "--out", str(tmp_path / "x.pairs")])

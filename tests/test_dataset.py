@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -641,6 +642,25 @@ class TestRecordReader:
                 dataset.read_pairs(f)
             assert reads == [f]
 
+    def test_a_valid_file_is_opened_once(self, tmp_path, rng, monkeypatch):
+        cfg = OverlapConfig()
+        files = {dataset.read_poses: tmp_path / "a.poses", dataset.read_pairs: tmp_path / "a.pairs",
+                 dataset.read_predictions: tmp_path / "a.pred"}
+        dataset.write_poses(files[dataset.read_poses], pose_set("s", "train", [random_pose(rng, frame_id=f"f{k}")
+                                                                             for k in range(30)]))
+        dataset.write_pairs(files[dataset.read_pairs], random_pairs(rng, 30, config_digest(cfg)), cfg,
+                            min_overlap=0.0, max_overlap=1.0)
+        dataset.write_predictions(files[dataset.read_predictions], random_predictions(rng, 30))
+        opened = []
+        read_text = Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: opened.append(self) or read_text(self, *a, **k))
+        monkeypatch.setattr(dataset, "open", lambda path, *a, **k: opened.append(path) or open(path, *a, **k),
+                            raising=False)
+        for read, f in files.items():
+            opened.clear()
+            read(f)
+            assert opened == [f], read.__name__
+
 
 def _earlier_key(t, earlier):
     """The record's numbers under the key of a record before it."""
@@ -698,6 +718,16 @@ class TestChunkBoundaries:
         dataset.write_pairs(f, pairs, cfg, min_overlap=lo, max_overlap=1.0)
         return f, f.read_text().splitlines()
 
+    @staticmethod
+    def pose_file(tmp_path):
+        f = tmp_path / "p.poses"
+        n = 2 * dataset._CHUNK_ROWS + 50
+        rng = np.random.default_rng(3)
+        dataset.write_poses(f, PoseSet("s", "train", [f"f{k:05d}" for k in range(n)],
+                                       geometry.normalize_quat_rows(rng.normal(size=(n, 4))),
+                                       rng.normal(size=(n, 3))))
+        return f, f.read_text().splitlines()
+
     PAIR_SPOILS = {
         "bad field": (lambda t, _: [*t[:6], "0.5x", *t[7:]], lambda t: "bad qz value '0.5x'"),
         "field count": (lambda t, _: t[:-1], lambda t: f"pair record needs 10 fields, got 9: {' '.join(t)!r}"),
@@ -714,8 +744,8 @@ class TestChunkBoundaries:
                           lambda t: "frame id '#' must be non-empty, whitespace-free and not '#'"),
         "zero quaternion": (lambda t, _: [*t[:3], "0", "0", "0", "0", *t[7:]],
                             lambda t: "zero quaternion cannot be normalized"),
-        "overflowing quaternion": (lambda t, _: [*t[:3], "1e200", *t[4:]],
-                                   lambda t: "quaternion's squared norm overflows"),
+        # no defect: a squared norm beyond float64's range is no reason to refuse
+        "overflowing quaternion": (lambda t, _: [*t[:3], "1e200", *t[4:]], None),
     }
 
     @pytest.mark.parametrize("where", OFFSETS)
@@ -724,6 +754,12 @@ class TestChunkBoundaries:
         f, lines = self.pair_file(tmp_path)
         edit, message = self.PAIR_SPOILS[spoil]
         lineno, new = self.spoil(f, lines, where, edit)
+        if message is None:  # the record reads as Quaternion.unit normalizes its quaternion
+            q = Quaternion.unit(*map(float, new.split()[3:7])).as_array()
+            k = self.offset(where) - len(self.BLANKS)
+            assert dataset.read_pairs(f).pairs.rotations[k].tolist() == q.tolist()
+            assert main(["histogram", "--pairs", str(f), "--out", str(tmp_path / "h.csv")]) == 0
+            return
         assert self.refusals(f, tmp_path, capsys) == [f"{f}:{lineno}: {message(new.split())}"] * 3
 
     @pytest.mark.parametrize("where", OFFSETS)
@@ -744,13 +780,8 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("where", OFFSETS)
     def test_duplicate_frame_id(self, tmp_path, where):
-        f = tmp_path / "p.poses"
-        n = 2 * dataset._CHUNK_ROWS + 50
-        rng = np.random.default_rng(3)
-        dataset.write_poses(f, PoseSet("s", "train", [f"f{k:05d}" for k in range(n)],
-                                       geometry.normalize_quat_rows(rng.normal(size=(n, 4))),
-                                       rng.normal(size=(n, 3))))
-        lineno, new = self.spoil(f, f.read_text().splitlines(), where, lambda t, prev: [prev[0], *t[1:]])
+        f, lines = self.pose_file(tmp_path)
+        lineno, new = self.spoil(f, lines, where, lambda t, prev: [prev[0], *t[1:]])
         with pytest.raises(FormatError) as e:
             dataset.read_poses(f)
         assert str(e.value) == f"{f}:{lineno}: duplicate frame id '{new.split()[0]}'"
@@ -770,34 +801,36 @@ class TestChunkBoundaries:
         assert self.refusals(f, tmp_path, capsys) == [
             f"{f}: stored config_digest {digest} does not match the header configuration"] * 3
 
-    def test_unreadable_line_in_a_later_chunk_named_before_an_earlier_non_finite(self, tmp_path, capsys):
-        # as for a file parsed whole: a line np.loadtxt refuses comes first
+    def test_earlier_non_finite_named_before_an_unreadable_line_in_a_later_chunk(self, tmp_path, capsys):
+        # the first line at fault in the file is named, whatever its defect
         f, lines = self.pair_file(tmp_path)
         first = _first_record(lines)
         lines[first + 2] = " ".join([*lines[first + 2].split()[:3], "nan", *lines[first + 2].split()[4:]])
-        lineno, _ = self.spoil(f, lines, "inside the second chunk", lambda t, _: [*t[:7], "1.2.3", *t[8:]])
-        assert self.refusals(f, tmp_path, capsys) == [f"{f}:{lineno}: bad tx value '1.2.3'"] * 3
+        self.spoil(f, lines, "inside the second chunk", lambda t, _: [*t[:7], "1.2.3", *t[8:]])
+        assert self.refusals(f, tmp_path, capsys) == [f"{f}:{first + 3}: non-finite qw value 'nan'"] * 3
 
     @classmethod
     def defect(cls, name, lines, i):
         """Put the defect `name` into `lines` at the record line `i`, or into
-        the header for "digest"."""
+        the header for "digest" and "count"."""
         t = lines[i].split()
         if name == "digest":
             lines[next(k for k, ln in enumerate(lines) if ln.startswith("# hfov_deg="))] = "# hfov_deg=70"
-        elif name == "count":
-            del lines[i]
+        elif name == "count":  # one record more than the file holds
+            k = next(k for k, ln in enumerate(lines) if ln.startswith("# count="))
+            lines[k] = f"# count={int(lines[k][len('# count='):]) + 1}"
         elif name == "overlap":
             lines[i] = " ".join([*t[:2], "0.25", *t[3:]])
         else:
             lines[i] = " ".join(cls.PAIR_SPOILS[name][0](t, lines[i - 2].split()))
 
     @pytest.mark.parametrize("early, late, wins", [
-        # a header defect waits for the record defects a whole-file reader raises first
-        ("digest", "non-finite", "late"), ("digest", "count", "late"), ("self pair", "digest", "late"),
-        # a later record's defect of a kind checked first wins over an earlier record's
-        ("unsorted key", "self pair", "late"), ("zero quaternion", "overlap", "late"),
-        ("non-finite", "bad field", "late"), ("self pair", "unsorted key", "early"),
+        # the header is refused before any record, and the record count after the last
+        ("digest", "non-finite", "early"), ("digest", "count", "early"), ("self pair", "digest", "late"),
+        ("count", "non-finite", "late"),
+        # otherwise the defect first in the file wins, of whatever kind
+        ("unsorted key", "self pair", "early"), ("zero quaternion", "overlap", "early"),
+        ("non-finite", "bad field", "early"), ("self pair", "unsorted key", "early"),
     ])
     def test_refusal_precedence_across_chunks(self, tmp_path, capsys, early, late, wins):
         f, lines = self.pair_file(tmp_path, lo=0.3)
@@ -806,7 +839,7 @@ class TestChunkBoundaries:
 
         def spoil(*which):
             spoiled = list(lines)
-            for when in sorted(which, key=rows.get, reverse=True):  # a deleted line moves no other
+            for when in which:
                 self.defect(names[when], spoiled, rows[when])
             _rewrite(f, spoiled)
 
@@ -816,19 +849,21 @@ class TestChunkBoundaries:
         spoil("early", "late")
         assert self.refusals(f, tmp_path, capsys) == [str(e.value)] * 3
 
-    def test_file_refused_before_the_command_s_own_error(self, tmp_path, capsys):
-        # whole-file readers refused the file before parsing --bins or
-        # --constant, or binning the overlaps; a stream reads on first
+    def test_command_s_own_error_before_the_file_s_refusal(self, tmp_path, capsys):
+        # a command checks its options before it reads the file, and a stream
+        # hands out the chunks before the file's first defect
         f, lines = self.pair_file(tmp_path, lo=0.3)
-        lineno, _ = self.spoil(f, lines, "inside the second chunk", lambda t, _: [*t[:3], "0", "0", "0", "0", *t[7:]])
-        want = f"frustoval: error: {f}:{lineno}: zero quaternion cannot be normalized\n"
+        self.spoil(f, lines, "inside the second chunk", lambda t, _: [*t[:3], "0", "0", "0", "0", *t[7:]])
         for argv in (["histogram", "--pairs", str(f), "--bins", "0,nan,1"],
-                     ["histogram", "--pairs", str(f), "--bins", "0.5:1:0.1"],
                      ["synth", "--pairs", str(f), "--predictor", "constant", "--constant", "0 0 0 0 0 0 0"],
                      ["synth", "--pairs", str(f), "--predictor", "noisy", "--sigma-t", "nan"]):
-            assert main([*argv, "--out", str(tmp_path / "out")]) == 2, argv
-            assert capsys.readouterr().err == want
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 1, argv
+            assert str(f) not in capsys.readouterr().err, argv
             assert list(tmp_path.glob("out*")) == []
+        first = next(float(ln.split()[2]) for ln in lines[_first_record(lines):] if float(ln.split()[2]) <= 0.5)
+        assert main(["histogram", "--pairs", str(f), "--bins", "0.5:1:0.1", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"frustoval: error: overlap {first} outside binning range (0.5, 1.0]\n"
+        assert list(tmp_path.glob("out*")) == []
 
     def test_abandoned_stream_closes_its_file(self, tmp_path):
         # an open file left to the garbage collector warns, which fails the suite
@@ -842,10 +877,83 @@ class TestChunkBoundaries:
         chunks = dataset.stream_pairs(f)
         next(chunks)
         with pytest.raises(ValueError, match="outside binning range"):
-            with dataset.refusals_first(chunks):
-                for chunk in chunks:
-                    bin_histogram(chunk, OverlapBinning((0.5, 1.0)))
-        assert next(chunks, None) is None  # read to its end
+            for chunk in chunks:  # as a command's own error ends its loop
+                bin_histogram(chunk, OverlapBinning((0.5, 1.0)))
+        del chunks
+        gc.collect()
+
+    def test_a_defect_in_the_first_chunk_is_refused_before_later_chunks_are_parsed(
+            self, tmp_path, capsys, monkeypatch):
+        f, lines = self.pair_file(tmp_path)
+        first = _first_record(lines)
+        lines[first + 5] = " ".join([*lines[first + 5].split()[:3], "nan", *lines[first + 5].split()[4:]])
+        _rewrite(f, lines)
+        parsed = []
+        loadtxt = dataset._loadtxt
+        monkeypatch.setattr(dataset, "_loadtxt", lambda body, dtype: parsed.extend(body) or loadtxt(body, dtype))
+        assert self.refusals(f, tmp_path, capsys) == [f"{f}:{first + 6}: non-finite qw value 'nan'"] * 3
+        parsed = {ln.rstrip("\n") for ln in parsed}
+        assert lines[first] in parsed and not parsed & set(lines[first + dataset._CHUNK_ROWS:])
+
+    def test_a_bad_split_is_named_before_a_record_defect(self, tmp_path):
+        f, lines = self.pose_file(tmp_path)
+        k = next(k for k, ln in enumerate(lines) if ln.startswith("# split="))
+        lines[k] = "# split=val"
+        self.defect("non-finite", lines, _first_record(lines) + 3)
+        _rewrite(f, lines)
+        with pytest.raises(FormatError) as e:
+            dataset.read_poses(f)
+        assert str(e.value) == f"{f}:{k + 1}: split must be 'train' or 'test', got 'val'"
+
+    def test_a_repeated_frame_id_is_named_before_a_later_non_finite_number(self, tmp_path):
+        f, lines = self.pose_file(tmp_path)
+        i = _first_record(lines) + 5
+        lines[i] = " ".join([lines[i - 1].split()[0], *lines[i].split()[1:]])
+        j = i + dataset._CHUNK_ROWS
+        lines[j] = " ".join([*lines[j].split()[:3], "inf", *lines[j].split()[4:]])
+        _rewrite(f, lines)
+        with pytest.raises(FormatError) as e:
+            dataset.read_poses(f)
+        assert str(e.value) == f"{f}:{i + 1}: duplicate frame id '{lines[i].split()[0]}'"
+
+    COUNTS = {"a chunk fewer": lambda n: n - dataset._CHUNK_ROWS, "one fewer": lambda n: n - 1,
+              "one more": lambda n: n + 1, "10^12": lambda n: 10 ** 12}
+
+    @staticmethod
+    def traced_read(read, f):
+        """The bytes read(f) allocated at its peak, and the refusal it raised, or None."""
+        tracemalloc.start()
+        try:
+            read(f)
+            return tracemalloc.get_traced_memory()[1], None
+        except FormatError as e:
+            return tracemalloc.get_traced_memory()[1], str(e)
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_header_count_other_than_the_records(self, tmp_path, capsys, count):
+        # columns are sized from the declared count only as far as the file's
+        # size allows, so a wrong count costs no more than the right one
+        pairs, _ = self.pair_file(tmp_path)
+        poses, _ = self.pose_file(tmp_path)
+        preds = tmp_path / "a.pred"
+        dataset.write_predictions(preds, random_predictions(np.random.default_rng(4), 2 * dataset._CHUNK_ROWS + 9))
+        for read, f in ((dataset.read_pairs, pairs), (dataset.read_poses, poses), (dataset.read_predictions, preds)):
+            valid, refusal = self.traced_read(read, f)
+            assert refusal is None
+            lines = f.read_text().splitlines()
+            n = len(lines) - _first_record(lines)
+            declared = self.COUNTS[count](n)
+            _rewrite(f, [f"# count={declared}" if ln.startswith("# count=") else ln for ln in lines])
+            want = f"{f}: header declares {declared} records, found {n}"
+            peak, refusal = self.traced_read(read, f)
+            assert refusal == want and peak < 1.1 * valid, read.__name__
+            if read is dataset.read_pairs:
+                assert main(["synth", "--pairs", str(f), "--predictor", "noisy", "--sigma-t", "0.1",
+                             "--out", str(tmp_path / "out")]) == 2
+                assert capsys.readouterr().err == f"frustoval: error: {want}\n"
+                assert list(tmp_path.glob("out*")) == []
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_chunk_size_changes_no_byte_and_no_table(self, tmp_path, monkeypatch, chunk):
