@@ -23,8 +23,9 @@ a pair file out one at a time, so `synth --pairs` and `histogram` hold one
 chunk whatever the file's size; `naive`, `diameter`, `eval` and `curve`
 still hold whole tables. A file is refused at its first defect in file
 order, and no chunk is handed out from there on. A refusal names
-`path:LINE:` when one line is at fault and `path:` otherwise; only after a
-check fails is the file read again to find that line.
+`path:LINE:` when one line is at fault and `path:` otherwise; the stream
+counts lines a chunk at a time as it reads them, so a refused file is
+opened once and read no further than its defect.
 
 Ingested poses (public datasets, synthetic trajectories) are rounded to the
 same 9-significant-digit precision (`round9_array`) before they become a
@@ -383,12 +384,13 @@ def parse_grid(text: str):
 
 
 class _Refused(FormatError):
-    """A check failed on one header entry (`key`) or one record (`row`,
-    counted from 0); the reader adds the file and that line."""
+    """A check failed on one header entry (`key`) or on one record of the
+    chunk being read (`record`, its place among the chunk's records, from
+    0); the record stream turns that into the file and the line."""
 
-    def __init__(self, message: str, *, key: str | None = None, row: int | None = None):
+    def __init__(self, message: str, *, key: str | None = None, record: int | None = None):
         super().__init__(message)
-        self.key, self.row = key, row
+        self.key, self.record = key, record
 
 
 def _entry(header: dict, key: str, convert=float, default=None):
@@ -458,16 +460,9 @@ def _open(path):
         raise FormatError(f"missing input file: {path}") from None
 
 
-def _read_lines(path):
-    """Every line of a file, split where iterating the open file splits it."""
-    try:
-        return Path(path).read_text().split("\n")
-    except FileNotFoundError:
-        raise FormatError(f"missing input file: {path}") from None
-
-
 def _header_block(path, lines, expected: str | None = None):
-    """(kind, header dict, the lines from the first record line on): reads the
+    """(kind, header dict, the line number of each key's kept entry, the line
+    number of the first record line, the lines from that line on): reads the
     magic line, then the consecutive `# key=value` lines, from the iterator
     `lines`. Blank lines among them are skipped and a repeated key keeps its
     last value. A kind other than `expected`, when given, is refused."""
@@ -475,14 +470,14 @@ def _header_block(path, lines, expected: str | None = None):
         raise FormatError(
             f"{path}: not a frustoval v1 file (expected first line {FORMAT_LINE!r})"
         )
-    header, first = {}, ()
+    header, where, first = {}, {}, ()
     for lineno, ln in enumerate(lines, start=2):
         ln = ln.rstrip("\n")
         if ln.startswith("# "):
             key, sep, value = ln[2:].partition("=")
             if not sep:
                 raise FormatError(f"{path}:{lineno}: malformed header line {ln!r}")
-            header[key] = value
+            header[key], where[key] = value, lineno
         elif ln.strip():
             first = (ln,)
             break
@@ -491,45 +486,22 @@ def _header_block(path, lines, expected: str | None = None):
         raise FormatError(f"{path}: header has no kind entry")
     if expected not in (None, kind):
         raise FormatError(f"{path}: expected a {expected} file, found kind={kind}")
-    return kind, header, itertools.chain(first, lines)
+    return kind, header, where, lineno, itertools.chain(first, lines)
 
 
 def read_header(path):
-    """Return (kind, header dict, record lines) of a canonical file."""
-    lines = _read_lines(path)
-    kind, header, records = _header_block(path, iter(lines))
-    records = list(records)
-    late = next((i for i, ln in enumerate(records) if ln.startswith("# ")), None)
-    if late is not None:
-        lineno = len(lines) - len(records) + late + 1
-        raise FormatError(f"{path}:{lineno}: header line {records[late]!r} after the first record")
-    return kind, header, [ln for ln in records if ln.strip()]
-
-
-def _record_lineno(lines, k: int) -> int:
-    """File line number of the k-th record: the k-th non-blank line from the
-    first line after the header block. Only refusals call this, so readers
-    never track line numbers while parsing."""
-    first = next(i for i, ln in enumerate(lines) if i and ln.strip() and not ln.startswith("# "))
-    return [i for i in range(first, len(lines)) if lines[i].strip()][k] + 1
-
-
-@contextmanager
-def _located(path):
-    """Prefix a FormatError raised inside with the file and, for a _Refused,
-    its line: the record's, or the header entry's last (the one kept). The
-    file is read again to find that line."""
-    try:
-        yield
-    except _Refused as e:
-        lines = _read_lines(path)
-        if e.key is None:
-            lineno = _record_lineno(lines, e.row)
-        else:
-            lineno = max(n for n, ln in enumerate(lines, start=1) if ln.startswith(f"# {e.key}="))
-        raise FormatError(f"{path}:{lineno}: {e}") from None
-    except FormatError as e:
-        raise FormatError(f"{path}: {e}") from None
+    """Return (kind, header dict, record lines) of a canonical file, read up
+    to its first header line after a record, which is refused."""
+    records = []
+    with _open(path) as fh:
+        kind, header, _, first, lines = _header_block(path, fh)
+        for lineno, ln in enumerate(lines, start=first):
+            ln = ln.rstrip("\n")
+            if ln.startswith("# "):
+                raise FormatError(f"{path}:{lineno}: header line {ln!r} after the first record")
+            if ln.strip():
+                records.append(ln)
+    return kind, header, records
 
 
 def _loadtxt(lines, dtype):
@@ -588,15 +560,18 @@ def _read_records(path, kind: str, columns: str, widths, check):
     record's; on one line, a field np.loadtxt cannot read, a non-finite
     number, a frame id "#" or a late header line (as `_refusal` names them)
     come before the refusals of `check.records`; a record count other than
-    the header's comes after the last record."""
+    the header's comes after the last record. The stream keeps the line
+    number of its chunk's first line, advanced by each chunk's length, so a
+    `_Refused` names `path:LINE:`, the line of its header entry or of its
+    record in the chunk; any other refusal names `path:`."""
     names = columns.split()
     n_ids = sum(name.endswith("_id") for name in names)
     dtype = np.dtype([*((name, object) for name in names[:n_ids]),
                       ("values", np.float64, (len(names) - n_ids,))])
     bounds = list(itertools.accumulate(widths, initial=0))
     with _open(path) as fh:
-        _, header, records = _header_block(path, fh, kind)
-        with _located(path):
+        _, header, where, lineno, records = _header_block(path, fh, kind)
+        try:
             check.header(header)
             yield header
             rows = 0
@@ -615,31 +590,36 @@ def _read_records(path, kind: str, columns: str, widths, check):
                 k = int(np.argmax(bad)) if bad.any() else len(table)  # the records before the first at fault
                 ids = [column[:k] for column in ids]
                 groups = [table["values"][:k, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-                check.records(rows, ids, groups)
+                check.records(ids, groups)
                 if k < len(table) or end < len(chunk):
                     line = [ln for ln in chunk if ln.strip()][k]
-                    raise _Refused(_refusal(line, names, n_ids, kind[:-1]), row=rows + k)
+                    raise _Refused(_refusal(line, names, n_ids, kind[:-1]), record=k)
+                lineno += len(chunk)
                 del chunk  # parsed: the lines need not outlive the yield below
                 yield rows, ids, groups
                 rows += k
-            declared = _entry(header, "count", int, rows)
-            if declared != rows:
-                raise FormatError(f"header declares {declared} records, found {rows}")
+            if check.count not in (None, rows):
+                raise FormatError(f"header declares {check.count} records, found {rows}")
+        except _Refused as e:
+            if e.key is None:
+                lineno += [i for i, ln in enumerate(chunk) if ln.strip()][e.record]
+            else:
+                lineno = where[e.key]
+            raise FormatError(f"{path}:{lineno}: {e}") from None
+        except FormatError as e:
+            raise FormatError(f"{path}: {e}") from None
 
 
 def record_count(path, header: dict, columns: str) -> int:
-    """How many records of `columns` a file with this header holds if it is
-    valid: its declared count when the file's size allows that many (every
-    field takes two bytes), otherwise its non-blank lines after the header,
-    counted in a pass over the file."""
-    try:
-        declared = int(header["count"])
-    except (KeyError, ValueError):
-        declared = -1
+    """How many records of `columns` a file with this header, which a record
+    stream has checked, holds if it is valid: its declared count when the
+    file's size allows that many (every field takes two bytes), otherwise
+    its non-blank lines after the header, counted in a pass over the file."""
+    declared = int(header.get("count", -1))
     if 0 <= declared <= os.path.getsize(path) // (2 * len(columns.split())):
         return declared
     with _open(path) as fh:
-        return sum(1 for ln in _header_block(path, fh)[2] if ln.strip())
+        return sum(1 for ln in _header_block(path, fh)[-1] if ln.strip())
 
 
 def _read_columns(path, kind: str, columns: str, widths, check):
@@ -680,8 +660,9 @@ class _RecordCheck:
     """The checks of a pose, pair or prediction file (`kind` "pose", "pair"
     or "prediction"), a chunk of records at a time, for `_read_records`.
 
-    `header` reads the digest of any kind, a pose file's split, and a pair
-    file's configuration and overlap window. `records` refuses the first
+    `header` reads the digest and the record count of any kind, a pose
+    file's split, and a pair file's configuration and overlap window; it
+    refuses an unreadable count. `records` refuses the first
     record at fault, naming on one record the first of: a repeated frame id
     (at its second occurrence), a self pair, an overlap outside the window,
     a repeated or unsorted key (keys compare across chunk boundaries), a
@@ -708,8 +689,9 @@ class _RecordCheck:
             check_window(self.lo, self.hi, FormatError)
             if config_digest(self.cfg) != self.digest:
                 raise FormatError(f"stored config_digest {self.digest} does not match the header configuration")
+        self.count = _entry(header, "count", int) if "count" in header else None
 
-    def records(self, row: int, ids, groups):
+    def records(self, ids, groups):
         found = []  # (record in the chunk, refusal) per check, in the order one record's are named
         if self.kind == "pose":
             for k, frame_id in enumerate(ids[0]):
@@ -746,7 +728,7 @@ class _RecordCheck:
             found.append((int(np.argmax(zero)), _ZERO_QUATERNION))
         if found:
             k, refusal = min(found, key=operator.itemgetter(0))  # the first check listed wins a tie
-            raise _Refused(refusal, row=row + k)
+            raise _Refused(refusal, record=k)
         w, x, y, z = q.T
         with np.errstate(over="ignore"):
             nsq = w * w + x * x + y * y + z * z
@@ -756,10 +738,11 @@ class _RecordCheck:
 
 
 def _check_ids(frame_ids):
-    """Refuse ids a record line cannot hold; `frame_ids` are unique."""
-    for frame_id in frame_ids:
-        if not frame_id or frame_id == "#" or any(c.isspace() for c in frame_id):
-            raise ValueError(_ID_REFUSAL.format(frame_id))
+    """Refuse ids a record line cannot hold, naming the least of them, so
+    that the order `frame_ids` come in does not change the message."""
+    bad = [f for f in frame_ids if not f or f == "#" or any(c.isspace() for c in f)]
+    if bad:
+        raise ValueError(_ID_REFUSAL.format(min(bad)))
 
 
 def _write_table(path, kind: str, entries: dict, columns: str, count: int, lines):
@@ -953,7 +936,6 @@ PRED_COLUMNS = "anchor_id query_id qw qx qy qz tx ty tz"
 
 def write_predictions(path, predictions: PairTable, *, predictor: str = "external", extra: dict | None = None):
     """Write a prediction table under the digest of the pairs it was made for."""
-    _check_ids(predictions.frame_ids)
     dupes = predictions.repeated_keys()
     if dupes:
         raise ValueError(f"duplicate prediction keys: {dupes[:5]}")
@@ -966,8 +948,8 @@ def write_prediction_chunks(path, config_digest: str, count: int, chunks, *, pre
                             extra: dict | None = None):
     """Write `count` predictions in key order under the digest of the pairs
     they were made for, given a chunk at a time as ((anchor ids, query ids),
-    ((M, 4) rotations, (M, 3) translations)). Ids `write_predictions` would
-    refuse are refused."""
+    ((M, 4) rotations, (M, 3) translations)). Ids a record line cannot hold
+    are refused, a chunk at a time."""
     seen = set()
 
     def checked():
@@ -1033,7 +1015,7 @@ def _report_value(v: str):
 
 def read_report(path) -> dict:
     with _open(path) as fh:
-        _, header, _ = _header_block(path, fh, "report")
+        header = _header_block(path, fh, "report")[1]
     return {k: _report_value(v) for k, v in header.items()}
 
 

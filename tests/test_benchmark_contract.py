@@ -12,6 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from frustoval import FrustumSpec, OverlapConfig, PairTable, config_digest, dataset
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
 
@@ -92,3 +96,16 @@ def test_traced_run_attributes_resolve():
     missing = [f"{m}.{name}" for m, name in sorted(used)
                if not hasattr(importlib.import_module(f"frustoval.{m}"), name)]
     assert missing == []
+
+
+def test_read_header_gives_config_from_header_the_written_config(tmp_path):
+    # the traced run rebuilds its first pair file's configuration as
+    # config_from_header(read_header(path)[1])
+    cfg = OverlapConfig(frustum=FrustumSpec(hfov_deg=70.5, vfov_deg=40, near=0.2, far=6.0, grid_nx=3, grid_ny=5,
+                                            grid_nz=4, boundary_epsilon=0.01),
+                        max_relative_rotation_deg=95.0, symmetric=True)
+    pairs = PairTable.from_ids(["a", "a"], ["b", "c"], [[1, 0, 0, 0]] * 2, np.zeros((2, 3)), [0.5, 0.25],
+                               config_digest(cfg))
+    f = tmp_path / "a.pairs"
+    dataset.write_pairs(f, pairs, cfg, min_overlap=0.1, max_overlap=1.0)
+    assert dataset.config_from_header(dataset.read_header(f)[1]) == cfg

@@ -27,8 +27,8 @@ FRUSTUM_FLAGS = ["--hfov", "58", "--vfov", "45", "--near", "0.1", "--far", "4.0"
                  "--grid", GRID, "--max-rot", "110"]
 
 
-def peak_rss_mb(*argv) -> float:
-    """Peak RSS, in MB, of `frustoval argv` run in a child process that must exit 0."""
+def peak_rss_mb(*argv, status: int = 0) -> float:
+    """Peak RSS, in MB, of `frustoval argv` run in a child process that must exit with `status`."""
     # a process started straight from this one would count this process's
     # pages in its ru_maxrss, so a small launcher starts and measures it
     launcher = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
@@ -36,7 +36,7 @@ def peak_rss_mb(*argv) -> float:
     proc = subprocess.run([sys.executable, "-S", "-c", launcher, sys.executable, "-m", "frustoval.cli", *argv],
                           stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True)
     code, max_rss_kb = map(int, proc.stdout.split())  # ru_maxrss is in kB on Linux
-    assert code == 0, proc.stderr
+    assert code == status, proc.stderr
     return max_rss_kb / 1024
 
 
@@ -338,25 +338,47 @@ class TestRecordFileMemory:
         finally:
             tracemalloc.stop()
 
+    @staticmethod
+    def size(table):
+        """The bytes of a table's columns."""
+        return sum(c.nbytes for c in (table.anchors, table.queries, table.rotations, table.translations,
+                                      table.overlaps) if c is not None)
+
+    def test_memory_bounded_refusing_the_last_of_246k_pair_rows(self, tmp_path, pairs_246k):
+        # a refusal read the whole file again to find its line: histogram
+        # took 105 MB, and read_pairs 5 times its table traced
+        text = pairs_246k.read_bytes()
+        last = text.rindex(b"\n", 0, -1) + 1
+        fields = text[last:].split()
+        spoiled = tmp_path / "nan.pairs"
+        spoiled.write_bytes(text[:last] + b" ".join([*fields[:2], b"nan", *fields[3:]]) + b"\n")
+        assert peak_rss_mb("histogram", "--pairs", str(spoiled), "--out", str(tmp_path / "h.csv"), status=2) < 45
+
+        def refusal(path):
+            with pytest.raises(dataset.FormatError) as e:
+                dataset.read_pairs(path)
+            return str(e.value)
+
+        message, peak, _ = self.traced(refusal, spoiled)
+        lineno = text.count(b"\n")
+        assert message == f"{spoiled}:{lineno}: non-finite overlap value 'nan'"
+        assert peak < 1.5 * self.size(dataset.read_pairs(pairs_246k).pairs)
+
     def test_readers_and_metrics_hold_each_table_once(self, tmp_path, pairs_246k):
         # a reader takes its table plus the checks' key columns (it took
         # 2.1-2.2 times the table while it joined its chunks) and keeps the
         # table (a CRLF file kept 1.89 times it while each CR LF counted as two
         # lines); evaluate and error_curve take a few per-pair arrays above
         # their tables (they took 176 and 112 bytes a pair)
-        def size(table):
-            return sum(c.nbytes for c in (table.anchors, table.queries, table.rotations, table.translations,
-                                          table.overlaps) if c is not None)
-
         crlf = tmp_path / "crlf.pairs"
         crlf.write_bytes(pairs_246k.read_bytes().replace(b"\n", b"\r\n"))
         for path in (pairs_246k, crlf):
             pf, peak, kept = self.traced(dataset.read_pairs, path)
-            assert peak < 1.5 * size(pf.pairs) and kept < 1.05 * size(pf.pairs), path.name
+            assert peak < 1.5 * self.size(pf.pairs) and kept < 1.05 * self.size(pf.pairs), path.name
         pred = tmp_path / "naive.pred"
         dataset.write_predictions(pred, synth.synth_predict(pf.pairs, metrics.naive_predictor(pf.pairs)))
         preds, peak, kept = self.traced(dataset.read_predictions, pred)
-        assert peak < 1.5 * size(preds) and kept < 1.05 * size(preds)
+        assert peak < 1.5 * self.size(preds) and kept < 1.05 * self.size(preds)
         m = len(pf.pairs)
         assert self.traced(metrics.evaluate, pf.pairs, preds)[1] < 86 * m
         assert self.traced(metrics.error_curve, pf.pairs, preds, OverlapBinning())[1] < 56 * m

@@ -3,6 +3,8 @@
 import gc
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -384,6 +386,19 @@ class TestPredictionSerialization:
                                 "('a3', 'b'), ('a4', 'b')]")
         assert not list(tmp_path.iterdir())
 
+    def test_refused_frame_id_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # the writer checks each chunk's new ids as a set, whose order follows the hash seed
+        code = ("import sys, numpy as np\n"
+                "from frustoval import PairTable, dataset\n"
+                "t = PairTable.from_ids(['a b', 'c d', 'e f'], ['x', 'y', 'z'], [[1, 0, 0, 0]] * 3, np.zeros((3, 3)))\n"
+                "try:\n    dataset.write_predictions(sys.argv[1], t)\n"
+                "except ValueError as e:\n    print(e)\n")
+        f = tmp_path / "p.pred"
+        got = {subprocess.run([sys.executable, "-c", code, str(f)], env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                              capture_output=True, text=True, check=True).stdout for seed in range(1, 5)}
+        assert got == {"frame id 'a b' must be non-empty, whitespace-free and not '#'\n"}
+        assert not f.exists()
+
     def test_digest_mismatch_check(self):
         with pytest.raises(DigestMismatchError, match="mismatch"):
             dataset.check_digest_match("aaaa", "bbbb")
@@ -534,8 +549,8 @@ def _first_record(lines) -> int:
 
 
 class TestRecordReader:
-    """One read and one parse per file; the line of a refusal is looked up
-    only when a check fails."""
+    """One open and one parse per file, refused or not; the line of a refusal
+    is counted as the file is read."""
 
     def test_refusals_named_at_first_middle_and_last_record(self, tmp_path, rng):
         cfg = OverlapConfig()
@@ -616,7 +631,7 @@ class TestRecordReader:
         got = dataset.read_predictions(fq)
         assert len(got) == 0 and got.rotations.shape == (0, 4) and got.translations.shape == (0, 3)
 
-    def test_a_refusal_reads_the_file_once(self, tmp_path, rng, monkeypatch):
+    def test_a_refusal_opens_the_file_once(self, tmp_path, rng, monkeypatch):
         cfg = OverlapConfig()
         f = tmp_path / "a.pairs"
         dataset.write_pairs(f, random_pairs(rng, 30, config_digest(cfg)), cfg,
@@ -632,15 +647,17 @@ class TestRecordReader:
             [*lines[:i], lines[i - 1], *lines[i + 1:]],  # duplicate key
             [*lines[:count], "# count=x", *lines[count + 1:]],  # unreadable header entry
         )
-        reads = []
+        opened = []
         read_text = Path.read_text
-        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: reads.append(self) or read_text(self, *a, **k))
+        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: opened.append(self) or read_text(self, *a, **k))
+        monkeypatch.setattr(dataset, "open", lambda path, *a, **k: opened.append(path) or open(path, *a, **k),
+                            raising=False)
         for text in spoiled:
             _rewrite(f, text)
-            reads.clear()
+            opened.clear()
             with pytest.raises(FormatError, match=r"a\.pairs:\d+: "):
                 dataset.read_pairs(f)
-            assert reads == [f]
+            assert opened == [f]
 
     def test_a_valid_file_is_opened_once(self, tmp_path, rng, monkeypatch):
         cfg = OverlapConfig()
@@ -812,10 +829,12 @@ class TestChunkBoundaries:
     @classmethod
     def defect(cls, name, lines, i):
         """Put the defect `name` into `lines` at the record line `i`, or into
-        the header for "digest" and "count"."""
+        the header for "digest", "count" and "bad count"."""
         t = lines[i].split()
         if name == "digest":
             lines[next(k for k, ln in enumerate(lines) if ln.startswith("# hfov_deg="))] = "# hfov_deg=70"
+        elif name == "bad count":
+            lines[next(k for k, ln in enumerate(lines) if ln.startswith("# count="))] = "# count=x"
         elif name == "count":  # one record more than the file holds
             k = next(k for k, ln in enumerate(lines) if ln.startswith("# count="))
             lines[k] = f"# count={int(lines[k][len('# count='):]) + 1}"
@@ -825,9 +844,10 @@ class TestChunkBoundaries:
             lines[i] = " ".join(cls.PAIR_SPOILS[name][0](t, lines[i - 2].split()))
 
     @pytest.mark.parametrize("early, late, wins", [
-        # the header is refused before any record, and the record count after the last
+        # the header, an unreadable count included, is refused before any
+        # record, and a record count other than the header's after the last
         ("digest", "non-finite", "early"), ("digest", "count", "early"), ("self pair", "digest", "late"),
-        ("count", "non-finite", "late"),
+        ("count", "non-finite", "late"), ("bad count", "non-finite", "early"),
         # otherwise the defect first in the file wins, of whatever kind
         ("unsorted key", "self pair", "early"), ("zero quaternion", "overlap", "early"),
         ("non-finite", "bad field", "early"), ("self pair", "unsorted key", "early"),
@@ -1033,11 +1053,15 @@ class TestChunkBoundaries:
         assert dataset.read_poses(h) == PoseSet("s", "train", got.frame_ids, q, t)
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
-    def test_line_ends_read_as_newlines(self, tmp_path, monkeypatch, newline):
+    def test_line_ends_read_as_newlines(self, tmp_path, capsys, monkeypatch, newline):
         # a file iterates into lines at CR and CRLF too; its columns are made
-        # long enough for every such line
+        # long enough for every such line, and a refusal names the line it
+        # names in the same file with LF line ends
         monkeypatch.setattr(dataset, "_CHUNK_ROWS", 3)
-        f, _ = self.pair_file(tmp_path)
+        f, lines = self.pair_file(tmp_path)
         pairs = dataset.read_pairs(f).pairs
         f.write_bytes(f.read_bytes().replace(b"\n", newline.encode()))
         assert dataset.read_pairs(f).pairs == pairs
+        lineno, _ = self.spoil(f, lines, "inside the second chunk", lambda t, _: [*t[:3], "nan", *t[4:]])
+        f.write_bytes(f.read_bytes().replace(b"\n", newline.encode()))
+        assert self.refusals(f, tmp_path, capsys) == [f"{f}:{lineno}: non-finite qw value 'nan'"] * 3
